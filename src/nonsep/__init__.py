@@ -16,9 +16,9 @@ Library surface, by area:
 * `nonsep.balls`: ball families and the near-collinearity stability
   experiment.
 * `nonsep.scenarios` / `nonsep.cli`: reproducible experiment driver.
+* `nonsep.tolerances`: the fixed thresholds every predicate compares against.
 """
 
 from .errors import GeometryError, InputError
-from .tolerances import DEFAULT_TOLS, ToleranceContext
 
-__all__ = ["GeometryError", "InputError", "DEFAULT_TOLS", "ToleranceContext"]
+__all__ = ["GeometryError", "InputError"]

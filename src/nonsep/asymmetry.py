@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lp
+from . import lp, tolerances
 from .errors import GeometryError
 from .polytope import Polytope, polar
 
@@ -97,7 +97,7 @@ def polar_asymmetry_value(p: Polytope, center) -> float:
     return float(max(q.gauge(-w) for w in q.vertices))
 
 
-def polar_sigma_check(p: Polytope, tol: float = 1e-6) -> bool:
+def polar_sigma_check(p: Polytope) -> bool:
     """Verify sigma through polars: P* <= -sigma P* about the optimal center.
 
     Asymmetry about a fixed center is invariant under polarity, so the
@@ -106,7 +106,7 @@ def polar_sigma_check(p: Polytope, tol: float = 1e-6) -> bool:
     """
     res = sigma_lp(p)
     value = polar_asymmetry_value(p, res.center)
-    return value <= res.sigma + tol * max(1.0, res.sigma)
+    return value <= res.sigma + tolerances.POLAR_SIGMA * max(1.0, res.sigma)
 
 
 def bm_bound_report(p: Polytope):

@@ -18,14 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from . import lp
+from . import lp, tolerances
 from .errors import GeometryError, InputError
-
-
-def _freeze(a):
-    a = np.ascontiguousarray(a, dtype=float)
-    a.setflags(write=False)
-    return a
+from .polytope import _finite, _freeze
 
 
 @dataclass(frozen=True)
@@ -34,8 +29,8 @@ class BallFamily:
     radii: np.ndarray    # (n,) > 0
 
     def __post_init__(self):
-        c = _freeze(np.atleast_2d(self.centers))
-        r = _freeze(np.atleast_1d(self.radii))
+        c = _freeze(np.atleast_2d(_finite(self.centers, "centers")))
+        r = _freeze(np.atleast_1d(_finite(self.radii, "radii")))
         if c.shape[0] != r.size or r.size < 1:
             raise InputError("centers and radii have inconsistent shapes")
         if (r <= 0).any():
@@ -118,8 +113,7 @@ def _lower_bound(p, r):
     return best
 
 
-def ball_circumradius(f: BallFamily,
-                      tol: float = 1e-9) -> tuple[np.ndarray, float]:
+def ball_circumradius(f: BallFamily) -> tuple[np.ndarray, float]:
     """Center and radius of the smallest ball homothet enclosing the family.
 
     Intended for small families: every candidate active subset of at most
@@ -143,7 +137,7 @@ def ball_circumradius(f: BallFamily,
             if cand is None:
                 continue
             c, rad = cand
-            if _reach(c, p, r).max() > rad + tol:
+            if _reach(c, p, r).max() > rad + tolerances.ENCLOSE:
                 continue
             if best is None or rad < best[1]:
                 best = (np.asarray(c, dtype=float), float(rad))

@@ -23,10 +23,10 @@ from numbers import Rational
 
 import numpy as np
 
-from . import lp
+from . import lp, tolerances
 from .asymmetry import sigma_lp
 from .errors import GeometryError, InputError
-from .family import HomotheticFamily, edges_covered
+from .family import HomotheticFamily, edges_covered, is_wns
 from .polytope import (
     Polytope,
     circumscribed_simplices,
@@ -34,7 +34,6 @@ from .polytope import (
     edges,
     is_generic,
 )
-from .tolerances import DEFAULT_TOLS, ToleranceContext
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,7 @@ def cover_intervals(intervals):
     return center, total
 
 
-def _support_dominates(family, t, lam, tols):
+def _support_dominates(family, t, lam):
     """Does t + lam * T * P contain every member, by facet support?"""
     p = family.base
     total = family.total_ratio
@@ -92,11 +91,10 @@ def _support_dominates(family, t, lam, tols):
                   + np.outer(family.ratios, b)).max(axis=0)
     cover_sup = a @ t + lam * total * b
     scale = max(1.0, float(np.abs(member_sup).max()))
-    return bool((member_sup <= cover_sup + tols.feas(scale)).all())
+    return bool((member_sup <= cover_sup + tolerances.feas(scale)).all())
 
 
-def weighted_cover(family: HomotheticFamily,
-                   tols: ToleranceContext = DEFAULT_TOLS) -> CoverResult:
+def weighted_cover(family: HomotheticFamily) -> CoverResult:
     """Ratio-weighted center cover at lambda = 1.
 
     Requires an origin-symmetric base and a weakly non-separable family;
@@ -104,20 +102,17 @@ def weighted_cover(family: HomotheticFamily,
     weighted center always covers, and the certificate is re-verified by
     support comparison anyway.
     """
-    from .family import is_wns
-
     if not family.base.is_origin_symmetric():
         raise InputError("requires symmetric base")
-    if not is_wns(family, tols)[0]:
+    if not is_wns(family)[0]:
         raise InputError("family is weakly separable")
     total = family.total_ratio
     t = (family.ratios @ family.translations) / total
-    certified = _support_dominates(family, t, 1.0, tols)
+    certified = _support_dominates(family, t, 1.0)
     return CoverResult(t, 1.0, certified)
 
 
-def sigma_cover(family: HomotheticFamily, sigma: float = None,
-                tols: ToleranceContext = DEFAULT_TOLS) -> CoverResult:
+def sigma_cover(family: HomotheticFamily, sigma: float = None) -> CoverResult:
     """Cover at lambda = (sigma + 1) / 2 about the base's asymmetry center.
 
     `sigma` is the base's central asymmetry; omitted, it is computed
@@ -125,9 +120,7 @@ def sigma_cover(family: HomotheticFamily, sigma: float = None,
     the asymmetry center internally and the translate mapped back.  For
     symmetric bases this degenerates to `weighted_cover`.
     """
-    from .family import is_wns
-
-    if not is_wns(family, tols)[0]:
+    if not is_wns(family)[0]:
         raise InputError("family is weakly separable")
     res = sigma_lp(family.base)
     q = res.center
@@ -137,12 +130,11 @@ def sigma_cover(family: HomotheticFamily, sigma: float = None,
     total = family.total_ratio
     shifted = family.translations + np.outer(family.ratios, q)
     t = (family.ratios @ shifted) / total - lam * total * q
-    certified = _support_dominates(family, t, lam, tols)
+    certified = _support_dominates(family, t, lam)
     return CoverResult(t, lam, certified)
 
 
-def lambda_min(family: HomotheticFamily,
-               tols: ToleranceContext = DEFAULT_TOLS) -> CoverResult:
+def lambda_min(family: HomotheticFamily) -> CoverResult:
     """Smallest lambda admitting any covering translate, by LP.
 
     The base is recentered at its vertex centroid so every facet offset
@@ -171,12 +163,11 @@ def lambda_min(family: HomotheticFamily,
         raise GeometryError(f"covering LP ended {res.status}")
     lam = float(res.x[d])
     t = res.x[:d] - lam * total * c0
-    certified = _support_dominates(family, t, lam, tols)
+    certified = _support_dominates(family, t, lam)
     return CoverResult(t, lam, certified)
 
 
-def is_summand(q: Polytope, k: Polytope,
-               tols: ToleranceContext = DEFAULT_TOLS):
+def is_summand(q: Polytope, k: Polytope):
     """Is `q` a Minkowski summand of `k` (does q slide freely in k)?
 
     Edge criterion: for every edge E of q, the face of k exposed by a
@@ -190,7 +181,7 @@ def is_summand(q: Polytope, k: Polytope,
     if q.dim < 2:
         raise InputError("need dim >= 2")
     ak, bk = k.facet_normals, k.facet_offsets
-    tight = tols.tight(max(1.0, float(np.abs(q.facet_offsets).max())))
+    tight = tolerances.tight(max(1.0, float(np.abs(q.facet_offsets).max())))
     for (i, j) in edges(q):
         vi, vj = q.vertices[i], q.vertices[j]
         evec = vj - vi
@@ -200,18 +191,17 @@ def is_summand(q: Polytope, k: Polytope,
         u = q.facet_normals[incident].mean(axis=0)
         u /= np.linalg.norm(u)
         h = k.support(u)
-        ftol = tols.tight(max(1.0, abs(h)))
+        ftol = tolerances.tight(max(1.0, abs(h)))
         a_ub = np.vstack([ak, ak, -u[None, :], -u[None, :]])
         b_ub = np.concatenate([bk, bk - ak @ evec,
                                [-h + ftol], [-h + ftol + u @ evec]])
-        x = lp.feasible_point(a_ub, b_ub, tol=tols.lp)
+        x = lp.feasible_point(a_ub, b_ub, tol=tolerances.LP)
         if x is None:
             return False, evec / np.linalg.norm(evec)
     return True, None
 
 
-def wip_summand_check(family: HomotheticFamily,
-                      tols: ToleranceContext = DEFAULT_TOLS):
+def wip_summand_check(family: HomotheticFamily):
     """Structural half of the impassability-to-summand pipeline.
 
     Assumes the caller has already screened the family with
@@ -224,11 +214,11 @@ def wip_summand_check(family: HomotheticFamily,
     d = family.dim
     if d < 2:
         raise InputError("pipeline needs dim >= 2")
-    edges_ok, _ = edges_covered(family, tols)
+    edges_ok, _ = edges_covered(family)
     hull = family.hull()
     scaled = family.base.homothet(np.zeros(d), family.total_ratio)
-    summand_ok, direction = is_summand(hull, scaled, tols)
-    lam = lambda_min(family, tols)
+    summand_ok, direction = is_summand(hull, scaled)
+    lam = lambda_min(family)
     ok = summand_ok and lam.certified and lam.lam <= 1.0 + 1e-7
     report = {
         "edges_covered": edges_ok,
@@ -240,8 +230,7 @@ def wip_summand_check(family: HomotheticFamily,
     return ok, report
 
 
-def lutwak_check(outer: Polytope, inner: Polytope,
-                 tols: ToleranceContext = DEFAULT_TOLS):
+def lutwak_check(outer: Polytope, inner: Polytope):
     """Translate-containment vs. the circumscribed-simplex criterion.
 
     `inner` fits in `outer` by translation iff it fits in every simplex
@@ -251,10 +240,10 @@ def lutwak_check(outer: Polytope, inner: Polytope,
     """
     if not is_generic(outer):
         raise InputError("outer body must be generic")
-    direct, _ = contains_translate(outer, inner, tols)
+    direct, _ = contains_translate(outer, inner)
     via = True
     for simplex in circumscribed_simplices(outer):
-        ok, _ = contains_translate(simplex, inner, tols)
+        ok, _ = contains_translate(simplex, inner)
         if not ok:
             via = False
             break

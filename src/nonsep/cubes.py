@@ -21,7 +21,8 @@ from .errors import InputError
 from .family import HomotheticFamily
 from .polytope import Polytope, cube, measure
 
-_PLANAR_OBJECTIVES = ("area", "perimeter")
+# placements of the default n = 6 search; larger searches need gigabytes
+_MAX_PLACEMENTS = comb(36, 6)
 
 
 @dataclass(frozen=True)
@@ -116,6 +117,20 @@ def _hull_2d(points) -> list[tuple[int, int]]:
     return lower[:-1] + upper[:-1]
 
 
+def _hull_area(h) -> float:
+    twice = 0
+    for (x1, y1), (x2, y2) in zip(h, h[1:] + h[:1]):
+        twice += x1 * y2 - x2 * y1
+    return twice / 2.0
+
+
+def _hull_perimeter(h) -> float:
+    per = 0.0
+    for (x1, y1), (x2, y2) in zip(h, h[1:] + h[:1]):
+        per += hypot(x2 - x1, y2 - y1)
+    return per
+
+
 def hull_metrics(f: IntegerCubeFamily) -> tuple[float, float]:
     """(area, perimeter) of the convex hull of all cube corners.
 
@@ -125,12 +140,10 @@ def hull_metrics(f: IntegerCubeFamily) -> tuple[float, float]:
     if f.dim != 2:
         raise InputError("hull metrics need d == 2")
     h = _hull_2d(map(tuple, f.corners().tolist()))
-    twice = 0
-    per = 0.0
-    for (x1, y1), (x2, y2) in zip(h, h[1:] + h[:1]):
-        twice += x1 * y2 - x2 * y1
-        per += hypot(x2 - x1, y2 - y1)
-    return twice / 2.0, per
+    return _hull_area(h), _hull_perimeter(h)
+
+
+_PLANAR_OBJECTIVES = {"area": _hull_area, "perimeter": _hull_perimeter}
 
 
 def construct_extremal(n: int, d: int = 2) -> IntegerCubeFamily:
@@ -158,8 +171,8 @@ def construct_extremal(n: int, d: int = 2) -> IntegerCubeFamily:
 
 def _objective_value(f: IntegerCubeFamily, objective: str) -> float:
     if f.dim == 2 and objective in _PLANAR_OBJECTIVES:
-        area, per = hull_metrics(f)
-        return area if objective == "area" else per
+        h = _hull_2d(map(tuple, f.corners().tolist()))
+        return _PLANAR_OBJECTIVES[objective](h)
     if f.dim == 3 and objective == "volume":
         return measure(Polytope.from_vertices(f.corners().astype(float)),
                        "volume")
@@ -230,7 +243,9 @@ def exhaustive_max(n: int, objective: str,
     box_size is accepted for spot checks).  Every C(g^2, n) placement is
     enumerated; a bitmask table filters the axis-contiguous ones, and the
     first placement attaining the best value wins, which makes the result
-    the lexicographically smallest maximizer.
+    the lexicographically smallest maximizer.  Searches with more than
+    C(36, 6) placements, the default n = 6 search, are refused before
+    anything is allocated.
     """
     if not 4 <= n <= 6:
         raise InputError("search supports 4 <= n <= 6")
@@ -240,6 +255,9 @@ def exhaustive_max(n: int, objective: str,
     if not n <= g <= 7:
         raise InputError("box size must lie in [n, 7]")
     total = comb(g * g, n)
+    if total > _MAX_PLACEMENTS:
+        raise InputError(f"{total} placements exceed the search limit "
+                         f"of {_MAX_PLACEMENTS}")
     cells = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(g * g), n)),
         np.int8, count=total * n).reshape(-1, n)
@@ -249,23 +267,14 @@ def exhaustive_max(n: int, objective: str,
     keep = (lut[np.bitwise_or.reduce(1 << rows, axis=1)]
             & lut[np.bitwise_or.reduce(1 << cols, axis=1)])
     rows, cols = rows[keep], cols[keep]
-    want_area = objective == "area"
+    value = _PLANAR_OBJECTIVES[objective]
     shifts = ((0, 0), (1, 0), (0, 1), (1, 1))
     best_val = -1.0
     best_offs = None
     for r, c in zip(rows.tolist(), cols.tolist()):
         corners = {(x + dx, y + dy)
                    for x, y in zip(r, c) for dx, dy in shifts}
-        h = _hull_2d(corners)
-        if want_area:
-            twice = 0
-            for (x1, y1), (x2, y2) in zip(h, h[1:] + h[:1]):
-                twice += x1 * y2 - x2 * y1
-            v = twice / 2.0
-        else:
-            v = 0.0
-            for (x1, y1), (x2, y2) in zip(h, h[1:] + h[:1]):
-                v += hypot(x2 - x1, y2 - y1)
+        v = value(_hull_2d(corners))
         if v > best_val + 1e-9:
             best_val = v
             best_offs = list(zip(r, c))

@@ -18,16 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lp
+from . import lp, tolerances
 from .errors import InputError
-from .polytope import Polytope, edges, polytope_from_dict
-from .tolerances import DEFAULT_TOLS, ToleranceContext
-
-
-def _freeze(a):
-    a = np.ascontiguousarray(a, dtype=float)
-    a.setflags(write=False)
-    return a
+from .polytope import (
+    Polytope,
+    _finite,
+    _freeze,
+    _plane_basis,
+    edges,
+    polytope_from_dict,
+)
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,8 @@ class HomotheticFamily:
     ratios: np.ndarray        # (n,) > 0
 
     def __post_init__(self):
-        x = _freeze(np.atleast_2d(self.translations))
-        t = _freeze(np.atleast_1d(self.ratios))
+        x = _freeze(np.atleast_2d(_finite(self.translations, "translations")))
+        t = _freeze(np.atleast_1d(_finite(self.ratios, "ratios")))
         if x.shape[0] != t.size or x.shape[1] != self.base.dim:
             raise InputError("family arrays have inconsistent shapes")
         if x.shape[0] < 2:
@@ -98,7 +98,7 @@ class HomotheticFamily:
                 + self.ratios[:, None, None] * v[None, :, :]).reshape(-1, self.dim)
 
     def hull(self) -> Polytope:
-        return Polytope.from_vertices(self.all_vertices(), self.base.tol)
+        return Polytope.from_vertices(self.all_vertices())
 
     def to_dict(self) -> dict:
         return {
@@ -108,12 +108,16 @@ class HomotheticFamily:
         }
 
 
-def family_from_dict(obj: dict, tol: float = 1e-9) -> HomotheticFamily:
+def family_from_dict(obj: dict) -> HomotheticFamily:
     if not isinstance(obj, dict) or "base" not in obj or "members" not in obj:
         raise InputError("family JSON needs 'base' and 'members'")
-    base = polytope_from_dict(obj["base"], tol)
-    xs = np.array([m["x"] for m in obj["members"]], dtype=float)
-    taus = np.array([m["tau"] for m in obj["members"]], dtype=float)
+    base = polytope_from_dict(obj["base"])
+    try:
+        xs = np.array([m["x"] for m in obj["members"]], dtype=float)
+        taus = np.array([m["tau"] for m in obj["members"]], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(
+            "each member needs a numeric translation 'x' and ratio 'tau'") from exc
     return HomotheticFamily(base, xs, taus)
 
 
@@ -124,7 +128,7 @@ def project_member(family: HomotheticFamily, i: int, u) -> Interval:
     """Projection of member i onto the line through a unit direction u."""
     u = np.asarray(u, dtype=float)
     n = np.linalg.norm(u)
-    if n <= family.base.tol:
+    if n <= tolerances.GEOM:
         raise InputError("zero direction")
     u = u / n
     mid = float(family.translations[i] @ u)
@@ -144,7 +148,7 @@ def facet_directions(p: Polytope) -> np.ndarray:
     return np.array(kept)
 
 
-def _projection_gap(family, u, gap_tol):
+def _projection_gap(family, u):
     """Largest interior gap in the union of member projections, if any."""
     x = family.translations @ u
     lo = x - family.ratios * family.base.support(-u)
@@ -152,29 +156,27 @@ def _projection_gap(family, u, gap_tol):
     order = np.argsort(lo)
     reach = hi[order[0]]
     for j in order[1:]:
-        if lo[j] > reach + gap_tol:
+        if lo[j] > reach + tolerances.GAP:
             return float(lo[j] - reach), float(reach)
         reach = max(reach, hi[j])
     return None
 
 
-def is_wns(family: HomotheticFamily,
-           tols: ToleranceContext = DEFAULT_TOLS):
+def is_wns(family: HomotheticFamily):
     """Weak non-separability: facet-parallel separators only.
 
     Returns (True, None) or (False, (direction, gap)) where `gap` is the
     width of the certifying empty slab.
     """
     for u in facet_directions(family.base):
-        hit = _projection_gap(family, u, tols.gap)
+        hit = _projection_gap(family, u)
         if hit is not None:
             gap, _ = hit
             return False, (u.copy(), gap)
     return True, None
 
 
-def is_ns(family: HomotheticFamily,
-          tols: ToleranceContext = DEFAULT_TOLS):
+def is_ns(family: HomotheticFamily):
     """Non-separability against arbitrary hyperplanes, exact for n <= 20.
 
     Scans bipartitions; a bipartition certifies separability iff the two
@@ -190,13 +192,12 @@ def is_ns(family: HomotheticFamily,
         a_idx = [i for i in range(n) if not side[i]]
         b_idx = [i for i in range(n) if side[i]]
         if _hulls_disjoint(np.vstack([vertex_sets[i] for i in a_idx]),
-                           np.vstack([vertex_sets[i] for i in b_idx]),
-                           tols):
+                           np.vstack([vertex_sets[i] for i in b_idx])):
             return False, (a_idx, b_idx)
     return True, None
 
 
-def _hulls_disjoint(va, vb, tols) -> bool:
+def _hulls_disjoint(va, vb) -> bool:
     ka, kb = va.shape[0], vb.shape[0]
     d = va.shape[1]
     # lambda, mu >= 0, sum each to 1, equal convex combinations
@@ -210,12 +211,12 @@ def _hulls_disjoint(va, vb, tols) -> bool:
     b_eq[d] = 1.0
     b_eq[d + 1] = 1.0
     a_ub = -np.eye(ncols)
-    point = lp.feasible_point(a_ub, np.zeros(ncols), a_eq, b_eq, tol=tols.lp)
+    point = lp.feasible_point(a_ub, np.zeros(ncols), a_eq, b_eq, tol=tolerances.LP)
     return point is None
 
 
 def is_kwip_sampled(family: HomotheticFamily, k: int, samples: int = 10000,
-                    seed: int = 0, tols: ToleranceContext = DEFAULT_TOLS):
+                    seed: int = 0):
     """Sampled falsification of weak k-impassability.
 
     Draws k-flats through the hull whose direction space lies in a
@@ -229,7 +230,7 @@ def is_kwip_sampled(family: HomotheticFamily, k: int, samples: int = 10000,
     if not 0 <= k <= d - 1:
         raise InputError("k must lie in [0, d-1]")
     if k == d - 1:
-        ok, witness = is_wns(family, tols)
+        ok, witness = is_wns(family)
         return ("not-falsified", None) if ok else ("falsified", witness)
 
     rng = np.random.default_rng(seed)
@@ -237,17 +238,17 @@ def is_kwip_sampled(family: HomotheticFamily, k: int, samples: int = 10000,
     points = _points_in_hull(hull, samples, rng)
     if k == 0:
         for p in points:
-            if not _point_in_some_member(family, p, tols):
+            if not _point_in_some_member(family, p):
                 return "falsified", Flat(p, np.zeros((d, 0)))
         return "not-falsified", None
 
     dirs = facet_directions(family.base)
     choices = rng.integers(0, dirs.shape[0], size=samples)
     if k == 1:
-        return _kwip_lines(family, points, dirs, choices, rng, tols)
+        return _kwip_lines(family, points, dirs, choices, rng)
     for p, f in zip(points, choices):
         w = _haar_frame_in_hyperplane(dirs[f], k, rng)
-        if not _flat_hits_some_member(family, p, w, tols):
+        if not _flat_hits_some_member(family, p, w):
             return "falsified", Flat(p, w)
     return "not-falsified", None
 
@@ -267,50 +268,35 @@ def _points_in_hull(hull, count, rng):
     return out
 
 
-def _point_in_some_member(family, p, tols):
+def _point_in_some_member(family, p):
     for i in range(family.n):
         q = (p - family.translations[i]) / family.ratios[i]
-        if family.base.contains_point(q, slack=tols.feas(1.0)):
+        if family.base.contains_point(q, slack=tolerances.feas(1.0)):
             return True
     return False
 
 
-def _hyperplane_basis(normal):
-    d = normal.size
-    out = []
-    for e in np.eye(d):
-        v = e - (e @ normal) * normal
-        for b in out:
-            v -= (v @ b) * b
-        n = np.linalg.norm(v)
-        if n > 1e-8:
-            out.append(v / n)
-        if len(out) == d - 1:
-            break
-    return np.array(out)  # (d-1, d)
-
-
 def _haar_frame_in_hyperplane(normal, k, rng):
-    hb = _hyperplane_basis(normal)
+    hb = _plane_basis(normal)
     g = rng.standard_normal((hb.shape[0], k))
     q, _ = np.linalg.qr(g)
     return (q.T @ hb).T  # (d, k), orthonormal columns inside the hyperplane
 
 
-def _flat_hits_some_member(family, p, w, tols):
+def _flat_hits_some_member(family, p, w):
     k = w.shape[1]
     a, b = family.base.facet_normals, family.base.facet_offsets
     for i in range(family.n):
         ai = a
         bi = family.ratios[i] * b + a @ family.translations[i]
         # exists s with ai @ (p + w s) <= bi
-        sol = lp.feasible_point(ai @ w, bi - ai @ p, tol=tols.lp)
+        sol = lp.feasible_point(ai @ w, bi - ai @ p, tol=tolerances.LP)
         if sol is not None:
             return True
     return False
 
 
-def _kwip_lines(family, points, dirs, choices, rng, tols):
+def _kwip_lines(family, points, dirs, choices, rng):
     """Vectorized line probe: per member, a 1-D feasibility interval."""
     d = family.dim
     s = points.shape[0]
@@ -320,13 +306,13 @@ def _kwip_lines(family, points, dirs, choices, rng, tols):
         cnt = int(mask.sum())
         if cnt == 0:
             continue
-        hb = _hyperplane_basis(dirs[f])
+        hb = _plane_basis(dirs[f])
         g = rng.standard_normal((cnt, hb.shape[0]))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         line_dirs[mask] = g @ hb
     hit = np.zeros(s, dtype=bool)
     a, b = family.base.facet_normals, family.base.facet_offsets
-    eps = tols.feas(1.0)
+    eps = tolerances.feas(1.0)
     for i in range(family.n):
         bi = family.ratios[i] * b + a @ family.translations[i]
         alpha = line_dirs @ a.T            # (s, m)
@@ -347,8 +333,7 @@ def _kwip_lines(family, points, dirs, choices, rng, tols):
     return "falsified", Flat(points[miss], line_dirs[miss][:, None])
 
 
-def edges_covered(family: HomotheticFamily,
-                  tols: ToleranceContext = DEFAULT_TOLS):
+def edges_covered(family: HomotheticFamily):
     """Is every edge of conv(union) covered by the member union?
 
     Returns (True, None) or (False, witness_point) with a point of an
@@ -371,27 +356,27 @@ def edges_covered(family: HomotheticFamily,
                     hi = min(hi, be / al)
                 elif al < -1e-12:
                     lo = max(lo, be / al)
-                elif be < -tols.feas(1.0):
+                elif be < -tolerances.feas(1.0):
                     ok = False
                     break
-            if ok and lo <= hi + tols.gap:
+            if ok and lo <= hi + tolerances.GAP:
                 pieces.append((lo, hi))
-        gap_at = _first_uncovered(pieces, tols.gap)
+        gap_at = _first_uncovered(pieces)
         if gap_at is not None:
             return False, x + gap_at * dirv
     return True, None
 
 
-def _first_uncovered(pieces, gap_tol):
+def _first_uncovered(pieces):
     """Midpoint of the first gap of [0,1] left open by the pieces."""
     reach = 0.0
     for lo, hi in sorted(pieces):
-        if lo > reach + gap_tol:
+        if lo > reach + tolerances.GAP:
             return 0.5 * (reach + lo)
         reach = max(reach, hi)
-        if reach >= 1.0 - gap_tol:
+        if reach >= 1.0 - tolerances.GAP:
             return None
-    if reach >= 1.0 - gap_tol:
+    if reach >= 1.0 - tolerances.GAP:
         return None
     return 0.5 * (reach + 1.0)
 

@@ -13,14 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tolerances
 from .errors import InputError
-from .polytope import Polytope, measure, polar
-
-
-def _freeze(a):
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
+from .polytope import Polytope, _finite, _freeze, _plane_basis, measure, polar
 
 
 def _int_box(d: int, r: int) -> np.ndarray:
@@ -35,17 +30,16 @@ class Lattice:
 
     basis: np.ndarray
     det: float
-    tol: float = 1e-9
 
     @staticmethod
-    def from_basis(basis, tol: float = 1e-9) -> "Lattice":
-        b = np.asarray(basis, dtype=float)
+    def from_basis(basis) -> "Lattice":
+        b = _finite(basis, "lattice basis")
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise InputError("basis must be a square matrix")
         det = abs(float(np.linalg.det(b)))
-        if det <= tol:
+        if det <= tolerances.GEOM:
             raise InputError("basis is singular")
-        return Lattice(_freeze(b), det, tol)
+        return Lattice(_freeze(b), det)
 
     @property
     def dim(self) -> int:
@@ -79,7 +73,7 @@ class LatticeArrangement:
 
 def dual_lattice(lat: Lattice) -> Lattice:
     """Vectors whose inner product with the whole lattice is integral."""
-    return Lattice.from_basis(np.linalg.inv(lat.basis).T, lat.tol)
+    return Lattice.from_basis(np.linalg.inv(lat.basis).T)
 
 
 def density(arr: LatticeArrangement) -> float:
@@ -95,7 +89,7 @@ def knorm(k: Polytope, x) -> float:
     An asymmetric body gives a gauge rather than a norm; callers that
     rely on norm axioms must pass a symmetric body.
     """
-    if (k.facet_offsets <= k.tol).any():
+    if (k.facet_offsets <= tolerances.GEOM).any():
         raise InputError("origin must be interior to the body")
     x = np.asarray(x, dtype=float)
     return float(max((k.facet_normals @ x / k.facet_offsets).max(), 0.0))
@@ -232,7 +226,7 @@ def tightness(arr: LatticeArrangement, resolution: int = 48,
     return lo - 1.0, hi - 1.0
 
 
-def is_ns_lattice(arr: LatticeArrangement, tol: float = 1e-9,
+def is_ns_lattice(arr: LatticeArrangement,
                   max_vectors: int = 10_000_000) -> tuple[bool, float]:
     """Dual-lattice criterion for non-separability of the arrangement.
 
@@ -241,7 +235,7 @@ def is_ns_lattice(arr: LatticeArrangement, tol: float = 1e-9,
     reaches one half.  Enumeration is confined to a Euclidean ball that
     provably contains the minimiser.
     """
-    if (arr.body.facet_offsets <= arr.body.tol).any():
+    if (arr.body.facet_offsets <= tolerances.GEOM).any():
         raise InputError("origin must be interior to the body")
     kp = polar(arr.body)
     dual = dual_lattice(arr.lattice)
@@ -261,7 +255,7 @@ def is_ns_lattice(arr: LatticeArrangement, tol: float = 1e-9,
     m = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     m = m[(m != 0).any(axis=1)]
     lam1 = float(_knorm_many(kp, m @ dual.basis.T).min())
-    return lam1 >= 0.5 - tol, lam1
+    return lam1 >= 0.5 - tolerances.NS_LATTICE, lam1
 
 
 def kronecker_gap(u, box_radius: int) -> float:
@@ -342,7 +336,7 @@ def weak_covering_minimum_1(p: Polytope, lat: Lattice, t_grid,
 
 
 def ns_patch_probe(arr: LatticeArrangement, window: int = 6,
-                   ndirs: int = 2000, gap_tol: float = 1e-7) -> bool:
+                   ndirs: int = 2000) -> bool:
     """Finite-patch separability sweep, independent of the dual route.
 
     Projects a (2w+1)^d patch of members onto a dense set of directions
@@ -375,7 +369,7 @@ def ns_patch_probe(arr: LatticeArrangement, window: int = 6,
     centre = 0.5 * (lo[:, :1] + reach[:, -1:])
     extent = reach[:, -1:] - lo[:, :1]
     central = np.abs(mids - centre) <= 0.25 * extent
-    return not bool(((gaps > gap_tol) & central).any())
+    return not bool(((gaps > tolerances.PATCH_GAP) & central).any())
 
 
 def _sphere_net(n: int) -> np.ndarray:
@@ -390,7 +384,7 @@ def _sphere_net(n: int) -> np.ndarray:
 
 def weak_impassability_probe(arr: LatticeArrangement, k: int,
                              samples: int = 400, window: int = 4,
-                             seed: int = 0, tol: float = 1e-6) -> bool:
+                             seed: int = 0) -> bool:
     """Sampled check that every k-flat meets the arrangement.
 
     k = 0 draws points in the fundamental cell and asks for gauge
@@ -408,10 +402,9 @@ def weak_impassability_probe(arr: LatticeArrangement, k: int,
         f0 = _min_gauge_dist(arr.body, ys, _int_box(d, 1)
                              @ arr.lattice.basis.T)
         zs = _offset_candidates(arr, float(f0.max()))
-        return bool((_min_gauge_dist(arr.body, ys, zs) <= 1.0 + tol).all())
+        dist = _min_gauge_dist(arr.body, ys, zs)
+        return bool((dist <= 1.0 + tolerances.PROBE).all())
     if k == 1 and d == 3:
-        from .polytope import _plane_basis
-
         us = np.concatenate([_sphere_net(samples), np.eye(3)])
         z = arr.lattice.points(window)
         for u in us:
@@ -423,7 +416,7 @@ def weak_impassability_probe(arr: LatticeArrangement, k: int,
             g = np.linspace(-1.0, 1.0, 12)
             pts = np.stack(np.meshgrid(g, g, indexing="ij"),
                            axis=-1).reshape(-1, 2) * half + mid
-            if (_min_gauge_dist(shadow, pts, pz) > 1.0 + tol).any():
+            if (_min_gauge_dist(shadow, pts, pz) > 1.0 + tolerances.PROBE).any():
                 return False
         return True
     raise InputError("probe supports k = 0, or k = 1 in dimension 3")

@@ -8,13 +8,13 @@ external dependency: runs are reproducible, statuses are exactly the three
 we need, and feasible points double as witnesses.
 
 Conventions: variables are free, rows are ``row @ x <= rhs`` or
-``row @ x == rhs``, and `solve_lp` maximizes unless told otherwise.
+``row @ x == rhs``, and `solve` maximizes unless told otherwise.
 Statuses are ``"optimal"``, ``"infeasible"``, ``"unbounded"``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,19 +26,6 @@ _PIVOT_EPS = 1e-11
 _MAX_ITER = 20000
 _BLAND_AFTER = 2000
 
-LEQ = "<="
-EQ = "="
-
-
-@dataclass(frozen=True)
-class LinearProgram:
-    """Objective vector, rows of (coefficients, relation, rhs), and arity."""
-
-    objective: np.ndarray
-    constraints: list = field(default_factory=list)
-    nvars: int = 0
-    maximize: bool = True
-
 
 @dataclass(frozen=True)
 class LpResult:
@@ -49,39 +36,6 @@ class LpResult:
     @property
     def optimal(self) -> bool:
         return self.status == "optimal"
-
-
-def solve_lp(lp: LinearProgram, tol: float = 1e-8) -> LpResult:
-    """Solve a `LinearProgram`; see module docstring for conventions."""
-    c = np.asarray(lp.objective, dtype=float)
-    n = lp.nvars if lp.nvars else c.size
-    if c.size != n:
-        raise InputError("objective length does not match nvars")
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    for row, rel, rhs in lp.constraints:
-        row = np.asarray(row, dtype=float)
-        if row.size != n:
-            raise InputError("constraint row length does not match nvars")
-        if rel in (LEQ, "<"):
-            a_ub.append(row)
-            b_ub.append(float(rhs))
-        elif rel in (EQ, "=="):
-            a_eq.append(row)
-            b_eq.append(float(rhs))
-        elif rel in (">=", ">"):
-            a_ub.append(-row)
-            b_ub.append(-float(rhs))
-        else:
-            raise InputError(f"unknown relation {rel!r}")
-    return solve(
-        c,
-        np.array(a_ub) if a_ub else None,
-        np.array(b_ub) if b_ub else None,
-        np.array(a_eq) if a_eq else None,
-        np.array(b_eq) if b_eq else None,
-        maximize=lp.maximize,
-        tol=tol,
-    )
 
 
 def solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, maximize=True,

@@ -21,14 +21,22 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from . import lp
+from . import lp, tolerances
 from .errors import GeometryError, InputError
-from .tolerances import DEFAULT_TOLS, ToleranceContext
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
-    a.setflags(write=False)
+def _freeze(a) -> np.ndarray:
+    """A read-only C-contiguous float copy; the caller's array is left alone."""
+    out = np.array(a, dtype=float, order="C")
+    out.setflags(write=False)
+    return out
+
+
+def _finite(x, what: str) -> np.ndarray:
+    """`x` as a float array, rejecting NaN and infinite entries as bad input."""
+    a = np.asarray(x, dtype=float)
+    if not np.isfinite(a).all():
+        raise InputError(f"{what} must be finite")
     return a
 
 
@@ -45,43 +53,42 @@ class Polytope:
     facet_normals: np.ndarray
     facet_offsets: np.ndarray
     vertices: np.ndarray
-    tol: float = 1e-9
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def from_facets(normals, offsets, tol: float = 1e-9) -> "Polytope":
-        a = np.atleast_2d(np.asarray(normals, dtype=float))
-        b = np.atleast_1d(np.asarray(offsets, dtype=float))
+    def from_facets(normals, offsets) -> "Polytope":
+        a = np.atleast_2d(_finite(normals, "facet normals"))
+        b = np.atleast_1d(_finite(offsets, "facet offsets"))
         if a.ndim != 2 or a.shape[0] != b.size:
             raise InputError("facet arrays have inconsistent shapes")
         d = a.shape[1]
         norms = np.linalg.norm(a, axis=1)
-        if (norms <= tol).any():
+        if (norms <= tolerances.GEOM).any():
             raise InputError("zero facet normal")
         a = a / norms[:, None]
         b = b / norms
-        a, b = _dedupe_facets(a, b, tol)
+        a, b = _dedupe_facets(a, b)
         if d == 1:
-            return _interval_from_facets(a, b, tol)
-        if not _positive_hull_spans(a, tol):
+            return _interval_from_facets(a, b)
+        if not _positive_hull_spans(a):
             raise GeometryError("unbounded")
-        verts = _enumerate_vertices(a, b, tol)
+        verts = _enumerate_vertices(a, b)
         if verts.shape[0] < d + 1 or _affine_rank(verts) < d:
             raise GeometryError("not full-dimensional")
-        a, b = _prune_facets(a, b, verts, d, tol)
-        return _build(d, a, b, verts, tol)
+        a, b = _prune_facets(a, b, verts, d)
+        return _build(d, a, b, verts)
 
     @staticmethod
-    def from_vertices(points, tol: float = 1e-9) -> "Polytope":
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+    def from_vertices(points) -> "Polytope":
+        pts = np.atleast_2d(_finite(points, "vertices"))
         d = pts.shape[1]
         if d == 1:
             lo, hi = pts.min(), pts.max()
-            if hi - lo <= tol:
+            if hi - lo <= tolerances.GEOM:
                 raise GeometryError("not full-dimensional")
             return _build(1, np.array([[1.0], [-1.0]]), np.array([hi, -lo]),
-                          np.array([[lo], [hi]]), tol)
+                          np.array([[lo], [hi]]))
         if pts.shape[0] < d + 1 or _affine_rank(pts) < d:
             raise GeometryError("not full-dimensional")
         try:
@@ -90,18 +97,9 @@ class Polytope:
             raise GeometryError("not full-dimensional") from exc
         # qhull rows are [normal | offset] with normal @ x + offset <= 0.
         eq = hull.equations
-        a, b = _dedupe_facets(eq[:, :-1], -eq[:, -1], tol)
+        a, b = _dedupe_facets(eq[:, :-1], -eq[:, -1])
         verts = pts[hull.vertices]
-        return _build(d, a, b, verts, tol)
-
-    @staticmethod
-    def from_dual(normals, offsets, points, tol: float = 1e-9) -> "Polytope":
-        """Trusted construction from both sides at once; still validated."""
-        a = np.atleast_2d(np.asarray(normals, dtype=float))
-        b = np.atleast_1d(np.asarray(offsets, dtype=float))
-        v = np.atleast_2d(np.asarray(points, dtype=float))
-        norms = np.linalg.norm(a, axis=1)
-        return _build(a.shape[1], a / norms[:, None], b / norms, v, tol)
+        return _build(d, a, b, verts)
 
     # -- basic queries -----------------------------------------------------
 
@@ -116,24 +114,19 @@ class Polytope:
     def support(self, u) -> float:
         """max_{x in P} <u, x>; rejects the zero direction."""
         u = np.asarray(u, dtype=float)
-        if np.linalg.norm(u) <= self.tol:
+        if np.linalg.norm(u) <= tolerances.GEOM:
             raise InputError("zero direction")
         return float((self.vertices @ u).max())
-
-    def argsupport(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        vals = self.vertices @ u
-        return self.vertices[int(np.argmax(vals))]
 
     def contains_point(self, x, slack: float | None = None) -> bool:
         x = np.asarray(x, dtype=float)
         s = self._scale() if slack is None else 0.0
-        eps = slack if slack is not None else DEFAULT_TOLS.feas(s)
+        eps = slack if slack is not None else tolerances.feas(s)
         return bool((self.facet_normals @ x - self.facet_offsets <= eps).all())
 
     def gauge(self, x) -> float:
         """Minkowski functional; requires the origin strictly inside."""
-        if (self.facet_offsets <= self.tol).any():
+        if (self.facet_offsets <= tolerances.GEOM).any():
             raise GeometryError("origin not interior")
         x = np.asarray(x, dtype=float)
         return max(0.0, float((self.facet_normals @ x / self.facet_offsets).max()))
@@ -150,17 +143,17 @@ class Polytope:
         v = np.asarray(v, dtype=float)
         return _build(self.dim, self.facet_normals,
                       self.facet_offsets + self.facet_normals @ v,
-                      self.vertices + v, self.tol, validate=False)
+                      self.vertices + v, validate=False)
 
     def scale(self, s: float) -> "Polytope":
         if s <= 0:
             raise InputError("scale must be positive")
         return _build(self.dim, self.facet_normals, self.facet_offsets * s,
-                      self.vertices * s, self.tol, validate=False)
+                      self.vertices * s, validate=False)
 
     def negate(self) -> "Polytope":
         return _build(self.dim, -self.facet_normals, self.facet_offsets,
-                      -self.vertices, self.tol, validate=False)
+                      -self.vertices, validate=False)
 
     def homothet(self, x, ratio: float) -> "Polytope":
         """x + ratio * P for ratio > 0."""
@@ -168,7 +161,7 @@ class Polytope:
 
     def is_origin_symmetric(self) -> bool:
         v = self.vertices
-        eps = DEFAULT_TOLS.dedupe(self._scale())
+        eps = tolerances.dedupe(self._scale())
         for p in v:
             if np.linalg.norm(v + p, axis=1).min() > eps:
                 return False
@@ -185,7 +178,7 @@ class Polytope:
         }
 
 
-def polytope_from_dict(obj: dict, tol: float = 1e-9) -> Polytope:
+def polytope_from_dict(obj: dict) -> Polytope:
     """Load from the JSON form; either facet or vertex list may be absent."""
     if not isinstance(obj, dict) or "dim" not in obj:
         raise InputError("polytope JSON must be an object with a 'dim' key")
@@ -193,16 +186,23 @@ def polytope_from_dict(obj: dict, tol: float = 1e-9) -> Polytope:
     facets = obj.get("facets")
     verts = obj.get("vertices")
     if facets:
-        a = np.array([f["a"] for f in facets], dtype=float)
-        b = np.array([f["b"] for f in facets], dtype=float)
-        if a.shape[1] != d:
+        try:
+            a = np.array([f["a"] for f in facets], dtype=float)
+            b = np.array([f["b"] for f in facets], dtype=float)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(
+                "each facet needs a numeric normal 'a' and offset 'b'") from exc
+        if a.ndim != 2 or a.shape[1] != d:
             raise InputError("facet dimension does not match 'dim'")
-        p = Polytope.from_facets(a, b, tol)
+        p = Polytope.from_facets(a, b)
     elif verts:
-        v = np.array(verts, dtype=float)
-        if v.shape[1] != d:
+        try:
+            v = np.array(verts, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InputError("vertices must be equal-length lists of numbers") from exc
+        if v.ndim != 2 or v.shape[1] != d:
             raise InputError("vertex dimension does not match 'dim'")
-        p = Polytope.from_vertices(v, tol)
+        p = Polytope.from_vertices(v)
     else:
         raise InputError("polytope JSON needs 'facets' or 'vertices'")
     return p
@@ -212,8 +212,8 @@ def polytope_from_dict(obj: dict, tol: float = 1e-9) -> Polytope:
 # construction internals
 
 
-def _build(d, a, b, verts, tol, validate=True) -> Polytope:
-    p = Polytope(d, _freeze(a), _freeze(b), _freeze(verts), tol)
+def _build(d, a, b, verts, validate=True) -> Polytope:
+    p = Polytope(d, _freeze(a), _freeze(b), _freeze(verts))
     if validate:
         _validate(p)
     return p
@@ -221,23 +221,23 @@ def _build(d, a, b, verts, tol, validate=True) -> Polytope:
 
 def _validate(p: Polytope) -> None:
     scale = p._scale()
-    feas = DEFAULT_TOLS.feas(scale)
+    feas = tolerances.feas(scale)
     res = p.facet_normals @ p.vertices.T - p.facet_offsets[:, None]
     if res.max(initial=0.0) > feas:
         raise GeometryError("vertex violates a facet; representations disagree")
-    tight = np.abs(res) <= DEFAULT_TOLS.tight(scale)
+    tight = np.abs(res) <= tolerances.tight(scale)
     if (tight.sum(axis=1) < p.dim).any():
         raise GeometryError("facet tight at fewer than dim vertices")
     if p.n_vertices < p.dim + 1 or p.n_facets < p.dim + 1:
         raise GeometryError("not full-dimensional")
 
 
-def _dedupe_facets(a, b, tol):
+def _dedupe_facets(a, b):
     norms = np.linalg.norm(a, axis=1)
     a = a / norms[:, None]
     b = b / norms
     keep_a, keep_b = [], []
-    eps = max(1e-7, 100 * tol)
+    eps = tolerances.FACET_MERGE
     for row, off in zip(a, b):
         dup = False
         for ka, kb in zip(keep_a, keep_b):
@@ -250,17 +250,17 @@ def _dedupe_facets(a, b, tol):
     return np.array(keep_a), np.array(keep_b)
 
 
-def _interval_from_facets(a, b, tol):
+def _interval_from_facets(a, b):
     # d == 1: normals are +-1 after normalization.
     ups = b[a[:, 0] > 0]
     downs = b[a[:, 0] < 0]
     if ups.size == 0 or downs.size == 0:
         raise GeometryError("unbounded")
     hi, lo = ups.min(), -downs.min()
-    if hi - lo <= tol:
+    if hi - lo <= tolerances.GEOM:
         raise GeometryError("not full-dimensional")
     return _build(1, np.array([[1.0], [-1.0]]), np.array([hi, -lo]),
-                  np.array([[lo], [hi]]), tol)
+                  np.array([[lo], [hi]]))
 
 
 def _affine_rank(pts) -> int:
@@ -274,7 +274,7 @@ def _affine_rank(pts) -> int:
     return int((s > 1e-9 * max(1.0, scale)).sum())
 
 
-def _positive_hull_spans(normals, tol) -> bool:
+def _positive_hull_spans(normals) -> bool:
     """Bounded iff the origin is interior to conv of the unit normals."""
     m, d = normals.shape
     if m < d + 1:
@@ -292,11 +292,11 @@ def _positive_hull_spans(normals, tol) -> bool:
     return res.optimal and res.value > 1e-9
 
 
-def _enumerate_vertices(a, b, tol):
+def _enumerate_vertices(a, b):
     """Feasible intersections of rank-d facet subsets, deduplicated."""
     m, d = a.shape
     scale = 1.0 + float(np.abs(b).max(initial=0.0))
-    feas = DEFAULT_TOLS.feas(scale)
+    feas = tolerances.feas(scale)
     found = []
     for idx in itertools.combinations(range(m), d):
         sub = a[list(idx)]
@@ -310,7 +310,7 @@ def _enumerate_vertices(a, b, tol):
             found.append(x)
     if not found:
         return np.zeros((0, d))
-    return _dedupe_points(np.array(found), DEFAULT_TOLS.dedupe(scale))
+    return _dedupe_points(np.array(found), tolerances.dedupe(scale))
 
 
 def _dedupe_points(pts, eps):
@@ -321,10 +321,10 @@ def _dedupe_points(pts, eps):
     return np.array(kept)
 
 
-def _prune_facets(a, b, verts, d, tol):
+def _prune_facets(a, b, verts, d):
     """Keep facets tight at >= d vertices; drops redundant halfspaces."""
     scale = 1.0 + float(np.abs(verts).max(initial=0.0))
-    tight = np.abs(a @ verts.T - b[:, None]) <= DEFAULT_TOLS.tight(scale)
+    tight = np.abs(a @ verts.T - b[:, None]) <= tolerances.tight(scale)
     mask = tight.sum(axis=1) >= d
     if not mask.any():
         raise GeometryError("not full-dimensional")
@@ -335,20 +335,7 @@ def _prune_facets(a, b, verts, d, tol):
 # free-function operations
 
 
-def support(p: Polytope, u) -> float:
-    return p.support(u)
-
-
-def vertices_from_facets(normals, offsets, tol: float = 1e-9) -> Polytope:
-    return Polytope.from_facets(normals, offsets, tol)
-
-
-def facets_from_vertices(points, tol: float = 1e-9) -> Polytope:
-    return Polytope.from_vertices(points, tol)
-
-
-def contains_translate(outer: Polytope, inner: Polytope,
-                       tols: ToleranceContext = DEFAULT_TOLS):
+def contains_translate(outer: Polytope, inner: Polytope):
     """Does some translate of `inner` fit inside `outer`?
 
     Feasibility of <a_i, t> <= b_i - h_inner(a_i) over translations t;
@@ -357,7 +344,8 @@ def contains_translate(outer: Polytope, inner: Polytope,
     if outer.dim != inner.dim:
         raise InputError("dimension mismatch")
     h = np.array([inner.support(a) for a in outer.facet_normals])
-    t = lp.feasible_point(outer.facet_normals, outer.facet_offsets - h, tol=tols.lp)
+    t = lp.feasible_point(outer.facet_normals, outer.facet_offsets - h,
+                          tol=tolerances.LP)
     if t is None:
         return False, None
     return True, t
@@ -365,15 +353,15 @@ def contains_translate(outer: Polytope, inner: Polytope,
 
 def polar(p: Polytope) -> Polytope:
     """Polar dual; needs the origin strictly interior."""
-    if (p.facet_offsets <= p.tol).any():
+    if (p.facet_offsets <= tolerances.GEOM).any():
         raise GeometryError("origin not interior")
     verts = p.facet_normals / p.facet_offsets[:, None]
     norms = np.linalg.norm(p.vertices, axis=1)
-    if (norms <= p.tol).any():
+    if (norms <= tolerances.GEOM).any():
         raise GeometryError("origin not interior")
     normals = p.vertices / norms[:, None]
     offsets = 1.0 / norms
-    return _build(p.dim, normals, offsets, verts, p.tol)
+    return _build(p.dim, normals, offsets, verts)
 
 
 def is_generic(p: Polytope) -> bool:
@@ -402,7 +390,7 @@ def genericize(p: Polytope, eps: float, seed: int = 0,
             new_a[i] = _tilt(a, rng.uniform(0.0, 0.9 * eps), rng)
         new_b = np.array([p.support(a) for a in new_a]) + eps * radius
         try:
-            q = Polytope.from_facets(new_a, new_b, p.tol)
+            q = Polytope.from_facets(new_a, new_b)
         except GeometryError:
             continue
         if q.n_facets != m or not is_generic(q):
@@ -441,12 +429,12 @@ def circumscribed_simplices(p: Polytope) -> list[Polytope]:
     a, b = p.facet_normals, p.facet_offsets
     m, d = a.shape
     out = []
-    feas = DEFAULT_TOLS.feas(p._scale())
+    feas = tolerances.feas(p._scale())
     for idx in itertools.combinations(range(m), d + 1):
         sub = a[list(idx)]
-        if not _positive_hull_spans(sub, p.tol):
+        if not _positive_hull_spans(sub):
             continue
-        simplex = Polytope.from_facets(sub, b[list(idx)], p.tol)
+        simplex = Polytope.from_facets(sub, b[list(idx)])
         res = simplex.facet_normals @ p.vertices.T - simplex.facet_offsets[:, None]
         if res.max() > feas:
             raise GeometryError("circumscribed simplex fails to contain input")
@@ -465,7 +453,7 @@ def edges(p: Polytope) -> list[tuple[int, int]]:
         raise InputError("edges need d >= 2")
     scale = p._scale()
     tight = np.abs(p.facet_normals @ p.vertices.T
-                   - p.facet_offsets[:, None]) <= DEFAULT_TOLS.tight(scale)
+                   - p.facet_offsets[:, None]) <= tolerances.tight(scale)
     k = p.n_vertices
     out = []
     for i in range(k):
@@ -520,7 +508,7 @@ def _volume_3d(p: Polytope) -> float:
     c = p.centroid()
     scale = p._scale()
     tight = np.abs(p.facet_normals @ p.vertices.T
-                   - p.facet_offsets[:, None]) <= DEFAULT_TOLS.tight(scale)
+                   - p.facet_offsets[:, None]) <= tolerances.tight(scale)
     total = 0.0
     for f in range(p.n_facets):
         pts = p.vertices[tight[f]]
@@ -558,7 +546,7 @@ def _plane_basis(normal):
 # stock shapes
 
 
-def box(lo, hi, tol: float = 1e-9) -> Polytope:
+def box(lo, hi) -> Polytope:
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     if lo.size != hi.size or (hi <= lo).any():
@@ -567,68 +555,66 @@ def box(lo, hi, tol: float = 1e-9) -> Polytope:
     a = np.vstack([np.eye(d), -np.eye(d)])
     b = np.concatenate([hi, -lo])
     corners = np.array(list(itertools.product(*zip(lo, hi))))
-    return _build(d, a, b, corners, tol)
+    return _build(d, a, b, corners)
 
 
-def cube(d: int, half: float = 0.5, tol: float = 1e-9) -> Polytope:
+def cube(d: int, half: float = 0.5) -> Polytope:
     """Axis cube [-half, half]^d."""
-    return box(-half * np.ones(d), half * np.ones(d), tol)
+    return box(-half * np.ones(d), half * np.ones(d))
 
 
-def unit_cube(d: int, tol: float = 1e-9) -> Polytope:
+def unit_cube(d: int) -> Polytope:
     """Axis cube [0, 1]^d."""
-    return box(np.zeros(d), np.ones(d), tol)
+    return box(np.zeros(d), np.ones(d))
 
 
-def cross_polytope(d: int, radius: float = 1.0, tol: float = 1e-9) -> Polytope:
+def cross_polytope(d: int, radius: float = 1.0) -> Polytope:
     signs = np.array(list(itertools.product([1.0, -1.0], repeat=d)))
     a = signs / math.sqrt(d)
     b = np.full(signs.shape[0], radius / math.sqrt(d))
     verts = np.vstack([radius * np.eye(d), -radius * np.eye(d)])
-    return _build(d, a, b, verts, tol)
+    return _build(d, a, b, verts)
 
 
-def standard_simplex(d: int, tol: float = 1e-9) -> Polytope:
+def standard_simplex(d: int) -> Polytope:
     """conv{0, e_1, ..., e_d}."""
     verts = np.vstack([np.zeros(d), np.eye(d)])
-    return Polytope.from_vertices(verts, tol)
+    return Polytope.from_vertices(verts)
 
 
-def parallelotope(edges, tol: float = 1e-9) -> Polytope:
+def parallelotope(edges) -> Polytope:
     """Centred parallelotope spanned by the given edge vectors."""
     e = np.asarray(edges, dtype=float)
     if e.ndim != 2 or e.shape[0] != e.shape[1]:
         raise InputError("need d edge vectors of dimension d")
-    if abs(np.linalg.det(e)) <= tol:
+    if abs(np.linalg.det(e)) <= tolerances.GEOM:
         raise InputError("edge vectors are linearly dependent")
     signs = np.array(list(itertools.product([-0.5, 0.5], repeat=e.shape[0])))
-    return Polytope.from_vertices(signs @ e, tol)
+    return Polytope.from_vertices(signs @ e)
 
 
-def regular_polygon(k: int, radius: float = 1.0, phase: float = 0.0,
-                    tol: float = 1e-9) -> Polytope:
+def regular_polygon(k: int, radius: float = 1.0, phase: float = 0.0) -> Polytope:
     ang = phase + 2 * np.pi * np.arange(k) / k
     verts = radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    return Polytope.from_vertices(verts, tol)
+    return Polytope.from_vertices(verts)
 
 
-def random_polytope(d: int, npoints: int, rng, symmetric: bool = False,
-                    tol: float = 1e-9) -> Polytope:
+def random_polytope(d: int, npoints: int, rng, symmetric: bool = False) -> Polytope:
     """Hull of gaussian points; resamples until full-dimensional."""
     for _ in range(100):
         pts = rng.standard_normal((npoints, d))
         if symmetric:
             pts = np.vstack([pts, -pts])
         try:
-            return Polytope.from_vertices(pts, tol)
+            return Polytope.from_vertices(pts)
         except GeometryError:
             continue
     raise GeometryError("could not draw a full-dimensional polytope")
 
 
-def random_simplex(d: int, rng, tol: float = 1e-9) -> Polytope:
+def random_simplex(d: int, rng) -> Polytope:
     for _ in range(100):
         pts = rng.standard_normal((d + 1, d))
         if abs(np.linalg.det(pts[1:] - pts[0])) > 0.05:
-            return Polytope.from_vertices(pts, tol)
+            return Polytope.from_vertices(pts)
     raise GeometryError("could not draw a well-conditioned simplex")

@@ -1,40 +1,76 @@
-"""Tolerance policy for the whole package.
+"""Named geometric thresholds shared across the package.
 
-All geometric predicates compare against thresholds derived from one
-context object instead of scattering magic constants. The three base
-tolerances:
+The verdicts listed below compare against these constants and scale
+functions; no public function takes a tolerance parameter except the LP
+solver's own (`lp.solve`, `lp.feasible_point`) and the bracket width of
+`asymmetry.sigma_bisection`. Numerical guards such as pivot and
+determinant cut-offs are still literals in their own modules.
 
-* ``geom``: membership / tightness comparisons on coordinates,
-* ``lp``: feasibility and reduced-cost thresholds inside the simplex solver,
-* ``gap``: minimal projection gap that certifies separation (a gap at or
-  below this counts as touching, and touching is not separation).
+Fixed thresholds:
 
-Derived thresholds scale with the size of the data they are applied to;
-the helpers below are the single place where those multipliers live.
+* ``GEOM`` (1e-9), coordinate-scale zero: a facet normal or support
+  direction this short is zero (`Polytope.from_facets`,
+  `Polytope.support`, `family.project_member`); a facet offset this
+  small, or a vertex this close to the origin, puts the origin off the
+  interior (`Polytope.gauge`, `polytope.polar`, `lattice.knorm`,
+  `lattice.is_ns_lattice`); a 1-D extent, parallelotope determinant or
+  lattice determinant this small is degenerate.
+* ``LP`` (1e-8), the phase-1 threshold the decision procedures hand to
+  `lp.feasible_point`: `contains_translate`, the hull-disjointness test
+  of `is_ns`, the flat probe of `is_kwip_sampled` for k >= 2, and the
+  face test of `is_summand`.
+* ``GAP`` (1e-9), a projection gap at or below this is touching, and
+  touching is not separation (`is_wns`, `edges_covered`).
+* ``FACET_MERGE`` (100 GEOM), two unit facet rows this close, with
+  offsets this close relative to their size, are one facet
+  (`Polytope.from_facets`, `Polytope.from_vertices`).
+* ``NS_LATTICE`` (1e-9), `is_ns_lattice` calls an arrangement
+  non-separable when its shortest dual vector reaches 1/2 - NS_LATTICE in
+  the polar gauge.
+* ``ENCLOSE`` (1e-9), a `ball_circumradius` candidate encloses every
+  ball reaching at most this far past its radius.
+* ``PROBE`` (1e-6), `weak_impassability_probe` counts gauge distances up
+  to 1 + PROBE as hits.
+* ``PATCH_GAP`` (1e-7), `ns_patch_probe` calls a gap in a patch's
+  shadow separating when it is wider than this.
+* ``POLAR_SIGMA`` (1e-6), relative slack of `polar_sigma_check`.
+
+Thresholds that scale GEOM with the size of the data (``scale`` is the
+largest coordinate or offset in play; below 1 it counts as 1):
+
+* `feas`: how far a point may sit outside a halfspace and still count as
+  inside. Vertex/facet agreement and vertex enumeration in `polytope`,
+  containment in circumscribed simplices, cover certificates in
+  `covering`, member hits in `is_kwip_sampled` and `edges_covered`.
+* `tight`: how close a vertex must sit to a facet plane to lie on it.
+  Facet pruning, `edges`, 3-D volume, and the face test of `is_summand`.
+* `dedupe`: how close two computed points must sit to count as one.
+  Vertex enumeration and `Polytope.is_origin_symmetric`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+GEOM = 1e-9
+LP = 1e-8
+GAP = 1e-9
+FACET_MERGE = 100 * GEOM
+NS_LATTICE = 1e-9
+ENCLOSE = 1e-9
+PROBE = 1e-6
+PATCH_GAP = 1e-7
+POLAR_SIGMA = 1e-6
 
 
-@dataclass(frozen=True)
-class ToleranceContext:
-    geom: float = 1e-9
-    lp: float = 1e-8
-    gap: float = 1e-9
-
-    def feas(self, scale: float = 1.0) -> float:
-        """Point-in-polytope slack: generous against solve round-off."""
-        return 100.0 * self.geom * max(1.0, scale)
-
-    def tight(self, scale: float = 1.0) -> float:
-        """Facet tightness threshold used when classifying vertices."""
-        return 1e3 * self.geom * max(1.0, scale)
-
-    def dedupe(self, scale: float = 1.0) -> float:
-        """Distance under which two computed points count as one vertex."""
-        return 1e3 * self.geom * max(1.0, scale)
+def feas(scale: float = 1.0) -> float:
+    """Point-in-polytope slack: generous against solve round-off."""
+    return 100.0 * GEOM * max(1.0, scale)
 
 
-DEFAULT_TOLS = ToleranceContext()
+def tight(scale: float = 1.0) -> float:
+    """Facet tightness threshold used when classifying vertices."""
+    return 1e3 * GEOM * max(1.0, scale)
+
+
+def dedupe(scale: float = 1.0) -> float:
+    """Distance under which two computed points count as one vertex."""
+    return 1e3 * GEOM * max(1.0, scale)

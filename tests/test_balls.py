@@ -25,6 +25,20 @@ def test_family_validation():
         BallFamily(np.zeros((2, 2)), np.ones(3))
     single = BallFamily(np.array([[1.0, 2.0]]), np.array([0.5]))
     assert single.n == 1 and single.dim == 2
+    with pytest.raises(InputError, match="finite"):
+        BallFamily(np.array([[0.0, np.nan], [1.0, 0.0]]), np.ones(2))
+    with pytest.raises(InputError, match="finite"):
+        BallFamily(np.zeros((2, 2)), np.array([1.0, np.inf]))
+
+
+def test_family_leaves_caller_arrays_writeable():
+    c = np.array([[0.0, 0.0], [2.0, 0.0]])
+    r = np.ones(2)
+    fam = BallFamily(c, r)
+    assert c.flags.writeable and r.flags.writeable
+    assert not fam.centers.flags.writeable
+    r[0] = 3.0
+    assert fam.radii[0] == 1.0
 
 
 def test_single_ball_is_its_own_answer():

@@ -211,6 +211,15 @@ def test_search_wider_box_spot_check():
     assert per5 == pytest.approx(per4, abs=1e-12)
 
 
+def test_search_placement_limit():
+    # C(49, 6) = 13,983,816 placements would take gigabytes; refused up front
+    with pytest.raises(InputError, match="placements"):
+        exhaustive_max(6, "area", box_size=7)
+    # C(49, 5) = 1,906,884 stays under the default n = 6 search's C(36, 6)
+    _, area = exhaustive_max(5, "area", box_size=7)
+    assert area == 19.0
+
+
 def test_search_deterministic():
     a, va = exhaustive_max(5, "perimeter")
     b, vb = exhaustive_max(5, "perimeter")

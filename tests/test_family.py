@@ -32,6 +32,21 @@ def test_family_validation():
         HomotheticFamily(unit_cube(2), np.zeros((2, 2)), np.array([1.0, -1.0]))
     with pytest.raises(InputError):
         HomotheticFamily(unit_cube(2), np.zeros((2, 3)), np.ones(2))
+    with pytest.raises(InputError, match="finite"):
+        HomotheticFamily(unit_cube(2), np.array([[0.0, 0.0], [np.nan, 0.0]]),
+                         np.ones(2))
+    with pytest.raises(InputError, match="finite"):
+        HomotheticFamily(unit_cube(2), np.zeros((2, 2)), np.array([1.0, np.inf]))
+
+
+def test_family_leaves_caller_arrays_writeable():
+    x = np.array([[0.0, 0.0], [1.0, 0.0]])
+    t = np.ones(2)
+    fam = HomotheticFamily(unit_cube(2), x, t)
+    assert x.flags.writeable and t.flags.writeable
+    assert not fam.translations.flags.writeable
+    x[1, 0] = 5.0
+    assert fam.translations[1, 0] == 1.0
 
 
 def test_member_geometry():
@@ -190,6 +205,10 @@ def test_family_json_roundtrip():
                        np.sort(fam.base.vertices, axis=0))
     with pytest.raises(InputError):
         family_from_dict({"members": []})
+    members = fam.to_dict()["members"]
+    with pytest.raises(InputError, match="'tau'"):
+        family_from_dict({"base": fam.base.to_dict(),
+                          "members": [members[0], {"x": [2.0, 1.0]}]})
 
 
 @settings(max_examples=40, deadline=None)

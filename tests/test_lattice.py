@@ -52,6 +52,8 @@ def test_lattice_validation():
         Lattice.from_basis([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(InputError, match="square"):
         Lattice.from_basis([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(InputError, match="finite"):
+        Lattice.from_basis([[1.0, 0.0], [0.0, np.nan]])
     assert chessboard().lattice.det == pytest.approx(2.0)
     with pytest.raises(InputError, match="dimensions"):
         LatticeArrangement(cube(3), Lattice.from_basis(np.eye(2)))

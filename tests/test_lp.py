@@ -4,28 +4,25 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from nonsep.lp import LEQ, EQ, LinearProgram, feasible_point, solve, solve_lp
+from nonsep.lp import feasible_point, solve
 
 
 def test_single_variable_max():
-    res = solve_lp(LinearProgram(np.array([1.0]), [(np.array([1.0]), LEQ, 3.0)], 1))
+    res = solve(np.array([1.0]), a_ub=np.array([[1.0]]), b_ub=np.array([3.0]))
     assert res.status == "optimal"
     assert res.value == pytest.approx(3.0, abs=1e-9)
     assert res.x[0] == pytest.approx(3.0, abs=1e-9)
 
 
 def test_infeasible_pair():
-    lp = LinearProgram(
-        np.array([1.0]),
-        [(np.array([1.0]), LEQ, -1.0), (np.array([-1.0]), LEQ, 0.0)],
-        1,
-    )
-    assert solve_lp(lp).status == "infeasible"
+    res = solve(np.array([1.0]), a_ub=np.array([[1.0], [-1.0]]),
+                b_ub=np.array([-1.0, 0.0]))
+    assert res.status == "infeasible"
 
 
 def test_unbounded_ray():
-    lp = LinearProgram(np.array([1.0]), [(np.array([-1.0]), LEQ, 0.0)], 1)
-    assert solve_lp(lp).status == "unbounded"
+    res = solve(np.array([1.0]), a_ub=np.array([[-1.0]]), b_ub=np.array([0.0]))
+    assert res.status == "unbounded"
 
 
 def test_equality_row():

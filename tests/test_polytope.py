@@ -16,7 +16,6 @@ from nonsep.polytope import (
     cross_polytope,
     cube,
     edges,
-    facets_from_vertices,
     genericize,
     is_generic,
     measure,
@@ -71,6 +70,16 @@ def test_unbounded_and_degenerate_errors():
         Polytope.from_facets(np.eye(2), np.ones(2))
     with pytest.raises(GeometryError, match="not full-dimensional"):
         Polytope.from_vertices([[0, 0], [1, 1], [2, 2]])
+
+
+def test_non_finite_input_rejected():
+    square = np.vstack([np.eye(2), -np.eye(2)])
+    with pytest.raises(InputError, match="finite"):
+        Polytope.from_vertices([[0.0, 0.0], [1.0, 0.0], [0.0, np.nan]])
+    with pytest.raises(InputError, match="finite"):
+        Polytope.from_facets(square, [1.0, np.inf, 1.0, 1.0])
+    with pytest.raises(InputError, match="finite"):
+        Polytope.from_facets(np.where(square == 1.0, np.nan, square), np.ones(4))
 
 
 def test_redundant_facet_dropped():
@@ -254,6 +263,10 @@ def test_json_roundtrip_and_completion():
     assert polytope_from_dict(verts_only).n_facets == p.n_facets
     with pytest.raises(InputError):
         polytope_from_dict({"dim": 2})
+    with pytest.raises(InputError, match="'a'"):
+        polytope_from_dict({"dim": 2, "facets": [{"b": 1.0}] + d["facets"][1:]})
+    with pytest.raises(InputError, match="equal-length"):
+        polytope_from_dict({"dim": 2, "vertices": [[0, 0], [1, 0], [0]]})
 
 
 def test_random_simplex_is_simplex():

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -298,6 +299,25 @@ class TestCli:
         assert capsys.readouterr().out == ""
         assert json.loads(dest.read_text())["wns"] is True
 
+    def test_malformed_family_is_input_error(self, tmp_path, capsys):
+        # a NaN member must not pass for a valid family, and a facet
+        # without "a" must not end in a KeyError
+        nan_member = write_json(tmp_path / "nan.json", {
+            "base": cube(2).to_dict(),
+            "members": [{"x": [x, 0.0], "tau": 4.0}
+                        for x in (0.0, float("nan"), 5.0, 2.5)]})
+        base = cube(2).to_dict()
+        del base["facets"][0]["a"]
+        no_normal = write_json(tmp_path / "no_a.json", {
+            "base": base, "members": chain_family_dict()["members"]})
+        for path in (nan_member, no_normal):
+            for verb in ("wns", "ns"):
+                assert cli.main([verb, path]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.startswith("error:")
+                assert "Traceback" not in captured.err
+
     def test_degenerate_input_maps_to_one(self, tmp_path, capsys):
         # two vertices span no area; the builder flags it as geometry
         degenerate = write_json(
@@ -305,3 +325,18 @@ class TestCli:
             {"dim": 2, "vertices": [[0.0, 0.0], [1.0, 0.0]]})
         assert cli.main(["sigma", degenerate]) == 1
         assert "failed:" in capsys.readouterr().err
+
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
+
+
+def test_demo_outputs_regenerate_byte_identical(tmp_path):
+    scenarios = sorted(DEMOS.glob("*.json"))
+    assert len(scenarios) == 5
+    for path in scenarios:
+        _, ok = run_scenario(path, out=tmp_path / path.stem)
+        assert ok, path.name
+        for suffix in (".csv", ".report.json"):
+            fresh = (tmp_path / (path.stem + suffix)).read_bytes()
+            committed = (DEMOS / "out" / (path.stem + suffix)).read_bytes()
+            assert fresh == committed, path.stem + suffix
