@@ -63,8 +63,17 @@ def sigma_lp(p: Polytope) -> AsymmetryResult:
     return AsymmetryResult(mu, center, "lp")
 
 
-def _reflection_feasible(a, b, rhs_min, mu, tol):
-    return lp.feasible_point((1.0 + mu) * a, mu * b + rhs_min, tol=tol)
+def _reflection_feasible(a, b, rhs_min, mu):
+    """A centre meeting the reflection rows at mu, or None.
+
+    The centre must meet every row within 1e-12 * max(1, |rhs|), so LP
+    round-off cannot pass a mu below sigma.
+    """
+    rows, rhs = (1.0 + mu) * a, mu * b + rhs_min
+    q = lp.feasible_point(rows, rhs, tol=1e-8)
+    if q is None or (rows @ q - rhs > 1e-12 * np.maximum(1.0, np.abs(rhs))).any():
+        return None
+    return q
 
 
 def sigma_bisection(p: Polytope, tol: float = 1e-9) -> AsymmetryResult:
@@ -75,15 +84,15 @@ def sigma_bisection(p: Polytope, tol: float = 1e-9) -> AsymmetryResult:
     """
     a, b, rhs_min = _reflection_rows(p)
     lo, hi = 1.0, float(p.dim)
-    q = _reflection_feasible(a, b, rhs_min, lo, tol=1e-8)
+    q = _reflection_feasible(a, b, rhs_min, lo)
     if q is not None:
         return AsymmetryResult(lo, q, "bisection")
-    q = _reflection_feasible(a, b, rhs_min, hi, tol=1e-8)
+    q = _reflection_feasible(a, b, rhs_min, hi)
     if q is None:
         raise GeometryError("containment infeasible at mu = dim")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        cand = _reflection_feasible(a, b, rhs_min, mid, tol=1e-8)
+        cand = _reflection_feasible(a, b, rhs_min, mid)
         if cand is None:
             lo = mid
         else:
@@ -94,7 +103,7 @@ def sigma_bisection(p: Polytope, tol: float = 1e-9) -> AsymmetryResult:
 def polar_asymmetry_value(p: Polytope, center) -> float:
     """Asymmetry of the polar about the origin, after recentering at `center`."""
     q = polar(p.translate(-np.asarray(center, dtype=float)))
-    return float(max(q.gauge(-w) for w in q.vertices))
+    return float(q.gauge(-q.vertices).max())
 
 
 def polar_sigma_check(p: Polytope) -> bool:

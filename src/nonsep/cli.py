@@ -4,14 +4,15 @@ Verbs mirror the library: decision checks (`wns`, `ns`, `summand`), cover
 construction (`cover`, `lambda`, `sigma`), lattice diagnostics, the cube
 search, and the scenario runner.  Results print as JSON (or go to --out);
 exit status is 0 when the requested property holds or every scenario check
-passes, 1 when the run finished but the property or a check failed, and 2
-for invalid input.
+passes, 1 when the run finished but the property or a check failed (or the
+reader closed standard output early), and 2 for invalid input.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -276,12 +277,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GeometryError as exc:
         print(f"failed: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader closed the pipe (say `| head`); send what is still
+        # buffered to /dev/null so the exit flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -26,6 +26,7 @@ from .polytope import (
     _freeze,
     _plane_basis,
     edges,
+    facet_directions,
     polytope_from_dict,
 )
 
@@ -137,17 +138,6 @@ def project_member(family: HomotheticFamily, i: int, u) -> Interval:
                     mid + tau * family.base.support(u))
 
 
-def facet_directions(p: Polytope) -> np.ndarray:
-    """Facet normals with one representative per opposite pair."""
-    kept: list[np.ndarray] = []
-    for a in p.facet_normals:
-        if any(np.linalg.norm(a - k) < 1e-9 or np.linalg.norm(a + k) < 1e-9
-               for k in kept):
-            continue
-        kept.append(a)
-    return np.array(kept)
-
-
 def _projection_gap(family, u):
     """Largest interior gap in the union of member projections, if any."""
     x = family.translations @ u
@@ -185,7 +175,7 @@ def is_ns(family: HomotheticFamily):
     """
     n = family.n
     if n > 20:
-        raise InputError("use sampled NS check")
+        raise InputError(f"is_ns decides at most 20 members; this family has {n}")
     vertex_sets = [family.member_vertices(i) for i in range(n)]
     for mask in range(1, 1 << (n - 1)):
         side = [bool(mask >> i & 1) for i in range(n - 1)] + [False]

@@ -15,7 +15,15 @@ import numpy as np
 
 from . import tolerances
 from .errors import InputError
-from .polytope import Polytope, _finite, _freeze, _plane_basis, measure, polar
+from .polytope import (
+    Polytope,
+    _finite,
+    _freeze,
+    _plane_basis,
+    facet_directions,
+    measure,
+    polar,
+)
 
 
 def _int_box(d: int, r: int) -> np.ndarray:
@@ -83,24 +91,6 @@ def density(arr: LatticeArrangement) -> float:
     return measure(arr.body, "volume") / arr.lattice.det
 
 
-def knorm(k: Polytope, x) -> float:
-    """Gauge of x in k: the least lam >= 0 with x in lam * k.
-
-    An asymmetric body gives a gauge rather than a norm; callers that
-    rely on norm axioms must pass a symmetric body.
-    """
-    if (k.facet_offsets <= tolerances.GEOM).any():
-        raise InputError("origin must be interior to the body")
-    x = np.asarray(x, dtype=float)
-    return float(max((k.facet_normals @ x / k.facet_offsets).max(), 0.0))
-
-
-def _knorm_many(k: Polytope, xs: np.ndarray) -> np.ndarray:
-    # row-wise knorm; callers have already validated the body
-    vals = xs @ (k.facet_normals / k.facet_offsets[:, None]).T
-    return np.maximum(vals.max(axis=1), 0.0)
-
-
 def _gauge_lipschitz(k: Polytope) -> float:
     # facet normals are unit rows, so 1/min(b) is exact and dominates any
     # estimate maxed over sampled directions
@@ -114,7 +104,7 @@ def _euclid_radius(k: Polytope) -> float:
 def _offset_candidates(arr: LatticeArrangement, cap: float) -> np.ndarray:
     """Lattice vectors that can matter while gauge distances stay <= cap.
 
-    knorm(y - z) <= cap forces |y - z| <= cap * R_K, and centred-cell
+    A gauge of y - z at most cap forces |y - z| <= cap * R_K; centred-cell
     points satisfy |y| <= Rcell, so |z| <= cap * R_K + Rcell; coefficient
     bounds then follow from the rows of the inverse basis.
     """
@@ -135,7 +125,7 @@ def _offset_candidates(arr: LatticeArrangement, cap: float) -> np.ndarray:
 
 def _min_gauge_dist(body: Polytope, ys: np.ndarray,
                     zs: np.ndarray) -> np.ndarray:
-    """min over rows z of knorm(body, y - z), one value per row of ys."""
+    """min over rows z of body.gauge(y - z), one value per row of ys."""
     scaled = (body.facet_normals / body.facet_offsets[:, None]).T
     zdot = zs @ scaled
     chunk = max(1, int(4_000_000 / max(1, zdot.size)))
@@ -215,7 +205,7 @@ def tightness(arr: LatticeArrangement, resolution: int = 48,
     """Largest homothety ratio that still fits in a hole of the union.
 
     For a symmetric body, (x + lam*K) meets (z + K) exactly when
-    knorm(x - z) <= 1 + lam, so the largest empty homothet sits at a
+    K.gauge(x - z) <= 1 + lam, so the largest empty homothet sits at a
     deepest hole and the value is the covering radius minus one.
     """
     if arr.body.dim > 3:
@@ -242,7 +232,7 @@ def is_ns_lattice(arr: LatticeArrangement,
     d = arr.body.dim
     seed = dual.points(1)
     seed = seed[(np.abs(seed) > 1e-12).any(axis=1)]
-    lam_ub = float(_knorm_many(kp, seed).min())
+    lam_ub = float(kp.gauge(seed).min())
     # any z beating lam_ub satisfies |z| <= lam_ub * R(polar)
     r = lam_ub * _euclid_radius(kp) + 1e-9
     bound = np.ceil(np.linalg.norm(np.linalg.inv(dual.basis), axis=1)
@@ -254,7 +244,7 @@ def is_ns_lattice(arr: LatticeArrangement,
     axes = [np.arange(-k, k + 1) for k in bound]
     m = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     m = m[(m != 0).any(axis=1)]
-    lam1 = float(_knorm_many(kp, m @ dual.basis.T).min())
+    lam1 = float(kp.gauge(m @ dual.basis.T).min())
     return lam1 >= 0.5 - tolerances.NS_LATTICE, lam1
 
 
@@ -276,14 +266,6 @@ def kronecker_gap(u, box_radius: int) -> float:
     return max(float(gaps.max()) if gaps.size else 0.0, wrap)
 
 
-def _dedup_directions(normals: np.ndarray) -> np.ndarray:
-    keep = []
-    for u in normals:
-        if not any(np.allclose(u, v) or np.allclose(u, -v) for v in keep):
-            keep.append(u)
-    return np.array(keep)
-
-
 def weak_covering_minimum_1(p: Polytope, lat: Lattice, t_grid,
                             window: int = 200, samples: int = 400,
                             seed: int = 0) -> list[tuple[float, float, float]]:
@@ -299,7 +281,7 @@ def weak_covering_minimum_1(p: Polytope, lat: Lattice, t_grid,
     rng = np.random.default_rng(seed)
     z = lat.points(window)
     per_dir = []
-    for u in _dedup_directions(p.facet_normals):
+    for u in facet_directions(p):
         proj = np.sort(z @ u)
         span = proj[-1] - proj[0]
         # central half of the window only, away from truncation artifacts

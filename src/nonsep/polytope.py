@@ -2,10 +2,11 @@
 
 A `Polytope` always carries both sides of the duality: facet halfspaces
 ``<a_i, x> <= b_i`` with unit outer normals, and the vertex list.
-Constructing from one side completes the other (vertex enumeration over
-rank-d facet subsets, facet enumeration via the convex hull), prunes
-redundant data, and cross-validates the pair. Downstream code treats
-instances as immutable; the arrays are marked read-only.
+Constructing from one side completes the other by a qhull hull: of the
+points, or of the polar points a_i / (b_i - <a_i, c>) about a
+Chebyshev centre c, whose vertices are the irredundant facets and whose
+facets are the vertices. Redundant data is dropped and the pair is
+cross-validated. Instances are immutable; the arrays are read-only.
 
 Also here: support functions, polarity, containment of a translate (an LP
 feasibility problem over the translation), genericity testing and repair,
@@ -63,32 +64,41 @@ class Polytope:
         if a.ndim != 2 or a.shape[0] != b.size:
             raise InputError("facet arrays have inconsistent shapes")
         d = a.shape[1]
-        norms = np.linalg.norm(a, axis=1)
-        if (norms <= tolerances.GEOM).any():
+        if (np.linalg.norm(a, axis=1) <= tolerances.GEOM).any():
             raise InputError("zero facet normal")
-        a = a / norms[:, None]
-        b = b / norms
         a, b = _dedupe_facets(a, b)
         if d == 1:
-            return _interval_from_facets(a, b)
-        if not _positive_hull_spans(a):
+            # normals are +-1 after normalization
+            ups, downs = b[a[:, 0] > 0], b[a[:, 0] < 0]
+            if ups.size == 0 or downs.size == 0:
+                raise GeometryError("unbounded")
+            return _interval(-downs.min(), ups.min())
+        c = _chebyshev_centre(a, b)
+        # Polar about c: row i becomes the point a_i / (b_i - <a_i, c>).
+        # Hull vertices are the irredundant rows; a hull facet
+        # <n, y> = off is the vertex c + n / off.
+        try:
+            hull = ConvexHull(a / (b - a @ c)[:, None])
+        except QhullError as exc:
+            raise GeometryError("unbounded") from exc
+        n, off = _dedupe_facets(hull.equations[:, :-1], -hull.equations[:, -1])
+        if (off <= tolerances.GEOM).any():
             raise GeometryError("unbounded")
-        verts = _enumerate_vertices(a, b)
-        if verts.shape[0] < d + 1 or _affine_rank(verts) < d:
-            raise GeometryError("not full-dimensional")
-        a, b = _prune_facets(a, b, verts, d)
-        return _build(d, a, b, verts)
+        verts = c + n / off[:, None]
+        # A row that cuts a corner smaller than the merge above is tight
+        # at fewer than d merged vertices and cuts off nothing.
+        keep = np.sort(hull.vertices)
+        scale = float(np.abs(verts).max(initial=1.0))
+        tight = np.abs(a[keep] @ verts.T - b[keep, None]) <= tolerances.tight(scale)
+        keep = keep[tight.sum(axis=1) >= d]
+        return _build(d, a[keep], b[keep], verts)
 
     @staticmethod
     def from_vertices(points) -> "Polytope":
         pts = np.atleast_2d(_finite(points, "vertices"))
         d = pts.shape[1]
         if d == 1:
-            lo, hi = pts.min(), pts.max()
-            if hi - lo <= tolerances.GEOM:
-                raise GeometryError("not full-dimensional")
-            return _build(1, np.array([[1.0], [-1.0]]), np.array([hi, -lo]),
-                          np.array([[lo], [hi]]))
+            return _interval(pts.min(), pts.max())
         if pts.shape[0] < d + 1 or _affine_rank(pts) < d:
             raise GeometryError("not full-dimensional")
         try:
@@ -124,12 +134,15 @@ class Polytope:
         eps = slack if slack is not None else tolerances.feas(s)
         return bool((self.facet_normals @ x - self.facet_offsets <= eps).all())
 
-    def gauge(self, x) -> float:
-        """Minkowski functional; requires the origin strictly inside."""
+    def gauge(self, x):
+        """Least lam >= 0 with x in lam * P, for a point or rows of points."""
         if (self.facet_offsets <= tolerances.GEOM).any():
-            raise GeometryError("origin not interior")
+            raise InputError("origin must be interior to the body")
         x = np.asarray(x, dtype=float)
-        return max(0.0, float((self.facet_normals @ x / self.facet_offsets).max()))
+        vals = (x @ self.facet_normals.T / self.facet_offsets).max(axis=-1)
+        if x.ndim == 1:
+            return max(0.0, float(vals))
+        return np.maximum(vals, 0.0)
 
     def centroid(self) -> np.ndarray:
         return self.vertices.mean(axis=0)
@@ -250,13 +263,7 @@ def _dedupe_facets(a, b):
     return np.array(keep_a), np.array(keep_b)
 
 
-def _interval_from_facets(a, b):
-    # d == 1: normals are +-1 after normalization.
-    ups = b[a[:, 0] > 0]
-    downs = b[a[:, 0] < 0]
-    if ups.size == 0 or downs.size == 0:
-        raise GeometryError("unbounded")
-    hi, lo = ups.min(), -downs.min()
+def _interval(lo, hi) -> Polytope:
     if hi - lo <= tolerances.GEOM:
         raise GeometryError("not full-dimensional")
     return _build(1, np.array([[1.0], [-1.0]]), np.array([hi, -lo]),
@@ -274,61 +281,17 @@ def _affine_rank(pts) -> int:
     return int((s > 1e-9 * max(1.0, scale)).sum())
 
 
-def _positive_hull_spans(normals) -> bool:
-    """Bounded iff the origin is interior to conv of the unit normals."""
-    m, d = normals.shape
-    if m < d + 1:
-        return False
-    # max t  s.t.  sum(l_i a_i) = 0, sum(l_i) = 1, l_i >= t
-    c = np.zeros(m + 1)
-    c[-1] = 1.0
-    a_eq = np.zeros((d + 1, m + 1))
-    a_eq[:d, :m] = normals.T
-    a_eq[d, :m] = 1.0
-    b_eq = np.zeros(d + 1)
-    b_eq[d] = 1.0
-    a_ub = np.hstack([-np.eye(m), np.ones((m, 1))])
-    res = lp.solve(c, a_ub=a_ub, b_ub=np.zeros(m), a_eq=a_eq, b_eq=b_eq)
-    return res.optimal and res.value > 1e-9
-
-
-def _enumerate_vertices(a, b):
-    """Feasible intersections of rank-d facet subsets, deduplicated."""
+def _chebyshev_centre(a, b) -> np.ndarray:
+    """Centre of the largest ball in {<a_i, x> <= b_i}; the rows are unit."""
     m, d = a.shape
-    scale = 1.0 + float(np.abs(b).max(initial=0.0))
-    feas = tolerances.feas(scale)
-    found = []
-    for idx in itertools.combinations(range(m), d):
-        sub = a[list(idx)]
-        det = np.linalg.det(sub)
-        if abs(det) < 1e-10:
-            continue
-        x = np.linalg.solve(sub, b[list(idx)])
-        if np.abs(x).max() > 1e9:
-            continue
-        if (a @ x <= b + feas).all():
-            found.append(x)
-    if not found:
-        return np.zeros((0, d))
-    return _dedupe_points(np.array(found), tolerances.dedupe(scale))
-
-
-def _dedupe_points(pts, eps):
-    kept = []
-    for p in pts:
-        if not kept or min(np.linalg.norm(p - q) for q in kept) > eps:
-            kept.append(p)
-    return np.array(kept)
-
-
-def _prune_facets(a, b, verts, d):
-    """Keep facets tight at >= d vertices; drops redundant halfspaces."""
-    scale = 1.0 + float(np.abs(verts).max(initial=0.0))
-    tight = np.abs(a @ verts.T - b[:, None]) <= tolerances.tight(scale)
-    mask = tight.sum(axis=1) >= d
-    if not mask.any():
+    cost = np.zeros(d + 1)
+    cost[d] = 1.0
+    res = lp.solve(cost, np.hstack([a, np.ones((m, 1))]), b)
+    if res.status == "unbounded":
+        raise GeometryError("unbounded")
+    if not res.optimal or res.value <= tolerances.GEOM:
         raise GeometryError("not full-dimensional")
-    return a[mask], b[mask]
+    return res.x[:d]
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +325,14 @@ def polar(p: Polytope) -> Polytope:
     normals = p.vertices / norms[:, None]
     offsets = 1.0 / norms
     return _build(p.dim, normals, offsets, verts)
+
+
+def facet_directions(p: Polytope) -> np.ndarray:
+    """Facet normals, keeping the first of each +- pair (to 1e-9) in order."""
+    a = p.facet_normals
+    same = np.linalg.norm(a[:, None] - a[None], axis=2) < 1e-9
+    opposite = np.linalg.norm(a[:, None] + a[None], axis=2) < 1e-9
+    return a[~np.tril(same | opposite, -1).any(axis=1)]
 
 
 def is_generic(p: Polytope) -> bool:
@@ -419,7 +390,7 @@ def _pairing_angles(old, new):
 
 def containment_ratio(outer: Polytope, inner: Polytope) -> float:
     """Smallest ratio r with inner a subset of r*outer (origin inside outer)."""
-    return max(outer.gauge(v) for v in inner.vertices)
+    return float(outer.gauge(inner.vertices).max())
 
 
 def circumscribed_simplices(p: Polytope) -> list[Polytope]:
@@ -431,10 +402,12 @@ def circumscribed_simplices(p: Polytope) -> list[Polytope]:
     out = []
     feas = tolerances.feas(p._scale())
     for idx in itertools.combinations(range(m), d + 1):
-        sub = a[list(idx)]
-        if not _positive_hull_spans(sub):
+        try:
+            simplex = Polytope.from_facets(a[list(idx)], b[list(idx)])
+        except GeometryError as exc:
+            if exc.args != ("unbounded",):
+                raise
             continue
-        simplex = Polytope.from_facets(sub, b[list(idx)])
         res = simplex.facet_normals @ p.vertices.T - simplex.facet_offsets[:, None]
         if res.max() > feas:
             raise GeometryError("circumscribed simplex fails to contain input")
@@ -468,62 +441,21 @@ def edges(p: Polytope) -> list[tuple[int, int]]:
     return out
 
 
-def ordered_vertices_2d(p: Polytope) -> np.ndarray:
-    if p.dim != 2:
-        raise InputError("only meaningful in the plane")
-    c = p.centroid()
-    ang = np.arctan2(p.vertices[:, 1] - c[1], p.vertices[:, 0] - c[0])
-    return p.vertices[np.argsort(ang)]
-
-
 def measure(p: Polytope, kind: str) -> float:
     """'volume' for d <= 3, 'area' and 'perimeter' for d == 2."""
-    if kind == "perimeter":
+    if kind in ("perimeter", "area"):
         if p.dim != 2:
-            raise InputError("perimeter needs d == 2")
-        v = ordered_vertices_2d(p)
-        return float(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1).sum())
-    if kind == "area":
-        if p.dim != 2:
-            raise InputError("area needs d == 2")
-        return _shoelace(ordered_vertices_2d(p))
+            raise InputError(f"{kind} needs d == 2")
+        # a planar qhull hull's `area` is its perimeter, `volume` its area
+        hull = ConvexHull(p.vertices)
+        return float(hull.area if kind == "perimeter" else hull.volume)
     if kind == "volume":
         if p.dim == 1:
             return float(p.vertices.max() - p.vertices.min())
-        if p.dim == 2:
-            return _shoelace(ordered_vertices_2d(p))
-        if p.dim == 3:
-            return _volume_3d(p)
-        raise InputError("volume implemented for d <= 3")
+        if p.dim > 3:
+            raise InputError("volume implemented for d <= 3")
+        return float(ConvexHull(p.vertices).volume)
     raise InputError(f"unknown measure kind {kind!r}")
-
-
-def _shoelace(v) -> float:
-    x, y = v[:, 0], v[:, 1]
-    x2, y2 = np.roll(x, -1), np.roll(y, -1)
-    return float(abs(np.dot(x, y2) - np.dot(x2, y)) / 2.0)
-
-
-def _volume_3d(p: Polytope) -> float:
-    c = p.centroid()
-    scale = p._scale()
-    tight = np.abs(p.facet_normals @ p.vertices.T
-                   - p.facet_offsets[:, None]) <= tolerances.tight(scale)
-    total = 0.0
-    for f in range(p.n_facets):
-        pts = p.vertices[tight[f]]
-        if pts.shape[0] < 3:
-            raise GeometryError("degenerate facet in volume computation")
-        # Order the facet polygon inside its own plane, then fan out.
-        normal = p.facet_normals[f]
-        basis = _plane_basis(normal)
-        flat = (pts - pts.mean(axis=0)) @ basis.T
-        order = np.argsort(np.arctan2(flat[:, 1], flat[:, 0]))
-        pts = pts[order]
-        for i in range(1, pts.shape[0] - 1):
-            mat = np.stack([pts[0] - c, pts[i] - c, pts[i + 1] - c])
-            total += abs(np.linalg.det(mat)) / 6.0
-    return total
 
 
 def _plane_basis(normal):

@@ -12,9 +12,10 @@ Fixed thresholds:
   direction this short is zero (`Polytope.from_facets`,
   `Polytope.support`, `family.project_member`); a facet offset this
   small, or a vertex this close to the origin, puts the origin off the
-  interior (`Polytope.gauge`, `polytope.polar`, `lattice.knorm`,
-  `lattice.is_ns_lattice`); a 1-D extent, parallelotope determinant or
-  lattice determinant this small is degenerate.
+  interior (`Polytope.gauge`, `polytope.polar`, `lattice.is_ns_lattice`);
+  a 1-D extent, Chebyshev radius, parallelotope determinant or lattice
+  determinant this small is degenerate, and a polar facet offset this
+  small means unbounded (`Polytope.from_facets`).
 * ``LP`` (1e-8), the phase-1 threshold the decision procedures hand to
   `lp.feasible_point`: `contains_translate`, the hull-disjointness test
   of `is_ns`, the flat probe of `is_kwip_sampled` for k >= 2, and the
@@ -23,7 +24,8 @@ Fixed thresholds:
   touching is not separation (`is_wns`, `edges_covered`).
 * ``FACET_MERGE`` (100 GEOM), two unit facet rows this close, with
   offsets this close relative to their size, are one facet
-  (`Polytope.from_facets`, `Polytope.from_vertices`).
+  (`Polytope.from_vertices`; `Polytope.from_facets`, for its rows and
+  for its polar hull's facets, i.e. its vertices).
 * ``NS_LATTICE`` (1e-9), `is_ns_lattice` calls an arrangement
   non-separable when its shortest dual vector reaches 1/2 - NS_LATTICE in
   the polar gauge.
@@ -39,13 +41,14 @@ Thresholds that scale GEOM with the size of the data (``scale`` is the
 largest coordinate or offset in play; below 1 it counts as 1):
 
 * `feas`: how far a point may sit outside a halfspace and still count as
-  inside. Vertex/facet agreement and vertex enumeration in `polytope`,
-  containment in circumscribed simplices, cover certificates in
-  `covering`, member hits in `is_kwip_sampled` and `edges_covered`.
+  inside. Vertex/facet agreement in `polytope`, containment in
+  circumscribed simplices, cover certificates in `covering`, member hits
+  in `is_kwip_sampled` and `edges_covered`.
 * `tight`: how close a vertex must sit to a facet plane to lie on it.
-  Facet pruning, `edges`, 3-D volume, and the face test of `is_summand`.
-* `dedupe`: how close two computed points must sit to count as one.
-  Vertex enumeration and `Polytope.is_origin_symmetric`.
+  Vertex/facet agreement and rows shaving off less than a merged vertex
+  in `Polytope.from_facets`, `edges`, and the face test of `is_summand`.
+* `dedupe`: how close two vertices must sit to count as one
+  (`Polytope.is_origin_symmetric`).
 """
 
 from __future__ import annotations

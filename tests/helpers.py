@@ -73,6 +73,33 @@ def same_point_set(a, b, eps=1e-7) -> bool:
     return bool(used.all())
 
 
+def brute_vertices(a, b):
+    """Vertices of the bounded system {x : <a_i, x> <= b_i}, by brute force.
+
+    Tries all C(m, d) subsets of d rows: each nonsingular subsystem gives
+    a point, points meeting every row within 1e-7 (relative) are kept,
+    and points within 1e-6 of a kept one are dropped. Shares no code
+    with `nonsep`.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    norms = np.linalg.norm(a, axis=1)
+    a, b = a / norms[:, None], b / norms
+    m, d = a.shape
+    scale = 1.0 + float(np.abs(b).max())
+    kept = []
+    for idx in itertools.combinations(range(m), d):
+        rows = list(idx)
+        if abs(np.linalg.det(a[rows])) < 1e-10:
+            continue
+        x = np.linalg.solve(a[rows], b[rows])
+        if not (a @ x <= b + 1e-7 * scale).all():
+            continue
+        if all(np.linalg.norm(x - k) > 1e-6 * scale for k in kept):
+            kept.append(x)
+    return np.array(kept).reshape(-1, d)
+
+
 def grid_contains_translate(outer, inner, res=80, slack=1e-7):
     """Brute force: scan candidate translations on a grid.
 

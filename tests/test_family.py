@@ -107,7 +107,7 @@ def test_ns_corner_touching_pair():
 
 def test_ns_guard_large_n():
     fam = squares([(i, 0) for i in range(21)])
-    with pytest.raises(InputError, match="sampled"):
+    with pytest.raises(InputError, match="at most 20 members"):
         is_ns(fam)
 
 

@@ -12,7 +12,6 @@ from nonsep.lattice import (
     density,
     dual_lattice,
     is_ns_lattice,
-    knorm,
     kronecker_gap,
     lattice_from_dict,
     ns_patch_probe,
@@ -105,25 +104,30 @@ def test_density_examples():
 # -- gauge -------------------------------------------------------------------
 
 
-def test_knorm_examples():
-    assert knorm(cube(2, half=1.0), [3.0, -2.0]) == pytest.approx(3.0)
-    assert knorm(cross_polytope(2, radius=0.5), [0.5, 0.5]) \
+def test_gauge_examples():
+    assert cube(2, half=1.0).gauge([3.0, -2.0]) == pytest.approx(3.0)
+    assert cross_polytope(2, radius=0.5).gauge([0.5, 0.5]) \
         == pytest.approx(2.0)
-    assert knorm(cube(3), np.zeros(3)) == 0.0
+    assert cube(3).gauge(np.zeros(3)) == 0.0
     with pytest.raises(InputError, match="interior"):
-        knorm(unit_cube(2), [0.5, 0.5])
+        unit_cube(2).gauge([0.5, 0.5])
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.0, 5.0),
        st.tuples(st.floats(-3, 3), st.floats(-3, 3)),
        st.tuples(st.floats(-3, 3), st.floats(-3, 3)))
-def test_knorm_is_a_norm_on_symmetric_bodies(s, x, y):
+def test_gauge_is_a_norm_on_symmetric_bodies(s, x, y):
     body = random_polytope(2, 9, np.random.default_rng(0), symmetric=True)
     x, y = np.asarray(x), np.asarray(y)
-    assert knorm(body, s * x) == pytest.approx(s * knorm(body, x), abs=1e-9)
-    assert knorm(body, -x) == pytest.approx(knorm(body, x), abs=1e-12)
-    assert knorm(body, x + y) <= knorm(body, x) + knorm(body, y) + 1e-9
+    assert body.gauge(s * x) == pytest.approx(s * body.gauge(x), abs=1e-9)
+    assert body.gauge(-x) == pytest.approx(body.gauge(x), abs=1e-12)
+    assert body.gauge(x + y) <= body.gauge(x) + body.gauge(y) + 1e-9
+    # rows of points give one value per row, equal to the one-point values
+    rows = body.gauge(np.stack([x, y, x + y]))
+    assert rows.shape == (3,)
+    assert rows == pytest.approx(
+        [body.gauge(x), body.gauge(y), body.gauge(x + y)], rel=1e-12, abs=1e-12)
 
 
 # -- covering radius and tightness -------------------------------------------
@@ -183,7 +187,7 @@ def _hull_samples(body, rng, n):
 
 
 def test_overlap_identity_rejection_oracle():
-    """Validates: (x+lam*K) meets (z+K) iff knorm(x-z) <= 1+lam.
+    """Validates: (x+lam*K) meets (z+K) iff K.gauge(x-z) <= 1+lam.
 
     Positive side checks an explicitly constructed common point by plain
     facet evaluation; negative side rejection-samples the small homothet
@@ -196,7 +200,7 @@ def test_overlap_identity_rejection_oracle():
         x = rng.uniform(-2, 2, 2)
         z = rng.uniform(-2, 2, 2)
         lam = float(rng.uniform(0.2, 1.5))
-        c = knorm(k, x - z)
+        c = k.gauge(x - z)
         if abs(c - (1.0 + lam)) < 0.05:
             continue
         if c <= 1.0 + lam:
@@ -235,7 +239,7 @@ def test_tightness_matches_direct_grid_oracle():
         coeffs = np.stack(np.meshgrid(ax, ax, indexing="ij"),
                           axis=-1).reshape(-1, 2)
         zs = coeffs @ basis.T
-        depth = max(min(body.gauge(y - zv) for zv in zs) for y in ys)
+        depth = max(body.gauge(y - zs).min() for y in ys)
         oracle = depth - 1.0
         w = hi - lo
         assert lo - w - 1e-9 <= oracle <= hi + 1e-9

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from helpers import grid_contains_translate, same_point_set
+from helpers import brute_vertices, grid_contains_translate, same_point_set
 
 from nonsep.errors import GeometryError, InputError
 from nonsep.polytope import (
@@ -70,6 +70,95 @@ def test_unbounded_and_degenerate_errors():
         Polytope.from_facets(np.eye(2), np.ones(2))
     with pytest.raises(GeometryError, match="not full-dimensional"):
         Polytope.from_vertices([[0, 0], [1, 1], [2, 2]])
+
+
+def _rotation(d, rng):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)))
+    return q * np.sign(np.diag(r))
+
+
+def _facet_system(rng, d):
+    """Rows {a x <= b} of a polytope with redundant rows mixed in.
+
+    The polytope is a random hull, a rotated box or a rotated
+    cross-polytope (whose vertices lie on 2(d-1) facets in d = 3, so
+    they are degenerate), moved off the origin; the extra rows are
+    scaled copies, loose rows, rows touching at a vertex and rows
+    shaving at most 1e-9 off a vertex, each at a random place in the
+    order. Returns (a, b, vertices, facet count).
+    """
+    kind = int(rng.integers(3))
+    if kind == 0:
+        p = random_polytope(d, int(rng.integers(d + 2, d + 8)), rng)
+    else:
+        p = box(-rng.uniform(0.5, 2.0, d), rng.uniform(0.5, 2.0, d)) \
+            if kind == 1 else cross_polytope(d, float(rng.uniform(0.5, 2.0)))
+        rot = _rotation(d, rng)
+        p = Polytope(d, p.facet_normals @ rot.T, p.facet_offsets,
+                     p.vertices @ rot.T)
+    shift = rng.uniform(-3.0, 3.0, d)
+    a = np.asarray(p.facet_normals)
+    b = p.facet_offsets + a @ shift
+    verts = p.vertices + shift
+    rows, offs = list(a), list(b)
+    for _ in range(int(rng.integers(1, 6))):
+        u = rng.standard_normal(d)
+        what = int(rng.integers(4))
+        if what == 0:
+            i = int(rng.integers(len(a)))
+            s = float(rng.uniform(0.5, 3.0))
+            row, off = s * a[i], s * b[i]
+        elif what == 1:
+            row, off = u, float((verts @ u).max() + rng.uniform(0.1, 1.0))
+        elif what == 2:
+            row, off = u, float((verts @ u).max())
+        else:
+            # cuts a corner too small to count as a facet
+            row, off = u, float((verts @ u).max() - 10 ** rng.uniform(-13, -9))
+        at = int(rng.integers(len(rows) + 1))
+        rows.insert(at, row)
+        offs.insert(at, off)
+    return np.array(rows), np.array(offs), verts, p.n_facets
+
+
+def test_from_facets_matches_brute_force_enumeration():
+    rng = np.random.default_rng(2024)
+    for trial in range(120):
+        d = 2 + trial % 2
+        a, b, verts, m = _facet_system(rng, d)
+        p = Polytope.from_facets(a, b)
+        assert p.n_facets == m, trial
+        assert same_point_set(p.vertices, brute_vertices(a, b), eps=1e-7), trial
+        assert same_point_set(p.vertices, verts, eps=1e-7), trial
+        # the facets are the caller's own rows, unit-scaled, bit for bit and
+        # in input order
+        unit = a / np.linalg.norm(a, axis=1)[:, None]
+        off = b / np.linalg.norm(a, axis=1)
+        picked = []
+        for row, h in zip(p.facet_normals, p.facet_offsets):
+            hits = np.flatnonzero((unit == row).all(axis=1) & (off == h))
+            assert hits.size, (trial, row, h)
+            picked.append(hits[0])
+        assert picked == sorted(picked), trial
+
+
+def test_from_facets_rejects_unbounded_and_flat_systems():
+    rng = np.random.default_rng(77)
+    for trial in range(60):
+        d = 2 + trial % 2
+        a, b, verts, _ = _facet_system(rng, d)
+        w = rng.standard_normal(d)
+        # every row with <a_i, w> <= 0 keeps w as a recession direction
+        cone = (a @ w) <= 0.0
+        with pytest.raises(GeometryError, match="^unbounded$"):
+            Polytope.from_facets(a[cone], b[cone])
+        # a slab of width zero through the interior, and an empty one
+        mid = float(verts.mean(axis=0) @ w)
+        for gap in (0.0, 1.0):
+            flat_a = np.vstack([a, w, -w])
+            flat_b = np.concatenate([b, [mid, -mid - gap]])
+            with pytest.raises(GeometryError, match="^not full-dimensional$"):
+                Polytope.from_facets(flat_a, flat_b)
 
 
 def test_non_finite_input_rejected():

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nonsep
 from nonsep import cli
 from nonsep.errors import InputError
 from nonsep.family import HomotheticFamily
@@ -325,6 +329,51 @@ class TestCli:
             {"dim": 2, "vertices": [[0.0, 0.0], [1.0, 0.0]]})
         assert cli.main(["sigma", degenerate]) == 1
         assert "failed:" in capsys.readouterr().err
+
+
+def run_cli_process(args, close_stdout=False):
+    """Run `python -m nonsep.cli ARGS` as a child process.
+
+    With `close_stdout` the parent closes its end of the output pipe before
+    the child writes, as `| head` does once it has read enough.
+    """
+    src = str(Path(nonsep.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": src if not path else src + os.pathsep + path}
+    proc = subprocess.Popen([sys.executable, "-m", "nonsep.cli", *args],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    if close_stdout:
+        proc.stdout.close()
+        out = b""
+    else:
+        out = proc.stdout.read()
+        proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return proc.wait(), out.decode(), err.decode()
+
+
+class TestCliProcess:
+    def test_closed_stdout_exits_cleanly(self):
+        code, _, err = run_cli_process(["cubes", "extremal", "--n", "12"],
+                                       close_stdout=True)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        assert "BrokenPipeError" not in err
+
+    def test_ns_over_member_limit_names_it(self, tmp_path):
+        squares = write_json(tmp_path / "row.json", HomotheticFamily(
+            cube(2), np.array([[float(i), 0.0] for i in range(21)]),
+            np.ones(21)).to_dict())
+        code, out, err = run_cli_process(["ns", squares])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "at most 20 members" in err
+        assert "sampled" not in err
+        assert "Traceback" not in err
 
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
