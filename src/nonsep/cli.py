@@ -169,7 +169,7 @@ def _cmd_lattice_mu1w(args) -> int:
 def _cmd_cubes_search(args) -> int:
     from .cubes import bounding_box, exhaustive_max
 
-    fam, value = exhaustive_max(args.n, args.objective, args.box_size)
+    fam, value = exhaustive_max(args.n, args.objective)
     lo, hi = bounding_box(fam)
     _emit(args, {"objective": args.objective, "value": value,
                  "offsets": fam.offsets.tolist(),
@@ -262,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--objective", choices=["area", "perimeter"],
                    default="area")
-    p.add_argument("--box-size", type=int, default=None, dest="box_size")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_cubes_search)
 

@@ -225,8 +225,6 @@ def is_ns_lattice(arr: LatticeArrangement,
     reaches one half.  Enumeration is confined to a Euclidean ball that
     provably contains the minimiser.
     """
-    if (arr.body.facet_offsets <= tolerances.GEOM).any():
-        raise InputError("origin must be interior to the body")
     kp = polar(arr.body)
     dual = dual_lattice(arr.lattice)
     d = arr.body.dim

@@ -246,21 +246,28 @@ def _validate(p: Polytope) -> None:
 
 
 def _dedupe_facets(a, b):
+    """Unit-scale the rows; drop each row within FACET_MERGE of a kept one.
+
+    Rows are taken in order, so the first of each cluster stays, and a
+    row is compared with the kept rows only.  Normals are compared 64
+    rows at a time against all rows; offsets only for the pairs whose
+    normals match.
+    """
     norms = np.linalg.norm(a, axis=1)
     a = a / norms[:, None]
     b = b / norms
-    keep_a, keep_b = [], []
     eps = tolerances.FACET_MERGE
-    for row, off in zip(a, b):
-        dup = False
-        for ka, kb in zip(keep_a, keep_b):
-            if np.abs(row - ka).max() <= eps and abs(off - kb) <= eps * (1 + abs(kb)):
-                dup = True
-                break
-        if not dup:
-            keep_a.append(row)
-            keep_b.append(off)
-    return np.array(keep_a), np.array(keep_b)
+    dropped = np.zeros(b.size, dtype=bool)
+    for start in range(0, b.size, 64):
+        close = np.abs(a[:, 0] - a[start:start + 64, 0, None]) <= eps
+        for col in a.T[1:]:
+            close &= np.abs(col - col[start:start + 64, None]) <= eps
+        # pairs in row order, so row i's fate is settled before its own pairs
+        rows, cols = np.nonzero(close)
+        for i, j in zip((rows + start).tolist(), cols.tolist()):
+            if j > i and not dropped[i] and abs(b[j] - b[i]) <= eps * (1 + abs(b[i])):
+                dropped[j] = True
+    return a[~dropped], b[~dropped]
 
 
 def _interval(lo, hi) -> Polytope:
@@ -317,11 +324,11 @@ def contains_translate(outer: Polytope, inner: Polytope):
 def polar(p: Polytope) -> Polytope:
     """Polar dual; needs the origin strictly interior."""
     if (p.facet_offsets <= tolerances.GEOM).any():
-        raise GeometryError("origin not interior")
+        raise InputError("origin must be interior to the body")
     verts = p.facet_normals / p.facet_offsets[:, None]
     norms = np.linalg.norm(p.vertices, axis=1)
     if (norms <= tolerances.GEOM).any():
-        raise GeometryError("origin not interior")
+        raise InputError("origin must be interior to the body")
     normals = p.vertices / norms[:, None]
     offsets = 1.0 / norms
     return _build(p.dim, normals, offsets, verts)

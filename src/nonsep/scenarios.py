@@ -149,15 +149,13 @@ def _run_cubes(params: dict, seed: int):
 
     n = params["n"]
     objective = params.get("objective", "area")
-    box_size = params.get("box_size")
-    fam, value = exhaustive_max(n, objective, box_size)
+    fam, value = exhaustive_max(n, objective)
     lo, hi = bounding_box(fam)
+    box_ok = lo.tolist() == [0, 0] and hi.tolist() == [n, n]
     checks = [_check("maximizer is axis-non-separable", cube_is_wns(fam),
-                     "per-axis slab contiguity")]
-    if box_size is None:
-        box_ok = lo.tolist() == [0, 0] and hi.tolist() == [n, n]
-        checks.append(_check("maximizer fills the n-box", box_ok,
-                             f"box [{lo.tolist()}, {hi.tolist()}]"))
+                     "per-axis slab contiguity"),
+              _check("maximizer fills the n-box", box_ok,
+                     f"box [{lo.tolist()}, {hi.tolist()}]")]
     _expect_value(checks, params, value)
     results = {"objective": objective, "value": value,
                "offsets": fam.offsets.tolist(),

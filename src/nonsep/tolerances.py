@@ -12,7 +12,7 @@ Fixed thresholds:
   direction this short is zero (`Polytope.from_facets`,
   `Polytope.support`, `family.project_member`); a facet offset this
   small, or a vertex this close to the origin, puts the origin off the
-  interior (`Polytope.gauge`, `polytope.polar`, `lattice.is_ns_lattice`);
+  interior (`Polytope.gauge`, `polytope.polar`);
   a 1-D extent, Chebyshev radius, parallelotope determinant or lattice
   determinant this small is degenerate, and a polar facet offset this
   small means unbounded (`Polytope.from_facets`).

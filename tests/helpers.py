@@ -137,14 +137,17 @@ def perimeter_record(n):
     return 4 + 2 * math.sqrt((n - 3) ** 2 + 1) + 2 * math.sqrt((n - 1) ** 2 + 1)
 
 
-def brute_max_hull_perimeter(n):
-    """Largest hull perimeter of n axis-contiguous unit squares in the n x n grid.
+def brute_max_hull(n, objective):
+    """Best hull area or perimeter of n axis-contiguous unit squares in the n x n grid.
 
-    Shares no code with nonsep: plain combinations of grid cells, a
-    set-based contiguity test per axis, and scipy's ConvexHull, whose
-    `area` is the perimeter in the plane.  The grid loses nothing, since n
-    contiguous slabs span at most n.  Pure Python: n = 5 takes about half
-    a second, n = 6 about 14 s.
+    Returns (value, offsets) for the first maximizer in row-major cell
+    order (`itertools.combinations` of `itertools.product` cells), a
+    placement replacing the best so far only when it beats it by more
+    than 1e-9.  Shares no code with nonsep: a set-based contiguity test
+    per axis and scipy's ConvexHull, whose `volume` is the area and whose
+    `area` is the perimeter in the plane.  The grid loses nothing, since
+    n contiguous slabs span at most n.  Pure Python: n = 5 takes about
+    half a second, n = 6 about 14 s.
     """
     from scipy.spatial import ConvexHull
 
@@ -152,12 +155,15 @@ def brute_max_hull_perimeter(n):
         occupied = set(vals)
         return max(occupied) - min(occupied) + 1 == len(occupied)
 
-    best = 0.0
+    measure = {"area": "volume", "perimeter": "area"}[objective]
+    best, best_offsets = -1.0, None
     cells = list(itertools.product(range(n), repeat=2))
     for combo in itertools.combinations(cells, n):
         xs, ys = zip(*combo)
         if not (contiguous(xs) and contiguous(ys)):
             continue
         pts = [(x + dx, y + dy) for x, y in combo for dx in (0, 1) for dy in (0, 1)]
-        best = max(best, ConvexHull(pts).area)
-    return best
+        value = getattr(ConvexHull(pts), measure)
+        if value > best + 1e-9:
+            best, best_offsets = value, [list(c) for c in combo]
+    return best, best_offsets

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import brute_max_hull_perimeter, perimeter_record, perimeter_witness
+from helpers import brute_max_hull, perimeter_record, perimeter_witness
 from nonsep.cubes import (
     IntegerCubeFamily,
     bounding_box,
@@ -142,6 +142,11 @@ def test_normalize_never_decreases_objective():
             after = dict(zip(("area", "perimeter"), hull_metrics(out)))[objective]
             assert after >= before - 1e-9
             assert cube_is_wns(out)
+            # the lemma behind exhaustive_max: normalizing ends on a
+            # permutation matrix, so no family beats the permutation search
+            assert (sorted(out.offsets[:, 0]) == list(range(n))
+                    and sorted(out.offsets[:, 1]) == list(range(n))
+                    and (n < 4 or after <= exhaustive_max(n, objective)[1] + 1e-9))
 
 
 def test_normalize_three_dim_heuristic():
@@ -165,6 +170,10 @@ def test_normalize_rejections():
 def test_search_area_matches_closed_form(n):
     f, val = exhaustive_max(n, "area")
     assert val == float(n * n - 2 * n + 4)
+    if n <= 5:
+        value, offsets = brute_max_hull(n, "area")
+        assert val == pytest.approx(value, abs=1e-9)
+        assert f.offsets.tolist() == offsets
     assert cube_is_wns(f)
     lo, hi = bounding_box(f)
     assert lo.tolist() == [0, 0] and hi.tolist() == [n, n]
@@ -181,14 +190,17 @@ def test_search_perimeter_beats_corner_construction(n):
     # sqrt(k^2+1) is convex in k, so it outruns the corner-glued
     # configuration's (n-2, n-2) split.  W_n attains the record without
     # the search; the nonsep-free brute force confirms it is the maximum
-    # (n = 6 is left out: the oracle would take about 14 s there)
+    # and the search's maximizer (n = 6 is left out: the oracle would
+    # take about 14 s there)
     witness = fam(perimeter_witness(n))
     record = perimeter_record(n)
     assert cube_is_wns(witness)
     assert hull_metrics(witness)[1] == pytest.approx(record, abs=1e-9)
-    if n <= 5:
-        assert brute_max_hull_perimeter(n) == pytest.approx(record, abs=1e-9)
     f, val = exhaustive_max(n, "perimeter")
+    if n <= 5:
+        value, offsets = brute_max_hull(n, "perimeter")
+        assert value == pytest.approx(record, abs=1e-9)
+        assert f.offsets.tolist() == offsets
     glued = hull_metrics(construct_extremal(n))[1]
     assert val == pytest.approx(record, abs=1e-9)
     assert val > glued + 0.02
@@ -202,24 +214,6 @@ def test_search_perimeter_argmax_pinned():
     assert f.offsets.tolist() == [[0, 0], [1, 3], [2, 2], [3, 1]]
 
 
-def test_search_wider_box_spot_check():
-    # four cubes cannot occupy five slabs, so the 5-box adds nothing
-    _, area5 = exhaustive_max(4, "area", box_size=5)
-    assert area5 == 12.0
-    _, per5 = exhaustive_max(4, "perimeter", box_size=5)
-    _, per4 = exhaustive_max(4, "perimeter")
-    assert per5 == pytest.approx(per4, abs=1e-12)
-
-
-def test_search_placement_limit():
-    # C(49, 6) = 13,983,816 placements would take gigabytes; refused up front
-    with pytest.raises(InputError, match="placements"):
-        exhaustive_max(6, "area", box_size=7)
-    # C(49, 5) = 1,906,884 stays under the default n = 6 search's C(36, 6)
-    _, area = exhaustive_max(5, "area", box_size=7)
-    assert area == 19.0
-
-
 def test_search_deterministic():
     a, va = exhaustive_max(5, "perimeter")
     b, vb = exhaustive_max(5, "perimeter")
@@ -227,15 +221,11 @@ def test_search_deterministic():
 
 
 def test_search_rejections():
-    for bad in (3, 7):
+    for bad in (3, 9):
         with pytest.raises(InputError):
             exhaustive_max(bad, "area")
     with pytest.raises(InputError):
         exhaustive_max(4, "width")
-    with pytest.raises(InputError):
-        exhaustive_max(5, "area", box_size=4)
-    with pytest.raises(InputError):
-        exhaustive_max(4, "area", box_size=8)
 
 
 def test_axis_check_agrees_with_general_route():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from helpers import brute_vertices, grid_contains_translate, same_point_set
 
+from nonsep import polytope, tolerances
 from nonsep.errors import GeometryError, InputError
 from nonsep.polytope import (
     Polytope,
@@ -171,6 +172,45 @@ def test_non_finite_input_rejected():
         Polytope.from_facets(np.where(square == 1.0, np.nan, square), np.ones(4))
 
 
+def test_dedupe_facets_matches_reference_loop():
+    def reference(a, b):
+        norms = np.linalg.norm(a, axis=1)
+        a, b = a / norms[:, None], b / norms
+        eps = tolerances.FACET_MERGE
+        keep = []
+        for i in range(b.size):
+            if not any(np.abs(a[i] - a[j]).max() <= eps
+                       and abs(b[i] - b[j]) <= eps * (1 + abs(b[j]))
+                       for j in keep):
+                keep.append(i)
+        return a[keep], b[keep]
+
+    rng = np.random.default_rng(17)
+    merged = 0
+    for _ in range(60):
+        d = int(rng.integers(2, 5))
+        m = int(rng.integers(1, 40))
+        a = rng.standard_normal((m, d))
+        b = rng.uniform(-2.0, 2.0, m)
+        # plant copies of earlier rows: rescaled, or moved by less than,
+        # about or more than the merge distance, then shuffle
+        src = rng.integers(0, m, size=m)
+        shift = (rng.choice([0.0, 0.3, 1.0, 3.0], size=(m, 1))
+                 * tolerances.FACET_MERGE * rng.uniform(-1, 1, (m, d + 1)))
+        scale = rng.uniform(0.5, 2.0, (m, 1))
+        norms = np.linalg.norm(a[src], axis=1)[:, None]
+        extra = np.hstack([a[src] / norms, (b[src] / norms[:, 0])[:, None]])
+        extra = (extra + shift) * scale
+        rows = np.vstack([np.hstack([a, b[:, None]]), extra])
+        rows = rows[rng.permutation(rows.shape[0])]
+        got = polytope._dedupe_facets(rows[:, :-1], rows[:, -1])
+        want = reference(rows[:, :-1], rows[:, -1])
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        merged += rows.shape[0] - want[1].size
+    assert merged > 0
+
+
 def test_redundant_facet_dropped():
     a = np.vstack([np.eye(2), -np.eye(2), [[1.0, 0.0]]])
     b = np.array([1.0, 1.0, 1.0, 1.0, 5.0])
@@ -216,7 +256,7 @@ def test_polar_involution():
 
 def test_polar_needs_interior_origin():
     shifted = cube(2).translate([10.0, 0.0])
-    with pytest.raises(GeometryError, match="origin not interior"):
+    with pytest.raises(InputError, match="origin must be interior"):
         polar(shifted)
 
 

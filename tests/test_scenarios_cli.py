@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import perimeter_record
 
 import nonsep
 from nonsep import cli
@@ -281,6 +282,11 @@ class TestCli:
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert [r["t"] for r in rows] == [0.4, 0.6]
         assert rows[0]["hit_fraction"] <= rows[1]["hit_fraction"]
+        shifted = write_json(tmp_path / "shifted.json",
+                             {"body": cube(2).translate([10.0, 0.0]).to_dict(),
+                              "basis": [[1.0, 0.0], [0.0, 1.0]]})
+        assert cli.main(["lattice", "ns", shifted]) == 2
+        assert "origin must be interior" in capsys.readouterr().err
 
     def test_lattice_missing_keys(self, tmp_path, capsys):
         arr = write_json(tmp_path / "arr.json", {"basis": [[1, 0], [0, 1]]})
@@ -294,7 +300,14 @@ class TestCli:
         assert cli.main(["cubes", "extremal", "--n", "5"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["area"] == 19.0
+        assert cli.main(["cubes", "search", "--n", "8",
+                         "--objective", "perimeter"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["value"] == pytest.approx(perimeter_record(8), abs=1e-9)
         assert cli.main(["cubes", "search", "--n", "9"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["cubes", "search", "--n", "5", "--box-size", "5"])
+        assert exc.value.code == 2
 
     def test_out_writes_file_instead_of_stdout(self, tmp_path, capsys):
         chain = write_json(tmp_path / "chain.json", chain_family_dict())
