@@ -18,16 +18,7 @@ import sys
 import numpy as np
 
 from .errors import GeometryError, InputError
-
-
-def _load_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+from .scenarios import read_json
 
 
 def _emit(args, payload: dict):
@@ -42,25 +33,25 @@ def _emit(args, payload: dict):
 def _family(path):
     from .family import family_from_dict
 
-    return family_from_dict(_load_json(path))
+    return family_from_dict(read_json(path, path))
 
 
 def _polytope(path):
     from .polytope import polytope_from_dict
 
-    return polytope_from_dict(_load_json(path))
+    return polytope_from_dict(read_json(path, path))
 
 
 def _arrangement(path):
     from .lattice import Lattice, LatticeArrangement
     from .polytope import polytope_from_dict
 
-    obj = _load_json(path)
+    obj = read_json(path, path)
     if not isinstance(obj, dict) or "body" not in obj or "basis" not in obj:
         raise InputError('arrangement JSON needs "body" and "basis"')
     return LatticeArrangement(
         polytope_from_dict(obj["body"]),
-        Lattice.from_basis(np.asarray(obj["basis"], dtype=float)))
+        Lattice.from_basis(obj["basis"]))
 
 
 def _cmd_run(args) -> int:

@@ -87,8 +87,7 @@ def _support_dominates(family, t, lam):
     p = family.base
     total = family.total_ratio
     a, b = p.facet_normals, p.facet_offsets
-    member_sup = (family.translations @ a.T
-                  + np.outer(family.ratios, b)).max(axis=0)
+    member_sup = family.member_offsets().max(axis=0)
     cover_sup = a @ t + lam * total * b
     scale = max(1.0, float(np.abs(member_sup).max()))
     return bool((member_sup <= cover_sup + tolerances.feas(scale)).all())

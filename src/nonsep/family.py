@@ -1,7 +1,8 @@
 """Finite families of positive homothets of one base polytope.
 
-A family is the data (P, (x_i, tau_i)_i): members are x_i + tau_i * P.
-The deciders here classify how separable the family is:
+A family is the data (P, (x_i, tau_i)_i): members are x_i + tau_i * P,
+{y : a_j . y <= c_ij} with c = `member_offsets()`.  The deciders here
+classify how separable the family is:
 
 * `is_wns`: no hyperplane parallel to a facet of P strictly splits the
   members (touching does not count as splitting),
@@ -10,6 +11,10 @@ The deciders here classify how separable the family is:
 * `is_kwip_sampled`: Monte-Carlo falsification for k-flat impassability,
   with facet-parallel flats drawn Haar-style,
 * `edges_covered`: do the members cover every edge of the union's hull.
+
+`_spans` clips lines p + s w (points: w = 0) against all members for
+`is_kwip_sampled` (k <= 1) and `edges_covered`; `_first_gap` sweeps the
+projections of `is_wns` and the clipped edge pieces for an open stretch.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ from .polytope import (
     facet_directions,
     polytope_from_dict,
 )
+
+_BLOCK = 2048  # lines per block of `_first_miss`
 
 
 @dataclass(frozen=True)
@@ -98,6 +105,11 @@ class HomotheticFamily:
         return (self.translations[:, None, :]
                 + self.ratios[:, None, None] * v[None, :, :]).reshape(-1, self.dim)
 
+    def member_offsets(self) -> np.ndarray:
+        """(n, m) facet offsets: member i is {y : a_j . y <= c[i, j]}."""
+        a, b = self.base.facet_normals, self.base.facet_offsets
+        return self.translations @ a.T + np.outer(self.ratios, b)
+
     def hull(self) -> Polytope:
         return Polytope.from_vertices(self.all_vertices())
 
@@ -138,18 +150,17 @@ def project_member(family: HomotheticFamily, i: int, u) -> Interval:
                     mid + tau * family.base.support(u))
 
 
-def _projection_gap(family, u):
-    """Largest interior gap in the union of member projections, if any."""
-    x = family.translations @ u
-    lo = x - family.ratios * family.base.support(-u)
-    hi = x + family.ratios * family.base.support(u)
-    order = np.argsort(lo)
-    reach = hi[order[0]]
-    for j in order[1:]:
-        if lo[j] > reach + tolerances.GAP:
-            return float(lo[j] - reach), float(reach)
-        reach = max(reach, hi[j])
-    return None
+def _first_gap(lo, hi):
+    """First stretch wider than GAP left open by the intervals [lo, hi], as
+    its ends (the reach of the intervals left of it, the next left end)."""
+    order = np.argsort(lo, kind="stable")
+    lo, hi = lo[order], hi[order]
+    reach = np.maximum.accumulate(hi)[:-1]
+    gaps = np.flatnonzero(lo[1:] > reach + tolerances.GAP)
+    if gaps.size == 0:
+        return None
+    j = gaps[0]
+    return float(reach[j]), float(lo[j + 1])
 
 
 def is_wns(family: HomotheticFamily):
@@ -159,10 +170,11 @@ def is_wns(family: HomotheticFamily):
     width of the certifying empty slab.
     """
     for u in facet_directions(family.base):
-        hit = _projection_gap(family, u)
-        if hit is not None:
-            gap, _ = hit
-            return False, (u.copy(), gap)
+        x = family.translations @ u
+        gap = _first_gap(x - family.ratios * family.base.support(-u),
+                         x + family.ratios * family.base.support(u))
+        if gap is not None:
+            return False, (u.copy(), gap[1] - gap[0])
     return True, None
 
 
@@ -219,28 +231,26 @@ def is_kwip_sampled(family: HomotheticFamily, k: int, samples: int = 10000,
     d = family.dim
     if not 0 <= k <= d - 1:
         raise InputError("k must lie in [0, d-1]")
+    if samples < 1:
+        raise InputError("samples must be at least 1")
     if k == d - 1:
         ok, witness = is_wns(family)
         return ("not-falsified", None) if ok else ("falsified", witness)
 
     rng = np.random.default_rng(seed)
-    hull = family.hull()
-    points = _points_in_hull(hull, samples, rng)
+    points = _points_in_hull(family.hull(), samples, rng)
     if k == 0:
-        for p in points:
-            if not _point_in_some_member(family, p):
-                return "falsified", Flat(p, np.zeros((d, 0)))
+        lines = np.broadcast_to(0.0, points.shape)  # a point: the line w = 0
+    else:
+        dirs = facet_directions(family.base)
+        choices = rng.integers(0, dirs.shape[0], size=samples)
+        if k >= 2:
+            return _kwip_flats(family, points, dirs, choices, k, rng)
+        lines = _line_directions(dirs, choices, rng)
+    miss = _first_miss(family, points, lines)
+    if miss is None:
         return "not-falsified", None
-
-    dirs = facet_directions(family.base)
-    choices = rng.integers(0, dirs.shape[0], size=samples)
-    if k == 1:
-        return _kwip_lines(family, points, dirs, choices, rng)
-    for p, f in zip(points, choices):
-        w = _haar_frame_in_hyperplane(dirs[f], k, rng)
-        if not _flat_hits_some_member(family, p, w):
-            return "falsified", Flat(p, w)
-    return "not-falsified", None
+    return "falsified", Flat(points[miss], lines[miss, :, None][:, :k])
 
 
 def _points_in_hull(hull, count, rng):
@@ -258,14 +268,6 @@ def _points_in_hull(hull, count, rng):
     return out
 
 
-def _point_in_some_member(family, p):
-    for i in range(family.n):
-        q = (p - family.translations[i]) / family.ratios[i]
-        if family.base.contains_point(q, slack=tolerances.feas(1.0)):
-            return True
-    return False
-
-
 def _haar_frame_in_hyperplane(normal, k, rng):
     hb = _plane_basis(normal)
     g = rng.standard_normal((hb.shape[0], k))
@@ -273,24 +275,20 @@ def _haar_frame_in_hyperplane(normal, k, rng):
     return (q.T @ hb).T  # (d, k), orthonormal columns inside the hyperplane
 
 
-def _flat_hits_some_member(family, p, w):
-    k = w.shape[1]
-    a, b = family.base.facet_normals, family.base.facet_offsets
-    for i in range(family.n):
-        ai = a
-        bi = family.ratios[i] * b + a @ family.translations[i]
-        # exists s with ai @ (p + w s) <= bi
-        sol = lp.feasible_point(ai @ w, bi - ai @ p, tol=tolerances.LP)
-        if sol is not None:
-            return True
-    return False
+def _kwip_flats(family, points, dirs, choices, k, rng):
+    """k >= 2: member i meets the flat p + W s iff an s has a W s <= c_i - a p."""
+    a, offsets = family.base.facet_normals, family.member_offsets()
+    for p, f in zip(points, choices):
+        w = _haar_frame_in_hyperplane(dirs[f], k, rng)
+        aw, slack = a @ w, offsets - a @ p
+        if all(lp.feasible_point(aw, row, tol=tolerances.LP) is None for row in slack):
+            return "falsified", Flat(p, w)
+    return "not-falsified", None
 
 
-def _kwip_lines(family, points, dirs, choices, rng):
-    """Vectorized line probe: per member, a 1-D feasibility interval."""
-    d = family.dim
-    s = points.shape[0]
-    line_dirs = np.empty((s, d))
+def _line_directions(dirs, choices, rng):
+    """Unit directions, line i inside the hyperplane normal to dirs[choices[i]]."""
+    out = np.empty((choices.size, dirs.shape[1]))
     for f in range(dirs.shape[0]):
         mask = choices == f
         cnt = int(mask.sum())
@@ -299,28 +297,47 @@ def _kwip_lines(family, points, dirs, choices, rng):
         hb = _plane_basis(dirs[f])
         g = rng.standard_normal((cnt, hb.shape[0]))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
-        line_dirs[mask] = g @ hb
-    hit = np.zeros(s, dtype=bool)
-    a, b = family.base.facet_normals, family.base.facet_offsets
+        out[mask] = g @ hb
+    return out
+
+
+def _spans(alpha, beta):
+    """Intervals [lo, hi] of s with a_j . (p + s w) <= c_j on every facet row.
+
+    alpha = a_j . w and beta = c_j - a_j . p, rows on the first axis (numpy
+    reduces fastest there), other axes broadcast.  A row with alpha ~ 0 that
+    p violates by more than `feas` blocks the line: lo = inf, hi = -inf.
+    """
+    pos = alpha > 1e-12
+    neg = alpha < -1e-12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = beta / alpha
+    lo = np.where(neg, ratio, -np.inf).max(axis=0)
+    hi = np.where(pos, ratio, np.inf).min(axis=0)
+    blocked = (~(pos | neg) & (beta < -tolerances.feas(1.0))).any(axis=0)
+    lo[blocked], hi[blocked] = np.inf, -np.inf
+    return lo, hi
+
+
+def _first_miss(family, points, lines):
+    """Index of the first line points[i] + s lines[i] missing every member.
+    Lines go in blocks of sample order; each member clips only those of the
+    block that no earlier member hit."""
+    a, offsets = family.base.facet_normals, family.member_offsets()
     eps = tolerances.feas(1.0)
-    for i in range(family.n):
-        bi = family.ratios[i] * b + a @ family.translations[i]
-        alpha = line_dirs @ a.T            # (s, m)
-        beta = bi[None, :] - points @ a.T  # (s, m)
-        ok = np.ones(s, dtype=bool)
-        pos = alpha > 1e-12
-        neg = alpha < -1e-12
-        flat_rows = ~(pos | neg)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = beta / alpha
-        hi = np.min(np.where(pos, ratio, np.inf), axis=1)
-        lo = np.max(np.where(neg, ratio, -np.inf), axis=1)
-        ok &= ~((flat_rows & (beta < -eps)).any(axis=1))
-        hit |= ok & (lo <= hi + eps)
-        if hit.all():
-            return "not-falsified", None
-    miss = int(np.argmin(hit))
-    return "falsified", Flat(points[miss], line_dirs[miss][:, None])
+    for start in range(0, points.shape[0], _BLOCK):
+        alpha = a @ lines[start:start + _BLOCK].T
+        ap = a @ points[start:start + _BLOCK].T
+        left = np.arange(start, start + ap.shape[1])
+        for c in offsets:
+            lo, hi = _spans(alpha, c[:, None] - ap)
+            missed = lo > hi + eps
+            left, alpha, ap = left[missed], alpha[:, missed], ap[:, missed]
+            if left.size == 0:
+                break
+        if left.size:
+            return int(left[0])
+    return None
 
 
 def edges_covered(family: HomotheticFamily):
@@ -330,45 +347,21 @@ def edges_covered(family: HomotheticFamily):
     uncovered edge stretch.
     """
     hull = family.hull()
-    a, b = family.base.facet_normals, family.base.facet_offsets
-    for (i, j) in edges(hull):
-        x, y = hull.vertices[i], hull.vertices[j]
-        dirv = y - x
-        pieces = []
-        for m in range(family.n):
-            bm = family.ratios[m] * b + a @ family.translations[m]
-            alpha = a @ dirv
-            beta = bm - a @ x
-            lo, hi = 0.0, 1.0
-            ok = True
-            for al, be in zip(alpha, beta):
-                if al > 1e-12:
-                    hi = min(hi, be / al)
-                elif al < -1e-12:
-                    lo = max(lo, be / al)
-                elif be < -tolerances.feas(1.0):
-                    ok = False
-                    break
-            if ok and lo <= hi + tolerances.GAP:
-                pieces.append((lo, hi))
-        gap_at = _first_uncovered(pieces)
-        if gap_at is not None:
-            return False, x + gap_at * dirv
+    ends = np.array(edges(hull))
+    x = hull.vertices[ends[:, 0]]
+    dirv = hull.vertices[ends[:, 1]] - x
+    a = family.base.facet_normals
+    lo, hi = _spans((a @ dirv.T)[:, None, :],  # (members, edges)
+                    family.member_offsets().T[:, :, None] - (a @ x.T)[:, None, :])
+    for e in range(ends.shape[0]):
+        piece = lo[:, e] <= hi[:, e] + tolerances.GAP
+        # the sentinels (-inf, 0) and (1, inf) leave only [0, 1] to cover,
+        # so pieces need no clipping to it
+        gap = _first_gap(np.concatenate(([-np.inf], lo[piece, e], [1.0])),
+                         np.concatenate(([0.0], hi[piece, e], [np.inf])))
+        if gap is not None:
+            return False, x[e] + 0.5 * (gap[0] + gap[1]) * dirv[e]
     return True, None
-
-
-def _first_uncovered(pieces):
-    """Midpoint of the first gap of [0,1] left open by the pieces."""
-    reach = 0.0
-    for lo, hi in sorted(pieces):
-        if lo > reach + tolerances.GAP:
-            return 0.5 * (reach + lo)
-        reach = max(reach, hi)
-        if reach >= 1.0 - tolerances.GAP:
-            return None
-    if reach >= 1.0 - tolerances.GAP:
-        return None
-    return 0.5 * (reach + 1.0)
 
 
 def wns_witness_to_dict(witness) -> dict:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import GeometryError, InputError
 
 # Pivot elements below this are treated as zero regardless of the caller's
 # feasibility tolerance; ratio tests on smaller entries are unstable.
@@ -185,7 +185,7 @@ def _iterate(T, z, basis, ncols, tol):
         if ties.size > 1:
             r = int(min(ties, key=lambda i: basis[i]))
         _pivot(T, z, basis, r, j)
-    raise RuntimeError("simplex iteration limit reached")
+    raise GeometryError("simplex iteration limit reached")
 
 
 def _pivot(T, z, basis, r, j):

@@ -34,8 +34,11 @@ def _freeze(a) -> np.ndarray:
 
 
 def _finite(x, what: str) -> np.ndarray:
-    """`x` as a float array, rejecting NaN and infinite entries as bad input."""
-    a = np.asarray(x, dtype=float)
+    """`x` as a float array, rejecting NaN, infinite and non-numeric entries."""
+    try:
+        a = np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{what} must be equal-length lists of numbers") from exc
     if not np.isfinite(a).all():
         raise InputError(f"{what} must be finite")
     return a

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,44 +30,86 @@ class Scenario:
     out: str | None
 
 
-def _need(params: dict, key: str, kind: str):
-    if key not in params:
-        raise InputError(f"{kind} scenario needs parameter {key!r}")
-    return params[key]
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return _is_int(x) or isinstance(x, float)
+
+
+def _keys(p: dict, kind: str, required=(), optional=()):
+    """Check the parameter names: every required one, nothing unknown."""
+    for key in required:
+        if key not in p:
+            raise InputError(f"{kind} scenario needs parameter {key!r}")
+    for key in p:
+        if key not in required and key not in optional:
+            raise InputError(f"{kind} scenario has unknown parameter {key!r}")
+
+
+def _numbers(p: dict, kind: str, *keys):
+    for key in keys:
+        if key in p and not _is_number(p[key]):
+            raise InputError(f"{kind} parameter {key!r} must be a number")
+
+
+def _enum(p: dict, key: str, choices, message: str):
+    if p.get(key, choices[0]) not in choices:
+        raise InputError(message)
+    return p.get(key, choices[0])
+
+
+_EXPECT_VALUE = ("expect_value", "expect_tol")
 
 
 def _validate_stability(p: dict):
-    taus = _need(p, "taus", "stability")
-    deltas = _need(p, "deltas", "stability")
-    if not isinstance(taus, list) or len(taus) < 3:
-        raise InputError("stability taus must list at least three radii")
-    if not isinstance(deltas, list) or len(deltas) < 5:
-        raise InputError("stability deltas must list at least five bends")
+    _keys(p, "stability", ("taus", "deltas"))
+    taus, deltas = p["taus"], p["deltas"]
+    if not isinstance(taus, list) or len(taus) < 3 or not all(map(_is_number, taus)):
+        raise InputError("stability taus must list at least three radii, as numbers")
+    if (not isinstance(deltas, list) or len(deltas) < 5
+            or not all(map(_is_number, deltas))):
+        raise InputError("stability deltas must list at least five bends, as numbers")
 
 
 def _validate_cubes(p: dict):
-    n = _need(p, "n", "cubes")
-    if not isinstance(n, int):
+    _keys(p, "cubes", ("n",), ("objective", *_EXPECT_VALUE))
+    if not _is_int(p["n"]):
         raise InputError("cubes n must be an integer")
-    if p.get("objective", "area") not in ("area", "perimeter"):
-        raise InputError("cubes objective must be area or perimeter")
+    _enum(p, "objective", ("area", "perimeter"),
+          "cubes objective must be area or perimeter")
+    _numbers(p, "cubes", *_EXPECT_VALUE)
+
+
+_LATTICE_MODES = {
+    "tightness": ("resolution", "width", "expect_contains"),
+    "ns": ("expect_verdict",),
+    "density": _EXPECT_VALUE,
+}
 
 
 def _validate_lattice(p: dict):
-    _need(p, "body", "lattice")
-    _need(p, "basis", "lattice")
-    if p.get("mode", "tightness") not in ("tightness", "ns", "density"):
-        raise InputError("lattice mode must be tightness, ns or density")
+    mode = _enum(p, "mode", tuple(_LATTICE_MODES),
+                 "lattice mode must be tightness, ns or density")
+    _keys(p, "lattice", ("body", "basis"), ("mode", *_LATTICE_MODES[mode]))
+    if not _is_int(p.get("resolution", 0)):
+        raise InputError("lattice resolution must be an integer")
+    if p.get("width") is not None:
+        _numbers(p, "lattice", "width")
+    _numbers(p, "lattice", "expect_contains", *_EXPECT_VALUE)
 
 
 def _validate_covering(p: dict):
-    _need(p, "family", "covering")
-    if p.get("mode", "weighted") not in ("weighted", "sigma", "lambda"):
-        raise InputError("covering mode must be weighted, sigma or lambda")
+    _keys(p, "covering", ("family",), ("mode", "expect_lambda_le"))
+    _enum(p, "mode", ("weighted", "sigma", "lambda"),
+          "covering mode must be weighted, sigma or lambda")
+    _numbers(p, "covering", "expect_lambda_le")
 
 
 def _validate_sigma(p: dict):
-    _need(p, "polytope", "sigma")
+    _keys(p, "sigma", ("polytope",), _EXPECT_VALUE)
+    _numbers(p, "sigma", *_EXPECT_VALUE)
 
 
 _VALIDATORS = {
@@ -81,6 +124,9 @@ _VALIDATORS = {
 def scenario_from_dict(obj) -> Scenario:
     if not isinstance(obj, dict):
         raise InputError("scenario must be a JSON object")
+    for key in obj:
+        if key not in ("kind", "parameters", "seed", "out"):
+            raise InputError(f"scenario has unknown key {key!r}")
     kind = obj.get("kind")
     if kind not in _KINDS:
         raise InputError(f"unknown scenario kind {kind!r}")
@@ -88,7 +134,7 @@ def scenario_from_dict(obj) -> Scenario:
     if not isinstance(params, dict):
         raise InputError("scenario needs a parameters object")
     seed = obj.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
+    if not _is_int(seed):
         raise InputError("scenario seed must be an integer")
     out = obj.get("out")
     if out is not None and not isinstance(out, str):
@@ -97,15 +143,31 @@ def scenario_from_dict(obj) -> Scenario:
     return Scenario(kind, dict(params), seed, out)
 
 
-def load_scenario(path) -> Scenario:
+def _non_finite(text):
+    raise InputError(f"JSON number {text} is not finite")
+
+
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        _non_finite(text)
+    return value
+
+
+def read_json(path, what):
+    """Parse a JSON file; NaN, Infinity and overflowing numbers are bad input."""
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            return json.load(fh, parse_constant=_non_finite,
+                             parse_float=_finite_float)
     except OSError as exc:
-        raise InputError(f"cannot read scenario: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"scenario is not valid JSON: {exc}") from exc
-    return scenario_from_dict(obj)
+        raise InputError(f"cannot read {what}: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise InputError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def load_scenario(path) -> Scenario:
+    return scenario_from_dict(read_json(path, "scenario"))
 
 
 def _check(name: str, passed: bool, detail: str) -> dict:
@@ -169,7 +231,7 @@ def _lattice_arrangement(params: dict):
     from .polytope import polytope_from_dict
 
     body = polytope_from_dict(params["body"])
-    lat = Lattice.from_basis(np.asarray(params["basis"], dtype=float))
+    lat = Lattice.from_basis(params["basis"])
     return LatticeArrangement(body, lat)
 
 

@@ -20,8 +20,10 @@ Fixed thresholds:
   `lp.feasible_point`: `contains_translate`, the hull-disjointness test
   of `is_ns`, the flat probe of `is_kwip_sampled` for k >= 2, and the
   face test of `is_summand`.
-* ``GAP`` (1e-9), a projection gap at or below this is touching, and
-  touching is not separation (`is_wns`, `edges_covered`).
+* ``GAP`` (1e-9), a gap at or below this is touching, and touching is
+  not separation: the interval sweep `family._first_gap`, over member
+  projections in `is_wns` and edge pieces in `edges_covered`
+  (where a piece may also end up to GAP before it starts).
 * ``FACET_MERGE`` (100 GEOM), two unit facet rows this close, with
   offsets this close relative to their size, are one facet
   (`Polytope.from_vertices`; `Polytope.from_facets`, for its rows and
@@ -42,8 +44,11 @@ largest coordinate or offset in play; below 1 it counts as 1):
 
 * `feas`: how far a point may sit outside a halfspace and still count as
   inside. Vertex/facet agreement in `polytope`, containment in
-  circumscribed simplices, cover certificates in `covering`, member hits
-  in `is_kwip_sampled` and `edges_covered`.
+  circumscribed simplices, cover certificates in `covering`. The line
+  clip `family._spans` uses the absolute `feas(1.0)`: a facet row
+  parallel to the line blocks it when violated by more, and in
+  `is_kwip_sampled` (k = 0 and 1) a line or point hits a member when its
+  span is non-empty up to it.
 * `tight`: how close a vertex must sit to a facet plane to lie on it.
   Vertex/facet agreement and rows shaving off less than a merged vertex
   in `Polytope.from_facets`, `edges`, and the face test of `is_summand`.

@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
+from nonsep import family as family_module
+from nonsep import tolerances
 from nonsep.errors import InputError
 from nonsep.family import (
     HomotheticFamily,
     Interval,
+    _points_in_hull,
     edges_covered,
     facet_directions,
     family_from_dict,
@@ -15,7 +19,14 @@ from nonsep.family import (
     is_wns,
     project_member,
 )
-from nonsep.polytope import Polytope, cross_polytope, cube, unit_cube
+from nonsep.polytope import (
+    Polytope,
+    _plane_basis,
+    cross_polytope,
+    cube,
+    edges,
+    unit_cube,
+)
 
 
 def squares(offsets, taus=None):
@@ -164,6 +175,32 @@ def test_kwip_lines_3d():
     verdict2, flat = is_kwip_sampled(fam2, 1, samples=500, seed=1)
     assert verdict2 == "falsified"
     assert flat.basis.shape == (3, 1)
+    assert all(flat_misses(fam2.member(i), flat) for i in range(fam2.n))
+
+
+def flat_misses(member, flat):
+    """No s with a (p + W s) <= b, by HiGHS: the flat misses the member."""
+    a, b = member.facet_normals, member.facet_offsets
+    k = flat.basis.shape[1]
+    res = linprog(np.zeros(k), A_ub=a @ flat.basis, b_ub=b - a @ flat.point,
+                  bounds=[(None, None)] * k, method="highs")
+    return res.status == 2
+
+
+def test_kwip_planes_4d():
+    """k = 2 in d = 4 goes through the flat LP, member by member."""
+    base = unit_cube(4)
+    tower = np.zeros((3, 4))
+    tower[:, 2] = [0.0, 0.6, 1.2]
+    fam = HomotheticFamily(base, tower, np.ones(3))
+    assert is_kwip_sampled(fam, 2, samples=60, seed=2) == ("not-falsified", None)
+    apart = HomotheticFamily(base, np.array([[0.0] * 4, [3.0, 3.0, 0.0, 0.0]]),
+                             np.ones(2))
+    verdict, flat = is_kwip_sampled(apart, 2, samples=200, seed=2)
+    assert verdict == "falsified"
+    assert flat.basis.shape == (4, 2)
+    assert np.allclose(flat.basis.T @ flat.basis, np.eye(2))
+    assert all(flat_misses(apart.member(i), flat) for i in range(apart.n))
 
 
 def test_kwip_rejects_bad_k():
@@ -172,6 +209,9 @@ def test_kwip_rejects_bad_k():
         is_kwip_sampled(fam, 2)
     with pytest.raises(InputError):
         is_kwip_sampled(fam, -1)
+    for bad in (0, -1):
+        with pytest.raises(InputError, match="samples"):
+            is_kwip_sampled(fam, 0, samples=bad)
 
 
 def test_edges_covered_touching_pair():
@@ -256,3 +296,140 @@ def test_wns_agrees_with_dense_direction_sweep():
         if ok == (not brute_sep):
             agree += 1
     assert agree == 30
+
+
+# Reference routes: the per-point loop, the per-member line clip and the
+# scalar edge clip with its own sweep that `_spans` and `_first_gap`
+# replaced.  The battery pins the kernels to their verdicts and witnesses.
+
+def ref_kwip(fam, k, samples, seed):
+    rng = np.random.default_rng(seed)
+    points = _points_in_hull(fam.hull(), samples, rng)
+    eps = tolerances.feas(1.0)
+    if k == 0:
+        for p in points:
+            if not any(fam.base.contains_point((p - fam.translations[i]) / fam.ratios[i],
+                                               slack=eps) for i in range(fam.n)):
+                return "falsified", p, None
+        return "not-falsified", None, None
+    dirs = facet_directions(fam.base)
+    choices = rng.integers(0, dirs.shape[0], size=samples)
+    line_dirs = np.empty((samples, fam.dim))
+    for f in range(dirs.shape[0]):
+        mask = choices == f
+        cnt = int(mask.sum())
+        if cnt == 0:
+            continue
+        hb = _plane_basis(dirs[f])
+        g = rng.standard_normal((cnt, hb.shape[0]))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        line_dirs[mask] = g @ hb
+    hit = np.zeros(samples, dtype=bool)
+    a, b = fam.base.facet_normals, fam.base.facet_offsets
+    for i in range(fam.n):
+        bi = fam.ratios[i] * b + a @ fam.translations[i]
+        alpha = line_dirs @ a.T
+        beta = bi[None, :] - points @ a.T
+        pos, neg = alpha > 1e-12, alpha < -1e-12
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = beta / alpha
+        hi = np.min(np.where(pos, ratio, np.inf), axis=1)
+        lo = np.max(np.where(neg, ratio, -np.inf), axis=1)
+        ok = ~((~(pos | neg) & (beta < -eps)).any(axis=1))
+        hit |= ok & (lo <= hi + eps)
+        if hit.all():
+            return "not-falsified", None, None
+    miss = int(np.argmin(hit))
+    return "falsified", points[miss], line_dirs[miss]
+
+
+def ref_first_uncovered(pieces):
+    reach = 0.0
+    for lo, hi in sorted(pieces):
+        if lo > reach + tolerances.GAP:
+            return 0.5 * (reach + lo)
+        reach = max(reach, hi)
+        if reach >= 1.0 - tolerances.GAP:
+            return None
+    if reach >= 1.0 - tolerances.GAP:
+        return None
+    return 0.5 * (reach + 1.0)
+
+
+def ref_edges_covered(fam):
+    hull = fam.hull()
+    a, b = fam.base.facet_normals, fam.base.facet_offsets
+    for i, j in edges(hull):
+        x, y = hull.vertices[i], hull.vertices[j]
+        dirv = y - x
+        pieces = []
+        for m in range(fam.n):
+            alpha = a @ dirv
+            beta = fam.ratios[m] * b + a @ fam.translations[m] - a @ x
+            lo, hi, ok = 0.0, 1.0, True
+            for al, be in zip(alpha, beta):
+                if al > 1e-12:
+                    hi = min(hi, be / al)
+                elif al < -1e-12:
+                    lo = max(lo, be / al)
+                elif be < -tolerances.feas(1.0):
+                    ok = False
+                    break
+            if ok and lo <= hi + tolerances.GAP:
+                pieces.append((lo, hi))
+        gap_at = ref_first_uncovered(pieces)
+        if gap_at is not None:
+            return False, x + gap_at * dirv
+    return True, None
+
+
+def reference_battery():
+    """Towers, nested and scattered families on three bases in d = 2, 3."""
+    rng = np.random.default_rng(20261018)
+    for d in (2, 3):
+        hull_pts = rng.standard_normal((4 * d + 2, d))
+        bases = (unit_cube(d), cross_polytope(d),
+                 Polytope.from_vertices(hull_pts - hull_pts.mean(axis=0)))
+        for base in bases:
+            for n in (2, 3, 4):
+                tau = rng.uniform(0.5, 1.5)
+                axis = rng.standard_normal(d)
+                axis /= np.linalg.norm(axis)
+                width = base.support(axis) + base.support(-axis)
+                steps = np.cumsum(rng.uniform(0.3, 0.9, size=n - 1)) * tau * width
+                yield HomotheticFamily(base, np.vstack(
+                    [np.zeros(d), np.outer(steps, axis)]), np.full(n, tau))
+                c = base.vertices.mean(axis=0)
+                taus = np.r_[2.5, rng.uniform(0.2, 0.4, size=n - 1)]
+                xs = c - taus[:, None] * c + np.vstack(
+                    [np.zeros(d), rng.uniform(-0.1, 0.1, size=(n - 1, d))])
+                yield HomotheticFamily(base, xs, taus)
+                yield HomotheticFamily(base, rng.uniform(0, 2.5, size=(n, d)),
+                                       rng.uniform(0.5, 1.2, size=n))
+
+
+@pytest.mark.parametrize("block", [None, 37])
+def test_kernels_match_reference_routes(block, monkeypatch):
+    if block is not None:  # misses and carried lines in later blocks
+        monkeypatch.setattr(family_module, "_BLOCK", block)
+    verdicts = {"falsified": 0, "not-falsified": 0, True: 0, False: 0}
+    for idx, fam in enumerate(reference_battery()):
+        for k in range(fam.dim - 1):
+            seed = 7 * idx + k
+            want, point, line = ref_kwip(fam, k, 1500, seed)
+            got, flat = is_kwip_sampled(fam, k, samples=1500, seed=seed)
+            assert got == want, (idx, k)
+            verdicts[got] += 1
+            if flat is not None:
+                assert np.array_equal(flat.point, point)
+                if k == 1:
+                    assert np.array_equal(flat.basis[:, 0], line)
+        want_ok, want_pt = ref_edges_covered(fam)
+        got_ok, got_pt = edges_covered(fam)
+        assert got_ok == want_ok, idx
+        verdicts[got_ok] += 1
+        if not want_ok:
+            # the same gap's midpoint; one matrix product against a
+            # matrix-vector product per edge rounds a few ulps apart
+            assert np.allclose(got_pt, want_pt, rtol=0, atol=1e-12), idx
+    assert min(verdicts.values()) >= 5, verdicts

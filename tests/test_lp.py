@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from nonsep import lp
+from nonsep.errors import GeometryError
 from nonsep.lp import feasible_point, solve
 
 
@@ -23,6 +25,15 @@ def test_infeasible_pair():
 def test_unbounded_ray():
     res = solve(np.array([1.0]), a_ub=np.array([[-1.0]]), b_ub=np.array([0.0]))
     assert res.status == "unbounded"
+
+
+def test_iteration_limit_is_geometry_error(monkeypatch):
+    # the box corner (1, 1) is two pivots away from the origin
+    box = dict(a_ub=np.array([[1.0, 0.0], [0.0, 1.0]]), b_ub=np.array([1.0, 1.0]))
+    assert solve(np.array([1.0, 1.0]), **box).value == pytest.approx(2.0)
+    monkeypatch.setattr(lp, "_MAX_ITER", 1)
+    with pytest.raises(GeometryError, match="iteration limit"):
+        solve(np.array([1.0, 1.0]), **box)
 
 
 def test_equality_row():

@@ -1,4 +1,10 @@
+import contextlib
+import copy
+import functools
+import io
 import json
+import math
+import operator
 import os
 import subprocess
 import sys
@@ -6,10 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from helpers import perimeter_record
 
 import nonsep
-from nonsep import cli
+from nonsep import cli, lp
 from nonsep.errors import InputError
 from nonsep.family import HomotheticFamily
 from nonsep.polytope import Polytope, cube
@@ -82,6 +90,24 @@ class TestScenarioSchema:
             scenario_from_dict({"kind": "covering",
                                 "parameters": {"family": {},
                                                "mode": "nope"}})
+
+    def test_unknown_keys_rejected(self):
+        cubes = {"kind": "cubes", "parameters": {"n": 5, "expect_value": 19.0}}
+        scenario_from_dict(cubes)
+        for typo in ("box_size", "expect_vlaue"):
+            with pytest.raises(InputError, match=f"unknown parameter '{typo}'"):
+                scenario_from_dict({**cubes, "parameters": {
+                    **cubes["parameters"], typo: 7}})
+        with pytest.raises(InputError, match="unknown key 'sede'"):
+            scenario_from_dict({**cubes, "sede": 3})
+        # a parameter of another lattice mode is not read in this one
+        with pytest.raises(InputError, match="unknown parameter 'resolution'"):
+            scenario_from_dict({"kind": "lattice", "parameters": {
+                "body": TRIANGLE, "basis": [[1, 0], [0, 1]], "mode": "ns",
+                "resolution": 16}})
+        with pytest.raises(InputError, match="'expect_tol' must be a number"):
+            scenario_from_dict({"kind": "sigma", "parameters": {
+                "polytope": TRIANGLE, "expect_tol": "1e-3"}})
 
     def test_load_rejects_bad_file(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -222,6 +248,20 @@ class TestCli:
                                                 "parameters": {}})
         assert cli.main(["run", path]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_run_unknown_key_is_input_error(self, tmp_path, capsys):
+        path = write_json(tmp_path / "typo.json", {
+            "kind": "cubes", "parameters": {"n": 5, "box_size": 7}})
+        assert cli.main(["run", path, "--out", "-"]) == 2
+        assert "unknown parameter 'box_size'" in capsys.readouterr().err
+
+    def test_lp_iteration_limit_exits_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(lp, "_MAX_ITER", 1)
+        chain = write_json(tmp_path / "chain.json", chain_family_dict())
+        assert cli.main(["lambda", chain]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("failed: simplex iteration limit")
+        assert "Traceback" not in err
 
     def test_wns_and_ns_verdict_exit_codes(self, tmp_path):
         chain = write_json(tmp_path / "chain.json", chain_family_dict())
@@ -402,3 +442,80 @@ def test_demo_outputs_regenerate_byte_identical(tmp_path):
             fresh = (tmp_path / (path.stem + suffix)).read_bytes()
             committed = (DEMOS / "out" / (path.stem + suffix)).read_bytes()
             assert fresh == committed, path.stem + suffix
+
+
+def json_paths(node, prefix=()):
+    """Every key or index path into a JSON tree, the root first."""
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from json_paths(child, prefix + (key,))
+
+
+def fuzz_documents():
+    """Valid inputs per verb; the fuzz breaks one or two places in each."""
+    chain = chain_family_dict()
+    return {
+        "wns": [chain],
+        "ns": [chain],
+        "run": [
+            stability_scenario(),
+            {"kind": "cubes", "seed": 0, "parameters": {"n": 4, "expect_value": 12.0}},
+            {"kind": "sigma", "parameters": {"polytope": TRIANGLE, "expect_value": 2.0}},
+            {"kind": "covering", "parameters": {"family": chain,
+                                                "expect_lambda_le": 1.0}},
+            {"kind": "lattice", "out": "x", "parameters": {
+                "body": cube(2).to_dict(), "basis": [[1.0, 0.0], [0.0, 1.0]],
+                "mode": "ns", "expect_verdict": True}},
+        ],
+    }
+
+
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+WRONG_TYPES = ("text", None, True, [], {}, [1.0, "x"], {"a": 1.0}, 2.5, -3)
+
+
+@st.composite
+def broken_inputs(draw):
+    verb = draw(st.sampled_from(["wns", "ns", "run"]))
+    doc = copy.deepcopy(draw(st.sampled_from(fuzz_documents()[verb])))
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(json_paths(doc))[1:]))
+        parent = functools.reduce(operator.getitem, path[:-1], doc)
+        action = draw(st.sampled_from(["delete", "unknown", "non-finite", "retype"]))
+        if action == "delete":
+            del parent[path[-1]]
+        elif action == "unknown" and isinstance(parent[path[-1]], dict):
+            parent[path[-1]]["typo_key"] = 1
+        elif action == "non-finite":
+            parent[path[-1]] = draw(st.sampled_from(NON_FINITE))
+        else:
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(WRONG_TYPES)))
+    # a later break may delete the non-finite number again
+    non_finite = any(
+        isinstance(leaf, float) and not math.isfinite(leaf)
+        for leaf in (functools.reduce(operator.getitem, path, doc)
+                     for path in json_paths(doc)))
+    return verb, doc, non_finite
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(broken_inputs())
+def test_cli_fuzz_exit_codes(tmp_path_factory, case):
+    """Broken family and scenario JSON exits 0, 1 or 2, never a traceback."""
+    verb, doc, non_finite = case
+    path = tmp_path_factory.mktemp("fuzz") / "input.json"
+    path.write_text(json.dumps(doc))
+    argv = [verb, str(path)] + (["--out", "-"] if verb == "run" else [])
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()
+    if non_finite:
+        assert code == 2
