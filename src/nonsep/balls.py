@@ -22,6 +22,8 @@ from . import lp, tolerances
 from .errors import GeometryError, InputError
 from .polytope import _finite, _freeze
 
+_EXTENT_MAX = 1e150  # coordinates and radii whose squares stay finite
+
 
 @dataclass(frozen=True)
 class BallFamily:
@@ -35,6 +37,9 @@ class BallFamily:
             raise InputError("centers and radii have inconsistent shapes")
         if (r <= 0).any():
             raise InputError("ball radii must be positive")
+        if not np.abs(c).max(initial=0.0) + r.max() <= _EXTENT_MAX:
+            raise InputError(
+                f"ball data beyond {_EXTENT_MAX:.0e} overflows when squared")
         object.__setattr__(self, "centers", c)
         object.__setattr__(self, "radii", r)
 
@@ -162,11 +167,9 @@ def _certified(c, rad, p, r, scale: float = 1e-9) -> bool:
     if dist.min() < 1e-12:
         return True  # center coincides with a ball center: full subgradient
     u = diff / dist[:, None]
-    m = active.size
-    a_eq = np.vstack([u.T, np.ones((1, m))])
+    a_eq = np.vstack([u.T, np.ones((1, active.size))])
     b_eq = np.concatenate([np.zeros(c.size), [1.0]])
-    point = lp.feasible_point(-np.eye(m), np.zeros(m), a_eq, b_eq, tol=1e-9)
-    return point is not None
+    return lp.feasible_nonneg(a_eq, b_eq, tol=1e-9) is not None
 
 
 def centers_line_deviation(points) -> float:
@@ -193,6 +196,9 @@ def stability_construction(taus, delta: float) -> BallFamily:
         raise InputError("the chain needs at least three radii")
     if (t <= 0).any():
         raise InputError("radii must be positive")
+    if not 2.0 * t.sum() <= _EXTENT_MAX:
+        raise InputError(
+            f"a chain longer than {_EXTENT_MAX:.0e} overflows when squared")
     if delta < 0 or (delta > 0 and delta >= t[1]):
         raise InputError("deflection must satisfy 0 <= delta < second radius")
     xs = np.concatenate([[0.0], np.cumsum(t[1:-1] + t[2:])])  # balls 2..n

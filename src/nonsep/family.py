@@ -6,15 +6,16 @@ classify how separable the family is:
 
 * `is_wns`: no hyperplane parallel to a facet of P strictly splits the
   members (touching does not count as splitting),
-* `is_ns`: no hyperplane at all does, decided exactly by scanning
-  bipartitions with an LP disjointness test on the two hulls,
+* `is_ns`: no hyperplane at all does; in the plane with no LP and for any
+  n, for d >= 3 by an LP per bipartition (n <= 20),
 * `is_kwip_sampled`: Monte-Carlo falsification for k-flat impassability,
   with facet-parallel flats drawn Haar-style,
 * `edges_covered`: do the members cover every edge of the union's hull.
 
 `_spans` clips lines p + s w (points: w = 0) against all members for
-`is_kwip_sampled` (k <= 1) and `edges_covered`; `_first_gap` sweeps the
-projections of `is_wns` and the clipped edge pieces for an open stretch.
+`is_kwip_sampled` (k <= 1) and `edges_covered`; `_first_gap` sweeps
+columns of intervals for an open stretch: member projections, one column
+per direction, in `is_wns` and planar `is_ns`, and the edge pieces.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from .polytope import (
     polytope_from_dict,
 )
 
-_BLOCK = 2048  # lines per block of `_first_miss`
+_BLOCK = 2048  # lines of `_first_miss`, directions of planar `is_ns`
+_NS_SCAN_MAX = 20  # members the d >= 3 bipartition scan of `is_ns` accepts
 
 
 @dataclass(frozen=True)
@@ -150,17 +152,28 @@ def project_member(family: HomotheticFamily, i: int, u) -> Interval:
                     mid + tau * family.base.support(u))
 
 
+def _projections(family: HomotheticFamily, dirs):
+    """Member projections [lo, hi] on the rows of `dirs`, (members, dirs)."""
+    x = family.translations @ dirs.T
+    h = family.base.vertices @ dirs.T
+    return (x + np.outer(family.ratios, h.min(axis=0)),
+            x + np.outer(family.ratios, h.max(axis=0)))
+
+
 def _first_gap(lo, hi):
-    """First stretch wider than GAP left open by the intervals [lo, hi], as
-    its ends (the reach of the intervals left of it, the next left end)."""
-    order = np.argsort(lo, kind="stable")
-    lo, hi = lo[order], hi[order]
-    reach = np.maximum.accumulate(hi)[:-1]
-    gaps = np.flatnonzero(lo[1:] > reach + tolerances.GAP)
-    if gaps.size == 0:
+    """First column of intervals [lo, hi] (on axis 0) leaving a stretch
+    wider than GAP open, as (column, the intervals left of it, (their
+    reach, the next left end)); None if there is none."""
+    order = np.argsort(lo, axis=0, kind="stable")
+    lo = np.take_along_axis(lo, order, axis=0)
+    reach = np.maximum.accumulate(np.take_along_axis(hi, order, axis=0), axis=0)[:-1]
+    opens = lo[1:] > reach + tolerances.GAP
+    cols = np.flatnonzero(opens.any(axis=0))
+    if cols.size == 0:
         return None
-    j = gaps[0]
-    return float(reach[j]), float(lo[j + 1])
+    c = cols[0]
+    j = int(np.argmax(opens[:, c]))
+    return int(c), order[:j + 1, c], (float(reach[j, c]), float(lo[j + 1, c]))
 
 
 def is_wns(family: HomotheticFamily):
@@ -169,52 +182,85 @@ def is_wns(family: HomotheticFamily):
     Returns (True, None) or (False, (direction, gap)) where `gap` is the
     width of the certifying empty slab.
     """
-    for u in facet_directions(family.base):
-        x = family.translations @ u
-        gap = _first_gap(x - family.ratios * family.base.support(-u),
-                         x + family.ratios * family.base.support(u))
-        if gap is not None:
-            return False, (u.copy(), gap[1] - gap[0])
-    return True, None
+    dirs = facet_directions(family.base)
+    hit = _first_gap(*_projections(family, dirs))
+    if hit is None:
+        return True, None
+    col, _, (reach, nxt) = hit
+    return False, (dirs[col].copy(), nxt - reach)
 
 
 def is_ns(family: HomotheticFamily):
-    """Non-separability against arbitrary hyperplanes, exact for n <= 20.
+    """Non-separability against arbitrary hyperplanes.
 
-    Scans bipartitions; a bipartition certifies separability iff the two
-    sub-hulls are disjoint, which is an LP (no common convex combination).
-    Touching hulls share a point and therefore do not separate.
+    Normal u splits the members iff their projections on u leave a gap
+    wider than GAP (touching does not split).  In the plane one u inside
+    each arc between the critical angles of `_arc_directions` decides, for
+    any n.  For d >= 3 (n <= 20) each bipartition is tested for disjoint
+    sub-hulls by one standard-form LP.  Returns (True, None) or
+    (False, (a_idx, b_idx)), the sides of a split, member n - 1 in a_idx.
     """
     n = family.n
-    if n > 20:
-        raise InputError(f"is_ns decides at most 20 members; this family has {n}")
+    if family.dim == 2:
+        dirs = _arc_directions(family)
+        for s in range(0, dirs.shape[0], _BLOCK):
+            hit = _first_gap(*_projections(family, dirs[s:s + _BLOCK]))
+            if hit is not None:
+                side = np.isin(np.arange(n), hit[1])
+                side ^= side[-1]  # member n - 1 on the a side
+                return False, (np.flatnonzero(~side).tolist(),
+                               np.flatnonzero(side).tolist())
+        return True, None
+    if n > _NS_SCAN_MAX:
+        raise InputError(f"is_ns decides at most {_NS_SCAN_MAX} members in "
+                         f"d >= 3; this family has {n}")
     vertex_sets = [family.member_vertices(i) for i in range(n)]
     for mask in range(1, 1 << (n - 1)):
-        side = [bool(mask >> i & 1) for i in range(n - 1)] + [False]
-        a_idx = [i for i in range(n) if not side[i]]
-        b_idx = [i for i in range(n) if side[i]]
+        a_idx = [i for i in range(n) if not mask >> i & 1]
+        b_idx = [i for i in range(n) if mask >> i & 1]
         if _hulls_disjoint(np.vstack([vertex_sets[i] for i in a_idx]),
                            np.vstack([vertex_sets[i] for i in b_idx])):
             return False, (a_idx, b_idx)
     return True, None
 
 
+def _arc_directions(family: HomotheticFamily):
+    """Unit directions, one just past each angle (mod pi) where a member
+    starts to lie beyond another.  Member i lies beyond member j along the
+    u with <u, z> > 0 for every difference z of their vertices: an arc
+    (empty if they meet) whose ends are normal to the two z of extreme
+    angle from the mean z.  The arc of u opening a gap is the intersection
+    of such arcs, so it starts where one of them starts."""
+    v, x, t = family.base.vertices, family.translations, family.ratios
+    k = v.shape[0]
+    i, j = np.triu_indices(family.n, 1)
+    step = max(1, 64 * _BLOCK // (k * k))  # bounds the (pairs, k * k) block
+    crit = []
+    for s in range(0, i.size, step):
+        a, b = i[s:s + step], j[s:s + step]
+        z = ((x[a] - x[b])[:, None, None]
+             + t[a, None, None, None] * v[:, None]
+             - t[b, None, None, None] * v[None, :]).reshape(a.size, k * k, 2)
+        g = z.mean(axis=1)[:, None]
+        rel = np.arctan2(g[..., 0] * z[..., 1] - g[..., 1] * z[..., 0],
+                         (g * z).sum(axis=2))
+        crit.append(np.arctan2(g[:, 0, 1], g[:, 0, 0])[:, None]
+                    + np.stack([rel.min(axis=1), rel.max(axis=1)], axis=1))
+    ends = np.mod(np.concatenate(crit) + 0.5 * np.pi, np.pi)  # (end, start) per pair
+    theta = np.sort(ends, axis=None)
+    start = np.unique(ends[:, 1])
+    after = np.searchsorted(theta, start, side="right")  # wraps past the last
+    stop = np.append(theta, theta[0] + np.pi)[after]
+    mids = 0.5 * (start + stop)
+    return np.stack([np.cos(mids), np.sin(mids)], axis=1)
+
+
 def _hulls_disjoint(va, vb) -> bool:
-    ka, kb = va.shape[0], vb.shape[0]
-    d = va.shape[1]
-    # lambda, mu >= 0, sum each to 1, equal convex combinations
-    ncols = ka + kb
-    a_eq = np.zeros((d + 2, ncols))
-    a_eq[:d, :ka] = va.T
-    a_eq[:d, ka:] = -vb.T
-    a_eq[d, :ka] = 1.0
-    a_eq[d + 1, ka:] = 1.0
-    b_eq = np.zeros(d + 2)
-    b_eq[d] = 1.0
-    b_eq[d + 1] = 1.0
-    a_ub = -np.eye(ncols)
-    point = lp.feasible_point(a_ub, np.zeros(ncols), a_eq, b_eq, tol=tolerances.LP)
-    return point is None
+    """No lambda, mu >= 0, each summing to 1, with va^T lambda = vb^T mu."""
+    a_eq = np.vstack([np.hstack([va.T, -vb.T]),
+                      np.repeat(np.eye(2), [len(va), len(vb)], axis=1)])
+    b_eq = np.r_[np.zeros(va.shape[1]), 1.0, 1.0]
+    return lp.feasible_nonneg(a_eq, b_eq, tol=tolerances.LP) is None
 
 
 def is_kwip_sampled(family: HomotheticFamily, k: int, samples: int = 10000,
@@ -261,7 +307,7 @@ def _points_in_hull(hull, count, rng):
     have = 0
     while have < count:
         batch = rng.uniform(lo, hi, size=(max(2 * (count - have), 64), hull.dim))
-        good = batch[(a @ batch.T <= b[:, None] + 1e-12).all(axis=0)]
+        good = batch[(a @ batch.T <= b[:, None] + tolerances.HULL_SAMPLE).all(axis=0)]
         take = min(good.shape[0], count - have)
         out[have:have + take] = good[:take]
         have += take
@@ -308,8 +354,8 @@ def _spans(alpha, beta):
     reduces fastest there), other axes broadcast.  A row with alpha ~ 0 that
     p violates by more than `feas` blocks the line: lo = inf, hi = -inf.
     """
-    pos = alpha > 1e-12
-    neg = alpha < -1e-12
+    pos = alpha > tolerances.PARALLEL
+    neg = alpha < -tolerances.PARALLEL
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = beta / alpha
     lo = np.where(neg, ratio, -np.inf).max(axis=0)
@@ -353,15 +399,17 @@ def edges_covered(family: HomotheticFamily):
     a = family.base.facet_normals
     lo, hi = _spans((a @ dirv.T)[:, None, :],  # (members, edges)
                     family.member_offsets().T[:, :, None] - (a @ x.T)[:, None, :])
-    for e in range(ends.shape[0]):
-        piece = lo[:, e] <= hi[:, e] + tolerances.GAP
-        # the sentinels (-inf, 0) and (1, inf) leave only [0, 1] to cover,
-        # so pieces need no clipping to it
-        gap = _first_gap(np.concatenate(([-np.inf], lo[piece, e], [1.0])),
-                         np.concatenate(([0.0], hi[piece, e], [np.inf])))
-        if gap is not None:
-            return False, x[e] + 0.5 * (gap[0] + gap[1]) * dirv[e]
-    return True, None
+    # misses become [-inf, -inf]; the sentinels [-inf, 0] and [1, inf]
+    # leave only [0, 1] to cover, so pieces need no clipping to it
+    missed = lo > hi + tolerances.GAP
+    lo[missed] = hi[missed] = -np.inf
+    k = ends.shape[0]
+    hit = _first_gap(np.vstack([np.full(k, -np.inf), lo, np.ones(k)]),
+                     np.vstack([np.zeros(k), hi, np.full(k, np.inf)]))
+    if hit is None:
+        return True, None
+    e, _, (reach, nxt) = hit
+    return False, x[e] + 0.5 * (reach + nxt) * dirv[e]
 
 
 def wns_witness_to_dict(witness) -> dict:

@@ -10,6 +10,10 @@ we need, and feasible points double as witnesses.
 Conventions: variables are free, rows are ``row @ x <= rhs`` or
 ``row @ x == rhs``, and `solve` maximizes unless told otherwise.
 Statuses are ``"optimal"``, ``"infeasible"``, ``"unbounded"``.
+
+`feasible_nonneg` is the standard-form entry (``A y == b``, ``y >= 0``)
+for many non-negative variables and few rows: no variable split, no
+slacks and no ``-I`` sign rows.
 """
 
 from __future__ import annotations
@@ -71,6 +75,25 @@ def feasible_point(a_ub=None, b_ub=None, a_eq=None, b_eq=None,
     return res.x if res.optimal else None
 
 
+def feasible_nonneg(a_eq, b_eq, tol: float = 1e-8) -> np.ndarray | None:
+    """Phase-1 in standard form: y >= 0 with a_eq @ y == b_eq, or None."""
+    a = np.atleast_2d(np.asarray(a_eq, dtype=float))
+    b = np.atleast_1d(np.asarray(b_eq, dtype=float))
+    if b.size == 0 or a.shape != (b.size, a.shape[1]):
+        raise InputError("constraint block shapes are inconsistent")
+    a, b = _equilibrate(a, b)
+    a[b < 0] *= -1.0
+    status, y = _two_phase(a, np.abs(b), np.zeros(a.shape[1]), tol)
+    return y if status == "optimal" else None
+
+
+def _equilibrate(rows, rhs):
+    """Rows scaled to unit max entry: keeps ratio tests honest across scales."""
+    scale = np.abs(rows).max(axis=1)
+    scale[scale < 1e-30] = 1.0
+    return rows / scale[:, None], rhs / scale
+
+
 def _solve_min(c, a_ub, b_ub, a_eq, b_eq, tol):
     """min c@x, free x. Splits variables, adds slacks, runs two phases."""
     n = c.size
@@ -83,13 +106,7 @@ def _solve_min(c, a_ub, b_ub, a_eq, b_eq, tol):
             return "optimal", np.zeros(n)
         return "unbounded", None
 
-    # Row equilibration keeps the ratio tests honest across scales.
-    rows = np.vstack([a_ub, a_eq])
-    rhs = np.concatenate([b_ub, b_eq])
-    scale = np.abs(rows).max(axis=1)
-    scale[scale < 1e-30] = 1.0
-    rows = rows / scale[:, None]
-    rhs = rhs / scale
+    rows, rhs = _equilibrate(np.vstack([a_ub, a_eq]), np.concatenate([b_ub, b_eq]))
 
     # x = xp - xm, slack per inequality row.
     ncols = 2 * n + m_ub

@@ -437,17 +437,14 @@ def edges(p: Polytope) -> list[tuple[int, int]]:
     scale = p._scale()
     tight = np.abs(p.facet_normals @ p.vertices.T
                    - p.facet_offsets[:, None]) <= tolerances.tight(scale)
-    k = p.n_vertices
+    # facets tight at both ends of every pair; only pairs sharing d - 1 of
+    # them get the rank test, in the order of the double loop over pairs
+    shared = tight.T.astype(int) @ tight
     out = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            common = tight[:, i] & tight[:, j]
-            if common.sum() < p.dim - 1:
-                continue
-            sub = p.facet_normals[common]
-            s = np.linalg.svd(sub, compute_uv=False)
-            if (s > 1e-7).sum() >= p.dim - 1:
-                out.append((i, j))
+    for i, j in zip(*np.nonzero(np.triu(shared >= p.dim - 1, 1))):
+        s = np.linalg.svd(p.facet_normals[tight[:, i] & tight[:, j]], compute_uv=False)
+        if (s > 1e-7).sum() >= p.dim - 1:
+            out.append((int(i), int(j)))
     return out
 
 

@@ -2,9 +2,10 @@
 
 The verdicts listed below compare against these constants and scale
 functions; no public function takes a tolerance parameter except the LP
-solver's own (`lp.solve`, `lp.feasible_point`) and the bracket width of
-`asymmetry.sigma_bisection`. Numerical guards such as pivot and
-determinant cut-offs are still literals in their own modules.
+solver's own (`lp.solve`, `lp.feasible_point`, `lp.feasible_nonneg`) and
+the bracket width of `asymmetry.sigma_bisection`. Numerical guards such
+as pivot and determinant cut-offs are still literals in their own
+modules.
 
 Fixed thresholds:
 
@@ -17,13 +18,18 @@ Fixed thresholds:
   determinant this small is degenerate, and a polar facet offset this
   small means unbounded (`Polytope.from_facets`).
 * ``LP`` (1e-8), the phase-1 threshold the decision procedures hand to
-  `lp.feasible_point`: `contains_translate`, the hull-disjointness test
-  of `is_ns`, the flat probe of `is_kwip_sampled` for k >= 2, and the
-  face test of `is_summand`.
+  the LP solver: `contains_translate`, the hull-disjointness test of
+  `is_ns` for d >= 3 (`lp.feasible_nonneg`), the flat probe of
+  `is_kwip_sampled` for k >= 2, and the face test of `is_summand`.
 * ``GAP`` (1e-9), a gap at or below this is touching, and touching is
   not separation: the interval sweep `family._first_gap`, over member
-  projections in `is_wns` and edge pieces in `edges_covered`
-  (where a piece may also end up to GAP before it starts).
+  projections in `is_wns` and planar `is_ns` and over edge pieces in
+  `edges_covered` (where a piece may also end up to GAP before it
+  starts).
+* ``PARALLEL`` (1e-12), `family._spans` treats a facet row whose
+  product with the line direction is at most this as parallel to it.
+* ``HULL_SAMPLE`` (1e-12), `is_kwip_sampled` keeps a rejection sample
+  that sits at most this far outside a facet of the family's hull.
 * ``FACET_MERGE`` (100 GEOM), two unit facet rows this close, with
   offsets this close relative to their size, are one facet
   (`Polytope.from_vertices`; `Polytope.from_facets`, for its rows and
@@ -61,6 +67,8 @@ from __future__ import annotations
 GEOM = 1e-9
 LP = 1e-8
 GAP = 1e-9
+PARALLEL = 1e-12
+HULL_SAMPLE = 1e-12
 FACET_MERGE = 100 * GEOM
 NS_LATTICE = 1e-9
 ENCLOSE = 1e-9

@@ -4,6 +4,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.optimize import linprog
 
 
 def arrangement_with_lambda1(rng, band, nverts=8):
@@ -98,6 +99,69 @@ def brute_vertices(a, b):
         if all(np.linalg.norm(x - k) > 1e-6 * scale for k in kept):
             kept.append(x)
     return np.array(kept).reshape(-1, d)
+
+
+def edges_double_loop(p):
+    """Vertex pairs of a polytope that span an edge, by the per-pair loop:
+    pairs sharing d - 1 tight facets whose normals have rank d - 1."""
+    from nonsep import tolerances
+
+    tight = np.abs(p.facet_normals @ p.vertices.T
+                   - p.facet_offsets[:, None]) <= tolerances.tight(p._scale())
+    out = []
+    for i in range(p.n_vertices):
+        for j in range(i + 1, p.n_vertices):
+            common = tight[:, i] & tight[:, j]
+            if common.sum() < p.dim - 1:
+                continue
+            s = np.linalg.svd(p.facet_normals[common], compute_uv=False)
+            if (s > 1e-7).sum() >= p.dim - 1:
+                out.append((i, j))
+    return out
+
+
+def hulls_meet(pa, pb) -> bool:
+    """Do conv(pa) and conv(pb) share a point?  HiGHS on the convex
+    combinations: lambda, mu >= 0, each summing to one, pa^T lambda = pb^T mu."""
+    pa, pb = np.asarray(pa, float), np.asarray(pb, float)
+    ka, kb, d = len(pa), len(pb), pa.shape[1]
+    a_eq = np.zeros((d + 2, ka + kb))
+    a_eq[:d, :ka], a_eq[:d, ka:] = pa.T, -pb.T
+    a_eq[d, :ka] = a_eq[d + 1, ka:] = 1.0
+    b_eq = np.r_[np.zeros(d), 1.0, 1.0]
+    res = linprog(np.zeros(ka + kb), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+                  method="highs")
+    return res.status == 0
+
+
+def ns_oracle(member_verts):
+    """Non-separability by brute force over bipartitions: a family is NS
+    when every split's two hulls meet.  Returns (True, None) or
+    (False, (side_a, side_b)).  Imports nothing from `nonsep`."""
+    n = len(member_verts)
+    for mask in range(1, 1 << (n - 1)):
+        side_b = [i for i in range(n) if mask >> i & 1]
+        side_a = [i for i in range(n) if not mask >> i & 1]
+        if not hulls_meet(np.vstack([member_verts[i] for i in side_a]),
+                          np.vstack([member_verts[i] for i in side_b])):
+            return False, (side_a, side_b)
+    return True, None
+
+
+def strict_separator(pa, pb):
+    """(w, c) with <w, p> < c < <w, q> for every p in pa and q in pb, or
+    None: HiGHS on <w, p> - c <= -1 and c - <w, q> <= -1 over free (w, c),
+    confirmed on the points."""
+    pa, pb = np.asarray(pa, float), np.asarray(pb, float)
+    d = pa.shape[1]
+    a_ub = np.vstack([np.hstack([pa, -np.ones((len(pa), 1))]),
+                      np.hstack([-pb, np.ones((len(pb), 1))])])
+    res = linprog(np.zeros(d + 1), A_ub=a_ub, b_ub=-np.ones(len(a_ub)),
+                  bounds=[(None, None)] * (d + 1), method="highs")
+    if res.status != 0:
+        return None
+    w, c = res.x[:d], res.x[d]
+    return (w, c) if (pa @ w).max() < c < (pb @ w).min() else None
 
 
 def grid_contains_translate(outer, inner, res=80, slack=1e-7):

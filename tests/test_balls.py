@@ -31,6 +31,18 @@ def test_family_validation():
         BallFamily(np.zeros((2, 2)), np.array([1.0, np.inf]))
 
 
+def test_overflowing_data_rejected():
+    # finite but huge: squared distances would overflow to inf and NaN
+    with pytest.raises(InputError, match="overflow"):
+        BallFamily(np.array([[0.0, 0.0], [1e200, 0.0]]), np.ones(2))
+    with pytest.raises(InputError, match="overflow"):
+        BallFamily(np.zeros((2, 2)), np.array([1.0, 1e300]))
+    for delta in (0.0, 0.1):
+        with pytest.raises(InputError, match="overflow"):
+            stability_construction([1e300, 1.0, 1.0], delta)
+    assert BallFamily(np.array([[0.0, 0.0], [1e100, 0.0]]), np.ones(2)).n == 2
+
+
 def test_family_leaves_caller_arrays_writeable():
     c = np.array([[0.0, 0.0], [2.0, 0.0]])
     r = np.ones(2)

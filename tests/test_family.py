@@ -1,5 +1,8 @@
+import time
+
 import numpy as np
 import pytest
+from helpers import ns_oracle, strict_separator
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
@@ -25,6 +28,7 @@ from nonsep.polytope import (
     cross_polytope,
     cube,
     edges,
+    regular_polygon,
     unit_cube,
 )
 
@@ -117,9 +121,76 @@ def test_ns_corner_touching_pair():
 
 
 def test_ns_guard_large_n():
-    fam = squares([(i, 0) for i in range(21)])
+    # the bipartition scan, and with it the cap, is for d >= 3 only
+    fam = HomotheticFamily(unit_cube(3), np.c_[np.arange(21.0), np.zeros((21, 2))],
+                           np.ones(21))
     with pytest.raises(InputError, match="at most 20 members"):
         is_ns(fam)
+    assert is_ns(squares([(i, 0) for i in range(21)])) == (True, None)
+
+
+def test_ns_planar_chain_of_100_is_fast():
+    # unit squares stepping by 0.9 overlap their neighbours only; every
+    # other pair is disjoint, so about C(100, 2) directions are swept
+    rng = np.random.default_rng(3)
+    steps = np.c_[np.full(100, 0.9), rng.uniform(-0.5, 0.5, size=100)]
+    fam = squares(np.cumsum(steps, axis=0))
+    is_ns(fam)  # warm up
+    start = time.perf_counter()
+    verdict = is_ns(fam)
+    assert time.perf_counter() - start < 0.1
+    assert verdict == (True, None)
+    apart = squares(np.cumsum(steps, axis=0) + np.r_[np.zeros((60, 2)),
+                                                     np.full((40, 2), 3.0)])
+    ok, (a_idx, b_idx) = is_ns(apart)
+    assert not ok and a_idx == list(range(60, 100)) and b_idx == list(range(60))
+
+
+def ns_battery(rng, base, max_n, count):
+    """Families on `base`: chains of overlapping members (NS), such chains
+    cut in two with one part pushed 0.3 clear along a random direction
+    (separable) and loose scatters (either)."""
+    d, v = base.dim, base.vertices
+    for k in range(count):
+        n = int(rng.integers(2, max_n + 1))
+        taus = rng.uniform(0.6, 1.4, size=n)
+        if k % 3 == 2:
+            xs = rng.uniform(0, 0.9 * n ** (1 / d), size=(n, d))
+        else:
+            axis = rng.standard_normal(d)
+            steps = 0.5 * taus[:, None] * (axis / np.linalg.norm(axis)
+                                           + 0.3 * rng.standard_normal((n, d)))
+            xs = np.cumsum(steps, axis=0)
+        if k % 3 == 1:
+            m = int(rng.integers(1, n))
+            u = rng.standard_normal(d)
+            proj = ((xs[:, None] + taus[:, None, None] * v) @ u).T
+            xs[m:] += (proj[:, :m].max() - proj[:, m:].min() + 0.3) * u / (u @ u)
+        yield HomotheticFamily(base, xs, taus)
+
+
+@pytest.mark.parametrize("d, max_n, per_base", [(2, 10, 12), (3, 6, 9)])
+def test_ns_matches_bipartition_oracle(d, max_n, per_base):
+    rng = np.random.default_rng(808 + d)
+    if d == 2:
+        bases = (unit_cube(2), Polytope.from_vertices(rng.standard_normal((3, 2))),
+                 regular_polygon(6, radius=float(rng.uniform(0.5, 1.5))))
+    else:
+        bases = (unit_cube(3), Polytope.from_vertices(rng.standard_normal((4, 3))))
+    seen = {True: 0, False: 0}
+    for base in bases:
+        for fam in ns_battery(rng, base, max_n, per_base):
+            verts = [fam.member_vertices(i) for i in range(fam.n)]
+            ok, split = is_ns(fam)
+            assert ok == ns_oracle(verts)[0]
+            seen[ok] += 1
+            if not ok:
+                a_idx, b_idx = split
+                assert fam.n - 1 in a_idx
+                assert sorted(a_idx + b_idx) == list(range(fam.n)) and b_idx
+                assert strict_separator(np.vstack([verts[i] for i in a_idx]),
+                                        np.vstack([verts[i] for i in b_idx]))
+    assert min(seen.values()) >= 5, seen
 
 
 def test_ns_implies_wns_random():

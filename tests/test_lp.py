@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import linprog
 
 from nonsep import lp
-from nonsep.errors import GeometryError
+from nonsep.errors import GeometryError, InputError
 from nonsep.lp import feasible_point, solve
 
 
@@ -123,3 +123,32 @@ def test_against_scipy_oracle_with_equalities():
         if ref_status == "optimal":
             scale = 1.0 + abs(ref.fun)
             assert abs(mine.value - ref.fun) <= 1e-6 * scale
+
+
+def test_feasible_nonneg_matches_split_form_and_scipy():
+    """Standard form against the free-variable form with -I rows and HiGHS."""
+    rng = np.random.default_rng(31)
+    verdicts = {True: 0, False: 0}
+    for k in range(200):
+        m, n = int(rng.integers(1, 6)), int(rng.integers(1, 14))
+        a = rng.normal(size=(m, n))
+        if k % 3 == 0:  # feasible: b in the cone of the columns
+            b = a @ (rng.uniform(0.0, 2.0, size=n) * (rng.uniform(size=n) < 0.7))
+        elif k % 3 == 1:  # infeasible: w separates b from that cone
+            w = rng.normal(size=m)
+            a *= np.sign(w @ a)
+            b = rng.normal(size=m)
+            b -= (w @ b + rng.uniform(0.1, 1.0)) * w / (w @ w)
+        else:  # either way
+            b = rng.normal(size=m) * 3.0
+        y = lp.feasible_nonneg(a, b)
+        split = feasible_point(-np.eye(n), np.zeros(n), a, b)
+        ref = linprog(np.zeros(n), A_eq=a, b_eq=b, bounds=(0, None), method="highs")
+        assert (y is not None) == (split is not None) == (ref.status == 0), k
+        verdicts[y is not None] += 1
+        if y is not None:
+            assert (y >= -1e-12).all()
+            assert np.allclose(a @ y, b, atol=1e-7)
+    assert min(verdicts.values()) >= 40, verdicts
+    with pytest.raises(InputError, match="shapes"):
+        lp.feasible_nonneg(np.ones((2, 3)), np.ones(3))

@@ -4,7 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
-from helpers import brute_vertices, grid_contains_translate, same_point_set
+from helpers import (
+    brute_vertices,
+    edges_double_loop,
+    grid_contains_translate,
+    same_point_set,
+)
 
 from nonsep import polytope, tolerances
 from nonsep.errors import GeometryError, InputError
@@ -370,6 +375,17 @@ def test_edges_counts():
     assert len(edges(cube(3))) == 12
     assert len(edges(cross_polytope(3))) == 12
     assert len(edges(standard_simplex(3))) == 6
+
+
+def test_edges_match_double_loop():
+    rng = np.random.default_rng(44)
+    bodies = []
+    for d in (2, 3, 4):
+        bodies += [cube(d), standard_simplex(d), random_simplex(d, rng),
+                   cross_polytope(d)]
+        bodies += [random_polytope(d, 4 * d + 3, rng) for _ in range(4)]
+    for p in bodies:
+        assert edges(p) == edges_double_loop(p)
 
 
 def test_homothet_and_gauge():

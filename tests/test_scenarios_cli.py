@@ -249,6 +249,17 @@ class TestCli:
         assert cli.main(["run", path]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("deltas", [[0.1, 0.01, 0.001, 0.0001, 0.00001],
+                                        [0.0, 0.0, 0.0, 0.0, 0.0]])
+    def test_run_overflowing_radius_is_input_error(self, tmp_path, capsys, deltas):
+        path = write_json(tmp_path / "huge.json", {
+            "kind": "stability",
+            "parameters": {"taus": [1e300, 1.0, 1.0], "deltas": deltas}})
+        assert cli.main(["run", path, "--out", "-"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "overflow" in err
+        assert "Traceback" not in err
+
     def test_run_unknown_key_is_input_error(self, tmp_path, capsys):
         path = write_json(tmp_path / "typo.json", {
             "kind": "cubes", "parameters": {"n": 5, "box_size": 7}})
@@ -417,10 +428,15 @@ class TestCliProcess:
         assert "BrokenPipeError" not in err
 
     def test_ns_over_member_limit_names_it(self, tmp_path):
-        squares = write_json(tmp_path / "row.json", HomotheticFamily(
+        # the cap holds for d >= 3 only; 21 squares in a row are decided
+        cubes = write_json(tmp_path / "row.json", HomotheticFamily(
+            cube(3), np.array([[float(i), 0.0, 0.0] for i in range(21)]),
+            np.ones(21)).to_dict())
+        squares = write_json(tmp_path / "row2.json", HomotheticFamily(
             cube(2), np.array([[float(i), 0.0] for i in range(21)]),
             np.ones(21)).to_dict())
-        code, out, err = run_cli_process(["ns", squares])
+        assert run_cli_process(["ns", squares])[0] == 0
+        code, out, err = run_cli_process(["ns", cubes])
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
