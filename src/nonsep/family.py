@@ -36,7 +36,7 @@ from .polytope import (
     polytope_from_dict,
 )
 
-_BLOCK = 2048  # lines of `_first_miss`, directions of planar `is_ns`
+_BLOCK = 2048  # rows per block: lines of `_first_miss`, directions of planar `is_ns`
 _NS_SCAN_MAX = 20  # members the d >= 3 bipartition scan of `is_ns` accepts
 
 
@@ -194,16 +194,21 @@ def is_ns(family: HomotheticFamily):
     """Non-separability against arbitrary hyperplanes.
 
     Normal u splits the members iff their projections on u leave a gap
-    wider than GAP (touching does not split).  In the plane one u inside
-    each arc between the critical angles of `_arc_directions` decides, for
-    any n.  For d >= 3 (n <= 20) each bipartition is tested for disjoint
-    sub-hulls by one standard-form LP.  Returns (True, None) or
-    (False, (a_idx, b_idx)), the sides of a split, member n - 1 in a_idx.
+    wider than GAP (touching does not split).  In the plane, for any n,
+    u runs over the middles of the arcs between the angles of
+    `_critical_angles`, where a split whose widest gap is W shows one of
+    at least W / 2: any split wider than 2 GAP is found, and none as
+    narrow as GAP.  For d >= 3 (n <= 20)
+    each bipartition is tested for disjoint sub-hulls by one standard-form
+    LP.  Returns (True, None) or (False, (a_idx, b_idx)), the sides of a
+    split, member n - 1 in a_idx.
     """
     n = family.n
     if family.dim == 2:
-        dirs = _arc_directions(family)
-        for s in range(0, dirs.shape[0], _BLOCK):
+        theta = _critical_angles(family)
+        mids = 0.5 * (theta + np.append(theta[1:], theta[0] + np.pi))
+        dirs = np.stack([np.cos(mids), np.sin(mids)], axis=1)
+        for s in range(0, mids.size, _BLOCK):
             hit = _first_gap(*_projections(family, dirs[s:s + _BLOCK]))
             if hit is not None:
                 side = np.isin(np.arange(n), hit[1])
@@ -224,17 +229,19 @@ def is_ns(family: HomotheticFamily):
     return True, None
 
 
-def _arc_directions(family: HomotheticFamily):
-    """Unit directions, one just past each angle (mod pi) where a member
-    starts to lie beyond another.  Member i lies beyond member j along the
-    u with <u, z> > 0 for every difference z of their vertices: an arc
-    (empty if they meet) whose ends are normal to the two z of extreme
-    angle from the mean z.  The arc of u opening a gap is the intersection
-    of such arcs, so it starts where one of them starts."""
+def _critical_angles(family: HomotheticFamily):
+    """Sorted distinct angles (mod pi) of the directions at which two
+    members' projections start or stop overlapping.  Members i and j lie
+    apart along the u with <u, z> > 0 for every difference z of their
+    vertices: an arc (empty if they meet) whose ends are normal to the two
+    z of extreme angle from the mean z.  Between neighbouring angles the
+    pairs lying apart stay the same, and on a split's arc its gap is
+    concave, so at the middle of the piece holding its widest gap it is
+    at least half of that."""
     v, x, t = family.base.vertices, family.translations, family.ratios
     k = v.shape[0]
     i, j = np.triu_indices(family.n, 1)
-    step = max(1, 64 * _BLOCK // (k * k))  # bounds the (pairs, k * k) block
+    step = max(1, _BLOCK // k)  # pairs per block: _BLOCK * k differences
     crit = []
     for s in range(0, i.size, step):
         a, b = i[s:s + step], j[s:s + step]
@@ -246,13 +253,7 @@ def _arc_directions(family: HomotheticFamily):
                          (g * z).sum(axis=2))
         crit.append(np.arctan2(g[:, 0, 1], g[:, 0, 0])[:, None]
                     + np.stack([rel.min(axis=1), rel.max(axis=1)], axis=1))
-    ends = np.mod(np.concatenate(crit) + 0.5 * np.pi, np.pi)  # (end, start) per pair
-    theta = np.sort(ends, axis=None)
-    start = np.unique(ends[:, 1])
-    after = np.searchsorted(theta, start, side="right")  # wraps past the last
-    stop = np.append(theta, theta[0] + np.pi)[after]
-    mids = 0.5 * (start + stop)
-    return np.stack([np.cos(mids), np.sin(mids)], axis=1)
+    return np.unique(np.mod(np.concatenate(crit) + 0.5 * np.pi, np.pi))
 
 
 def _hulls_disjoint(va, vb) -> bool:

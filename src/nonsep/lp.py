@@ -11,9 +11,10 @@ Conventions: variables are free, rows are ``row @ x <= rhs`` or
 ``row @ x == rhs``, and `solve` maximizes unless told otherwise.
 Statuses are ``"optimal"``, ``"infeasible"``, ``"unbounded"``.
 
-`feasible_nonneg` is the standard-form entry (``A y == b``, ``y >= 0``)
-for many non-negative variables and few rows: no variable split, no
-slacks and no ``-I`` sign rows.
+With ``nonneg=True`` the variables are non-negative instead, and the
+tableau keeps one column each, not a split pair.  `feasible_nonneg` is
+its phase-1 entry in standard form (``A y == b``, ``y >= 0``), for many
+non-negative variables and few rows: no ``-I`` sign rows.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class LpResult:
 
 
 def solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, maximize=True,
-          tol: float = 1e-8) -> LpResult:
+          nonneg=False, tol: float = 1e-8) -> LpResult:
     """Matrix-form entry point. Arrays may be None when a block is absent."""
     c = np.atleast_1d(np.asarray(c, dtype=float))
     n = c.size
@@ -55,7 +56,7 @@ def solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, maximize=True,
         raise InputError("constraint block shapes are inconsistent")
 
     c_min = -c if maximize else c
-    status, x = _solve_min(c_min, a_ub, b_ub, a_eq, b_eq, tol)
+    status, x = _solve_min(c_min, a_ub, b_ub, a_eq, b_eq, tol, not nonneg)
     if status != "optimal":
         return LpResult(status, None, None)
     return LpResult("optimal", float(c @ x), x)
@@ -77,55 +78,51 @@ def feasible_point(a_ub=None, b_ub=None, a_eq=None, b_eq=None,
 
 def feasible_nonneg(a_eq, b_eq, tol: float = 1e-8) -> np.ndarray | None:
     """Phase-1 in standard form: y >= 0 with a_eq @ y == b_eq, or None."""
-    a = np.atleast_2d(np.asarray(a_eq, dtype=float))
-    b = np.atleast_1d(np.asarray(b_eq, dtype=float))
-    if b.size == 0 or a.shape != (b.size, a.shape[1]):
-        raise InputError("constraint block shapes are inconsistent")
-    a, b = _equilibrate(a, b)
-    a[b < 0] *= -1.0
-    status, y = _two_phase(a, np.abs(b), np.zeros(a.shape[1]), tol)
-    return y if status == "optimal" else None
+    a_eq = np.atleast_2d(np.asarray(a_eq, dtype=float))
+    res = solve(np.zeros(a_eq.shape[1]), a_eq=a_eq, b_eq=b_eq, nonneg=True, tol=tol)
+    return res.x if res.optimal else None
 
 
-def _equilibrate(rows, rhs):
-    """Rows scaled to unit max entry: keeps ratio tests honest across scales."""
-    scale = np.abs(rows).max(axis=1)
-    scale[scale < 1e-30] = 1.0
-    return rows / scale[:, None], rhs / scale
-
-
-def _solve_min(c, a_ub, b_ub, a_eq, b_eq, tol):
-    """min c@x, free x. Splits variables, adds slacks, runs two phases."""
+def _solve_min(c, a_ub, b_ub, a_eq, b_eq, tol, free=True):
+    """min c@x, x free or >= 0. Splits free variables, adds slacks, runs
+    two phases."""
     n = c.size
+    n_neg = n if free else 0
     m_ub, m_eq = b_ub.size, b_eq.size
     m = m_ub + m_eq
 
     if m == 0:
-        # Unconstrained: optimal only for a zero objective.
-        if np.abs(c).max(initial=0.0) <= tol:
+        # Unconstrained: optimal only for a zero objective (x >= 0: none < 0).
+        if np.abs(c if free else np.minimum(c, 0.0)).max(initial=0.0) <= tol:
             return "optimal", np.zeros(n)
         return "unbounded", None
 
-    rows, rhs = _equilibrate(np.vstack([a_ub, a_eq]), np.concatenate([b_ub, b_eq]))
+    # Row equilibration keeps the ratio tests honest across scales.
+    rows = np.vstack([a_ub, a_eq])
+    rhs = np.concatenate([b_ub, b_eq])
+    scale = np.abs(rows).max(axis=1)
+    scale[scale < 1e-30] = 1.0
+    rows = rows / scale[:, None]
+    rhs = rhs / scale
 
-    # x = xp - xm, slack per inequality row.
-    ncols = 2 * n + m_ub
+    # x = xp - xm (free x only), slack per inequality row.
+    ncols = n + n_neg + m_ub
     big = np.zeros((m, ncols))
     big[:, :n] = rows
-    big[:, n:2 * n] = -rows
-    big[:m_ub, 2 * n:] = np.eye(m_ub)
+    big[:, n:n + n_neg] = -rows[:, :n_neg]
+    big[:m_ub, n + n_neg:] = np.eye(m_ub)
     neg = rhs < 0
     big[neg] *= -1.0
     rhs = np.abs(rhs)
 
     cost = np.zeros(ncols)
     cost[:n] = c
-    cost[n:2 * n] = -c
+    cost[n:n + n_neg] = -c[:n_neg]
 
     status, y = _two_phase(big, rhs, cost, tol)
     if status != "optimal":
         return status, None
-    return "optimal", y[:n] - y[n:2 * n]
+    return "optimal", y[:n] - y[n:2 * n] if free else y[:n]
 
 
 def _two_phase(A, b, c, tol):

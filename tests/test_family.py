@@ -1,5 +1,3 @@
-import time
-
 import numpy as np
 import pytest
 from helpers import ns_oracle, strict_separator
@@ -129,21 +127,37 @@ def test_ns_guard_large_n():
     assert is_ns(squares([(i, 0) for i in range(21)])) == (True, None)
 
 
-def test_ns_planar_chain_of_100_is_fast():
-    # unit squares stepping by 0.9 overlap their neighbours only; every
-    # other pair is disjoint, so about C(100, 2) directions are swept
+def test_ns_planar_chain_of_100_sweeps_two_directions_per_pair(monkeypatch):
+    # unit squares stepping by 0.9 overlap their neighbours only; the sweep
+    # takes at most one direction per angle where two members start or stop
+    # overlapping, n (n - 1) in all
+    swept = []
+    projections = family_module._projections
+    monkeypatch.setattr(family_module, "_projections",
+                        lambda fam, dirs: swept.append(len(dirs)) or projections(fam, dirs))
     rng = np.random.default_rng(3)
     steps = np.c_[np.full(100, 0.9), rng.uniform(-0.5, 0.5, size=100)]
-    fam = squares(np.cumsum(steps, axis=0))
-    is_ns(fam)  # warm up
-    start = time.perf_counter()
-    verdict = is_ns(fam)
-    assert time.perf_counter() - start < 0.1
-    assert verdict == (True, None)
+    assert is_ns(squares(np.cumsum(steps, axis=0))) == (True, None)
+    assert 0 < sum(swept) <= 100 * 99
     apart = squares(np.cumsum(steps, axis=0) + np.r_[np.zeros((60, 2)),
                                                      np.full((40, 2), 3.0)])
     ok, (a_idx, b_idx) = is_ns(apart)
     assert not ok and a_idx == list(range(60, 100)) and b_idx == list(range(60))
+
+
+def assert_ns_matches_oracle(fam):
+    """is_ns against `ns_oracle`; a split must hold member n - 1 on its a
+    side and be strictly separable.  Returns the verdict."""
+    verts = [fam.member_vertices(i) for i in range(fam.n)]
+    ok, split = is_ns(fam)
+    assert ok == ns_oracle(verts)[0]
+    if not ok:
+        a_idx, b_idx = split
+        assert fam.n - 1 in a_idx
+        assert sorted(a_idx + b_idx) == list(range(fam.n)) and b_idx
+        assert strict_separator(np.vstack([verts[i] for i in a_idx]),
+                                np.vstack([verts[i] for i in b_idx]))
+    return ok
 
 
 def ns_battery(rng, base, max_n, count):
@@ -180,17 +194,38 @@ def test_ns_matches_bipartition_oracle(d, max_n, per_base):
     seen = {True: 0, False: 0}
     for base in bases:
         for fam in ns_battery(rng, base, max_n, per_base):
-            verts = [fam.member_vertices(i) for i in range(fam.n)]
-            ok, split = is_ns(fam)
-            assert ok == ns_oracle(verts)[0]
-            seen[ok] += 1
-            if not ok:
-                a_idx, b_idx = split
-                assert fam.n - 1 in a_idx
-                assert sorted(a_idx + b_idx) == list(range(fam.n)) and b_idx
-                assert strict_separator(np.vstack([verts[i] for i in a_idx]),
-                                        np.vstack([verts[i] for i in b_idx]))
+            seen[assert_ns_matches_oracle(fam)] += 1
     assert min(seen.values()) >= 5, seen
+
+
+def test_ns_lattice_squares_match_oracle():
+    # squares of ratios 1/3 .. 2 on lattices of steps 1.1, 4/3 and 2/3 with
+    # offsets of 0.1 and 1/3: many member pairs start or stop overlapping
+    # at the same angle, computed up to rounding
+    rng = np.random.default_rng(41)
+    seen = {True: 0, False: 0}
+    for _ in range(30):
+        n = int(rng.integers(3, 8))
+        cells = rng.choice(16, size=n, replace=False)
+        xs = rng.choice([1.1, 4 / 3, 2 / 3]) * np.c_[cells % 4, cells // 4]
+        xs += rng.choice([0.0, 0.0, 0.1, 1 / 3, -1 / 3], size=xs.shape)
+        fam = HomotheticFamily(cube(2), xs, rng.choice([1.0, 1 / 3, 2 / 3, 2.0], size=n))
+        seen[assert_ns_matches_oracle(fam)] += 1
+    assert min(seen.values()) >= 5, seen
+
+
+@pytest.mark.parametrize("xs, taus", [
+    (1.1 * np.array([[1, 2], [2, 1], [0, 2]]) + [[0.1, 0], [0.1, 0.1], [0, 0]],
+     [1, 2, 1 / 3]),
+    ([[0, 2], [1 / 3, 0], [1, 2 / 3], [2, 1], [1, 0], [5 / 3, 2], [-1 / 3, 1.1]],
+     [1, 2 / 3, 1 / 3, 2, 1, 1 / 3, 1 / 3]),
+])
+def test_ns_split_opening_beside_another_critical_angle(xs, taus):
+    # each family splits with a gap near 0.2, along an arc that starts a
+    # rounding error before another pair stops overlapping: the sweep must
+    # look past that angle, not only just past the start
+    fam = HomotheticFamily(cube(2), np.asarray(xs, float), np.asarray(taus, float))
+    assert not assert_ns_matches_oracle(fam)
 
 
 def test_ns_implies_wns_random():

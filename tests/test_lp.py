@@ -152,3 +152,29 @@ def test_feasible_nonneg_matches_split_form_and_scipy():
     assert min(verdicts.values()) >= 40, verdicts
     with pytest.raises(InputError, match="shapes"):
         lp.feasible_nonneg(np.ones((2, 3)), np.ones(3))
+
+
+def test_nonneg_solve_matches_scipy_and_carries_feasible_nonneg(monkeypatch):
+    """x >= 0 optima against HiGHS; the standard-form phase 1 is one
+    `solve` call, so whatever counts LPs at `lp.solve` sees it."""
+    rng = np.random.default_rng(47)
+    for k in range(100):
+        m, n = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+        a = rng.normal(size=(m, n))
+        b = rng.uniform(0.5, 2.0, size=m)
+        c = rng.normal(size=n)
+        bounded = np.vstack([a, np.ones((1, n))]), np.r_[b, 5.0]
+        mine = solve(c, *bounded, maximize=False, nonneg=True)
+        ref = linprog(c, A_ub=bounded[0], b_ub=bounded[1], bounds=(0, None),
+                      method="highs")
+        assert mine.optimal == (ref.status == 0), k
+        if mine.optimal:
+            assert (mine.x >= -1e-12).all()
+            assert abs(mine.value - ref.fun) <= 1e-6 * (1.0 + abs(ref.fun))
+    assert solve([1.0, 2.0], maximize=False, nonneg=True).value == 0.0
+    assert solve([1.0, -2.0], maximize=False, nonneg=True).status == "unbounded"
+    calls = []
+    inner = lp.solve
+    monkeypatch.setattr(lp, "solve", lambda *a, **kw: calls.append(kw) or inner(*a, **kw))
+    assert lp.feasible_nonneg(np.ones((1, 3)), [1.0]) is not None
+    assert len(calls) == 1 and calls[0]["nonneg"]
