@@ -195,13 +195,12 @@ def is_ns(family: HomotheticFamily):
 
     Normal u splits the members iff their projections on u leave a gap
     wider than GAP (touching does not split).  In the plane, for any n,
-    u runs over the middles of the arcs between the angles of
-    `_critical_angles`, where a split whose widest gap is W shows one of
-    at least W / 2: any split wider than 2 GAP is found, and none as
-    narrow as GAP.  For d >= 3 (n <= 20)
-    each bipartition is tested for disjoint sub-hulls by one standard-form
-    LP.  Returns (True, None) or (False, (a_idx, b_idx)), the sides of a
-    split, member n - 1 in a_idx.
+    u runs over the middle of each arc between neighbouring angles of
+    `_critical_angles`; a split whose widest gap is W shows at least
+    W / 2 there, so a split wider than 2 GAP is always found.  For
+    d >= 3 (n <= 20) each bipartition is tested for disjoint sub-hulls
+    by one standard-form LP.  Returns (True, None) or
+    (False, (a_idx, b_idx)), the sides of a split, member n - 1 in a_idx.
     """
     n = family.n
     if family.dim == 2:
@@ -233,11 +232,12 @@ def _critical_angles(family: HomotheticFamily):
     """Sorted distinct angles (mod pi) of the directions at which two
     members' projections start or stop overlapping.  Members i and j lie
     apart along the u with <u, z> > 0 for every difference z of their
-    vertices: an arc (empty if they meet) whose ends are normal to the two
-    z of extreme angle from the mean z.  Between neighbouring angles the
-    pairs lying apart stay the same, and on a split's arc its gap is
-    concave, so at the middle of the piece holding its widest gap it is
-    at least half of that."""
+    vertices: an arc (empty if they meet; its two angles then only cut
+    the sweep finer) whose ends are normal to the two z of extreme angle
+    from the mean z.  Between neighbouring angles the pairs lying apart
+    stay the same, and on a split's arc its gap is concave (a minimum of
+    sinusoids, each positive there), so at the middle of the piece that
+    holds its widest gap it is at least half of that."""
     v, x, t = family.base.vertices, family.translations, family.ratios
     k = v.shape[0]
     i, j = np.triu_indices(family.n, 1)

@@ -25,7 +25,8 @@ Fixed thresholds:
   not separation: the interval sweep `family._first_gap`, over member
   projections in `is_wns` and planar `is_ns` and over edge pieces in
   `edges_covered` (where a piece may also end up to GAP before it
-  starts).
+  starts).  Planar `is_ns` sees at least half of each split's widest
+  gap, so a split wider than 2 GAP is always found.
 * ``PARALLEL`` (1e-12), `family._spans` treats a facet row whose
   product with the line direction is at most this as parallel to it.
 * ``HULL_SAMPLE`` (1e-12), `is_kwip_sampled` keeps a rejection sample

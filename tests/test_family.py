@@ -133,8 +133,12 @@ def test_ns_planar_chain_of_100_sweeps_two_directions_per_pair(monkeypatch):
     # overlapping, n (n - 1) in all
     swept = []
     projections = family_module._projections
-    monkeypatch.setattr(family_module, "_projections",
-                        lambda fam, dirs: swept.append(len(dirs)) or projections(fam, dirs))
+
+    def counted(fam, dirs):
+        swept.append(len(dirs))
+        return projections(fam, dirs)
+
+    monkeypatch.setattr(family_module, "_projections", counted)
     rng = np.random.default_rng(3)
     steps = np.c_[np.full(100, 0.9), rng.uniform(-0.5, 0.5, size=100)]
     assert is_ns(squares(np.cumsum(steps, axis=0))) == (True, None)
