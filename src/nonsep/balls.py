@@ -146,15 +146,13 @@ def ball_circumradius(f: BallFamily) -> tuple[np.ndarray, float]:
                 continue
             if best is None or rad < best[1]:
                 best = (np.asarray(c, dtype=float), float(rad))
-    lower = _lower_bound(p, r)
-    centroid = p.mean(axis=0)
-    upper = float(_reach(centroid, p, r).max())
-    if best is not None:
-        upper = min(upper, best[1])
     if best is None or not _certified(best[0], best[1], p, r):
+        upper = float(_reach(p.mean(axis=0), p, r).max())
+        if best is not None:
+            upper = min(upper, best[1])
         raise GeometryError(
             f"circumradius solver lost the optimum; best bounds "
-            f"[{lower:.12g}, {upper:.12g}]")
+            f"[{_lower_bound(p, r):.12g}, {upper:.12g}]")
     return best
 
 

@@ -43,15 +43,9 @@ def _polytope(path):
 
 
 def _arrangement(path):
-    from .lattice import Lattice, LatticeArrangement
-    from .polytope import polytope_from_dict
+    from .lattice import arrangement_from_dict
 
-    obj = read_json(path, path)
-    if not isinstance(obj, dict) or "body" not in obj or "basis" not in obj:
-        raise InputError('arrangement JSON needs "body" and "basis"')
-    return LatticeArrangement(
-        polytope_from_dict(obj["body"]),
-        Lattice.from_basis(obj["basis"]))
+    return arrangement_from_dict(read_json(path, path))
 
 
 def _cmd_run(args) -> int:

@@ -111,21 +111,19 @@ def weighted_cover(family: HomotheticFamily) -> CoverResult:
     return CoverResult(t, 1.0, certified)
 
 
-def sigma_cover(family: HomotheticFamily, sigma: float = None) -> CoverResult:
+def sigma_cover(family: HomotheticFamily) -> CoverResult:
     """Cover at lambda = (sigma + 1) / 2 about the base's asymmetry center.
 
-    `sigma` is the base's central asymmetry; omitted, it is computed
-    here.  The base need not be pre-centered: the family is recentred at
-    the asymmetry center internally and the translate mapped back.  For
-    symmetric bases this degenerates to `weighted_cover`.
+    `sigma` is the base's central asymmetry, computed here.  The base
+    need not be pre-centered: the family is recentred at the asymmetry
+    center internally and the translate mapped back.  For symmetric
+    bases this degenerates to `weighted_cover`.
     """
     if not is_wns(family)[0]:
         raise InputError("family is weakly separable")
     res = sigma_lp(family.base)
     q = res.center
-    if sigma is None:
-        sigma = res.sigma
-    lam = 0.5 * (sigma + 1.0)
+    lam = 0.5 * (res.sigma + 1.0)
     total = family.total_ratio
     shifted = family.translations + np.outer(family.ratios, q)
     t = (family.ratios @ shifted) / total - lam * total * q

@@ -193,10 +193,9 @@ def shadow_normalize(f: IntegerCubeFamily,
     """
     if not cube_is_wns(f):
         raise InputError("family is separable along an axis")
-    _objective_value(f, objective)  # reject unsupported objectives up front
+    val = _objective_value(f, objective)  # rejects unsupported objectives
     cur = np.array(f.offsets)
     n = cur.shape[0]
-    val = _objective_value(IntegerCubeFamily(cur), objective)
     while True:
         lo = cur.min(axis=0)
         hi = cur.max(axis=0)
@@ -219,7 +218,6 @@ def shadow_normalize(f: IntegerCubeFamily,
                         best = (v, cand)
         if best is None or best[0] < val - 1e-9:
             break
-        assert best[0] >= val - 1e-9
         val, cur = best[0], best[1]
     return IntegerCubeFamily(cur - cur.min(axis=0))
 

@@ -8,8 +8,9 @@ classify how separable the family is:
   members (touching does not count as splitting),
 * `is_ns`: no hyperplane at all does; in the plane with no LP and for any
   n, for d >= 3 by an LP per bipartition (n <= 20),
-* `is_kwip_sampled`: Monte-Carlo falsification for k-flat impassability,
-  with facet-parallel flats drawn Haar-style,
+* `is_kwip_sampled`: Monte-Carlo falsification for k-flat impassability:
+  flats through exact uniform hull points, their directions Haar inside
+  a random facet hyperplane,
 * `edges_covered`: do the members cover every edge of the union's hull.
 
 `_spans` clips lines p + s w (points: w = 0) against all members for
@@ -23,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import Delaunay
 
 from . import lp, tolerances
 from .errors import InputError
@@ -268,10 +270,11 @@ def is_kwip_sampled(family: HomotheticFamily, k: int, samples: int = 10000,
                     seed: int = 0):
     """Sampled falsification of weak k-impassability.
 
-    Draws k-flats through the hull whose direction space lies in a
-    uniformly chosen facet hyperplane (directions Haar-distributed via QR
-    of a Gaussian frame). Returns ("falsified", Flat) on a flat missing
-    every member, ("not-falsified", None) after `samples` clean draws.
+    Draws k-flats through exactly uniform points of the hull, their
+    direction space Haar-distributed (Gram-Schmidt on a Gaussian frame)
+    inside a uniformly chosen facet hyperplane. Returns ("falsified", Flat)
+    on a flat missing every member, ("not-falsified", None) after
+    `samples` clean draws.
     k = d-1 delegates to `is_wns` and is exact; its witness is the
     (direction, gap) pair.
     """
@@ -290,10 +293,10 @@ def is_kwip_sampled(family: HomotheticFamily, k: int, samples: int = 10000,
         lines = np.broadcast_to(0.0, points.shape)  # a point: the line w = 0
     else:
         dirs = facet_directions(family.base)
-        choices = rng.integers(0, dirs.shape[0], size=samples)
+        frames = _frames(dirs, rng.integers(0, dirs.shape[0], size=samples), k, rng)
         if k >= 2:
-            return _kwip_flats(family, points, dirs, choices, k, rng)
-        lines = _line_directions(dirs, choices, rng)
+            return _kwip_flats(family, points, frames)
+        lines = frames[:, :, 0]
     miss = _first_miss(family, points, lines)
     if miss is None:
         return "not-falsified", None
@@ -301,51 +304,44 @@ def is_kwip_sampled(family: HomotheticFamily, k: int, samples: int = 10000,
 
 
 def _points_in_hull(hull, count, rng):
-    lo = hull.vertices.min(axis=0)
-    hi = hull.vertices.max(axis=0)
-    a, b = hull.facet_normals, hull.facet_offsets
-    out = np.empty((count, hull.dim))
-    have = 0
-    while have < count:
-        batch = rng.uniform(lo, hi, size=(max(2 * (count - have), 64), hull.dim))
-        good = batch[(a @ batch.T <= b[:, None] + tolerances.HULL_SAMPLE).all(axis=0)]
-        take = min(good.shape[0], count - have)
-        out[have:have + take] = good[:take]
-        have += take
+    """`count` uniform points of the hull: Delaunay simplices picked by
+    volume, then flat Dirichlet weights on the corners (normalised
+    exponentials; Devroye, Non-Uniform Random Variate Generation, ch. XI)."""
+    corners = hull.vertices[Delaunay(hull.vertices).simplices]  # (s, d + 1, d)
+    vol = np.abs(np.linalg.det(corners[:, 1:] - corners[:, :1]))
+    pick = rng.choice(vol.size, size=count, p=vol / vol.sum())
+    w = rng.standard_exponential((count, hull.dim + 1))
+    w /= w.sum(axis=1, keepdims=True)
+    return np.einsum("ij,ijk->ik", w, corners[pick])
+
+
+def _frames(dirs, choices, k, rng):
+    """(samples, d, k) orthonormal frames, frame i inside the hyperplane
+    normal to dirs[choices[i]]: Gram-Schmidt on Gaussian (d - 1, k)
+    frames (Haar-distributed), mapped through the plane's basis."""
+    d = dirs.shape[1]
+    out = np.empty((choices.size, d, k))
+    for f in range(dirs.shape[0]):
+        mask = choices == f
+        g = rng.standard_normal((int(mask.sum()), d - 1, k))
+        for j in range(k):
+            v = g[:, :, j]
+            for i in range(j):
+                v -= (g[:, :, i] * v).sum(axis=1, keepdims=True) * g[:, :, i]
+            v /= np.linalg.norm(v, axis=1, keepdims=True)
+        w = g.transpose(0, 2, 1).reshape(-1, d - 1) @ _plane_basis(dirs[f])
+        out[mask] = w.reshape(-1, k, d).transpose(0, 2, 1)
     return out
 
 
-def _haar_frame_in_hyperplane(normal, k, rng):
-    hb = _plane_basis(normal)
-    g = rng.standard_normal((hb.shape[0], k))
-    q, _ = np.linalg.qr(g)
-    return (q.T @ hb).T  # (d, k), orthonormal columns inside the hyperplane
-
-
-def _kwip_flats(family, points, dirs, choices, k, rng):
+def _kwip_flats(family, points, frames):
     """k >= 2: member i meets the flat p + W s iff an s has a W s <= c_i - a p."""
     a, offsets = family.base.facet_normals, family.member_offsets()
-    for p, f in zip(points, choices):
-        w = _haar_frame_in_hyperplane(dirs[f], k, rng)
+    for p, w in zip(points, frames):
         aw, slack = a @ w, offsets - a @ p
         if all(lp.feasible_point(aw, row, tol=tolerances.LP) is None for row in slack):
             return "falsified", Flat(p, w)
     return "not-falsified", None
-
-
-def _line_directions(dirs, choices, rng):
-    """Unit directions, line i inside the hyperplane normal to dirs[choices[i]]."""
-    out = np.empty((choices.size, dirs.shape[1]))
-    for f in range(dirs.shape[0]):
-        mask = choices == f
-        cnt = int(mask.sum())
-        if cnt == 0:
-            continue
-        hb = _plane_basis(dirs[f])
-        g = rng.standard_normal((cnt, hb.shape[0]))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        out[mask] = g @ hb
-    return out
 
 
 def _spans(alpha, beta):

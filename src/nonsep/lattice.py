@@ -23,7 +23,11 @@ from .polytope import (
     facet_directions,
     measure,
     polar,
+    polytope_from_dict,
 )
+
+_OFFSET_MAX = 2e5  # lattice vectors `_offset_candidates` may enumerate
+_DUAL_MAX = 10_000_000  # dual vectors `is_ns_lattice` may enumerate
 
 
 def _int_box(d: int, r: int) -> np.ndarray:
@@ -79,6 +83,13 @@ class LatticeArrangement:
             raise InputError("body and lattice dimensions differ")
 
 
+def arrangement_from_dict(obj: dict) -> LatticeArrangement:
+    if not isinstance(obj, dict) or "body" not in obj or "basis" not in obj:
+        raise InputError('arrangement JSON needs "body" and "basis"')
+    return LatticeArrangement(polytope_from_dict(obj["body"]),
+                              Lattice.from_basis(obj["basis"]))
+
+
 def dual_lattice(lat: Lattice) -> Lattice:
     """Vectors whose inner product with the whole lattice is integral."""
     return Lattice.from_basis(np.linalg.inv(lat.basis).T)
@@ -115,7 +126,7 @@ def _offset_candidates(arr: LatticeArrangement, cap: float) -> np.ndarray:
     r = cap * _euclid_radius(arr.body) + rcell + 1e-9
     binv = np.linalg.inv(b)
     bound = np.ceil(np.linalg.norm(binv, axis=1) * r).astype(int)
-    if float(np.prod((2.0 * bound + 1.0))) > 2e5:
+    if float(np.prod((2.0 * bound + 1.0))) > _OFFSET_MAX:
         raise InputError("lattice too skewed for gauge-distance enumeration")
     axes = [np.arange(-k, k + 1) for k in bound]
     m = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
@@ -216,8 +227,7 @@ def tightness(arr: LatticeArrangement, resolution: int = 48,
     return lo - 1.0, hi - 1.0
 
 
-def is_ns_lattice(arr: LatticeArrangement,
-                  max_vectors: int = 10_000_000) -> tuple[bool, float]:
+def is_ns_lattice(arr: LatticeArrangement) -> tuple[bool, float]:
     """Dual-lattice criterion for non-separability of the arrangement.
 
     Computes the shortest nonzero dual vector measured in the polar
@@ -236,9 +246,9 @@ def is_ns_lattice(arr: LatticeArrangement,
     bound = np.ceil(np.linalg.norm(np.linalg.inv(dual.basis), axis=1)
                     * r).astype(int)
     bound = np.maximum(bound, 1)
-    if float(np.prod(2.0 * bound + 1.0)) > max_vectors:
+    if float(np.prod(2.0 * bound + 1.0)) > _DUAL_MAX:
         raise InputError("enumeration bound overflow: more than "
-                         f"{max_vectors} dual vectors required")
+                         f"{_DUAL_MAX} dual vectors required")
     axes = [np.arange(-k, k + 1) for k in bound]
     m = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     m = m[(m != 0).any(axis=1)]

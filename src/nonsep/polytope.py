@@ -466,7 +466,8 @@ def measure(p: Polytope, kind: str) -> float:
 
 
 def _plane_basis(normal):
-    """Two orthonormal vectors spanning the plane orthogonal to `normal`."""
+    """(d - 1, d): orthonormal rows spanning the hyperplane orthogonal to
+    the unit vector `normal`."""
     d = normal.size
     basis = []
     for e in np.eye(d):

@@ -226,19 +226,11 @@ def _run_cubes(params: dict, seed: int):
     return results, checks, ["i", "x", "y"], rows
 
 
-def _lattice_arrangement(params: dict):
-    from .lattice import Lattice, LatticeArrangement
-    from .polytope import polytope_from_dict
-
-    body = polytope_from_dict(params["body"])
-    lat = Lattice.from_basis(params["basis"])
-    return LatticeArrangement(body, lat)
-
-
 def _run_lattice(params: dict, seed: int):
-    from .lattice import density, is_ns_lattice, tightness
+    from .lattice import (arrangement_from_dict, density, is_ns_lattice,
+                          tightness)
 
-    arr = _lattice_arrangement(params)
+    arr = arrangement_from_dict(params)
     mode = params.get("mode", "tightness")
     checks: list[dict] = []
     if mode == "tightness":

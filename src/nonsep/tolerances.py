@@ -29,8 +29,6 @@ Fixed thresholds:
   gap, so a split wider than 2 GAP is always found.
 * ``PARALLEL`` (1e-12), `family._spans` treats a facet row whose
   product with the line direction is at most this as parallel to it.
-* ``HULL_SAMPLE`` (1e-12), `is_kwip_sampled` keeps a rejection sample
-  that sits at most this far outside a facet of the family's hull.
 * ``FACET_MERGE`` (100 GEOM), two unit facet rows this close, with
   offsets this close relative to their size, are one facet
   (`Polytope.from_vertices`; `Polytope.from_facets`, for its rows and
@@ -69,7 +67,6 @@ GEOM = 1e-9
 LP = 1e-8
 GAP = 1e-9
 PARALLEL = 1e-12
-HULL_SAMPLE = 1e-12
 FACET_MERGE = 100 * GEOM
 NS_LATTICE = 1e-9
 ENCLOSE = 1e-9

@@ -11,6 +11,7 @@ from nonsep.errors import InputError
 from nonsep.family import (
     HomotheticFamily,
     Interval,
+    _frames,
     _points_in_hull,
     edges_covered,
     facet_directions,
@@ -311,6 +312,53 @@ def test_kwip_planes_4d():
     assert flat.basis.shape == (4, 2)
     assert np.allclose(flat.basis.T @ flat.basis, np.eye(2))
     assert all(flat_misses(apart.member(i), flat) for i in range(apart.n))
+
+
+def test_points_in_hull_uniform_and_exact():
+    """Exact hull draws: on the facets with no slack, mean at the centroid
+    of a thin centrally symmetric hull, slabs as full as their share of
+    the volume (a box, and a pentagon whose triangles differ in area), and
+    repeatable from the seed."""
+    count = 20000
+    diag = HomotheticFamily(unit_cube(3), np.outer(np.arange(4), np.full(3, 1.8)),
+                            np.full(4, 0.8))
+    block = HomotheticFamily(unit_cube(3), np.array(
+        [(i, j, k) for i in range(2) for j in range(2) for k in (0, 1)], float),
+        np.ones(8))
+    for fam in (diag, block):
+        hull = fam.hull()
+        pts = _points_in_hull(hull, count, np.random.default_rng(5))
+        assert pts.shape == (count, 3)
+        assert (hull.facet_normals @ pts.T <= hull.facet_offsets[:, None]).all()
+        again = _points_in_hull(hull, count, np.random.default_rng(5))
+        assert np.array_equal(pts, again)
+    pts = _points_in_hull(diag.hull(), count, np.random.default_rng(6))
+    centroid = 0.5 * (0.4 + (3 * 1.8 + 0.4))  # reflection centre of the hull
+    se = pts.std(axis=0) / np.sqrt(count)
+    assert (np.abs(pts.mean(axis=0) - centroid) <= 4 * se).all()
+    pts = _points_in_hull(block.hull(), count, np.random.default_rng(7))
+    for axis in range(3):
+        share = np.bincount(np.minimum((pts[:, axis] * 4).astype(int), 7),
+                            minlength=8) / count
+        assert (np.abs(share - 1 / 8) <= 4 * np.sqrt(1 / 8 * 7 / 8 / count)).all()
+    # hull of [0, 1]^2 and [3, 5] x [0, 2]: height 1 + x / 3 up to x = 3, then 2
+    pts = _points_in_hull(squares([(0, 0), (3, 0)], [1, 2]).hull(), count,
+                          np.random.default_rng(8))
+    want = np.array([7 / 6, 9 / 6, 11 / 6, 2, 2]) / 8.5
+    share = np.bincount(np.minimum(pts[:, 0].astype(int), 4), minlength=5) / count
+    assert (np.abs(share - want) <= 4 * np.sqrt(want * (1 - want) / count)).all()
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_frames_orthonormal_inside_facet_plane(k):
+    rng = np.random.default_rng(11)
+    dirs = facet_directions(cross_polytope(4))
+    choices = rng.integers(0, dirs.shape[0], size=500)
+    frames = _frames(dirs, choices, k, rng)
+    assert frames.shape == (500, 4, k)
+    gram = np.einsum("sdi,sdj->sij", frames, frames)
+    assert np.abs(gram - np.eye(k)).max() <= 1e-12
+    assert np.abs(np.einsum("sd,sdi->si", dirs[choices], frames)).max() <= 1e-12
 
 
 def test_kwip_rejects_bad_k():

@@ -261,8 +261,15 @@ def test_ns_examples():
 
 def test_ns_enumeration_overflow():
     skew = Lattice.from_basis([[1.0, 1e8], [0.0, 1.0]])
-    with pytest.raises(InputError, match="overflow"):
+    with pytest.raises(InputError, match="enumeration bound overflow"):
         is_ns_lattice(LatticeArrangement(cube(2), skew))
+
+
+def test_tightness_rejects_skewed_lattice():
+    # refused from the coefficient bounds, before the offset grid is built
+    skew = Lattice.from_basis([[1.0, 300.0], [0.0, 1.0]])
+    with pytest.raises(InputError, match="lattice too skewed"):
+        tightness(LatticeArrangement(cube(2), skew))
 
 
 def test_ns_agrees_with_patch_probe():
