@@ -39,7 +39,7 @@ def _reflection_rows(p: Polytope):
     """
     a = p.facet_normals
     b = p.facet_offsets
-    rhs_min = np.array([-p.support(-ai) for ai in a])
+    rhs_min = -p.support(-a)
     return a, b, rhs_min
 
 
@@ -66,12 +66,13 @@ def sigma_lp(p: Polytope) -> AsymmetryResult:
 def _reflection_feasible(a, b, rhs_min, mu):
     """A centre meeting the reflection rows at mu, or None.
 
-    The centre must meet every row within 1e-12 * max(1, |rhs|), so LP
-    round-off cannot pass a mu below sigma.
+    The centre must meet every row within REFLECT_FIT * max(1, |rhs|),
+    so LP round-off cannot pass a mu below sigma.
     """
     rows, rhs = (1.0 + mu) * a, mu * b + rhs_min
-    q = lp.feasible_point(rows, rhs, tol=1e-8)
-    if q is None or (rows @ q - rhs > 1e-12 * np.maximum(1.0, np.abs(rhs))).any():
+    q = lp.feasible_point(rows, rhs, tol=tolerances.LP)
+    limit = tolerances.REFLECT_FIT * np.maximum(1.0, np.abs(rhs))
+    if q is None or (rows @ q - rhs > limit).any():
         return None
     return q
 

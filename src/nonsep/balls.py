@@ -167,7 +167,7 @@ def _certified(c, rad, p, r, scale: float = 1e-9) -> bool:
     u = diff / dist[:, None]
     a_eq = np.vstack([u.T, np.ones((1, active.size))])
     b_eq = np.concatenate([np.zeros(c.size), [1.0]])
-    return lp.feasible_nonneg(a_eq, b_eq, tol=1e-9) is not None
+    return lp.feasible_nonneg(a_eq, b_eq, tol=tolerances.SUBGRADIENT) is not None
 
 
 def centers_line_deviation(points) -> float:

@@ -216,7 +216,7 @@ def wip_summand_check(family: HomotheticFamily):
     scaled = family.base.homothet(np.zeros(d), family.total_ratio)
     summand_ok, direction = is_summand(hull, scaled)
     lam = lambda_min(family)
-    ok = summand_ok and lam.certified and lam.lam <= 1.0 + 1e-7
+    ok = summand_ok and lam.certified and lam.lam <= 1.0 + tolerances.LAMBDA_ONE
     report = {
         "edges_covered": edges_ok,
         "summand": summand_ok,

@@ -15,6 +15,20 @@ With ``nonneg=True`` the variables are non-negative instead, and the
 tableau keeps one column each, not a split pair.  `feasible_nonneg` is
 its phase-1 entry in standard form (``A y == b``, ``y >= 0``), for many
 non-negative variables and few rows: no ``-I`` sign rows.
+
+Tall free LPs (``min c@x``, ``A x <= b``, no equality rows, more than
+twice as many rows m as variables n) are solved through their dual in
+standard form, ``min b@y``, ``A.T y == -c``, ``y >= 0``: n rows over m
+columns, so a pivot costs O(nm) where the split primal tableau costs
+O(m^2).  x is the solution of the primal rows the optimal dual basis
+makes tight, taken in ascending row order, and is certified before it is
+returned (``A x <= b`` and ``c@x == -b@y`` up to `tolerances.feas`;
+otherwise `GeometryError`).  Statuses follow duality: an unbounded dual
+means an infeasible primal; an infeasible dual means an unbounded primal
+unless the Farkas LP ``min b@y``, ``A.T y == 0``, ``sum(y) == 1``,
+``y >= 0`` (on unit-scaled rows) has a negative optimum, which means an
+infeasible one.  Shorter LPs keep the split primal tableau, whose round-off
+the pinned outputs of small bodies were computed with.
 """
 
 from __future__ import annotations
@@ -23,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tolerances
 from .errors import GeometryError, InputError
 
 # Pivot elements below this are treated as zero regardless of the caller's
@@ -56,7 +71,10 @@ def solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, maximize=True,
         raise InputError("constraint block shapes are inconsistent")
 
     c_min = -c if maximize else c
-    status, x = _solve_min(c_min, a_ub, b_ub, a_eq, b_eq, tol, not nonneg)
+    if nonneg or b_eq.size or b_ub.size <= 2 * n:
+        status, x = _solve_min(c_min, a_ub, b_ub, a_eq, b_eq, tol, not nonneg)[:2]
+    else:
+        status, x = _solve_dual(c_min, a_ub, b_ub, tol)
     if status != "optimal":
         return LpResult(status, None, None)
     return LpResult("optimal", float(c @ x), x)
@@ -83,9 +101,43 @@ def feasible_nonneg(a_eq, b_eq, tol: float = 1e-8) -> np.ndarray | None:
     return res.x if res.optimal else None
 
 
+def _solve_dual(c, a, b, tol):
+    """min c@x subject to a@x <= b, x free, through the standard-form dual."""
+    m, n = a.shape
+    no_rows = np.zeros((0, m)), np.zeros(0)
+    status, y, basis, keep = _solve_min(b, *no_rows, a.T, -c, tol, free=False)
+    if status == "unbounded":
+        return "infeasible", None
+    if status == "infeasible":
+        # Farkas: y >= 0 with y@a == 0 and y@b < 0 exists iff a@x <= b has
+        # no solution; the rows are unit-scaled so sum(y) == 1 is fair.
+        scale = np.abs(a).max(axis=1)
+        scale[scale < 1e-30] = 1.0
+        a_eq = np.vstack([(a / scale[:, None]).T, np.ones((1, m))])
+        b_eq = np.zeros(n + 1)
+        b_eq[n] = 1.0
+        rhs = b / scale
+        _, w = _solve_min(rhs, *no_rows, a_eq, b_eq, tol, free=False)[:2]
+        if w is not None and rhs @ w < -tol * max(1.0, float(np.abs(rhs).max())):
+            return "infeasible", None
+        return "unbounded", None
+    rows = np.sort(basis)
+    x = np.zeros(n)
+    try:
+        x[keep] = np.linalg.solve(a[np.ix_(rows, keep)], b[rows])
+    except np.linalg.LinAlgError as exc:
+        raise GeometryError("dual LP basis is singular") from exc
+    scale = max(float(np.abs(b).max()), float((np.abs(a) @ np.abs(x)).max()))
+    gap = abs(float(c @ x + b @ y))
+    if (a @ x - b).max() > tolerances.feas(scale) or gap > tolerances.feas(
+            max(scale, float(np.abs(b) @ y))):
+        raise GeometryError("dual LP solution failed its certificate")
+    return "optimal", x
+
+
 def _solve_min(c, a_ub, b_ub, a_eq, b_eq, tol, free=True):
     """min c@x, x free or >= 0. Splits free variables, adds slacks, runs
-    two phases."""
+    two phases.  Also returns the optimal basis and the rows it kept."""
     n = c.size
     n_neg = n if free else 0
     m_ub, m_eq = b_ub.size, b_eq.size
@@ -94,8 +146,8 @@ def _solve_min(c, a_ub, b_ub, a_eq, b_eq, tol, free=True):
     if m == 0:
         # Unconstrained: optimal only for a zero objective (x >= 0: none < 0).
         if np.abs(c if free else np.minimum(c, 0.0)).max(initial=0.0) <= tol:
-            return "optimal", np.zeros(n)
-        return "unbounded", None
+            return "optimal", np.zeros(n), [], []
+        return "unbounded", None, None, None
 
     # Row equilibration keeps the ratio tests honest across scales.
     rows = np.vstack([a_ub, a_eq])
@@ -119,10 +171,10 @@ def _solve_min(c, a_ub, b_ub, a_eq, b_eq, tol, free=True):
     cost[:n] = c
     cost[n:n + n_neg] = -c[:n_neg]
 
-    status, y = _two_phase(big, rhs, cost, tol)
+    status, y, basis, keep = _two_phase(big, rhs, cost, tol)
     if status != "optimal":
-        return status, None
-    return "optimal", y[:n] - y[n:2 * n] if free else y[:n]
+        return status, None, None, None
+    return "optimal", y[:n] - y[n:2 * n] if free else y[:n], basis, keep
 
 
 def _two_phase(A, b, c, tol):
@@ -140,7 +192,7 @@ def _two_phase(A, b, c, tol):
         z -= T[r]
     _iterate(T, z, basis, n + m, tol)
     if -z[-1] > tol * max(1.0, float(np.abs(b).max(initial=0.0))):
-        return "infeasible", None
+        return "infeasible", None, None, None
 
     # Drive leftover artificials out of the basis; drop redundant rows.
     keep = []
@@ -167,12 +219,12 @@ def _two_phase(A, b, c, tol):
             z2 -= coeff * T[r]
     status = _iterate(T, z2, basis, n, tol)
     if status == "unbounded":
-        return "unbounded", None
+        return "unbounded", None, None, None
 
     x = np.zeros(n)
     for r, j in enumerate(basis):
         x[j] = T[r, -1]
-    return "optimal", x
+    return "optimal", x, basis, keep
 
 
 def _iterate(T, z, basis, ncols, tol):

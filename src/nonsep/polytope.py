@@ -124,12 +124,14 @@ class Polytope:
     def n_vertices(self) -> int:
         return self.vertices.shape[0]
 
-    def support(self, u) -> float:
-        """max_{x in P} <u, x>; rejects the zero direction."""
+    def support(self, u):
+        """max_{x in P} <u, x>, for a direction or rows of directions;
+        rejects the zero direction."""
         u = np.asarray(u, dtype=float)
-        if np.linalg.norm(u) <= tolerances.GEOM:
+        if (np.linalg.norm(u, axis=-1) <= tolerances.GEOM).any():
             raise InputError("zero direction")
-        return float((self.vertices @ u).max())
+        vals = (self.vertices @ u.T).max(axis=0)
+        return float(vals) if u.ndim == 1 else vals
 
     def contains_point(self, x, slack: float | None = None) -> bool:
         x = np.asarray(x, dtype=float)
@@ -316,7 +318,7 @@ def contains_translate(outer: Polytope, inner: Polytope):
     """
     if outer.dim != inner.dim:
         raise InputError("dimension mismatch")
-    h = np.array([inner.support(a) for a in outer.facet_normals])
+    h = inner.support(outer.facet_normals)
     t = lp.feasible_point(outer.facet_normals, outer.facet_offsets - h,
                           tol=tolerances.LP)
     if t is None:
@@ -369,7 +371,7 @@ def genericize(p: Polytope, eps: float, seed: int = 0,
         new_a = np.empty_like(np.asarray(p.facet_normals))
         for i, a in enumerate(p.facet_normals):
             new_a[i] = _tilt(a, rng.uniform(0.0, 0.9 * eps), rng)
-        new_b = np.array([p.support(a) for a in new_a]) + eps * radius
+        new_b = p.support(new_a) + eps * radius
         try:
             q = Polytope.from_facets(new_a, new_b)
         except GeometryError:

@@ -20,7 +20,15 @@ Fixed thresholds:
 * ``LP`` (1e-8), the phase-1 threshold the decision procedures hand to
   the LP solver: `contains_translate`, the hull-disjointness test of
   `is_ns` for d >= 3 (`lp.feasible_nonneg`), the flat probe of
-  `is_kwip_sampled` for k >= 2, and the face test of `is_summand`.
+  `is_kwip_sampled` for k >= 2, the face test of `is_summand` and the
+  reflection feasibility LP of `sigma_bisection`.
+* ``REFLECT_FIT`` (1e-12), a `sigma_bisection` centre counts as feasible
+  at mu only when it meets every reflection row within this times
+  max(1, |rhs|), so LP round-off cannot pass a mu below sigma.
+* ``SUBGRADIENT`` (1e-9), the phase-1 threshold of the `ball_circumradius`
+  optimality certificate (0 in the hull of the active unit gradients).
+* ``LAMBDA_ONE`` (1e-7), `wip_summand_check` accepts lambda_min up to
+  1 + LAMBDA_ONE as "at most 1".
 * ``GAP`` (1e-9), a gap at or below this is touching, and touching is
   not separation: the interval sweep `family._first_gap`, over member
   projections in `is_wns` and planar `is_ns` and over edge pieces in
@@ -49,7 +57,9 @@ largest coordinate or offset in play; below 1 it counts as 1):
 
 * `feas`: how far a point may sit outside a halfspace and still count as
   inside. Vertex/facet agreement in `polytope`, containment in
-  circumscribed simplices, cover certificates in `covering`. The line
+  circumscribed simplices, cover certificates in `covering`, and the
+  certificate of a tall LP solved through its dual in `lp` (each row,
+  and the duality gap, scaled by the largest product in play). The line
   clip `family._spans` uses the absolute `feas(1.0)`: a facet row
   parallel to the line blocks it when violated by more, and in
   `is_kwip_sampled` (k = 0 and 1) a line or point hits a member when its
@@ -65,6 +75,9 @@ from __future__ import annotations
 
 GEOM = 1e-9
 LP = 1e-8
+REFLECT_FIT = 1e-12
+SUBGRADIENT = 1e-9
+LAMBDA_ONE = 1e-7
 GAP = 1e-9
 PARALLEL = 1e-12
 FACET_MERGE = 100 * GEOM

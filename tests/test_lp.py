@@ -178,3 +178,85 @@ def test_nonneg_solve_matches_scipy_and_carries_feasible_nonneg(monkeypatch):
     monkeypatch.setattr(lp, "solve", lambda *a, **kw: calls.append(kw) or inner(*a, **kw))
     assert lp.feasible_nonneg(np.ones((1, 3)), [1.0]) is not None
     assert len(calls) == 1 and calls[0]["nonneg"]
+
+
+def _tall_instance(rng, kind, m, n):
+    """A tall free LP a @ x <= b of one of four kinds.
+
+    "around": rows face every way around a point, so the LP is bounded.
+    "cone": rows face into one half-space, so most objectives escape.
+    "contradiction" and "cone contradiction": the same, plus a row pair
+    that no point meets, so the dual is unbounded or infeasible.
+    """
+    a = rng.normal(size=(m, n))
+    if kind.startswith("cone"):
+        w = rng.normal(size=n)
+        a *= np.sign(a @ w)[:, None]
+    x0 = rng.normal(size=n)
+    b = a @ x0 + rng.uniform(0.1, 2.0, size=m)
+    if kind.endswith("contradiction"):
+        i, j = rng.choice(m, 2, replace=False)
+        a[j], b[j] = -a[i], -b[i] - rng.uniform(0.1, 1.0)
+    return a, b
+
+
+def test_tall_lps_go_through_the_dual_and_match_highs(monkeypatch):
+    rng = np.random.default_rng(101)
+    dual_calls = []
+    inner = lp._solve_dual
+    monkeypatch.setattr(lp, "_solve_dual",
+                        lambda *a: dual_calls.append(a[1].shape) or inner(*a))
+    kinds = ("around", "cone", "contradiction", "cone contradiction")
+    statuses, tall = {}, 0
+    for k in range(160):
+        m = (30, 60, 150, 400)[k % 4]
+        n = int(rng.integers(3, 21))
+        a, b = _tall_instance(rng, kinds[(k // 4) % 4], m, n)
+        c = rng.normal(size=n)
+        maximize = bool(k % 2)
+        tall += m > 2 * n
+        mine = solve(c, a_ub=a, b_ub=b, maximize=maximize)
+        ref = linprog(-c if maximize else c, A_ub=a, b_ub=b,
+                      bounds=(None, None), method="highs")
+        ref_status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+        statuses[ref_status] = statuses.get(ref_status, 0) + 1
+        assert mine.status == ref_status, (k, mine.status, ref_status)
+        if ref_status == "optimal":
+            want = -ref.fun if maximize else ref.fun
+            assert abs(mine.value - want) <= 1e-6 * (1.0 + abs(want)), k
+            assert (a @ mine.x <= b + 1e-6).all(), k
+    assert len(dual_calls) == tall >= 140
+    assert min(statuses.get(s, 0) for s in ("optimal", "unbounded", "infeasible")) >= 20, statuses
+
+
+def test_short_and_constrained_lps_keep_the_primal_tableau(monkeypatch):
+    monkeypatch.setattr(lp, "_solve_dual", lambda *a: pytest.fail("dual route"))
+    a = np.vstack([np.eye(2), -np.eye(2)])
+    assert solve([1.0, 1.0], a, np.ones(4)).value == pytest.approx(2.0)
+    tall = np.vstack([a] * 3)
+    assert solve([1.0, 1.0], tall, np.ones(12), a_eq=[[1.0, -1.0]],
+                 b_eq=[0.0]).value == pytest.approx(2.0)
+    assert solve([1.0, 1.0], tall, np.ones(12), nonneg=True).value == pytest.approx(2.0)
+
+
+def test_chebyshev_centre_statuses_on_the_dual_route(monkeypatch):
+    from nonsep.polytope import _chebyshev_centre
+
+    dual_calls = []
+    inner = lp._solve_dual
+    monkeypatch.setattr(lp, "_solve_dual",
+                        lambda *a: dual_calls.append(a[1].shape) or inner(*a))
+    ang = 2 * np.pi * np.arange(8) / 8
+    octagon = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    assert _chebyshev_centre(octagon, np.ones(8)) == pytest.approx([0.0, 0.0], abs=1e-9)
+    # normals inside the first quadrant: the third quadrant recedes
+    ang = np.linspace(0.1, 1.4, 9)
+    with pytest.raises(GeometryError, match="^unbounded$"):
+        _chebyshev_centre(np.stack([np.cos(ang), np.sin(ang)], axis=1), np.ones(9))
+    # a slab of width zero, and an empty one, across the octagon
+    for gap in (0.0, 1.0):
+        a = np.vstack([octagon, [[1.0, 0.0], [-1.0, 0.0]]])
+        b = np.concatenate([np.ones(8), [0.0, -gap]])
+        with pytest.raises(GeometryError, match="^not full-dimensional$"):
+            _chebyshev_centre(a, b)
+    assert dual_calls == [(8, 3), (9, 3), (10, 3), (10, 3)]

@@ -244,6 +244,35 @@ def test_support_is_subadditive_and_homogeneous():
         assert p.support(lam * u) == pytest.approx(lam * p.support(u), rel=1e-9)
 
 
+def test_support_of_direction_rows_matches_the_loop():
+    rng = np.random.default_rng(12)
+    p = random_polytope(3, 40, rng, symmetric=True)
+    u = rng.standard_normal((p.n_facets, 3))
+    rows = p.support(u)
+    loop = np.array([p.support(w) for w in u])
+    assert rows.shape == (p.n_facets,)
+    # the matrix product may round each entry one ulp away from the loop's
+    assert np.abs(rows - loop).max() <= 4 * np.finfo(float).eps * np.abs(loop).max()
+    assert p.support(u[:1]).shape == (1,)
+    with pytest.raises(InputError, match="zero direction"):
+        p.support(np.vstack([u[:2], np.zeros(3)]))
+
+
+def test_from_facets_of_508_facet_symmetric_body_matches_from_vertices():
+    # 128 antipodal pairs on the sphere: every point is a vertex and the
+    # hull has 4 * 128 - 4 triangles; the Chebyshev LP is 508 x 4
+    rng = np.random.default_rng(508)
+    pts = rng.standard_normal((128, 3))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    p = Polytope.from_vertices(np.vstack([pts, -pts]))
+    assert (p.n_facets, p.n_vertices) == (508, 256)
+    q = Polytope.from_facets(p.facet_normals, p.facet_offsets)
+    assert q.n_facets == 508
+    assert same_point_set(q.vertices, p.vertices, eps=1e-7)
+    assert same_point_set(np.column_stack([q.facet_normals, q.facet_offsets]),
+                          np.column_stack([p.facet_normals, p.facet_offsets]), eps=1e-9)
+
+
 def test_polar_square_is_scaled_cross():
     p = polar(cube(2))
     assert same_point_set(p.vertices, [[2, 0], [-2, 0], [0, 2], [0, -2]])

@@ -20,7 +20,7 @@ import nonsep
 from nonsep import cli, lp
 from nonsep.errors import InputError
 from nonsep.family import HomotheticFamily
-from nonsep.polytope import Polytope, cube
+from nonsep.polytope import Polytope, cube, regular_polygon
 from nonsep.scenarios import load_scenario, run_scenario, scenario_from_dict
 
 TRIANGLE = {"dim": 2, "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}
@@ -496,10 +496,34 @@ NON_FINITE = (float("nan"), float("inf"), float("-inf"))
 WRONG_TYPES = ("text", None, True, [], {}, [1.0, "x"], {"a": 1.0}, 2.5, -3)
 
 
+# normals inside the first quadrant: the third quadrant recedes
+UNBOUNDED_FACETS = {"dim": 2, "facets": [{"a": [math.cos(t), math.sin(t)], "b": 1.0}
+                                         for t in np.linspace(0.1, 1.4, 9)]}
+
+
+def lp_fuzz_documents():
+    """Inputs for the verbs that solve tall LPs (through the dual), plus a
+    facet list that bounds nothing."""
+    rng = np.random.default_rng(5)
+    sphere = rng.standard_normal((20, 3))
+    ball = Polytope.from_vertices(sphere / np.linalg.norm(sphere, axis=1)[:, None])
+    family = HomotheticFamily(regular_polygon(12), np.array([[0.0, 0.0], [1.2, 0.2]]),
+                              np.array([1.0, 0.5])).to_dict()
+    open_family = {**family, "base": UNBOUNDED_FACETS}
+    return {"sigma": [regular_polygon(16).to_dict(), ball.to_dict(), UNBOUNDED_FACETS],
+            "lambda": [family, open_family],
+            "cover": [family, open_family]}
+
+
+def lp_verb_argv(verb, path):
+    return [verb, path] + (["--mode", "sigma"] if verb == "cover" else [])
+
+
 @st.composite
-def broken_inputs(draw):
-    verb = draw(st.sampled_from(["wns", "ns", "run"]))
-    doc = copy.deepcopy(draw(st.sampled_from(fuzz_documents()[verb])))
+def broken_inputs(draw, documents=fuzz_documents):
+    docs = documents()
+    verb = draw(st.sampled_from(list(docs)))
+    doc = copy.deepcopy(draw(st.sampled_from(docs[verb])))
     for _ in range(draw(st.integers(1, 2))):
         path = draw(st.sampled_from(list(json_paths(doc))[1:]))
         parent = functools.reduce(operator.getitem, path[:-1], doc)
@@ -533,5 +557,38 @@ def test_cli_fuzz_exit_codes(tmp_path_factory, case):
         code = cli.main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in stderr.getvalue()
+    if non_finite:
+        assert code == 2
+
+
+def run_quietly(argv):
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    return code, stderr.getvalue()
+
+
+@pytest.mark.parametrize("verb", ["sigma", "lambda", "cover"])
+def test_lp_verbs_on_tall_and_unbounded_inputs(tmp_path, verb):
+    """Tall bodies succeed; a facet list that bounds nothing fails cleanly."""
+    for k, doc in enumerate(lp_fuzz_documents()[verb]):
+        path = write_json(tmp_path / f"{k}.json", doc)
+        code, err = run_quietly(lp_verb_argv(verb, path))
+        if doc.get("base", doc) is UNBOUNDED_FACETS:
+            assert (code, err) == (1, "failed: unbounded\n"), k
+        else:
+            assert (code, err) == (0, ""), k
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(broken_inputs(lp_fuzz_documents))
+def test_cli_fuzz_exit_codes_lp_verbs(tmp_path_factory, case):
+    """Broken input to sigma, lambda and cover exits 0, 1 or 2, never a traceback."""
+    verb, doc, non_finite = case
+    path = tmp_path_factory.mktemp("fuzz") / "input.json"
+    path.write_text(json.dumps(doc))
+    code, err = run_quietly(lp_verb_argv(verb, str(path)))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
     if non_finite:
         assert code == 2
