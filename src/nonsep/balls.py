@@ -1,13 +1,13 @@
 """Ball families: smallest enclosing homothet and the bent-chain experiment.
 
 `ball_circumradius` minimizes max_i (|c - p_i| + tau_i) over centers c by
-enumerating candidate active subsets: closed forms for one and two balls,
-damped Newton inside the affine hull for larger subsets, and a first-order
-certificate (the zero vector must be a convex combination of the active
-unit gradients) on the winner.  `stability_construction` bends a chain of
-touching balls by a prescribed deflection, and the slope fits measure how
-fast a nearly longest chain is forced back onto a line.  A unit-cube chain
-with the same deficit and visibly bent centers closes the module.
+an active set of a few balls, each set solved exactly over its subsets,
+and certifies the winner first-order optimal (the zero vector must be a
+convex combination of the active unit gradients).  `stability_construction`
+bends a chain of touching balls by a prescribed deflection, and the slope
+fits measure how fast a nearly longest chain is forced back onto a line.
+A unit-cube chain with the same deficit and visibly bent centers closes the
+module.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.spatial.distance import cdist
 
 from . import lp, tolerances
 from .errors import GeometryError, InputError
@@ -62,7 +63,7 @@ def _reach(c, centers, radii):
 def _pair_candidate(p, r, i, j):
     gap = p[j] - p[i]
     dist = float(np.linalg.norm(gap))
-    if dist <= 1e-14:
+    if dist <= tolerances.PAIR_COINCIDE:
         return None
     t = 0.5 * (dist + r[j] - r[i])
     if t < 0.0 or t > dist:
@@ -71,98 +72,95 @@ def _pair_candidate(p, r, i, j):
 
 
 def _subset_candidate(p, r, idx):
-    # equalize |c - p_i| + r_i over the subset inside its affine hull
-    sub = p[list(idx)]
-    rs = r[list(idx)]
-    base = sub[0]
-    span = (sub[1:] - base).T                      # (d, k-1)
-    q, rr = np.linalg.qr(span)
-    if np.abs(np.diag(rr)).min() < 1e-10:
+    # |c - p_i| = R - r_i on the subset, c = p_0 + q z inside its affine hull
+    sub, rs = p[idx], r[idx]
+    q, rr = np.linalg.qr((sub[1:] - sub[0]).T)
+    if np.abs(np.diag(rr)).min() < tolerances.AFFINE_RANK:
         return None                                # affinely degenerate
-    z = q.T @ (sub.mean(axis=0) - base)
-    for _ in range(120):
-        c = base + q @ z
-        diff = c - sub
-        dist = np.linalg.norm(diff, axis=1)
-        if dist.min() < 1e-12:
-            return None
-        g = dist + rs
-        res = g[1:] - g[0]
-        if np.abs(res).max() < 1e-12:
-            return c, float(g.mean())
-        grads = (diff / dist[:, None]) @ q         # dg_i / dz
-        jac = grads[1:] - grads[0]
-        try:
-            step = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError:
-            return None
-        # backtrack on the residual norm
-        scale = 1.0
-        base_norm = float(np.abs(res).max())
-        while scale > 1e-6:
-            cand = z + scale * step
-            gc = np.linalg.norm(base + q @ cand - sub, axis=1) + rs
-            if float(np.abs(gc[1:] - gc[0]).max()) < base_norm:
-                z = cand
-                break
-            scale *= 0.5
-        else:
-            return None
-    return None
+    # each equation minus the base one is linear: rr.T z = h0 + R h1
+    h0 = 0.5 * ((rr * rr).sum(axis=0) - rs[1:] ** 2 + rs[0] ** 2)
+    z0, z1 = np.linalg.solve(rr.T, np.stack([h0, rs[1:] - rs[0]], axis=1)).T
+    # |z0 + R z1|^2 = (R - r_0)^2, i.e. a R^2 + 2 b R + e = 0
+    a = float(z1 @ z1) - 1.0
+    b = float(z0 @ z1) + rs[0]
+    e = float(z0 @ z0) - rs[0] ** 2
+    disc = b * b - a * e
+    if disc < 0.0 or b == disc == 0.0:
+        return None                                # no root, or no equation
+    s = -(b + np.copysign(np.sqrt(disc), b))       # the roots are e / s, s / a
+    roots = [R for R in [e / s] + ([s / a] if a else []) if R >= rs.max()]
+    if not roots:
+        return None
+    rad = min(roots)
+    return sub[0] + q @ (z0 + rad * z1), rad
 
 
-def _lower_bound(p, r):
-    best = float(r.max())
-    for i, j in itertools.combinations(range(r.size), 2):
-        best = max(best, 0.5 * (float(np.linalg.norm(p[i] - p[j])) + r[i] + r[j]))
-    return best
-
-
-def ball_circumradius(f: BallFamily) -> tuple[np.ndarray, float]:
-    """Center and radius of the smallest ball homothet enclosing the family.
-
-    Intended for small families: every candidate active subset of at most
-    d+1 balls is tried, and the cheapest subset whose candidate encloses
-    everything wins.  The winner is certified first-order optimal; failure
-    to find or certify raises with the best known bound pair.
-    """
-    p, r = f.centers, f.radii
-    n = f.n
-    if n == 1:
-        return p[0].copy(), float(r[0])
+def _enclosing_candidate(p, r):
+    # exact for a few balls: the smallest candidate over all subsets of at
+    # most d+1 balls that encloses every ball given
     best = None
-    for k in range(1, min(n, f.dim + 1) + 1):
-        for idx in itertools.combinations(range(n), k):
+    for k in range(1, min(r.size, p.shape[1] + 1) + 1):
+        for idx in itertools.combinations(range(r.size), k):
             if k == 1:
                 cand = (p[idx[0]], float(r[idx[0]]))
             elif k == 2:
-                cand = _pair_candidate(p, r, idx[0], idx[1])
+                cand = _pair_candidate(p, r, *idx)
             else:
-                cand = _subset_candidate(p, r, idx)
+                cand = _subset_candidate(p, r, list(idx))
             if cand is None:
                 continue
             c, rad = cand
             if _reach(c, p, r).max() > rad + tolerances.ENCLOSE:
                 continue
             if best is None or rad < best[1]:
-                best = (np.asarray(c, dtype=float), float(rad))
-    if best is None or not _certified(best[0], best[1], p, r):
-        upper = float(_reach(p.mean(axis=0), p, r).max())
-        if best is not None:
-            upper = min(upper, best[1])
-        raise GeometryError(
-            f"circumradius solver lost the optimum; best bounds "
-            f"[{_lower_bound(p, r):.12g}, {upper:.12g}]")
+                best = (c, float(rad))
     return best
 
 
-def _certified(c, rad, p, r, scale: float = 1e-9) -> bool:
+def _lower_bound(p, r):
+    # the widest pair of balls (a ball paired with itself gives its radius)
+    return float((cdist(p, p) + r[:, None] + r).max() / 2)
+
+
+def ball_circumradius(f: BallFamily) -> tuple[np.ndarray, float]:
+    """Center and radius of the smallest ball homothet enclosing the family.
+
+    The working set starts from the largest ball and the ball reaching
+    farthest from its center.  Each round solves it over its subsets (closed
+    forms for one and two balls, the Apollonius quadratic for more), keeps
+    the balls active at its optimum and adds the ball reaching farthest past
+    it, so the radius rises until every ball is enclosed.  The answer is
+    certified optimal; failure to find or certify raises with a bound pair.
+    """
+    p, r = f.centers, f.radii
+    big = int(np.argmax(r))
+    work = np.union1d([big], [int(np.argmax(_reach(p[big], p, r)))])
+    c = p.mean(axis=0)
+    for _ in range(2 * f.n + 16):  # the radius rises each round; this stops a cycle
+        best = _enclosing_candidate(p[work], r[work])
+        if best is None:
+            break
+        c, rad = best
+        g = _reach(c, p, r)
+        far = int(np.argmax(g))
+        if g[far] <= rad + tolerances.ENCLOSE:
+            if _certified(c, rad, p, r):
+                return best
+            break
+        work = np.union1d(work[g[work] >= rad - tolerances.active(rad)], [far])
+    upper = min(float(_reach(x, p, r).max()) for x in (c, p.mean(axis=0)))
+    raise GeometryError(
+        f"circumradius solver lost the optimum; best bounds "
+        f"[{_lower_bound(p, r)!r}, {upper!r}]")
+
+
+def _certified(c, rad, p, r) -> bool:
     # optimality: 0 in the convex hull of the active unit gradients
     g = _reach(c, p, r)
-    active = np.flatnonzero(g >= rad - max(scale, 1e-7 * rad))
+    active = np.flatnonzero(g >= rad - tolerances.active(rad))
     diff = c - p[active]
     dist = np.linalg.norm(diff, axis=1)
-    if dist.min() < 1e-12:
+    if dist.min() < tolerances.CENTRE_COINCIDE:
         return True  # center coincides with a ball center: full subgradient
     u = diff / dist[:, None]
     a_eq = np.vstack([u.T, np.ones((1, active.size))])
@@ -237,14 +235,15 @@ def stability_trace(taus, deltas) -> list[tuple[float, float, float]]:
 def stability_exponent(taus, deltas) -> float:
     """Log-log slope of line deviation against circumradius deficit.
 
-    Bends whose deficit falls below 1e-12 carry no signal and are dropped;
-    at least three must survive.  The expected slope is one half.
+    Bends whose deficit is at most `tolerances.NO_SIGNAL` carry no signal
+    and are dropped; at least three must survive.  The expected slope is
+    one half.
     """
     pos = [float(d) for d in deltas if d > 0]
     if len(list(deltas)) < 5 or not pos or max(pos) / min(pos) < 99.99:
         raise InputError("need at least five bends spanning two decades")
     rows = [(eps, dev) for _, eps, dev in stability_trace(taus, deltas)
-            if eps > 1e-12]
+            if eps > tolerances.NO_SIGNAL]
     if len(rows) < 3:
         raise InputError("too few non-degenerate bends to fit a slope")
     le = np.log([eps for eps, _ in rows])

@@ -185,13 +185,14 @@ def _expect_value(checks: list, params: dict, value: float,
 
 
 def _run_stability(params: dict, seed: int):
+    from . import tolerances
     from .balls import stability_exponent, stability_trace
 
     taus = [float(t) for t in params["taus"]]
     deltas = [float(d) for d in params["deltas"]]
     rows = stability_trace(taus, deltas)
     dev_slope = stability_exponent(taus, deltas)
-    usable = [(d, e) for d, e, _ in rows if d > 0 and e > 1e-12]
+    usable = [(d, e) for d, e, _ in rows if d > 0 and e > tolerances.NO_SIGNAL]
     eps_slope = float(np.polyfit(np.log([d for d, _ in usable]),
                                  np.log([e for _, e in usable]), 1)[0])
     checks = [

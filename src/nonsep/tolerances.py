@@ -45,7 +45,18 @@ Fixed thresholds:
   non-separable when its shortest dual vector reaches 1/2 - NS_LATTICE in
   the polar gauge.
 * ``ENCLOSE`` (1e-9), a `ball_circumradius` candidate encloses every
-  ball reaching at most this far past its radius.
+  ball reaching at most this far past its radius, and the active set
+  stops once no ball reaches farther.
+* ``PAIR_COINCIDE`` (1e-14), two ball centers at most this far apart give
+  no `ball_circumradius` pair candidate (a singleton covers them).
+* ``AFFINE_RANK`` (1e-10), a `ball_circumradius` subset whose span has a
+  QR diagonal entry below this is affinely degenerate and skipped.
+* ``CENTRE_COINCIDE`` (1e-12), a `ball_circumradius` center this close to
+  an active ball's center certifies itself (the full unit ball of
+  gradients is available there).
+* ``NO_SIGNAL`` (1e-12), a circumradius deficit at or below this carries
+  no signal: `stability_exponent` and the deficit slope of the stability
+  scenario drop the bend.
 * ``PROBE`` (1e-6), `weak_impassability_probe` counts gauge distances up
   to 1 + PROBE as hits.
 * ``PATCH_GAP`` (1e-7), `ns_patch_probe` calls a gap in a patch's
@@ -69,6 +80,10 @@ largest coordinate or offset in play; below 1 it counts as 1):
   in `Polytope.from_facets`, `edges`, and the face test of `is_summand`.
 * `dedupe`: how close two vertices must sit to count as one
   (`Polytope.is_origin_symmetric`).
+* `active` (``ACTIVE`` 1e-9, or ``ACTIVE_REL`` 1e-7 times the radius
+  when larger): how close to the radius a ball must reach to count as
+  active in `ball_circumradius`, both for the balls its active set keeps
+  and for the gradients its optimality certificate uses.
 """
 
 from __future__ import annotations
@@ -86,6 +101,12 @@ ENCLOSE = 1e-9
 PROBE = 1e-6
 PATCH_GAP = 1e-7
 POLAR_SIGMA = 1e-6
+PAIR_COINCIDE = 1e-14
+AFFINE_RANK = 1e-10
+CENTRE_COINCIDE = 1e-12
+NO_SIGNAL = 1e-12
+ACTIVE = 1e-9
+ACTIVE_REL = 1e-7
 
 
 def feas(scale: float = 1.0) -> float:
@@ -101,3 +122,8 @@ def tight(scale: float = 1.0) -> float:
 def dedupe(scale: float = 1.0) -> float:
     """Distance under which two computed points count as one vertex."""
     return 1e3 * GEOM * max(1.0, scale)
+
+
+def active(radius: float) -> float:
+    """Band below an enclosing radius in which a ball counts as active."""
+    return max(ACTIVE, ACTIVE_REL * radius)

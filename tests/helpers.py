@@ -231,3 +231,79 @@ def brute_max_hull(n, objective):
         if value > best + 1e-9:
             best, best_offsets = value, [list(c) for c in combo]
     return best, best_offsets
+
+
+def _pair_ball(p, r, i, j):
+    gap = p[j] - p[i]
+    dist = float(np.linalg.norm(gap))
+    if dist <= 1e-14:
+        return None
+    t = 0.5 * (dist + r[j] - r[i])
+    if t < 0.0 or t > dist:
+        return None
+    return p[i] + (t / dist) * gap, t + r[i]
+
+
+def _newton_ball(p, r, idx):
+    # equalize |c - p_i| + r_i over the subset inside its affine hull by
+    # damped Newton steps
+    sub, rs = p[list(idx)], r[list(idx)]
+    base = sub[0]
+    q, rr = np.linalg.qr((sub[1:] - base).T)
+    if np.abs(np.diag(rr)).min() < 1e-10:
+        return None
+    z = q.T @ (sub.mean(axis=0) - base)
+    for _ in range(120):
+        diff = base + q @ z - sub
+        dist = np.linalg.norm(diff, axis=1)
+        if dist.min() < 1e-12:
+            return None
+        g = dist + rs
+        res = g[1:] - g[0]
+        if np.abs(res).max() < 1e-12:
+            return base + q @ z, float(g.mean())
+        grads = (diff / dist[:, None]) @ q
+        try:
+            step = np.linalg.solve(grads[1:] - grads[0], -res)
+        except np.linalg.LinAlgError:
+            return None
+        scale = 1.0
+        while scale > 1e-6:
+            cand = z + scale * step
+            gc = np.linalg.norm(base + q @ cand - sub, axis=1) + rs
+            if float(np.abs(gc[1:] - gc[0]).max()) < float(np.abs(res).max()):
+                z = cand
+                break
+            scale *= 0.5
+        else:
+            return None
+    return None
+
+
+def enclosing_ball_oracle(centers, radii):
+    """Smallest ball enclosing balls, by trying every subset of at most d+1.
+
+    Each subset's equal-reach center comes from a closed form (one or two
+    balls) or damped Newton inside its affine hull (more); the smallest
+    candidate enclosing every ball within 1e-9 wins.  O(n^{d+2}), so
+    only for small families.
+    """
+    p = np.atleast_2d(np.asarray(centers, dtype=float))
+    r = np.asarray(radii, dtype=float)
+    best = None
+    for k in range(1, min(r.size, p.shape[1] + 1) + 1):
+        for idx in itertools.combinations(range(r.size), k):
+            if k == 1:
+                cand = (p[idx[0]], float(r[idx[0]]))
+            elif k == 2:
+                cand = _pair_ball(p, r, *idx)
+            else:
+                cand = _newton_ball(p, r, idx)
+            if cand is None:
+                continue
+            c, rad = cand
+            if (np.linalg.norm(p - c, axis=1) + r).max() > rad + 1e-9:
+                continue
+            if best is None or rad < best[1]:
+                best = (np.asarray(c, dtype=float), float(rad))
+    return best

@@ -1,6 +1,12 @@
+import itertools
+import re
+import time
+
 import numpy as np
 import pytest
+from helpers import enclosing_ball_oracle
 
+from nonsep import balls
 from nonsep.balls import (
     BallFamily,
     ball_circumradius,
@@ -10,7 +16,7 @@ from nonsep.balls import (
     stability_exponent,
     stability_trace,
 )
-from nonsep.errors import InputError
+from nonsep.errors import GeometryError, InputError
 
 
 def unit_balls(centers):
@@ -233,3 +239,143 @@ def test_line_deviation_basics():
     assert centers_line_deviation([(5, 7)]) == 0.0
     dev = centers_line_deviation([(0, 0), (1, 1), (2, 0)])
     assert dev == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+
+def _working_set_sizes(monkeypatch):
+    sizes = []
+    solve = balls._enclosing_candidate
+
+    def recording(p, r):
+        sizes.append(r.size)
+        return solve(p, r)
+
+    monkeypatch.setattr(balls, "_enclosing_candidate", recording)
+    return sizes
+
+
+def _degenerate_families():
+    square = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+    hexagon = np.array([[np.cos(t), np.sin(t)] for t in np.arange(6) * np.pi / 3])
+    cube_corners = np.array(list(itertools.product([0.0, 1.0], repeat=3)))
+    diagonal = np.outer([0.0, 1.0, 3.0, -2.0], np.ones(3))
+    return {
+        "identical": (np.ones((3, 2)), np.ones(3), 1.0),
+        "concentric": (np.zeros((3, 3)), np.array([0.5, 2.0, 1.0]), 2.0),
+        "swallowed": (np.array([[0.0, 0.0, 0.0], [0.3, 0.1, 0.0], [-0.2, 0.4, 0.1]]),
+                      np.array([2.0, 0.5, 0.7]), 2.0),
+        "collinear in 3-D": (diagonal, np.array([1.0, 0.5, 0.2, 0.3]),
+                             0.5 * (5.0 * np.sqrt(3.0) + 0.2 + 0.3)),
+        "square": (square, np.full(4, 0.5), np.sqrt(2.0) + 0.5),
+        "hexagon": (hexagon, np.full(6, 0.5), 1.5),
+        "cube corners": (cube_corners, np.full(8, 0.25), np.sqrt(3.0) / 2 + 0.25),
+    }
+
+
+@pytest.mark.parametrize("name", list(_degenerate_families()))
+def test_degenerate_families_match_oracle(name):
+    p, r, want = _degenerate_families()[name]
+    c, rad = ball_circumradius(BallFamily(p, r))
+    oc, orad = enclosing_ball_oracle(p, r)
+    assert rad == pytest.approx(want, abs=1e-12)
+    assert abs(rad - orad) <= 1e-9
+    assert np.abs(c - oc).max() <= 1e-9
+    assert (np.linalg.norm(p - c, axis=1) + r).max() <= rad + 1e-9
+
+
+def test_active_set_matches_enumeration_oracle(monkeypatch):
+    # seeded battery in general position: same radius and center as the
+    # subset enumeration, and a working set of at most d+2 balls
+    sizes = _working_set_sizes(monkeypatch)
+    rng = np.random.default_rng(11)
+    for k in range(150):
+        d = (2, 3, 4)[k % 3]
+        n = int(rng.integers(2, 9))
+        p = rng.normal(scale=2.0, size=(n, d))
+        r = rng.uniform(0.1, 2.0, n)
+        sizes.clear()
+        c, rad = ball_circumradius(BallFamily(p, r))
+        oc, orad = enclosing_ball_oracle(p, r)
+        assert abs(rad - orad) <= 1e-9, (k, rad, orad)
+        assert np.abs(c - oc).max() <= 1e-7, k
+        assert max(sizes) <= d + 2, (k, sizes)
+
+
+def test_working_set_stays_within_d_plus_two(monkeypatch):
+    # families needing more rounds than the battery's: balls that stop
+    # being active must leave the working set
+    sizes = _working_set_sizes(monkeypatch)
+    rng = np.random.default_rng(12)
+    for d, n in [(2, 12)] * 30 + [(3, 20)] * 20:
+        p = rng.normal(size=(n, d))
+        r = rng.uniform(0.1, 1.0, n)
+        sizes.clear()
+        c, rad = ball_circumradius(BallFamily(p, r))
+        assert (np.linalg.norm(p - c, axis=1) + r).max() <= rad + 1e-9
+        assert max(sizes) <= d + 2, sizes
+
+
+def test_balls_tangent_to_one_sphere_match_oracle():
+    # every ball touches the sphere of radius 2 from inside: many ties
+    rng = np.random.default_rng(3)
+    for d, n in ((2, 5), (2, 8), (3, 5), (3, 8), (4, 7)):
+        u = rng.normal(size=(n, d))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        r = rng.uniform(0.1, 1.0, n)
+        p = u * (2.0 - r)[:, None]
+        _, rad = ball_circumradius(BallFamily(p, r))
+        assert abs(rad - enclosing_ball_oracle(p, r)[1]) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [200, 1000])
+def test_large_family_in_3d(n, monkeypatch):
+    # the time is printed for the record, not asserted
+    rng = np.random.default_rng(n)
+    p = rng.normal(size=(n, 3))
+    r = rng.uniform(0.1, 1.0, n)
+    sizes = _working_set_sizes(monkeypatch)
+    start = time.perf_counter()
+    c, rad = ball_circumradius(BallFamily(p, r))
+    elapsed = time.perf_counter() - start
+    print(f"d = 3, n = {n}: {elapsed * 1e3:.2f} ms in {len(sizes)} rounds")
+    assert (np.linalg.norm(p - c, axis=1) + r).max() <= rad + 1e-9
+    assert balls._certified(c, rad, p, r)
+    assert max(sizes) <= 5
+
+
+def _bounds(message):
+    lo, hi = re.search(r"\[(\S+), (\S+)\]", message).groups()
+    return float(lo), float(hi)
+
+
+def test_lost_optimum_reports_a_bracket(monkeypatch):
+    rng = np.random.default_rng(4)
+    families = [(rng.normal(size=(n, d)), rng.uniform(0.2, 1.5, n))
+                for d, n in ((2, 3), (2, 6), (3, 5), (3, 8))]
+    families.append(_degenerate_families()["hexagon"][:2])
+    monkeypatch.setattr(balls, "_certified", lambda *args: False)
+    for p, r in families:
+        want = enclosing_ball_oracle(p, r)[1]
+        with pytest.raises(GeometryError, match="lost the optimum") as err:
+            ball_circumradius(BallFamily(p, r))
+        lo, hi = _bounds(str(err.value))
+        assert lo <= want + 1e-12 and want <= hi + 1e-12 and lo <= hi
+
+
+def test_round_cap_reports_a_bracket(monkeypatch):
+    # a working-set solve that never grows its ball: the round cap ends
+    # the loop, and the bound pair still brackets the radius
+    p = np.array([[0.0, 0.0], [4.0, 0.0], [1.0, 3.0], [-2.0, 1.0]])
+    r = np.array([1.0, 0.5, 0.8, 0.3])
+    want = enclosing_ball_oracle(p, r)[1]
+    rounds = []
+
+    def stuck(pw, rw):
+        rounds.append(rw.size)
+        return pw[0].copy(), float(rw[0])
+
+    monkeypatch.setattr(balls, "_enclosing_candidate", stuck)
+    with pytest.raises(GeometryError, match="lost the optimum") as err:
+        ball_circumradius(BallFamily(p, r))
+    assert len(rounds) == 2 * r.size + 16
+    lo, hi = _bounds(str(err.value))
+    assert lo <= want + 1e-12 and want <= hi + 1e-12

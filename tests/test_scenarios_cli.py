@@ -592,3 +592,48 @@ def test_cli_fuzz_exit_codes_lp_verbs(tmp_path_factory, case):
     assert "Traceback" not in err
     if non_finite:
         assert code == 2
+
+
+def summand_lattice_fuzz_documents():
+    """Inputs for `summand` (a part and a whole, one file each) and for the
+    three `lattice` verbs (one arrangement file)."""
+    box, hexagon = cube(2).to_dict(), regular_polygon(6).to_dict()
+    arrangements = [{"body": box, "basis": [[1.0, 0.0], [0.0, 1.0]]},
+                    {"body": hexagon, "basis": [[2.0, 0.0], [1.0, 1.5]]}]
+    return {"summand": [{"part": cube(2, half=0.25).to_dict(), "whole": box},
+                        {"part": box, "whole": TRIANGLE}],
+            "lattice ns": arrangements,
+            "lattice tightness": arrangements,
+            "lattice mu1w": arrangements}
+
+
+def summand_lattice_argv(verb, doc, directory):
+    """Write the input files of one verb and return its command line."""
+    if verb == "summand":
+        # a fuzzed-away part or whole is written as JSON null
+        return ["summand"] + [write_json(directory / f"{key}.json", doc.get(key))
+                              for key in ("part", "whole")]
+    options = {"lattice ns": [], "lattice tightness": ["--resolution", "8"],
+               "lattice mu1w": ["--t", "0.4,0.6"]}[verb]
+    return verb.split() + [write_json(directory / "arrangement.json", doc)] + options
+
+
+@pytest.mark.parametrize("verb", list(summand_lattice_fuzz_documents()))
+def test_summand_and_lattice_verbs_on_valid_inputs(tmp_path, verb):
+    for k, doc in enumerate(summand_lattice_fuzz_documents()[verb]):
+        code, err = run_quietly(summand_lattice_argv(verb, doc, tmp_path))
+        assert code in (0, 1) and err == "", (k, code, err)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(broken_inputs(summand_lattice_fuzz_documents))
+def test_cli_fuzz_exit_codes_summand_and_lattice(tmp_path_factory, case):
+    """Broken input to summand and the lattice verbs exits 0, 1 or 2, never a
+    traceback, and 2 on any non-finite number."""
+    verb, doc, non_finite = case
+    argv = summand_lattice_argv(verb, doc, tmp_path_factory.mktemp("fuzz"))
+    code, err = run_quietly(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if non_finite:
+        assert code == 2
