@@ -43,20 +43,6 @@ _NS_SCAN_MAX = 20  # members the d >= 3 bipartition scan of `is_ns` accepts
 
 
 @dataclass(frozen=True)
-class Interval:
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if self.hi < self.lo:
-            raise InputError("interval with hi < lo")
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-
-@dataclass(frozen=True)
 class Flat:
     """Affine k-flat: point + span of orthonormal direction columns."""
 
@@ -139,19 +125,6 @@ def family_from_dict(obj: dict) -> HomotheticFamily:
 
 
 # ---------------------------------------------------------------------------
-
-
-def project_member(family: HomotheticFamily, i: int, u) -> Interval:
-    """Projection of member i onto the line through a unit direction u."""
-    u = np.asarray(u, dtype=float)
-    n = np.linalg.norm(u)
-    if n <= tolerances.GEOM:
-        raise InputError("zero direction")
-    u = u / n
-    mid = float(family.translations[i] @ u)
-    tau = float(family.ratios[i])
-    return Interval(mid - tau * family.base.support(-u),
-                    mid + tau * family.base.support(u))
 
 
 def _projections(family: HomotheticFamily, dirs):

@@ -11,12 +11,11 @@ Fixed thresholds:
 
 * ``GEOM`` (1e-9), coordinate-scale zero: a facet normal or support
   direction this short is zero (`Polytope.from_facets`,
-  `Polytope.support`, `family.project_member`); a facet offset this
-  small, or a vertex this close to the origin, puts the origin off the
-  interior (`Polytope.gauge`, `polytope.polar`);
-  a 1-D extent, Chebyshev radius, parallelotope determinant or lattice
-  determinant this small is degenerate, and a polar facet offset this
-  small means unbounded (`Polytope.from_facets`).
+  `Polytope.support`); a facet offset this small, or a vertex this close
+  to the origin, puts the origin off the interior (`Polytope.gauge`,
+  `polytope.polar`); a 1-D extent, Chebyshev radius, parallelotope
+  determinant or lattice determinant this small is degenerate, and a
+  polar facet offset this small means unbounded (`Polytope.from_facets`).
 * ``LP`` (1e-8), the phase-1 threshold the decision procedures hand to
   the LP solver: `contains_translate`, the hull-disjointness test of
   `is_ns` for d >= 3 (`lp.feasible_nonneg`), the flat probe of
@@ -57,6 +56,12 @@ Fixed thresholds:
 * ``NO_SIGNAL`` (1e-12), a circumradius deficit at or below this carries
   no signal: `stability_exponent` and the deficit slope of the stability
   scenario drop the bend.
+* ``CUBE_CANDIDATE`` (1e-12), a `shadow_normalize` candidate move
+  replaces the best one so far only when it scores more than this above
+  it, so among ties the first in candidate order wins.
+* ``CUBE_SCORE`` (1e-9), `shadow_normalize` stops when its best move
+  scores more than this below the current family, and `exhaustive_max`
+  keeps the first permutation beating the best so far by more than this.
 * ``PROBE`` (1e-6), `weak_impassability_probe` counts gauge distances up
   to 1 + PROBE as hits.
 * ``PATCH_GAP`` (1e-7), `ns_patch_probe` calls a gap in a patch's
@@ -105,6 +110,8 @@ PAIR_COINCIDE = 1e-14
 AFFINE_RANK = 1e-10
 CENTRE_COINCIDE = 1e-12
 NO_SIGNAL = 1e-12
+CUBE_CANDIDATE = 1e-12
+CUBE_SCORE = 1e-9
 ACTIVE = 1e-9
 ACTIVE_REL = 1e-7
 

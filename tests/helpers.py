@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -231,6 +232,143 @@ def brute_max_hull(n, objective):
         if value > best + 1e-9:
             best, best_offsets = value, [list(c) for c in combo]
     return best, best_offsets
+
+
+def hull_2d_oracle(points):
+    """Convex hull of integer points by Andrew's monotone chain over all of
+    them, sorted: counter-clockwise from the lexicographically smallest,
+    collinear points dropped."""
+    pts = sorted(set(map(tuple, points)))
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2:
+                ax, ay = out[-2]
+                bx, by = out[-1]
+                if (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) > 0:
+                    break
+                out.pop()
+            out.append(p)
+        return out
+
+    lower = chain(pts)
+    upper = chain(reversed(pts))
+    return lower[:-1] + upper[:-1]
+
+
+def cell_corners(cells):
+    """The four corners of every unit cell (x, y)."""
+    return [(x + dx, y + dy) for x, y in cells for dx in (0, 1) for dy in (0, 1)]
+
+
+def _oracle_area(h):
+    twice = 0
+    for (x1, y1), (x2, y2) in zip(h, h[1:] + h[:1]):
+        twice += x1 * y2 - x2 * y1
+    return twice / 2.0
+
+
+def _oracle_perimeter(h):
+    per = 0.0
+    for (x1, y1), (x2, y2) in zip(h, h[1:] + h[:1]):
+        per += math.hypot(x2 - x1, y2 - y1)
+    return per
+
+
+ORACLE_OBJECTIVES = {"area": _oracle_area, "perimeter": _oracle_perimeter}
+
+
+def permutation_max_oracle(n, objective):
+    """Best permutation placement {(i, p(i))} by hull area or perimeter.
+
+    The first permutation in lexicographic order beating the best so far
+    by more than 1e-9 wins; each hull comes from `hull_2d_oracle` on all
+    4n corners.  Returns (value, offsets).
+    """
+    value = ORACLE_OBJECTIVES[objective]
+    best, best_perm = -1.0, None
+    for perm in itertools.permutations(range(n)):
+        v = value(hull_2d_oracle(cell_corners(enumerate(perm))))
+        if v > best + 1e-9:
+            best, best_perm = v, perm
+    return best, [[i, y] for i, y in enumerate(best_perm)]
+
+
+def shadow_normalize_oracle(f, objective="area"):
+    """Planar shadow normalization that builds and checks a whole family
+    per candidate move and scores it with `hull_2d_oracle` on its corners.
+
+    Same candidate order and tie rules as `nonsep.cubes.shadow_normalize`:
+    a candidate replaces the best so far when it scores more than 1e-12
+    above it, and the loop stops when the best move scores more than 1e-9
+    below the current family.  Returns the normalized offsets as a list.
+    """
+    from nonsep.cubes import IntegerCubeFamily, cube_is_wns
+
+    def score(fam):
+        return ORACLE_OBJECTIVES[objective](hull_2d_oracle(map(tuple, fam.corners().tolist())))
+
+    assert f.dim == 2 and cube_is_wns(f)
+    val = score(f)
+    cur = np.array(f.offsets)
+    n = cur.shape[0]
+    while True:
+        lo = cur.min(axis=0)
+        hi = cur.max(axis=0)
+        deficient = [j for j in range(cur.shape[1]) if hi[j] - lo[j] + 1 < n]
+        if not deficient:
+            break
+        best = None
+        for j in deficient:
+            col = cur[:, j].tolist()
+            for i in range(n):
+                if col.count(col[i]) < 2:
+                    continue
+                for target in (lo[j] - 1, hi[j] + 1):
+                    cand = cur.copy()
+                    cand[i, j] = target
+                    fam = IntegerCubeFamily(cand)
+                    assert cube_is_wns(fam)
+                    v = score(fam)
+                    if best is None or v > best[0] + 1e-12:
+                        best = (v, cand)
+        if best is None or best[0] < val - 1e-9:
+            break
+        val, cur = best[0], best[1]
+    return (cur - cur.min(axis=0)).tolist()
+
+
+@dataclass(frozen=True)
+class Interval:
+    lo: float
+    hi: float
+
+    def __post_init__(self):
+        from nonsep.errors import InputError
+
+        if self.hi < self.lo:
+            raise InputError("interval with hi < lo")
+
+    @property
+    def width(self) -> float:
+        return self.hi - self.lo
+
+
+def project_member(family, i, u):
+    """Projection of member i onto the line through a unit direction u."""
+    from nonsep import tolerances
+    from nonsep.errors import InputError
+
+    u = np.asarray(u, dtype=float)
+    n = np.linalg.norm(u)
+    if n <= tolerances.GEOM:
+        raise InputError("zero direction")
+    u = u / n
+    mid = float(family.translations[i] @ u)
+    tau = float(family.ratios[i])
+    return Interval(mid - tau * family.base.support(-u),
+                    mid + tau * family.base.support(u))
 
 
 def _pair_ball(p, r, i, j):

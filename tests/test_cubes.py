@@ -1,9 +1,19 @@
 import numpy as np
 import pytest
 
-from helpers import brute_max_hull, perimeter_record, perimeter_witness
+from helpers import (
+    ORACLE_OBJECTIVES,
+    brute_max_hull,
+    cell_corners,
+    hull_2d_oracle,
+    perimeter_record,
+    perimeter_witness,
+    permutation_max_oracle,
+    shadow_normalize_oracle,
+)
 from nonsep.cubes import (
     IntegerCubeFamily,
+    _cells_hull,
     bounding_box,
     construct_extremal,
     cube_family_from_dict,
@@ -79,6 +89,27 @@ def test_hull_metrics_two_diagonal_cubes():
     assert per == pytest.approx(4 + 2 * np.sqrt(2), abs=1e-12)
 
 
+def test_cells_hull_matches_corner_hull_oracle():
+    # single cells, rows, columns, gaps between occupied columns and
+    # negative coordinates; hull_metrics must agree to the bit as well
+    rng = np.random.default_rng(2024)
+    shapes = {"single": 0, "gapped": 0}
+    for trial in range(3000):
+        n = 1 if trial % 10 == 0 else int(rng.integers(1, 13))
+        span = int(rng.integers(1, 9))
+        draws = rng.integers(-span, span + 1, size=(n, 2)).tolist()
+        cells = list(dict.fromkeys(map(tuple, draws)))  # distinct, in draw order
+        want = hull_2d_oracle(cell_corners(cells))
+        assert _cells_hull(cells) == want, cells
+        area, per = hull_metrics(fam(cells))
+        assert area == ORACLE_OBJECTIVES["area"](want)
+        assert per == ORACLE_OBJECTIVES["perimeter"](want)
+        xs = {x for x, _ in cells}
+        shapes["single"] += len(cells) == 1
+        shapes["gapped"] += max(xs) - min(xs) + 1 > len(xs)
+    assert shapes["single"] >= 300 and shapes["gapped"] >= 300
+
+
 def test_construction_pinned_offsets():
     assert offsets_sorted(construct_extremal(4)) == sorted(
         [(1, 0), (3, 1), (2, 3), (0, 2)])
@@ -149,6 +180,29 @@ def test_normalize_never_decreases_objective():
                     and (n < 4 or after <= exhaustive_max(n, objective)[1] + 1e-9))
 
 
+def contiguous_cells(rng, n):
+    """n distinct planar cells whose occupied slabs form one run per axis."""
+    while True:
+        extents = rng.integers(1, n + 1, size=2)
+        cols = [rng.permutation(np.concatenate(
+            [np.arange(k), rng.integers(0, k, size=n - k)])) for k in extents]
+        cells = np.stack(cols, axis=1) + rng.integers(-3, 4, size=2)
+        if len({tuple(c) for c in cells.tolist()}) == n:
+            return cells
+
+
+@pytest.mark.parametrize("objective", ["area", "perimeter"])
+def test_normalize_matches_per_candidate_family_oracle(objective):
+    rng = np.random.default_rng(7 if objective == "area" else 8)
+    moved = 0
+    for trial in range(300):
+        f = IntegerCubeFamily(contiguous_cells(rng, 2 + trial % 9))
+        out = shadow_normalize(f, objective)
+        assert out.offsets.tolist() == shadow_normalize_oracle(f, objective)
+        moved += out.offsets.tolist() != (f.offsets - f.offsets.min(axis=0)).tolist()
+    assert moved >= 150
+
+
 def test_normalize_three_dim_heuristic():
     col = IntegerCubeFamily(np.array([(0, 0, k) for k in range(3)]))
     out = shadow_normalize(col, "volume")
@@ -207,6 +261,15 @@ def test_search_perimeter_beats_corner_construction(n):
     assert cube_is_wns(f)
     lo, hi = bounding_box(f)
     assert lo.tolist() == [0, 0] and hi.tolist() == [n, n]
+
+
+@pytest.mark.parametrize("objective", ["area", "perimeter"])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_search_matches_corner_hull_oracle(n, objective):
+    f, val = exhaustive_max(n, objective)
+    value, offsets = permutation_max_oracle(n, objective)
+    assert val == value
+    assert f.offsets.tolist() == offsets
 
 
 def test_search_perimeter_argmax_pinned():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import ns_oracle, strict_separator
+from helpers import Interval, ns_oracle, project_member, strict_separator
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
@@ -10,7 +10,6 @@ from nonsep import tolerances
 from nonsep.errors import InputError
 from nonsep.family import (
     HomotheticFamily,
-    Interval,
     _frames,
     _points_in_hull,
     edges_covered,
@@ -19,7 +18,6 @@ from nonsep.family import (
     is_kwip_sampled,
     is_ns,
     is_wns,
-    project_member,
 )
 from nonsep.polytope import (
     Polytope,
