@@ -19,11 +19,12 @@ from dataclasses import dataclass
 from math import hypot
 
 import numpy as np
+from scipy.spatial import ConvexHull
 
 from . import tolerances
 from .errors import InputError
 from .family import HomotheticFamily
-from .polytope import Polytope, cube, measure
+from .polytope import cube
 
 @dataclass(frozen=True)
 class IntegerCubeFamily:
@@ -184,8 +185,7 @@ def _objective_value(cells, dim: int, objective: str) -> float:
     if dim == 2 and objective in _PLANAR_OBJECTIVES:
         return _PLANAR_OBJECTIVES[objective](_cells_hull(cells))
     if dim == 3 and objective == "volume":
-        corners = IntegerCubeFamily(np.array(cells)).corners()
-        return measure(Polytope.from_vertices(corners.astype(float)), "volume")
+        return float(ConvexHull(IntegerCubeFamily(np.array(cells)).corners()).volume)
     raise InputError(f"unsupported objective {objective!r} in dimension {dim}")
 
 

@@ -1,7 +1,8 @@
 """Lattice arrangements of a single convex body.
 
 Everything here reduces to two primitives: the gauge distance from a point
-to the nearest lattice translate, and plain integer enumeration in boxes.
+to the nearest lattice translate, and integer enumeration in boxes, where
+one enumerator serves both gauge searches (`covering_radius`, `is_ns_lattice`).
 Covering radius and tightness come back as certified brackets (a sampled
 lower bound plus a Lipschitz cap), never as point estimates.
 """
@@ -19,7 +20,6 @@ from .polytope import (
     Polytope,
     _finite,
     _freeze,
-    _plane_basis,
     facet_directions,
     measure,
     polar,
@@ -28,12 +28,32 @@ from .polytope import (
 
 _OFFSET_MAX = 2e5  # lattice vectors `_offset_candidates` may enumerate
 _DUAL_MAX = 10_000_000  # dual vectors `is_ns_lattice` may enumerate
+_PAD = 1.0 + 1e-9  # relative radius pad of `_coefficient_box`
+
+
+def _grid(axes) -> np.ndarray:
+    """Every point of the product of 1-D `axes`, one row each, last axis fastest."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"),
+                    axis=-1).reshape(-1, len(axes))
 
 
 def _int_box(d: int, r: int) -> np.ndarray:
-    ax = np.arange(-r, r + 1)
-    grid = np.meshgrid(*([ax] * d), indexing="ij")
-    return np.stack(grid, axis=-1).reshape(-1, d)
+    return _grid([np.arange(-r, r + 1)] * d)
+
+
+def _signs(d: int) -> list[tuple[float, ...]]:
+    return list(itertools.product((-1.0, 1.0), repeat=d))
+
+
+def _coefficient_box(b: np.ndarray, r: float, limit: float, message: str) -> np.ndarray:
+    """Integer m with |m_i| <= ceil(r' |row i of b^-1|), r' = r * _PAD: the
+    coefficients of every lattice vector b m with |b m| <= r', as
+    m_i = <row i of b^-1, b m>.  Raises InputError(message) past `limit`."""
+    bound = np.ceil(np.linalg.norm(np.linalg.inv(b), axis=1)
+                    * (r * _PAD)).astype(int)
+    if float(np.prod(2.0 * bound + 1.0)) > limit:
+        raise InputError(message)
+    return _grid([np.arange(-k, k + 1) for k in bound])
 
 
 @dataclass(frozen=True)
@@ -92,7 +112,8 @@ def arrangement_from_dict(obj: dict) -> LatticeArrangement:
 
 def dual_lattice(lat: Lattice) -> Lattice:
     """Vectors whose inner product with the whole lattice is integral."""
-    return Lattice.from_basis(np.linalg.inv(lat.basis).T)
+    # no second check: an absolute one would refuse every det >= 1 / GEOM
+    return Lattice(_freeze(np.linalg.inv(lat.basis).T), 1.0 / lat.det)
 
 
 def density(arr: LatticeArrangement) -> float:
@@ -112,26 +133,20 @@ def _euclid_radius(k: Polytope) -> float:
     return float(np.linalg.norm(k.vertices, axis=1).max())
 
 
-def _offset_candidates(arr: LatticeArrangement, cap: float) -> np.ndarray:
+def _offset_candidates(arr: LatticeArrangement, cap: float,
+                       corner: float) -> np.ndarray:
     """Lattice vectors that can matter while gauge distances stay <= cap.
 
     A gauge of y - z at most cap forces |y - z| <= cap * R_K; centred-cell
-    points satisfy |y| <= Rcell, so |z| <= cap * R_K + Rcell; coefficient
-    bounds then follow from the rows of the inverse basis.
+    points satisfy |y| <= Rcell = corner / 2 (corner: the largest |b s|
+    over sign vectors s), so |z| <= cap * R_K + Rcell; coefficient bounds
+    then follow from the rows of the inverse basis.
     """
     b = arr.lattice.basis
-    d = arr.body.dim
-    rcell = max(np.linalg.norm(b @ np.array(s))
-                for s in itertools.product((-0.5, 0.5), repeat=d))
-    r = cap * _euclid_radius(arr.body) + rcell + 1e-9
-    binv = np.linalg.inv(b)
-    bound = np.ceil(np.linalg.norm(binv, axis=1) * r).astype(int)
-    if float(np.prod((2.0 * bound + 1.0))) > _OFFSET_MAX:
-        raise InputError("lattice too skewed for gauge-distance enumeration")
-    axes = [np.arange(-k, k + 1) for k in bound]
-    m = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    z = m @ b.T
-    return z[np.linalg.norm(z, axis=1) <= r]
+    r = cap * _euclid_radius(arr.body) + 0.5 * corner
+    z = _coefficient_box(b, r, _OFFSET_MAX,
+                         "lattice too skewed for gauge-distance enumeration") @ b.T
+    return z[np.linalg.norm(z, axis=1) <= r * _PAD]
 
 
 def _min_gauge_dist(body: Polytope, ys: np.ndarray,
@@ -166,17 +181,15 @@ def covering_radius(arr: LatticeArrangement, resolution: int = 48,
     b = arr.lattice.basis
     lip = _gauge_lipschitz(arr.body)
     # half-diagonal reach of one sub-cell; samples sit at sub-cell centres
-    corner = max(np.linalg.norm(b @ np.array(s))
-                 for s in itertools.product((-1.0, 1.0), repeat=d))
+    corner = max(np.linalg.norm(b @ np.array(s)) for s in _signs(d))
     diam0 = 0.5 * corner / resolution
     fr = (np.arange(resolution) + 0.5) / resolution - 0.5
-    mesh = np.stack(np.meshgrid(*([fr] * d), indexing="ij"),
-                    axis=-1).reshape(-1, d)
+    mesh = _grid([fr] * d)
     ys = mesh @ b.T
     # nearest-coefficient neighbours alone give a valid everywhere-cap
     f0 = _min_gauge_dist(arr.body, ys, _int_box(d, 1) @ b.T)
     cap = float(f0.max()) + lip * diam0
-    zs = _offset_candidates(arr, cap)
+    zs = _offset_candidates(arr, cap, corner)
     fvals = _min_gauge_dist(arr.body, ys, zs)
     lower = float(fvals.max())
     if width is None:
@@ -201,7 +214,7 @@ def covering_radius(arr: LatticeArrangement, resolution: int = 48,
             raise InputError(
                 f"resolution too coarse to bracket within {width:g}; "
                 f"achieved [{lower:.6g}, {upper:.6g}]")
-        offs = np.array(list(itertools.product((-0.5, 0.5), repeat=d)))
+        offs = 0.5 * np.array(_signs(d))
         ph = halves[hot]
         centres = (centres[hot][:, None, :]
                    + offs[None, :, :] * ph[:, None, None]).reshape(-1, d)
@@ -236,23 +249,14 @@ def is_ns_lattice(arr: LatticeArrangement) -> tuple[bool, float]:
     provably contains the minimiser.
     """
     kp = polar(arr.body)
-    dual = dual_lattice(arr.lattice)
-    d = arr.body.dim
-    seed = dual.points(1)
-    seed = seed[(np.abs(seed) > 1e-12).any(axis=1)]
-    lam_ub = float(kp.gauge(seed).min())
+    b = dual_lattice(arr.lattice).basis
+    seed = _int_box(arr.body.dim, 1)
+    lam_ub = float(kp.gauge(seed[seed.any(axis=1)] @ b.T).min())
     # any z beating lam_ub satisfies |z| <= lam_ub * R(polar)
-    r = lam_ub * _euclid_radius(kp) + 1e-9
-    bound = np.ceil(np.linalg.norm(np.linalg.inv(dual.basis), axis=1)
-                    * r).astype(int)
-    bound = np.maximum(bound, 1)
-    if float(np.prod(2.0 * bound + 1.0)) > _DUAL_MAX:
-        raise InputError("enumeration bound overflow: more than "
+    m = _coefficient_box(b, lam_ub * _euclid_radius(kp), _DUAL_MAX,
+                         "enumeration bound overflow: more than "
                          f"{_DUAL_MAX} dual vectors required")
-    axes = [np.arange(-k, k + 1) for k in bound]
-    m = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    m = m[(m != 0).any(axis=1)]
-    lam1 = float(kp.gauge(m @ dual.basis.T).min())
+    lam1 = float(kp.gauge(m[m.any(axis=1)] @ b.T).min())
     return lam1 >= 0.5 - tolerances.NS_LATTICE, lam1
 
 
@@ -320,93 +324,3 @@ def weak_covering_minimum_1(p: Polytope, lat: Lattice, t_grid,
                 worst = max(worst, float(miss.max()))
         rows.append((float(t), hit / total, worst))
     return rows
-
-
-# -- sampled probes, used to cross-examine the exact criteria ----------------
-
-
-def ns_patch_probe(arr: LatticeArrangement, window: int = 6,
-                   ndirs: int = 2000) -> bool:
-    """Finite-patch separability sweep, independent of the dual route.
-
-    Projects a (2w+1)^d patch of members onto a dense set of directions
-    and hunts for a gap in the central half of the patch's shadow.  A
-    central gap persists as the patch grows; gaps near the ends are
-    truncation artifacts and are ignored.  Returns True when no
-    separating direction shows up.
-    """
-    d = arr.body.dim
-    z = arr.lattice.points(window)
-    if d == 2:
-        ang = np.linspace(0.0, np.pi, ndirs, endpoint=False)
-        us = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    else:
-        rng = np.random.default_rng(7)
-        us = rng.standard_normal((ndirs, d))
-        us /= np.linalg.norm(us, axis=1, keepdims=True)
-    us = np.concatenate([us, arr.body.facet_normals])
-    sup = us @ arr.body.vertices.T
-    hplus, hminus = sup.max(axis=1), -sup.min(axis=1)
-    centres = us @ z.T
-    lo = centres - hminus[:, None]
-    hi = centres + hplus[:, None]
-    order = np.argsort(lo, axis=1)
-    lo = np.take_along_axis(lo, order, axis=1)
-    hi = np.take_along_axis(hi, order, axis=1)
-    reach = np.maximum.accumulate(hi, axis=1)
-    gaps = lo[:, 1:] - reach[:, :-1]
-    mids = 0.5 * (lo[:, 1:] + reach[:, :-1])
-    centre = 0.5 * (lo[:, :1] + reach[:, -1:])
-    extent = reach[:, -1:] - lo[:, :1]
-    central = np.abs(mids - centre) <= 0.25 * extent
-    return not bool(((gaps > tolerances.PATCH_GAP) & central).any())
-
-
-def _sphere_net(n: int) -> np.ndarray:
-    # golden-spiral net; good enough angular resolution for probe duty
-    i = np.arange(n)
-    phi = (1.0 + 5.0 ** 0.5) / 2.0
-    zc = 1.0 - (2.0 * i + 1.0) / n
-    r = np.sqrt(np.maximum(0.0, 1.0 - zc ** 2))
-    th = 2.0 * np.pi * i / phi
-    return np.stack([r * np.cos(th), r * np.sin(th), zc], axis=1)
-
-
-def weak_impassability_probe(arr: LatticeArrangement, k: int,
-                             samples: int = 400, window: int = 4,
-                             seed: int = 0) -> bool:
-    """Sampled check that every k-flat meets the arrangement.
-
-    k = 0 draws points in the fundamental cell and asks for gauge
-    distance at most one.  k = 1 (d = 3 only) scans a direction net; a
-    line misses the arrangement exactly when its shadow point escapes
-    every member shadow, so each direction becomes a 2-D hole hunt over
-    the central region of a projected patch.  Passing is sampled
-    evidence; failing exhibits a genuine witness for the window.
-    """
-    d = arr.body.dim
-    if k == 0:
-        rng = np.random.default_rng(seed)
-        fr = rng.uniform(-0.5, 0.5, size=(samples, d))
-        ys = fr @ arr.lattice.basis.T
-        f0 = _min_gauge_dist(arr.body, ys, _int_box(d, 1)
-                             @ arr.lattice.basis.T)
-        zs = _offset_candidates(arr, float(f0.max()))
-        dist = _min_gauge_dist(arr.body, ys, zs)
-        return bool((dist <= 1.0 + tolerances.PROBE).all())
-    if k == 1 and d == 3:
-        us = np.concatenate([_sphere_net(samples), np.eye(3)])
-        z = arr.lattice.points(window)
-        for u in us:
-            q = _plane_basis(u)
-            shadow = Polytope.from_vertices(arr.body.vertices @ q.T)
-            pz = z @ q.T
-            lo, hi = pz.min(axis=0), pz.max(axis=0)
-            mid, half = 0.5 * (lo + hi), 0.25 * (hi - lo)
-            g = np.linspace(-1.0, 1.0, 12)
-            pts = np.stack(np.meshgrid(g, g, indexing="ij"),
-                           axis=-1).reshape(-1, 2) * half + mid
-            if (_min_gauge_dist(shadow, pts, pz) > 1.0 + tolerances.PROBE).any():
-                return False
-        return True
-    raise InputError("probe supports k = 0, or k = 1 in dimension 3")

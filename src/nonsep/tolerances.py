@@ -14,8 +14,9 @@ Fixed thresholds:
   `Polytope.support`); a facet offset this small, or a vertex this close
   to the origin, puts the origin off the interior (`Polytope.gauge`,
   `polytope.polar`); a 1-D extent, Chebyshev radius, parallelotope
-  determinant or lattice determinant this small is degenerate, and a
-  polar facet offset this small means unbounded (`Polytope.from_facets`).
+  determinant or input lattice determinant (`Lattice.from_basis`) this
+  small is degenerate, and a polar facet offset this small means
+  unbounded (`Polytope.from_facets`).
 * ``LP`` (1e-8), the phase-1 threshold the decision procedures hand to
   the LP solver: `contains_translate`, the hull-disjointness test of
   `is_ns` for d >= 3 (`lp.feasible_nonneg`), the flat probe of
@@ -62,10 +63,6 @@ Fixed thresholds:
 * ``CUBE_SCORE`` (1e-9), `shadow_normalize` stops when its best move
   scores more than this below the current family, and `exhaustive_max`
   keeps the first permutation beating the best so far by more than this.
-* ``PROBE`` (1e-6), `weak_impassability_probe` counts gauge distances up
-  to 1 + PROBE as hits.
-* ``PATCH_GAP`` (1e-7), `ns_patch_probe` calls a gap in a patch's
-  shadow separating when it is wider than this.
 * ``POLAR_SIGMA`` (1e-6), relative slack of `polar_sigma_check`.
 
 Thresholds that scale GEOM with the size of the data (``scale`` is the
@@ -103,8 +100,6 @@ PARALLEL = 1e-12
 FACET_MERGE = 100 * GEOM
 NS_LATTICE = 1e-9
 ENCLOSE = 1e-9
-PROBE = 1e-6
-PATCH_GAP = 1e-7
 POLAR_SIGMA = 1e-6
 PAIR_COINCIDE = 1e-14
 AFFINE_RANK = 1e-10

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull
 
 
 def arrangement_with_lambda1(rng, band, nverts=8):
@@ -29,6 +30,137 @@ def arrangement_with_lambda1(rng, band, nverts=8):
     target = float(rng.uniform(*band))
     scaled = body.scale(target / lam1)
     return LatticeArrangement(scaled, lat), target
+
+
+# -- sampled lattice probes, oracles for the exact criteria of nonsep.lattice.
+# They share no geometry with nonsep: patches, plane frames, hulls and gauge
+# distances come from numpy and scipy alone.
+
+PATCH_GAP = 1e-7  # ns_patch_probe: a wider gap in a shadow separates
+PROBE = 1e-6  # weak_impassability_probe: gauge distances to 1 + PROBE hit
+
+
+def lattice_patch(basis, window):
+    """Lattice points B m for every integer m in [-window, window]^d."""
+    ax = np.arange(-window, window + 1)
+    m = np.stack(np.meshgrid(*([ax] * len(basis)), indexing="ij"), axis=-1)
+    return m.reshape(-1, len(basis)) @ np.asarray(basis).T
+
+
+def gauge_rows(points):
+    """Rows s_i with gauge(x) = max(0, max_i <s_i, x>) for the hull of
+    `points`, which must hold the origin inside: scipy's facet equations,
+    each normal over its offset.  The rows are the polar body's vertices,
+    so gauge_rows(gauge_rows(points)) gives the polar gauge."""
+    eq = ConvexHull(points).equations
+    return eq[:, :-1] / -eq[:, -1:]
+
+
+def gauge_dist(rows, ys, zs):
+    """min over rows z of zs of the gauge of y - z, one value per row of ys."""
+    step = max(1, 1_000_000 // (len(zs) * len(rows)))
+    out = np.empty(len(ys))
+    for s in range(0, len(ys), step):
+        per = (ys[s:s + step, None, :] - zs[None, :, :]) @ rows.T
+        out[s:s + step] = np.maximum(per.max(axis=2), 0.0).min(axis=1)
+    return out
+
+
+def ns_patch_probe(arr, window=6, ndirs=2000):
+    """Finite-patch separability sweep, independent of the dual route.
+
+    Projects a (2w+1)^d patch of members onto a dense set of directions
+    and hunts for a gap in the central half of the patch's shadow.  A
+    central gap persists as the patch grows; gaps near the ends are
+    truncation artifacts and are ignored.  Returns True when no
+    separating direction shows up.
+    """
+    d = arr.body.dim
+    z = lattice_patch(arr.lattice.basis, window)
+    if d == 2:
+        ang = np.linspace(0.0, np.pi, ndirs, endpoint=False)
+        us = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    else:
+        rng = np.random.default_rng(7)
+        us = rng.standard_normal((ndirs, d))
+        us /= np.linalg.norm(us, axis=1, keepdims=True)
+    us = np.concatenate([us, arr.body.facet_normals])
+    sup = us @ arr.body.vertices.T
+    hplus, hminus = sup.max(axis=1), -sup.min(axis=1)
+    centres = us @ z.T
+    lo = centres - hminus[:, None]
+    hi = centres + hplus[:, None]
+    order = np.argsort(lo, axis=1)
+    lo = np.take_along_axis(lo, order, axis=1)
+    hi = np.take_along_axis(hi, order, axis=1)
+    reach = np.maximum.accumulate(hi, axis=1)
+    gaps = lo[:, 1:] - reach[:, :-1]
+    mids = 0.5 * (lo[:, 1:] + reach[:, :-1])
+    centre = 0.5 * (lo[:, :1] + reach[:, -1:])
+    extent = reach[:, -1:] - lo[:, :1]
+    central = np.abs(mids - centre) <= 0.25 * extent
+    return not bool(((gaps > PATCH_GAP) & central).any())
+
+
+def _plane_frame(u):
+    """(2, 3): orthonormal rows spanning the plane orthogonal to the unit
+    vector u, by Gram-Schmidt on the axes.  The central sample window of
+    the k = 1 probe is axis-aligned in this frame."""
+    rows = []
+    for e in np.eye(3):
+        v = e - (e @ u) * u
+        for r in rows:
+            v -= (v @ r) * r
+        if np.linalg.norm(v) > 1e-8:
+            rows.append(v / np.linalg.norm(v))
+    return np.array(rows[:2])
+
+
+def _sphere_net(n):
+    # golden-spiral net; good enough angular resolution for probe duty
+    i = np.arange(n)
+    phi = (1.0 + 5.0 ** 0.5) / 2.0
+    zc = 1.0 - (2.0 * i + 1.0) / n
+    r = np.sqrt(np.maximum(0.0, 1.0 - zc ** 2))
+    th = 2.0 * np.pi * i / phi
+    return np.stack([r * np.cos(th), r * np.sin(th), zc], axis=1)
+
+
+def weak_impassability_probe(arr, k, samples=400, window=4, seed=0):
+    """Sampled check that every k-flat meets the arrangement.
+
+    k = 0 draws points in the fundamental cell and asks for gauge
+    distance at most one to a translate with coefficients in
+    [-window, window]^d.  k = 1 (d = 3 only) scans a direction net; a
+    line misses the arrangement exactly when its shadow point escapes
+    every member shadow, so each direction becomes a 2-D hole hunt over
+    the central region of a projected patch.  Passing is sampled
+    evidence; failing exhibits a genuine witness for the window.
+    """
+    from nonsep.errors import InputError
+
+    d = arr.body.dim
+    basis = arr.lattice.basis
+    z = lattice_patch(basis, window)
+    if k == 0:
+        rng = np.random.default_rng(seed)
+        ys = rng.uniform(-0.5, 0.5, size=(samples, d)) @ basis.T
+        dist = gauge_dist(gauge_rows(arr.body.vertices), ys, z)
+        return bool((dist <= 1.0 + PROBE).all())
+    if k == 1 and d == 3:
+        for u in np.concatenate([_sphere_net(samples), np.eye(3)]):
+            q = _plane_frame(u)
+            pz = z @ q.T
+            lo, hi = pz.min(axis=0), pz.max(axis=0)
+            mid, half = 0.5 * (lo + hi), 0.25 * (hi - lo)
+            g = np.linspace(-1.0, 1.0, 12)
+            pts = np.stack(np.meshgrid(g, g, indexing="ij"),
+                           axis=-1).reshape(-1, 2) * half + mid
+            rows = gauge_rows(arr.body.vertices @ q.T)
+            if (gauge_dist(rows, pts, pz) > 1.0 + PROBE).any():
+                return False
+        return True
+    raise InputError("probe supports k = 0, or k = 1 in dimension 3")
 
 
 def overlap_chain(base, n, rng, direction=None):
@@ -214,8 +346,6 @@ def brute_max_hull(n, objective):
     n contiguous slabs span at most n.  Pure Python: n = 5 takes about
     half a second, n = 6 about 14 s.
     """
-    from scipy.spatial import ConvexHull
-
     def contiguous(vals):
         occupied = set(vals)
         return max(occupied) - min(occupied) + 1 == len(occupied)
@@ -296,8 +426,10 @@ def permutation_max_oracle(n, objective):
 
 
 def shadow_normalize_oracle(f, objective="area"):
-    """Planar shadow normalization that builds and checks a whole family
-    per candidate move and scores it with `hull_2d_oracle` on its corners.
+    """Shadow normalization that builds and checks a whole family per
+    candidate move.  In the plane it scores the family with
+    `hull_2d_oracle` on its corners; the d = 3 `volume` scores the
+    validated `Polytope.from_vertices` hull of its corners with `measure`.
 
     Same candidate order and tie rules as `nonsep.cubes.shadow_normalize`:
     a candidate replaces the best so far when it scores more than 1e-12
@@ -305,11 +437,15 @@ def shadow_normalize_oracle(f, objective="area"):
     below the current family.  Returns the normalized offsets as a list.
     """
     from nonsep.cubes import IntegerCubeFamily, cube_is_wns
+    from nonsep.polytope import Polytope, measure
 
     def score(fam):
+        if objective == "volume":
+            hull = Polytope.from_vertices(fam.corners().astype(float))
+            return measure(hull, "volume")
         return ORACLE_OBJECTIVES[objective](hull_2d_oracle(map(tuple, fam.corners().tolist())))
 
-    assert f.dim == 2 and cube_is_wns(f)
+    assert f.dim == (3 if objective == "volume" else 2) and cube_is_wns(f)
     val = score(f)
     cur = np.array(f.offsets)
     n = cur.shape[0]

@@ -20,6 +20,7 @@ import pytest
 
 from helpers import (
     arrangement_with_lambda1,
+    ns_patch_probe,
     overlap_chain,
     perimeter_record,
     perimeter_witness,
@@ -51,7 +52,6 @@ from nonsep.lattice import (
     density,
     is_ns_lattice,
     kronecker_gap,
-    ns_patch_probe,
     tightness,
 )
 from nonsep.polytope import (

@@ -180,27 +180,31 @@ def test_normalize_never_decreases_objective():
                     and (n < 4 or after <= exhaustive_max(n, objective)[1] + 1e-9))
 
 
-def contiguous_cells(rng, n):
-    """n distinct planar cells whose occupied slabs form one run per axis."""
+def contiguous_cells(rng, n, d=2):
+    """n distinct cells whose occupied slabs form one run per axis."""
     while True:
-        extents = rng.integers(1, n + 1, size=2)
+        extents = rng.integers(1, n + 1, size=d)
         cols = [rng.permutation(np.concatenate(
             [np.arange(k), rng.integers(0, k, size=n - k)])) for k in extents]
-        cells = np.stack(cols, axis=1) + rng.integers(-3, 4, size=2)
+        cells = np.stack(cols, axis=1) + rng.integers(-3, 4, size=d)
         if len({tuple(c) for c in cells.tolist()}) == n:
             return cells
 
 
-@pytest.mark.parametrize("objective", ["area", "perimeter"])
+@pytest.mark.parametrize("objective", ["area", "perimeter", "volume"])
 def test_normalize_matches_per_candidate_family_oracle(objective):
-    rng = np.random.default_rng(7 if objective == "area" else 8)
+    rng = np.random.default_rng({"area": 7, "perimeter": 8, "volume": 9}[objective])
+    trials = 40 if objective == "volume" else 300
     moved = 0
-    for trial in range(300):
-        f = IntegerCubeFamily(contiguous_cells(rng, 2 + trial % 9))
+    for trial in range(trials):
+        if objective == "volume":
+            f = IntegerCubeFamily(contiguous_cells(rng, 3 + trial % 4, d=3))
+        else:
+            f = IntegerCubeFamily(contiguous_cells(rng, 2 + trial % 9))
         out = shadow_normalize(f, objective)
         assert out.offsets.tolist() == shadow_normalize_oracle(f, objective)
         moved += out.offsets.tolist() != (f.offsets - f.offsets.min(axis=0)).tolist()
-    assert moved >= 150
+    assert moved >= trials // 2
 
 
 def test_normalize_three_dim_heuristic():

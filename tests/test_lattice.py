@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import arrangement_with_lambda1
+from helpers import (
+    arrangement_with_lambda1,
+    gauge_dist,
+    gauge_rows,
+    lattice_patch,
+    ns_patch_probe,
+    weak_impassability_probe,
+)
 from nonsep.errors import InputError
 from nonsep.lattice import (
     Lattice,
@@ -14,10 +21,8 @@ from nonsep.lattice import (
     is_ns_lattice,
     kronecker_gap,
     lattice_from_dict,
-    ns_patch_probe,
     tightness,
     weak_covering_minimum_1,
-    weak_impassability_probe,
 )
 from nonsep.polytope import (
     Polytope,
@@ -270,6 +275,62 @@ def test_tightness_rejects_skewed_lattice():
     skew = Lattice.from_basis([[1.0, 300.0], [0.0, 1.0]])
     with pytest.raises(InputError, match="lattice too skewed"):
         tightness(LatticeArrangement(cube(2), skew))
+
+
+def _skewed_basis(rng, d):
+    """A rotated, column-scaled unit upper-triangular basis, shears up to 3."""
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    shear = np.eye(d) + np.triu(rng.uniform(-3, 3, size=(d, d)), 1)
+    return q @ shear @ np.diag(rng.uniform(0.5, 1.5, size=d))
+
+
+def test_enumeration_bounds_match_brute_force():
+    """lambda_1 of is_ns_lattice and the lower end of covering_radius
+    against minima over the coefficient window [-8, 8]^d, with gauges
+    from scipy hulls alone.  Some shortest dual vectors lie outside
+    [-1, 1]^d, where only the enumerator's bound can find them."""
+    rng = np.random.default_rng(51)
+    beyond = 0
+    for i in range(32):
+        d = 2 + i % 2
+        basis = _skewed_basis(rng, d)
+        body = random_polytope(d, 8 if d == 2 else 12, rng, symmetric=True)
+        arr = LatticeArrangement(body.scale(float(rng.uniform(0.3, 1.0))),
+                                 Lattice.from_basis(basis))
+        m = lattice_patch(np.eye(d), 8)
+        m = m[m.any(axis=1)]
+        polar_rows = gauge_rows(gauge_rows(arr.body.vertices))
+        lengths = np.maximum(m @ np.linalg.inv(basis) @ polar_rows.T,
+                             0.0).max(axis=1)
+        best = m[int(np.argmin(lengths))]
+        # a minimiser on the window's edge would hint at a short window
+        assert np.abs(best).max() < 8
+        beyond += np.abs(best).max() > 1
+        assert is_ns_lattice(arr)[1] == pytest.approx(lengths.min(), rel=1e-9)
+        res = 16 if d == 2 else 6
+        fr = (np.arange(res) + 0.5) / res - 0.5
+        ys = np.stack(np.meshgrid(*([fr] * d), indexing="ij"),
+                      axis=-1).reshape(-1, d) @ basis.T
+        depth = gauge_dist(gauge_rows(arr.body.vertices), ys,
+                           lattice_patch(basis, 8)).max()
+        assert covering_radius(arr, resolution=res)[0] \
+            == pytest.approx(depth, rel=1e-9)
+    assert beyond >= 5
+
+
+@pytest.mark.parametrize("s", [1e-3, 1e4, 1e8])
+def test_ns_is_scale_invariant(s):
+    """Scaling body and lattice together changes neither the verdict nor
+    lambda_1, also where the dual determinant falls far below GEOM."""
+    rng = np.random.default_rng(49)
+    for i in range(20):
+        band = (0.2, 0.45) if i % 2 == 0 else (0.55, 0.9)
+        arr, target = arrangement_with_lambda1(rng, band)
+        scaled = LatticeArrangement(arr.body.scale(s),
+                                    Lattice.from_basis(s * arr.lattice.basis))
+        verdict, lam1 = is_ns_lattice(scaled)
+        assert verdict == (target >= 0.5)
+        assert lam1 == pytest.approx(is_ns_lattice(arr)[1], rel=1e-9)
 
 
 def test_ns_agrees_with_patch_probe():

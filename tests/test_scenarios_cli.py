@@ -339,6 +339,13 @@ class TestCli:
         assert cli.main(["lattice", "ns", shifted]) == 2
         assert "origin must be interior" in capsys.readouterr().err
 
+    def test_lattice_ns_on_coarse_basis(self, tmp_path):
+        # the dual lattice's determinant, 1/1.6e9, is below GEOM
+        arr = write_json(tmp_path / "arr.json",
+                         {"body": cube(2).to_dict(),
+                          "basis": [[4e4, 0.0], [0.0, 4e4]]})
+        assert run_quietly(["lattice", "ns", arr]) == (1, "")
+
     def test_lattice_missing_keys(self, tmp_path, capsys):
         arr = write_json(tmp_path / "arr.json", {"basis": [[1, 0], [0, 1]]})
         assert cli.main(["lattice", "ns", arr]) == 2
