@@ -18,6 +18,8 @@ from . import lp, tolerances
 from .errors import GeometryError
 from .polytope import Polytope, polar
 
+_BRACKET = 1e-9  # `sigma_bisection` stops once its bracket is this narrow
+
 
 @dataclass(frozen=True)
 class AsymmetryResult:
@@ -70,14 +72,14 @@ def _reflection_feasible(a, b, rhs_min, mu):
     so LP round-off cannot pass a mu below sigma.
     """
     rows, rhs = (1.0 + mu) * a, mu * b + rhs_min
-    q = lp.feasible_point(rows, rhs, tol=tolerances.LP)
+    q = lp.solve(np.zeros(a.shape[1]), rows, rhs).x
     limit = tolerances.REFLECT_FIT * np.maximum(1.0, np.abs(rhs))
     if q is None or (rows @ q - rhs > limit).any():
         return None
     return q
 
 
-def sigma_bisection(p: Polytope, tol: float = 1e-9) -> AsymmetryResult:
+def sigma_bisection(p: Polytope) -> AsymmetryResult:
     """Asymmetry constant by bisection; independent of `sigma_lp`.
 
     Returns the certified upper end of the final bracket, with a center
@@ -91,7 +93,7 @@ def sigma_bisection(p: Polytope, tol: float = 1e-9) -> AsymmetryResult:
     q = _reflection_feasible(a, b, rhs_min, hi)
     if q is None:
         raise GeometryError("containment infeasible at mu = dim")
-    while hi - lo > tol:
+    while hi - lo > _BRACKET:
         mid = 0.5 * (lo + hi)
         cand = _reflection_feasible(a, b, rhs_min, mid)
         if cand is None:

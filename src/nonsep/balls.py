@@ -165,7 +165,8 @@ def _certified(c, rad, p, r) -> bool:
     u = diff / dist[:, None]
     a_eq = np.vstack([u.T, np.ones((1, active.size))])
     b_eq = np.concatenate([np.zeros(c.size), [1.0]])
-    return lp.feasible_nonneg(a_eq, b_eq, tol=tolerances.SUBGRADIENT) is not None
+    return lp.solve(np.zeros(active.size), a_eq=a_eq, b_eq=b_eq, nonneg=True,
+                    tol=tolerances.SUBGRADIENT).optimal
 
 
 def centers_line_deviation(points) -> float:

@@ -192,8 +192,7 @@ def is_summand(q: Polytope, k: Polytope):
         a_ub = np.vstack([ak, ak, -u[None, :], -u[None, :]])
         b_ub = np.concatenate([bk, bk - ak @ evec,
                                [-h + ftol], [-h + ftol + u @ evec]])
-        x = lp.feasible_point(a_ub, b_ub, tol=tolerances.LP)
-        if x is None:
+        if not lp.solve(np.zeros(q.dim), a_ub, b_ub).optimal:
             return False, evec / np.linalg.norm(evec)
     return True, None
 

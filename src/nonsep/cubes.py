@@ -158,22 +158,17 @@ def hull_metrics(f: IntegerCubeFamily) -> tuple[float, float]:
 _PLANAR_OBJECTIVES = {"area": _hull_area, "perimeter": _hull_perimeter}
 
 
-def construct_extremal(n: int, d: int = 2) -> IntegerCubeFamily:
+def construct_extremal(n: int) -> IntegerCubeFamily:
     """Corner-glued configuration: four boundary cubes plus a diagonal.
 
     One cube is glued to each side of the n-box next to a corner, at
-    (1,0), (n-1,1), (n-2,n-1) and (0,n-2); the remaining n-4 cubes run
-    down the diagonal of the inner box.  Hull area is n^2 - 2n + 4, the
-    area maximum.  Hull perimeter is 4 + 4*sqrt(n^2 - 4n + 5), which is
-    this configuration's perimeter and not the perimeter maximum: both
-    long hull edges climb diagonal runs of length n-2.  The staircase
-    W_n = {(0,0), (1,n-1), (n-1,1)} + {(k,k) : 2 <= k <= n-2} splits the
-    runs as n-3 and n-1 and, since sqrt(k^2 + 1) is convex in k, reaches
-    the larger 4 + 2*sqrt((n-3)^2 + 1) + 2*sqrt((n-1)^2 + 1), which
-    `exhaustive_max` confirms as the maximum for 4 <= n <= 8.
+    (1,0), (n-1,1), (n-2,n-1) and (0,n-2); the other n-4 run down the
+    inner diagonal.  Hull area is n^2 - 2n + 4, the area maximum.  Hull
+    perimeter is 4 + 4*sqrt(n^2 - 4n + 5), not the maximum: the staircase
+    {(0,0), (1,n-1), (n-1,1)} + {(k,k) : 2 <= k <= n-2} splits the two
+    diagonal runs unevenly and reaches 4 + 2*sqrt((n-3)^2 + 1)
+    + 2*sqrt((n-1)^2 + 1), the maximum `exhaustive_max` finds for n <= 8.
     """
-    if d != 2:
-        raise InputError("the construction is planar")
     if n < 4:
         raise InputError("the construction needs n >= 4")
     offs = [(1, 0), (n - 1, 1), (n - 2, n - 1), (0, n - 2)]

@@ -236,7 +236,8 @@ def _hulls_disjoint(va, vb) -> bool:
     a_eq = np.vstack([np.hstack([va.T, -vb.T]),
                       np.repeat(np.eye(2), [len(va), len(vb)], axis=1)])
     b_eq = np.r_[np.zeros(va.shape[1]), 1.0, 1.0]
-    return lp.feasible_nonneg(a_eq, b_eq, tol=tolerances.LP) is None
+    return not lp.solve(np.zeros(a_eq.shape[1]), a_eq=a_eq, b_eq=b_eq,
+                        nonneg=True).optimal
 
 
 def is_kwip_sampled(family: HomotheticFamily, k: int, samples: int = 10000,
@@ -312,7 +313,7 @@ def _kwip_flats(family, points, frames):
     a, offsets = family.base.facet_normals, family.member_offsets()
     for p, w in zip(points, frames):
         aw, slack = a @ w, offsets - a @ p
-        if all(lp.feasible_point(aw, row, tol=tolerances.LP) is None for row in slack):
+        if not any(lp.solve(np.zeros(w.shape[1]), aw, row).optimal for row in slack):
             return "falsified", Flat(p, w)
     return "not-falsified", None
 

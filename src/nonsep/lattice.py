@@ -20,15 +20,17 @@ from .polytope import (
     Polytope,
     _finite,
     _freeze,
+    _require_origin_interior,
     facet_directions,
     measure,
     polar,
     polytope_from_dict,
 )
 
-_OFFSET_MAX = 2e5  # lattice vectors `_offset_candidates` may enumerate
+_OFFSET_MAX = 2e5  # lattice vectors one gauge search or hit curve may list
 _DUAL_MAX = 10_000_000  # dual vectors `is_ns_lattice` may enumerate
 _PAD = 1.0 + 1e-9  # relative radius pad of `_coefficient_box`
+_MAX_EVALS = 2_000_000  # gauge-distance samples `covering_radius` may refine to
 
 
 def _grid(axes) -> np.ndarray:
@@ -46,11 +48,11 @@ def _signs(d: int) -> list[tuple[float, ...]]:
 
 
 def _coefficient_box(b: np.ndarray, r: float, limit: float, message: str) -> np.ndarray:
-    """Integer m with |m_i| <= ceil(r' |row i of b^-1|), r' = r * _PAD: the
-    coefficients of every lattice vector b m with |b m| <= r', as
-    m_i = <row i of b^-1, b m>.  Raises InputError(message) past `limit`."""
+    """Integer m with |m_i| < r * _PAD * |row i of b^-1|: the coefficients of
+    every lattice vector b m with |b m| <= r, as m_i = <row i of b^-1, b m>.
+    Raises InputError(message) past `limit`."""
     bound = np.ceil(np.linalg.norm(np.linalg.inv(b), axis=1)
-                    * (r * _PAD)).astype(int)
+                    * (r * _PAD)).astype(int) - 1
     if float(np.prod(2.0 * bound + 1.0)) > limit:
         raise InputError(message)
     return _grid([np.arange(-k, k + 1) for k in bound])
@@ -123,12 +125,6 @@ def density(arr: LatticeArrangement) -> float:
     return measure(arr.body, "volume") / arr.lattice.det
 
 
-def _gauge_lipschitz(k: Polytope) -> float:
-    # facet normals are unit rows, so 1/min(b) is exact and dominates any
-    # estimate maxed over sampled directions
-    return 1.0 / float(k.facet_offsets.min())
-
-
 def _euclid_radius(k: Polytope) -> float:
     return float(np.linalg.norm(k.vertices, axis=1).max())
 
@@ -164,8 +160,7 @@ def _min_gauge_dist(body: Polytope, ys: np.ndarray,
 
 
 def covering_radius(arr: LatticeArrangement, resolution: int = 48,
-                    width: float | None = None,
-                    max_evals: int = 2_000_000) -> tuple[float, float]:
+                    width: float | None = None) -> tuple[float, float]:
     """Bracket the least scale at which the lattice copies cover space.
 
     The lower bound is a max of sampled gauge distances over the
@@ -178,8 +173,11 @@ def covering_radius(arr: LatticeArrangement, resolution: int = 48,
         raise InputError("covering_radius needs d <= 3")
     if resolution < 2:
         raise InputError("resolution must be at least 2")
+    _require_origin_interior(arr.body)
     b = arr.lattice.basis
-    lip = _gauge_lipschitz(arr.body)
+    # the gauge's Lipschitz constant: facet normals are unit rows, so
+    # 1/min(b) is exact and dominates any estimate over sampled directions
+    lip = 1.0 / float(arr.body.facet_offsets.min())
     # half-diagonal reach of one sub-cell; samples sit at sub-cell centres
     corner = max(np.linalg.norm(b @ np.array(s)) for s in _signs(d))
     diam0 = 0.5 * corner / resolution
@@ -210,7 +208,7 @@ def covering_radius(arr: LatticeArrangement, resolution: int = 48,
         if cold.size:
             dropped = max(dropped, float(cold.max()))
         n_children = int(hot.sum()) * 2 ** d
-        if evals + n_children > max_evals:
+        if evals + n_children > _MAX_EVALS:
             raise InputError(
                 f"resolution too coarse to bracket within {width:g}; "
                 f"achieved [{lower:.6g}, {upper:.6g}]")
@@ -279,17 +277,24 @@ def kronecker_gap(u, box_radius: int) -> float:
 
 
 def weak_covering_minimum_1(p: Polytope, lat: Lattice, t_grid,
-                            window: int = 200, samples: int = 400,
+                            window: int | None = None, samples: int = 400,
                             seed: int = 0) -> list[tuple[float, float, float]]:
     """Sampled hit curve for facet-parallel hyperplanes against L + tP.
 
     Each row is (t, fraction of sampled hyperplanes hit, largest miss
     margin).  Sampling the same hyperplanes for every t keeps the curve
     monotone.  One-sided evidence only: a finite window can only
-    understate the coverage of the infinite arrangement.
+    understate the coverage of the infinite arrangement.  The coefficient
+    window (default: the widest up to 200) lists at most `_OFFSET_MAX` points.
     """
-    if p.dim != lat.dim:
+    d = p.dim
+    if d != lat.dim:
         raise InputError("body and lattice dimensions differ")
+    if window is None:
+        window = min(200, int((_OFFSET_MAX ** (1.0 / d) - 1.0) / 2.0))
+    if window < 1 or (2 * window + 1) ** d > _OFFSET_MAX:
+        raise InputError(f"window {window} must be at least 1 and list at most "
+                         f"{_OFFSET_MAX:g} lattice points")
     rng = np.random.default_rng(seed)
     z = lat.points(window)
     per_dir = []

@@ -3,18 +3,16 @@
 Every decision procedure in this package (containment of a translate,
 exact covering ratios, asymmetry, disjointness of hulls) bottoms out in a
 linear program with at most a few hundred rows and a few dozen variables.
-At that scale a self-contained dense tableau solver is preferable to an
-external dependency: runs are reproducible, statuses are exactly the three
-we need, and feasible points double as witnesses.
+At that scale a self-contained dense tableau is reproducible, has exactly
+the three statuses we need, and its feasible points double as witnesses.
 
-Conventions: variables are free, rows are ``row @ x <= rhs`` or
-``row @ x == rhs``, and `solve` maximizes unless told otherwise.
-Statuses are ``"optimal"``, ``"infeasible"``, ``"unbounded"``.
-
-With ``nonneg=True`` the variables are non-negative instead, and the
-tableau keeps one column each, not a split pair.  `feasible_nonneg` is
-its phase-1 entry in standard form (``A y == b``, ``y >= 0``), for many
-non-negative variables and few rows: no ``-I`` sign rows.
+`solve` is the only entry point.  Rows are ``row @ x <= rhs`` or
+``row @ x == rhs``; it maximizes unless told otherwise, and a feasibility
+question passes a zero objective and reads ``.optimal`` or ``.x``.
+Statuses are ``"optimal"``, ``"infeasible"``, ``"unbounded"``.  Variables
+are free, or with ``nonneg=True`` non-negative with one tableau column
+each, so standard form (``A y == b``, ``y >= 0``) needs no ``-I`` rows.
+`tol` is the phase-1 and pricing threshold, `tolerances.LP` by default.
 
 Tall free LPs (``min c@x``, ``A x <= b``, no equality rows, more than
 twice as many rows m as variables n) are solved through their dual in
@@ -59,7 +57,7 @@ class LpResult:
 
 
 def solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, maximize=True,
-          nonneg=False, tol: float = 1e-8) -> LpResult:
+          nonneg=False, tol: float = tolerances.LP) -> LpResult:
     """Matrix-form entry point. Arrays may be None when a block is absent."""
     c = np.atleast_1d(np.asarray(c, dtype=float))
     n = c.size
@@ -80,25 +78,12 @@ def solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, maximize=True,
     return LpResult("optimal", float(c @ x), x)
 
 
-def feasible_point(a_ub=None, b_ub=None, a_eq=None, b_eq=None,
-                   tol: float = 1e-8) -> np.ndarray | None:
-    """Phase-1 only: a point satisfying the rows, or None if there is none."""
-    ncols = None
-    for block in (a_ub, a_eq):
-        if block is not None:
-            ncols = np.atleast_2d(np.asarray(block)).shape[1]
-            break
-    if ncols is None:
-        raise InputError("no constraints given")
-    res = solve(np.zeros(ncols), a_ub, b_ub, a_eq, b_eq, tol=tol)
-    return res.x if res.optimal else None
-
-
-def feasible_nonneg(a_eq, b_eq, tol: float = 1e-8) -> np.ndarray | None:
-    """Phase-1 in standard form: y >= 0 with a_eq @ y == b_eq, or None."""
-    a_eq = np.atleast_2d(np.asarray(a_eq, dtype=float))
-    res = solve(np.zeros(a_eq.shape[1]), a_eq=a_eq, b_eq=b_eq, nonneg=True, tol=tol)
-    return res.x if res.optimal else None
+def _unit_rows(a, b):
+    """Rows and right-hand sides over each row's largest entry (a zero row
+    stays): row equilibration keeps the ratio tests honest across scales."""
+    scale = np.abs(a).max(axis=1)
+    scale[scale < 1e-30] = 1.0
+    return a / scale[:, None], b / scale
 
 
 def _solve_dual(c, a, b, tol):
@@ -111,12 +96,10 @@ def _solve_dual(c, a, b, tol):
     if status == "infeasible":
         # Farkas: y >= 0 with y@a == 0 and y@b < 0 exists iff a@x <= b has
         # no solution; the rows are unit-scaled so sum(y) == 1 is fair.
-        scale = np.abs(a).max(axis=1)
-        scale[scale < 1e-30] = 1.0
-        a_eq = np.vstack([(a / scale[:, None]).T, np.ones((1, m))])
+        unit, rhs = _unit_rows(a, b)
+        a_eq = np.vstack([unit.T, np.ones((1, m))])
         b_eq = np.zeros(n + 1)
         b_eq[n] = 1.0
-        rhs = b / scale
         _, w = _solve_min(rhs, *no_rows, a_eq, b_eq, tol, free=False)[:2]
         if w is not None and rhs @ w < -tol * max(1.0, float(np.abs(rhs).max())):
             return "infeasible", None
@@ -149,13 +132,7 @@ def _solve_min(c, a_ub, b_ub, a_eq, b_eq, tol, free=True):
             return "optimal", np.zeros(n), [], []
         return "unbounded", None, None, None
 
-    # Row equilibration keeps the ratio tests honest across scales.
-    rows = np.vstack([a_ub, a_eq])
-    rhs = np.concatenate([b_ub, b_eq])
-    scale = np.abs(rows).max(axis=1)
-    scale[scale < 1e-30] = 1.0
-    rows = rows / scale[:, None]
-    rhs = rhs / scale
+    rows, rhs = _unit_rows(np.vstack([a_ub, a_eq]), np.concatenate([b_ub, b_eq]))
 
     # x = xp - xm (free x only), slack per inequality row.
     ncols = n + n_neg + m_ub

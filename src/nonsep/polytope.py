@@ -20,10 +20,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from . import lp, tolerances
 from .errors import GeometryError, InputError
+
+_GENERICIZE_TRIES = 1000  # draws `genericize` makes before it gives up
 
 
 def _freeze(a) -> np.ndarray:
@@ -141,8 +143,7 @@ class Polytope:
 
     def gauge(self, x):
         """Least lam >= 0 with x in lam * P, for a point or rows of points."""
-        if (self.facet_offsets <= tolerances.GEOM).any():
-            raise InputError("origin must be interior to the body")
+        _require_origin_interior(self)
         x = np.asarray(x, dtype=float)
         vals = (x @ self.facet_normals.T / self.facet_offsets).max(axis=-1)
         if x.ndim == 1:
@@ -178,12 +179,9 @@ class Polytope:
         return self.scale(ratio).translate(x)
 
     def is_origin_symmetric(self) -> bool:
-        v = self.vertices
-        eps = tolerances.dedupe(self._scale())
-        for p in v:
-            if np.linalg.norm(v + p, axis=1).min() > eps:
-                return False
-        return True
+        """Does every vertex v have a vertex within `dedupe` of -v?"""
+        near, _ = cKDTree(self.vertices).query(-self.vertices)
+        return bool(near.max() <= tolerances.dedupe(self._scale()))
 
     # -- serialization -----------------------------------------------------
 
@@ -250,29 +248,33 @@ def _validate(p: Polytope) -> None:
         raise GeometryError("not full-dimensional")
 
 
+def _near_pairs(x, radius, p=2.0):
+    """Index pairs (i, j), i < j, with |x_i - x_j|_p <= radius, sorted."""
+    pairs = cKDTree(x).query_pairs(radius, p=p, output_type="ndarray")
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
 def _dedupe_facets(a, b):
     """Unit-scale the rows; drop each row within FACET_MERGE of a kept one.
 
     Rows are taken in order, so the first of each cluster stays, and a
-    row is compared with the kept rows only.  Normals are compared 64
-    rows at a time against all rows; offsets only for the pairs whose
-    normals match.
+    row is compared with the kept rows only: normals componentwise,
+    offsets relative to the kept row's.
     """
     norms = np.linalg.norm(a, axis=1)
-    a = a / norms[:, None]
-    b = b / norms
+    a, b = a / norms[:, None], b / norms
     eps = tolerances.FACET_MERGE
     dropped = np.zeros(b.size, dtype=bool)
-    for start in range(0, b.size, 64):
-        close = np.abs(a[:, 0] - a[start:start + 64, 0, None]) <= eps
-        for col in a.T[1:]:
-            close &= np.abs(col - col[start:start + 64, None]) <= eps
-        # pairs in row order, so row i's fate is settled before its own pairs
-        rows, cols = np.nonzero(close)
-        for i, j in zip((rows + start).tolist(), cols.tolist()):
-            if j > i and not dropped[i] and abs(b[j] - b[i]) <= eps * (1 + abs(b[i])):
-                dropped[j] = True
+    # pairs in row order, so row i's fate is settled before its own pairs
+    for i, j in _near_pairs(a, eps, np.inf).tolist():
+        if not dropped[i] and abs(b[j] - b[i]) <= eps * (1 + abs(b[i])):
+            dropped[j] = True
     return a[~dropped], b[~dropped]
+
+
+def _require_origin_interior(p: Polytope) -> None:
+    if (p.facet_offsets <= tolerances.GEOM).any():
+        raise InputError("origin must be interior to the body")
 
 
 def _interval(lo, hi) -> Polytope:
@@ -319,17 +321,13 @@ def contains_translate(outer: Polytope, inner: Polytope):
     if outer.dim != inner.dim:
         raise InputError("dimension mismatch")
     h = inner.support(outer.facet_normals)
-    t = lp.feasible_point(outer.facet_normals, outer.facet_offsets - h,
-                          tol=tolerances.LP)
-    if t is None:
-        return False, None
-    return True, t
+    res = lp.solve(np.zeros(outer.dim), outer.facet_normals, outer.facet_offsets - h)
+    return res.optimal, res.x
 
 
 def polar(p: Polytope) -> Polytope:
     """Polar dual; needs the origin strictly interior."""
-    if (p.facet_offsets <= tolerances.GEOM).any():
-        raise InputError("origin must be interior to the body")
+    _require_origin_interior(p)
     verts = p.facet_normals / p.facet_offsets[:, None]
     norms = np.linalg.norm(p.vertices, axis=1)
     if (norms <= tolerances.GEOM).any():
@@ -342,9 +340,9 @@ def polar(p: Polytope) -> Polytope:
 def facet_directions(p: Polytope) -> np.ndarray:
     """Facet normals, keeping the first of each +- pair (to 1e-9) in order."""
     a = p.facet_normals
-    same = np.linalg.norm(a[:, None] - a[None], axis=2) < 1e-9
-    opposite = np.linalg.norm(a[:, None] + a[None], axis=2) < 1e-9
-    return a[~np.tril(same | opposite, -1).any(axis=1)]
+    # the second half negates the normals: a pair across halves is antipodal
+    pairs = _near_pairs(np.vstack([a, -a]), 1e-9) % len(a)
+    return np.delete(a, pairs.max(axis=1)[pairs[:, 0] != pairs[:, 1]], axis=0)
 
 
 def is_generic(p: Polytope) -> bool:
@@ -355,19 +353,18 @@ def is_generic(p: Polytope) -> bool:
     return bool((np.abs(dets) > 1e-9).all())
 
 
-def genericize(p: Polytope, eps: float, seed: int = 0,
-               max_tries: int = 1000) -> Polytope:
+def genericize(p: Polytope, eps: float, seed: int = 0) -> Polytope:
     """Randomly tilt facet normals by angles <= eps until generic.
 
     Offsets are refit as support-plus-margin so the result contains the
-    original. Fails after `max_tries` rejected draws.
+    original. Fails after `_GENERICIZE_TRIES` rejected draws.
     """
     if not 0 < eps < 0.1:
         raise InputError("eps must lie in (0, 0.1)")
     rng = np.random.default_rng(seed)
     radius = float(np.linalg.norm(p.vertices, axis=1).max())
     m = p.n_facets
-    for _ in range(max_tries):
+    for _ in range(_GENERICIZE_TRIES):
         new_a = np.empty_like(np.asarray(p.facet_normals))
         for i, a in enumerate(p.facet_normals):
             new_a[i] = _tilt(a, rng.uniform(0.0, 0.9 * eps), rng)

@@ -1,11 +1,10 @@
 """Named geometric thresholds shared across the package.
 
 The verdicts listed below compare against these constants and scale
-functions; no public function takes a tolerance parameter except the LP
-solver's own (`lp.solve`, `lp.feasible_point`, `lp.feasible_nonneg`) and
-the bracket width of `asymmetry.sigma_bisection`. Numerical guards such
-as pivot and determinant cut-offs are still literals in their own
-modules.
+functions.  Of the functions a verdict runs, only `lp.solve` takes a
+tolerance (``LP`` or ``SUBGRADIENT``); the `sigma_bisection` bracket
+width is a constant of `asymmetry`.  Numerical guards such as pivot and
+determinant cut-offs are still literals in their own modules.
 
 Fixed thresholds:
 
@@ -17,11 +16,10 @@ Fixed thresholds:
   determinant or input lattice determinant (`Lattice.from_basis`) this
   small is degenerate, and a polar facet offset this small means
   unbounded (`Polytope.from_facets`).
-* ``LP`` (1e-8), the phase-1 threshold the decision procedures hand to
-  the LP solver: `contains_translate`, the hull-disjointness test of
-  `is_ns` for d >= 3 (`lp.feasible_nonneg`), the flat probe of
-  `is_kwip_sampled` for k >= 2, the face test of `is_summand` and the
-  reflection feasibility LP of `sigma_bisection`.
+* ``LP`` (1e-8), the default phase-1 threshold of `lp.solve`: for
+  `contains_translate`, the hull-disjointness test of `is_ns` for d >= 3,
+  the flat probe of `is_kwip_sampled` for k >= 2, the face test of
+  `is_summand` and the reflection LP of `sigma_bisection`.
 * ``REFLECT_FIT`` (1e-12), a `sigma_bisection` centre counts as feasible
   at mu only when it meets every reflection row within this times
   max(1, |rhs|), so LP round-off cannot pass a mu below sigma.

@@ -207,6 +207,39 @@ def same_point_set(a, b, eps=1e-7) -> bool:
     return bool(used.all())
 
 
+def dedupe_facets_all_pairs(a, b):
+    """Unit-scale the rows, then drop each row within FACET_MERGE of an
+    earlier kept one (normals componentwise, offsets relative to the kept
+    row's), from the full pair matrix walked in row order."""
+    from nonsep import tolerances
+
+    norms = np.linalg.norm(a, axis=1)
+    a, b = a / norms[:, None], b / norms
+    eps = tolerances.FACET_MERGE
+    close = (np.abs(a[:, None] - a[None]) <= eps).all(axis=2)
+    dropped = np.zeros(b.size, dtype=bool)
+    for i, j in zip(*np.nonzero(np.triu(close, 1))):
+        if not dropped[i] and abs(b[j] - b[i]) <= eps * (1 + abs(b[i])):
+            dropped[j] = True
+    return a[~dropped], b[~dropped]
+
+
+def facet_directions_all_pairs(a):
+    """Rows of `a` with no earlier row within 1e-9 of it or of its negative."""
+    same = np.linalg.norm(a[:, None] - a[None], axis=2) < 1e-9
+    opposite = np.linalg.norm(a[:, None] + a[None], axis=2) < 1e-9
+    return a[~np.tril(same | opposite, -1).any(axis=1)]
+
+
+def origin_symmetric_all_pairs(p) -> bool:
+    """Does every vertex v have a vertex within `dedupe` of -v?"""
+    from nonsep import tolerances
+
+    v = p.vertices
+    eps = tolerances.dedupe(p._scale())
+    return all(np.linalg.norm(v + w, axis=1).min() <= eps for w in v)
+
+
 def brute_vertices(a, b):
     """Vertices of the bounded system {x : <a_i, x> <= b_i}, by brute force.
 

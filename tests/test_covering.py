@@ -223,7 +223,7 @@ def erosion_summand(part, whole, tol=1e-8):
     for v in whole.vertices:
         a_ub = np.vstack([aw, -ap])
         b_ub = np.concatenate([eroded, bp - ap @ v])
-        if lp.feasible_point(a_ub, b_ub, tol=tol) is None:
+        if not lp.solve(np.zeros(whole.dim), a_ub, b_ub, tol=tol).optimal:
             return False
     return True
 

@@ -116,8 +116,6 @@ def test_construction_pinned_offsets():
     assert offsets_sorted(construct_extremal(5)) == sorted(F5)
     with pytest.raises(InputError):
         construct_extremal(3)
-    with pytest.raises(InputError):
-        construct_extremal(5, d=3)
 
 
 @pytest.mark.parametrize("n", range(4, 13))

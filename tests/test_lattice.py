@@ -11,6 +11,7 @@ from helpers import (
     ns_patch_probe,
     weak_impassability_probe,
 )
+from nonsep import lattice
 from nonsep.errors import InputError
 from nonsep.lattice import (
     Lattice,
@@ -166,10 +167,10 @@ def test_covering_radius_3d_tiling():
     assert lo <= 1.0 <= hi and hi - lo <= 0.05
 
 
-def test_covering_radius_budget_error_reports_bracket():
+def test_covering_radius_budget_error_reports_bracket(monkeypatch):
+    monkeypatch.setattr(lattice, "_MAX_EVALS", 200)
     with pytest.raises(InputError, match="achieved"):
-        covering_radius(half_cross(2), resolution=4, width=1e-4,
-                        max_evals=200)
+        covering_radius(half_cross(2), resolution=4, width=1e-4)
 
 
 def test_tightness_examples():
@@ -318,6 +319,23 @@ def test_enumeration_bounds_match_brute_force():
     assert beyond >= 5
 
 
+def test_coefficient_box_holds_the_ball_only():
+    """|m_i| < r (1 + 1e-9) |row i of b^-1|: the identity basis at r = 1.5
+    needs [-1, 1]^3, and at r = 2 still reaches (2, 0, 0)."""
+    assert lattice._coefficient_box(np.eye(3), 1.5, 1e9, "").shape == (27, 3)
+    assert lattice._coefficient_box(np.eye(3), 2.0, 1e9, "").shape == (125, 3)
+
+
+@pytest.mark.parametrize("shift", [[2.0, 0.0], [0.5, 0.0]])
+@pytest.mark.parametrize("width", [None, 0.1])
+def test_covering_radius_rejects_origin_off_interior(shift, width):
+    """A body missing the origin, or with the origin on its boundary,
+    has no gauge; no bracket is returned for it."""
+    arr = LatticeArrangement(cube(2).translate(shift), Lattice.from_basis(np.eye(2)))
+    with pytest.raises(InputError, match="origin must be interior to the body"):
+        covering_radius(arr, resolution=16, width=width)
+
+
 @pytest.mark.parametrize("s", [1e-3, 1e4, 1e8])
 def test_ns_is_scale_invariant(s):
     """Scaling body and lattice together changes neither the verdict nor
@@ -442,6 +460,19 @@ def test_weak_minimum_axis_square_slabs():
     t, frac, margin = rows[3]
     # slabs meet exactly at t = 1/2
     assert frac == 1.0 and margin == 0.0
+
+
+def test_weak_minimum_window_budget():
+    """An explicit window listing more than the point budget, or no point
+    but the origin, is refused before any point is built; the default
+    window fits the budget."""
+    lat = Lattice.from_basis(np.eye(3))
+    for window in (200, 0, -1):
+        with pytest.raises(InputError, match=f"window {window} "):
+            weak_covering_minimum_1(cube(3), lat, [0.1], window=window)
+    assert (2 * 28 + 1) ** 3 <= lattice._OFFSET_MAX < (2 * 29 + 1) ** 3
+    assert weak_covering_minimum_1(cube(3), lat, [0.4], samples=50) \
+        == weak_covering_minimum_1(cube(3), lat, [0.4], window=28, samples=50)
 
 
 def test_weak_minimum_dimension_mismatch():

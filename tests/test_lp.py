@@ -6,7 +6,7 @@ from scipy.optimize import linprog
 
 from nonsep import lp
 from nonsep.errors import GeometryError, InputError
-from nonsep.lp import feasible_point, solve
+from nonsep.lp import solve
 
 
 def test_single_variable_max():
@@ -60,10 +60,10 @@ def test_free_variable_negative_optimum():
 def test_feasible_point_square():
     box = np.vstack([np.eye(2), -np.eye(2)])
     rhs = np.array([1.0, 1.0, 0.0, 0.0])
-    x = feasible_point(box, rhs)
+    x = solve(np.zeros(2), box, rhs).x
     assert x is not None
     assert (box @ x <= rhs + 1e-8).all()
-    assert feasible_point(box, np.array([1.0, -2.0, 0.0, 0.0])) is None
+    assert solve(np.zeros(2), box, np.array([1.0, -2.0, 0.0, 0.0])).x is None
 
 
 def test_degenerate_vertex():
@@ -141,8 +141,8 @@ def test_feasible_nonneg_matches_split_form_and_scipy():
             b -= (w @ b + rng.uniform(0.1, 1.0)) * w / (w @ w)
         else:  # either way
             b = rng.normal(size=m) * 3.0
-        y = lp.feasible_nonneg(a, b)
-        split = feasible_point(-np.eye(n), np.zeros(n), a, b)
+        y = solve(np.zeros(n), a_eq=a, b_eq=b, nonneg=True).x
+        split = solve(np.zeros(n), -np.eye(n), np.zeros(n), a, b).x
         ref = linprog(np.zeros(n), A_eq=a, b_eq=b, bounds=(0, None), method="highs")
         assert (y is not None) == (split is not None) == (ref.status == 0), k
         verdicts[y is not None] += 1
@@ -151,12 +151,11 @@ def test_feasible_nonneg_matches_split_form_and_scipy():
             assert np.allclose(a @ y, b, atol=1e-7)
     assert min(verdicts.values()) >= 40, verdicts
     with pytest.raises(InputError, match="shapes"):
-        lp.feasible_nonneg(np.ones((2, 3)), np.ones(3))
+        solve(np.zeros(3), a_eq=np.ones((2, 3)), b_eq=np.ones(3), nonneg=True)
 
 
-def test_nonneg_solve_matches_scipy_and_carries_feasible_nonneg(monkeypatch):
-    """x >= 0 optima against HiGHS; the standard-form phase 1 is one
-    `solve` call, so whatever counts LPs at `lp.solve` sees it."""
+def test_nonneg_solve_matches_scipy():
+    """x >= 0 optima against HiGHS."""
     rng = np.random.default_rng(47)
     for k in range(100):
         m, n = int(rng.integers(1, 6)), int(rng.integers(1, 8))
@@ -173,11 +172,7 @@ def test_nonneg_solve_matches_scipy_and_carries_feasible_nonneg(monkeypatch):
             assert abs(mine.value - ref.fun) <= 1e-6 * (1.0 + abs(ref.fun))
     assert solve([1.0, 2.0], maximize=False, nonneg=True).value == 0.0
     assert solve([1.0, -2.0], maximize=False, nonneg=True).status == "unbounded"
-    calls = []
-    inner = lp.solve
-    monkeypatch.setattr(lp, "solve", lambda *a, **kw: calls.append(kw) or inner(*a, **kw))
-    assert lp.feasible_nonneg(np.ones((1, 3)), [1.0]) is not None
-    assert len(calls) == 1 and calls[0]["nonneg"]
+    assert solve(np.zeros(3), a_eq=np.ones((1, 3)), b_eq=[1.0], nonneg=True).optimal
 
 
 def _tall_instance(rng, kind, m, n):

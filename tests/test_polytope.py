@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 from helpers import (
     brute_vertices,
+    dedupe_facets_all_pairs,
     edges_double_loop,
+    facet_directions_all_pairs,
     grid_contains_translate,
+    origin_symmetric_all_pairs,
     same_point_set,
 )
 
@@ -22,6 +25,7 @@ from nonsep.polytope import (
     cross_polytope,
     cube,
     edges,
+    facet_directions,
     genericize,
     is_generic,
     measure,
@@ -214,6 +218,72 @@ def test_dedupe_facets_matches_reference_loop():
         assert np.array_equal(got[1], want[1])
         merged += rows.shape[0] - want[1].size
     assert merged > 0
+
+
+def _sphere_body(rng, pairs, d=3):
+    pts = rng.standard_normal((pairs, d))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    return Polytope.from_vertices(np.vstack([pts, -pts]))
+
+
+def _planted_rows(rng, a, b):
+    """Rows of a plus copies of some of them moved, after unit scaling, by
+    0.5, 0.99, 1.01 or 2 FACET_MERGE along one axis, and offsets moved by
+    a similar share of the merge band; shuffled."""
+    eps = tolerances.FACET_MERGE
+    norms = np.linalg.norm(a, axis=1)
+    src = rng.integers(0, b.size, size=max(1, b.size // 2))
+    copy = a[src] / norms[src, None]
+    axis = rng.integers(0, a.shape[1], size=src.size)
+    copy[np.arange(src.size), axis] += (rng.choice([0.5, 0.99, 1.01, 2.0], src.size)
+                                        * rng.choice([-1.0, 1.0], src.size) * eps)
+    off = b[src] / norms[src]
+    off = off + rng.choice([0.0, 0.5, 2.0], src.size) * eps * (1 + np.abs(off))
+    rows = np.vstack([np.column_stack([a, b]), np.column_stack([copy, off])])
+    return rows[rng.permutation(rows.shape[0])]
+
+
+def test_near_duplicate_queries_match_all_pairs_oracles():
+    """`_dedupe_facets`, `facet_directions` and `is_origin_symmetric`
+    against the all-pairs scans they replaced, on random and symmetric
+    bodies in d = 2..4, boxes with a normal 0.5e-9 and 2e-9 off its
+    antipode, symmetric bodies with a vertex moved 0.5 or 2 dedupe
+    distances, and a 1,020-facet sphere body."""
+    rng = np.random.default_rng(29)
+    bodies = [random_polytope(2 + i % 3, 5 + i % 7, rng, symmetric=i % 4 < 2)
+              for i in range(60)]
+    for d in (2, 3, 4):
+        for tilt, kept in ((0.5e-9, d), (2e-9, d + 1)):
+            a = np.vstack([np.eye(d), -np.eye(d)])
+            a[d, 1] = tilt
+            p = Polytope.from_facets(a, np.ones(2 * d))
+            assert facet_directions(p).shape == (kept, d)
+            bodies.append(p)
+        for move, symmetric in ((0.5, True), (2.0, False)):
+            p = _sphere_body(rng, 12, d)
+            v = p.vertices.copy()
+            v[0] *= 1.0 + move * tolerances.dedupe(p._scale()) / np.linalg.norm(v[0])
+            q = Polytope.from_vertices(v)
+            assert q.is_origin_symmetric() == symmetric
+            bodies += [p, q]
+    big = _sphere_body(rng, 256)
+    assert big.n_facets == 1020
+    bodies.append(big)
+    merged = kept_plants = 0
+    for p in bodies:
+        a = p.facet_normals
+        assert np.array_equal(facet_directions(p), facet_directions_all_pairs(a))
+        assert p.is_origin_symmetric() == origin_symmetric_all_pairs(p)
+        rows = _planted_rows(rng, a * rng.uniform(0.5, 2.0, (a.shape[0], 1)),
+                             p.facet_offsets)
+        got = polytope._dedupe_facets(rows[:, :-1], rows[:, -1])
+        want = dedupe_facets_all_pairs(rows[:, :-1], rows[:, -1])
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        merged += rows.shape[0] - want[1].size
+        kept_plants += want[1].size - a.shape[0]
+    symmetric = sum(p.is_origin_symmetric() for p in bodies)
+    assert merged > 100 and kept_plants > 100
+    assert min(symmetric, len(bodies) - symmetric) >= 30
 
 
 def test_redundant_facet_dropped():

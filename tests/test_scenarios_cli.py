@@ -339,6 +339,15 @@ class TestCli:
         assert cli.main(["lattice", "ns", shifted]) == 2
         assert "origin must be interior" in capsys.readouterr().err
 
+    def test_lattice_mu1w_in_three_dimensions(self, tmp_path, capsys):
+        # the default window shrinks to fit the point budget in d = 3
+        arr = write_json(tmp_path / "arr.json",
+                         {"body": cube(3).to_dict(), "basis": np.eye(3).tolist()})
+        assert cli.main(["lattice", "mu1w", arr, "--t", "0.4,0.6"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [r["t"] for r in rows] == [0.4, 0.6]
+        assert rows[0]["hit_fraction"] <= rows[1]["hit_fraction"]
+
     def test_lattice_ns_on_coarse_basis(self, tmp_path):
         # the dual lattice's determinant, 1/1.6e9, is below GEOM
         arr = write_json(tmp_path / "arr.json",
