@@ -27,10 +27,6 @@ class AsymmetryResult:
     center: np.ndarray
     method: str
 
-    def to_dict(self) -> dict:
-        return {"sigma": self.sigma, "center": self.center.tolist(),
-                "method": self.method}
-
 
 def _reflection_rows(p: Polytope):
     """Per-facet data for the containment K - q <= -mu (K - q).

@@ -52,9 +52,6 @@ class BallFamily:
     def dim(self) -> int:
         return self.centers.shape[1]
 
-    def to_dict(self) -> dict:
-        return {"centers": self.centers.tolist(), "radii": self.radii.tolist()}
-
 
 def _reach(c, centers, radii):
     return np.linalg.norm(centers - c, axis=1) + radii
@@ -233,18 +230,18 @@ def stability_trace(taus, deltas) -> list[tuple[float, float, float]]:
     return rows
 
 
-def stability_exponent(taus, deltas) -> float:
-    """Log-log slope of line deviation against circumradius deficit.
+def stability_exponent(rows) -> float:
+    """Log-log slope of line deviation against circumradius deficit, fitted
+    to the rows of `stability_trace`.
 
-    Bends whose deficit is at most `tolerances.NO_SIGNAL` carry no signal
-    and are dropped; at least three must survive.  The expected slope is
-    one half.
+    The rows need at least five bends spanning two decades.  Bends whose
+    deficit is at most `tolerances.NO_SIGNAL` carry no signal and are
+    dropped; at least three must survive.  The expected slope is one half.
     """
-    pos = [float(d) for d in deltas if d > 0]
-    if len(list(deltas)) < 5 or not pos or max(pos) / min(pos) < 99.99:
+    pos = [delta for delta, _, _ in rows if delta > 0]
+    if len(rows) < 5 or not pos or max(pos) / min(pos) < 99.99:
         raise InputError("need at least five bends spanning two decades")
-    rows = [(eps, dev) for _, eps, dev in stability_trace(taus, deltas)
-            if eps > tolerances.NO_SIGNAL]
+    rows = [(eps, dev) for _, eps, dev in rows if eps > tolerances.NO_SIGNAL]
     if len(rows) < 3:
         raise InputError("too few non-degenerate bends to fit a slope")
     le = np.log([eps for eps, _ in rows])

@@ -2,10 +2,14 @@
 
 Verbs mirror the library: decision checks (`wns`, `ns`, `summand`), cover
 construction (`cover`, `lambda`, `sigma`), lattice diagnostics, the cube
-search, and the scenario runner.  Results print as JSON (or go to --out);
-exit status is 0 when the requested property holds or every scenario check
-passes, 1 when the run finished but the property or a check failed (or the
-reader closed standard output early), and 2 for invalid input.
+search, and the scenario runner.  Six verbs are shorthands for a scenario
+kind: `cover` and `lambda` run `covering`, `sigma` runs `sigma`, `lattice
+tightness` and `lattice ns` run `lattice`, and `cubes search` runs `cubes`;
+each prints the scenario's results and exits by its checks.  Results print
+as JSON (or go to --out); exit status is 0 when the requested property
+holds or every scenario check passes, 1 when the run finished but the
+property or a check failed (or the reader closed standard output early),
+and 2 for invalid input.
 """
 
 from __future__ import annotations
@@ -58,33 +62,40 @@ def _cmd_run(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_cover(args) -> int:
-    from .covering import sigma_cover, weighted_cover
-
-    fam = _family(args.family)
-    res = weighted_cover(fam) if args.mode == "weighted" else sigma_cover(fam)
-    _emit(args, {"mode": args.mode, **res.to_dict()})
-    return 0 if res.certified else 1
+def _covering_parameters(args) -> dict:
+    return {"family": read_json(args.family, args.family), "mode": args.mode}
 
 
-def _cmd_lambda(args) -> int:
-    from .covering import lambda_min
-
-    res = lambda_min(_family(args.family))
-    _emit(args, res.to_dict())
-    return 0 if res.certified else 1
+def _sigma_parameters(args) -> dict:
+    return {"polytope": read_json(args.polytope, args.polytope)}
 
 
-def _cmd_sigma(args) -> int:
-    from .asymmetry import sigma_bisection, sigma_lp
+def _lattice_parameters(args) -> dict:
+    doc = read_json(args.arrangement, args.arrangement)
+    doc = doc if isinstance(doc, dict) else {}
+    params = {key: doc[key] for key in ("body", "basis") if key in doc}
+    params["mode"] = args.mode
+    if args.mode == "ns":
+        params["expect_verdict"] = True
+    else:
+        params["resolution"] = args.resolution
+        if args.width is not None:
+            params["width"] = args.width
+    return params
 
-    p = _polytope(args.polytope)
-    by_lp = sigma_lp(p)
-    by_bisect = sigma_bisection(p)
-    gap = abs(by_lp.sigma - by_bisect.sigma)
-    _emit(args, {**by_lp.to_dict(), "sigma_bisection": by_bisect.sigma,
-                 "route_gap": gap})
-    return 0 if gap <= args.tol else 1
+
+def _cubes_parameters(args) -> dict:
+    return {"n": args.n, "objective": args.objective}
+
+
+def _cmd_kind(args) -> int:
+    """Run the verb's scenario kind; print its results, exit by its checks."""
+    from .scenarios import run_scenario
+
+    report, ok = run_scenario({"kind": args.kind,
+                               "parameters": args.parameters(args)}, out="-")
+    _emit(args, report["results"])
+    return 0 if ok else 1
 
 
 def _cmd_wns(args) -> int:
@@ -120,23 +131,6 @@ def _cmd_summand(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_lattice_tightness(args) -> int:
-    from .lattice import tightness
-
-    lo, hi = tightness(_arrangement(args.arrangement),
-                       resolution=args.resolution, width=args.width)
-    _emit(args, {"lower": lo, "upper": hi, "width": hi - lo})
-    return 0
-
-
-def _cmd_lattice_ns(args) -> int:
-    from .lattice import is_ns_lattice
-
-    verdict, lam1 = is_ns_lattice(_arrangement(args.arrangement))
-    _emit(args, {"non_separable": verdict, "lambda1": lam1})
-    return 0 if verdict else 1
-
-
 def _cmd_lattice_mu1w(args) -> int:
     from .lattice import weak_covering_minimum_1
 
@@ -148,17 +142,6 @@ def _cmd_lattice_mu1w(args) -> int:
                                    seed=args.seed)
     _emit(args, {"rows": [{"t": t, "hit_fraction": frac, "max_miss": miss}
                           for t, frac, miss in rows]})
-    return 0
-
-
-def _cmd_cubes_search(args) -> int:
-    from .cubes import bounding_box, exhaustive_max
-
-    fam, value = exhaustive_max(args.n, args.objective)
-    lo, hi = bounding_box(fam)
-    _emit(args, {"objective": args.objective, "value": value,
-                 "offsets": fam.offsets.tolist(),
-                 "box": [lo.tolist(), hi.tolist()]})
     return 0
 
 
@@ -186,19 +169,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family")
     p.add_argument("--mode", choices=["weighted", "sigma"], default="weighted")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_cover)
+    p.set_defaults(func=_cmd_kind, kind="covering",
+                   parameters=_covering_parameters)
 
     p = sub.add_parser("lambda", help="smallest covering homothety ratio")
     p.add_argument("family")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_lambda)
+    p.set_defaults(func=_cmd_kind, kind="covering", mode="lambda",
+                   parameters=_covering_parameters)
 
     p = sub.add_parser("sigma", help="central asymmetry, two routes")
     p.add_argument("polytope")
-    p.add_argument("--tol", type=float, default=1e-6,
-                   help="allowed disagreement between the routes")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_sigma)
+    p.set_defaults(func=_cmd_kind, kind="sigma", parameters=_sigma_parameters)
 
     p = sub.add_parser("wns", help="facet-parallel separability check")
     p.add_argument("family")
@@ -225,12 +208,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=float, default=None,
                    help="refine until the bracket is this tight")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_lattice_tightness)
+    p.set_defaults(func=_cmd_kind, kind="lattice", mode="tightness",
+                   parameters=_lattice_parameters)
 
     p = lsub.add_parser("ns", help="dual shortest-vector separability check")
     p.add_argument("arrangement")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_lattice_ns)
+    p.set_defaults(func=_cmd_kind, kind="lattice", mode="ns",
+                   parameters=_lattice_parameters)
 
     p = lsub.add_parser("mu1w", help="facet-parallel hyperplane hit rates")
     p.add_argument("arrangement")
@@ -248,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", choices=["area", "perimeter"],
                    default="area")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_cubes_search)
+    p.set_defaults(func=_cmd_kind, kind="cubes", parameters=_cubes_parameters)
 
     p = csub.add_parser("extremal", help="corner-glued configuration")
     p.add_argument("--n", type=int, required=True)

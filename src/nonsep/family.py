@@ -49,10 +49,6 @@ class Flat:
     point: np.ndarray
     basis: np.ndarray  # (d, k); k == 0 means a single point
 
-    def to_dict(self) -> dict:
-        return {"flat": {"point": self.point.tolist(),
-                         "basis": self.basis.T.tolist()}}
-
 
 @dataclass(frozen=True)
 class HomotheticFamily:

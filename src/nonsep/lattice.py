@@ -27,7 +27,7 @@ from .polytope import (
     polytope_from_dict,
 )
 
-_OFFSET_MAX = 2e5  # lattice vectors one gauge search or hit curve may list
+_OFFSET_MAX = 2e5  # lattice vectors one gauge search, hit curve or gap box may list
 _DUAL_MAX = 10_000_000  # dual vectors `is_ns_lattice` may enumerate
 _PAD = 1.0 + 1e-9  # relative radius pad of `_coefficient_box`
 _MAX_EVALS = 2_000_000  # gauge-distance samples `covering_radius` may refine to
@@ -41,6 +41,13 @@ def _grid(axes) -> np.ndarray:
 
 def _int_box(d: int, r: int) -> np.ndarray:
     return _grid([np.arange(-r, r + 1)] * d)
+
+
+def _check_box(d: int, r: int, least: int, what: str) -> None:
+    """Refuse a box [-r, r]^d with r below `least` or over `_OFFSET_MAX` points."""
+    if r < least or (2 * r + 1) ** d > _OFFSET_MAX:
+        raise InputError(f"{what} {r} must be at least {least} and list at most "
+                         f"{_OFFSET_MAX:g} lattice points")
 
 
 def _signs(d: int) -> list[tuple[float, ...]]:
@@ -261,14 +268,15 @@ def is_ns_lattice(arr: LatticeArrangement) -> tuple[bool, float]:
 def kronecker_gap(u, box_radius: int) -> float:
     """Largest circular gap of the fractional parts of <u, z>.
 
-    z runs over the integer box [-R, R]^d.  Rational unit directions
-    stall at a positive gap (a lone value reports the full circle, 1);
-    rationally independent coordinates drive the gap to zero as the box
-    grows.
+    z runs over the integer box [-R, R]^d, which may list at most
+    `_OFFSET_MAX` points.  Rational unit directions stall at a positive gap
+    (a lone value reports the full circle, 1); rationally independent
+    coordinates drive the gap to zero as the box grows.
     """
     u = np.asarray(u, dtype=float)
     if abs(np.linalg.norm(u) - 1.0) > 1e-9:
         raise InputError("direction must be a unit vector")
+    _check_box(u.size, int(box_radius), 0, "box_radius")
     z = _int_box(u.size, int(box_radius))
     vals = np.sort((z @ u) % 1.0)
     gaps = np.diff(vals)
@@ -292,9 +300,7 @@ def weak_covering_minimum_1(p: Polytope, lat: Lattice, t_grid,
         raise InputError("body and lattice dimensions differ")
     if window is None:
         window = min(200, int((_OFFSET_MAX ** (1.0 / d) - 1.0) / 2.0))
-    if window < 1 or (2 * window + 1) ** d > _OFFSET_MAX:
-        raise InputError(f"window {window} must be at least 1 and list at most "
-                         f"{_OFFSET_MAX:g} lattice points")
+    _check_box(d, window, 1, "window")
     rng = np.random.default_rng(seed)
     z = lat.points(window)
     per_dir = []

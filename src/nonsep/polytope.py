@@ -135,12 +135,6 @@ class Polytope:
         vals = (self.vertices @ u.T).max(axis=0)
         return float(vals) if u.ndim == 1 else vals
 
-    def contains_point(self, x, slack: float | None = None) -> bool:
-        x = np.asarray(x, dtype=float)
-        s = self._scale() if slack is None else 0.0
-        eps = slack if slack is not None else tolerances.feas(s)
-        return bool((self.facet_normals @ x - self.facet_offsets <= eps).all())
-
     def gauge(self, x):
         """Least lam >= 0 with x in lam * P, for a point or rows of points."""
         _require_origin_interior(self)
@@ -273,7 +267,10 @@ def _dedupe_facets(a, b):
 
 
 def _require_origin_interior(p: Polytope) -> None:
-    if (p.facet_offsets <= tolerances.GEOM).any():
+    # relative below unit scale, so a tiny body (say the polar of a huge one)
+    # is judged against its own size
+    b = p.facet_offsets
+    if (b <= tolerances.GEOM * min(1.0, float(b.max()))).any():
         raise InputError("origin must be interior to the body")
 
 

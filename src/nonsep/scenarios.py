@@ -4,7 +4,10 @@ A scenario names one of five experiment kinds, its parameters, a seed and
 an output stem.  Running it dispatches to the owning module, evaluates the
 kind's built-in checks (plus any expectations embedded in the parameters),
 and writes `<stem>.report.json` and `<stem>.csv`.  Runs are deterministic:
-the same scenario file always produces byte-identical CSV.
+the same scenario file always produces byte-identical CSV.  No kind draws
+at random, so the seed is only carried into the report.  The CLI verbs
+`cover`, `lambda`, `sigma`, `lattice tightness|ns` and `cubes search` run
+their kind through `run_scenario` and print its results.
 """
 
 from __future__ import annotations
@@ -17,8 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import tolerances
 from .errors import InputError
 
+_EXPECT_SLACK = 1e-9  # default slack of `expect_value`, and of `expect_contains`
+_ROUTE_GAP = 1e-6  # sigma: the routes may differ by this; `expect_tol` default
 _KINDS = ("stability", "cubes", "lattice", "covering", "sigma")
 
 
@@ -175,7 +181,7 @@ def _check(name: str, passed: bool, detail: str) -> dict:
 
 
 def _expect_value(checks: list, params: dict, value: float,
-                  default_tol: float = 1e-9):
+                  default_tol: float = _EXPECT_SLACK):
     if "expect_value" in params:
         want = float(params["expect_value"])
         tol = float(params.get("expect_tol", default_tol))
@@ -184,14 +190,13 @@ def _expect_value(checks: list, params: dict, value: float,
             f"got {value!r}, want {want!r} within {tol:g}"))
 
 
-def _run_stability(params: dict, seed: int):
-    from . import tolerances
+def _run_stability(params: dict):
     from .balls import stability_exponent, stability_trace
 
     taus = [float(t) for t in params["taus"]]
     deltas = [float(d) for d in params["deltas"]]
     rows = stability_trace(taus, deltas)
-    dev_slope = stability_exponent(taus, deltas)
+    dev_slope = stability_exponent(rows)
     usable = [(d, e) for d, e, _ in rows if d > 0 and e > tolerances.NO_SIGNAL]
     eps_slope = float(np.polyfit(np.log([d for d, _ in usable]),
                                  np.log([e for _, e in usable]), 1)[0])
@@ -207,7 +212,7 @@ def _run_stability(params: dict, seed: int):
     return results, checks, ["delta", "deficit", "deviation"], rows
 
 
-def _run_cubes(params: dict, seed: int):
+def _run_cubes(params: dict):
     from .cubes import bounding_box, cube_is_wns, exhaustive_max
 
     n = params["n"]
@@ -227,7 +232,7 @@ def _run_cubes(params: dict, seed: int):
     return results, checks, ["i", "x", "y"], rows
 
 
-def _run_lattice(params: dict, seed: int):
+def _run_lattice(params: dict):
     from .lattice import (arrangement_from_dict, density, is_ns_lattice,
                           tightness)
 
@@ -244,7 +249,7 @@ def _run_lattice(params: dict, seed: int):
             want = float(params["expect_contains"])
             checks.append(_check(
                 "bracket holds expected tightness",
-                lo - 1e-9 <= want <= hi + 1e-9,
+                lo - _EXPECT_SLACK <= want <= hi + _EXPECT_SLACK,
                 f"bracket [{lo:.6g}, {hi:.6g}], want {want!r}"))
         results = {"mode": mode, "lower": lo, "upper": hi,
                    "width": hi - lo, "resolution": res}
@@ -270,7 +275,7 @@ def _run_lattice(params: dict, seed: int):
     return results, checks, header, rows
 
 
-def _run_covering(params: dict, seed: int):
+def _run_covering(params: dict):
     from .covering import lambda_min, sigma_cover, weighted_cover
     from .family import family_from_dict
 
@@ -284,7 +289,7 @@ def _run_covering(params: dict, seed: int):
     if "expect_lambda_le" in params:
         bound = float(params["expect_lambda_le"])
         checks.append(_check("lambda within bound",
-                             res.lam <= bound + 1e-7,
+                             res.lam <= bound + tolerances.LAMBDA_ONE,
                              f"lambda {res.lam!r} <= {bound!r}"))
     results = {"mode": mode, **res.to_dict()}
     header = ["i", "tau"] + [f"x{k}" for k in range(fam.dim)]
@@ -293,7 +298,7 @@ def _run_covering(params: dict, seed: int):
     return results, checks, header, rows
 
 
-def _run_sigma(params: dict, seed: int):
+def _run_sigma(params: dict):
     from .asymmetry import sigma_bisection, sigma_lp
     from .polytope import polytope_from_dict
 
@@ -301,9 +306,9 @@ def _run_sigma(params: dict, seed: int):
     by_lp = sigma_lp(p)
     by_bisect = sigma_bisection(p)
     gap = abs(by_lp.sigma - by_bisect.sigma)
-    checks = [_check("two routes agree", gap <= 1e-6,
+    checks = [_check("two routes agree", gap <= _ROUTE_GAP,
                      f"lp {by_lp.sigma!r} vs bisection {by_bisect.sigma!r}")]
-    _expect_value(checks, params, by_lp.sigma, default_tol=1e-6)
+    _expect_value(checks, params, by_lp.sigma, default_tol=_ROUTE_GAP)
     results = {"sigma": by_lp.sigma, "center": by_lp.center.tolist(),
                "sigma_bisection": by_bisect.sigma, "route_gap": gap}
     rows = [("lp", by_lp.sigma), ("bisection", by_bisect.sigma)]
@@ -342,8 +347,7 @@ def run_scenario(source, out=None) -> tuple[dict, bool]:
         scenario = load_scenario(source)
         base_dir = Path(source).resolve().parent
         default_stem = Path(source).resolve().with_suffix("")
-    results, checks, header, rows = _RUNNERS[scenario.kind](
-        scenario.parameters, scenario.seed)
+    results, checks, header, rows = _RUNNERS[scenario.kind](scenario.parameters)
     ok = all(c["passed"] for c in checks)
     report = {
         "kind": scenario.kind,

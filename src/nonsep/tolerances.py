@@ -10,12 +10,13 @@ Fixed thresholds:
 
 * ``GEOM`` (1e-9), coordinate-scale zero: a facet normal or support
   direction this short is zero (`Polytope.from_facets`,
-  `Polytope.support`); a facet offset this small, or a vertex this close
-  to the origin, puts the origin off the interior (`Polytope.gauge`,
-  `polytope.polar`); a 1-D extent, Chebyshev radius, parallelotope
-  determinant or input lattice determinant (`Lattice.from_basis`) this
-  small is degenerate, and a polar facet offset this small means
-  unbounded (`Polytope.from_facets`).
+  `Polytope.support`); a facet offset this small (times the largest
+  offset, when that is below 1), or a vertex this close to the origin,
+  puts the origin off the interior (`Polytope.gauge`, `polytope.polar`);
+  a 1-D extent, Chebyshev radius, parallelotope determinant or input
+  lattice determinant (`Lattice.from_basis`) this small is degenerate,
+  and a polar facet offset this small means unbounded
+  (`Polytope.from_facets`).
 * ``LP`` (1e-8), the default phase-1 threshold of `lp.solve`: for
   `contains_translate`, the hull-disjointness test of `is_ns` for d >= 3,
   the flat probe of `is_kwip_sampled` for k >= 2, the face test of
@@ -26,7 +27,8 @@ Fixed thresholds:
 * ``SUBGRADIENT`` (1e-9), the phase-1 threshold of the `ball_circumradius`
   optimality certificate (0 in the hull of the active unit gradients).
 * ``LAMBDA_ONE`` (1e-7), `wip_summand_check` accepts lambda_min up to
-  1 + LAMBDA_ONE as "at most 1".
+  1 + LAMBDA_ONE as "at most 1", and the covering scenario's
+  `expect_lambda_le` check allows the same slack above its bound.
 * ``GAP`` (1e-9), a gap at or below this is touching, and touching is
   not separation: the interval sweep `family._first_gap`, over member
   projections in `is_wns` and planar `is_ns` and over edge pieces in
@@ -53,8 +55,9 @@ Fixed thresholds:
   an active ball's center certifies itself (the full unit ball of
   gradients is available there).
 * ``NO_SIGNAL`` (1e-12), a circumradius deficit at or below this carries
-  no signal: `stability_exponent` and the deficit slope of the stability
-  scenario drop the bend.
+  no signal: both slopes of the stability scenario, fitted to one
+  `stability_trace` (the deviation slope by `stability_exponent`), drop
+  the bend.
 * ``CUBE_CANDIDATE`` (1e-12), a `shadow_normalize` candidate move
   replaces the best one so far only when it scores more than this above
   it, so among ties the first in candidate order wins.

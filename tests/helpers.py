@@ -9,6 +9,17 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 
+def contains_point(p, x, slack=None) -> bool:
+    """x lies in polytope p up to `slack` past any facet (default:
+    `tolerances.feas` at the largest vertex coordinate of p)."""
+    from nonsep import tolerances
+
+    if slack is None:
+        slack = tolerances.feas(float(np.abs(p.vertices).max(initial=1.0)))
+    return bool((p.facet_normals @ np.asarray(x, dtype=float)
+                 - p.facet_offsets <= slack).all())
+
+
 def arrangement_with_lambda1(rng, band, nverts=8):
     """Random symmetric 2-D arrangement rescaled to a target dual length.
 

@@ -256,8 +256,8 @@ def test_criterion_08_stability_exponents():
     t0 = time.monotonic()
     taus = [1.0, 1.0, 1.0, 1.0]
     deltas = list(np.logspace(-1, -3, 9))
-    dev_slope = stability_exponent(taus, deltas)
     rows = stability_trace(taus, deltas)
+    dev_slope = stability_exponent(rows)
     eps_slope = float(np.polyfit(np.log([r[0] for r in rows]),
                                  np.log([r[1] for r in rows]), 1)[0])
     elapsed = time.monotonic() - t0

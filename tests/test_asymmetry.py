@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import contains_point
 
 from nonsep import asymmetry
 from nonsep.asymmetry import (
@@ -90,7 +91,7 @@ def test_center_certifies_reflection():
         res = sigma_lp(p)
         for v in p.vertices:
             pulled = res.center - (v - res.center) / res.sigma
-            assert p.contains_point(pulled, slack=1e-6)
+            assert contains_point(p, pulled, slack=1e-6)
 
 
 def test_affine_invariance():

@@ -192,12 +192,12 @@ def test_trace_rows_and_degenerate_drop():
 
 
 def test_exponent_half_unit_radii():
-    slope = stability_exponent([1.0] * 4, np.logspace(-1, -3, 7))
+    slope = stability_exponent(stability_trace([1.0] * 4, np.logspace(-1, -3, 7)))
     assert 0.4 <= slope <= 0.6
 
 
 def test_exponent_half_three_balls():
-    slope = stability_exponent([1.0] * 3, np.logspace(-1, -3, 6))
+    slope = stability_exponent(stability_trace([1.0] * 3, np.logspace(-1, -3, 6)))
     assert 0.4 <= slope <= 0.6
 
 
@@ -211,15 +211,15 @@ def test_deficit_scales_quadratically():
 
 def test_exponent_drops_zero_rows():
     deltas = [0.0, 0.1, 0.05, 0.01, 0.005, 0.001]
-    slope = stability_exponent([1.0] * 4, deltas)
+    slope = stability_exponent(stability_trace([1.0] * 4, deltas))
     assert 0.4 <= slope <= 0.6
 
 
 def test_exponent_rejections():
     with pytest.raises(InputError):
-        stability_exponent([1.0] * 4, [0.1, 0.01, 0.001])
+        stability_exponent(stability_trace([1.0] * 4, [0.1, 0.01, 0.001]))
     with pytest.raises(InputError):
-        stability_exponent([1.0] * 4, [0.1, 0.09, 0.08, 0.07, 0.06])
+        stability_exponent(stability_trace([1.0] * 4, [0.1, 0.09, 0.08, 0.07, 0.06]))
 
 
 def test_cube_chain_counterexample():

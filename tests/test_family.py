@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
-from helpers import Interval, ns_oracle, project_member, strict_separator
+from helpers import (
+    Interval,
+    contains_point,
+    ns_oracle,
+    project_member,
+    strict_separator,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
@@ -262,7 +268,7 @@ def test_kwip_points_find_hole():
     assert flat.basis.shape == (2, 0)
     p = flat.point
     inside_any = any(
-        fam.member(i).contains_point(p) for i in range(fam.n))
+        contains_point(fam.member(i), p) for i in range(fam.n))
     assert not inside_any
 
 
@@ -464,8 +470,8 @@ def ref_kwip(fam, k, samples, seed):
     eps = tolerances.feas(1.0)
     if k == 0:
         for p in points:
-            if not any(fam.base.contains_point((p - fam.translations[i]) / fam.ratios[i],
-                                               slack=eps) for i in range(fam.n)):
+            if not any(contains_point(fam.base, (p - fam.translations[i]) / fam.ratios[i],
+                                      slack=eps) for i in range(fam.n)):
                 return "falsified", p, None
         return "not-falsified", None, None
     dirs = facet_directions(fam.base)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     arrangement_with_lambda1,
+    contains_point,
     gauge_dist,
     gauge_rows,
     lattice_patch,
@@ -211,8 +212,8 @@ def test_overlap_identity_rejection_oracle():
             continue
         if c <= 1.0 + lam:
             p = x if c <= 1.0 else z + (x - z) / c
-            assert k.homothet(z, 1.0).contains_point(p, slack=1e-7)
-            assert k.homothet(x, lam).contains_point(p, slack=1e-7)
+            assert contains_point(k.homothet(z, 1.0), p, slack=1e-7)
+            assert contains_point(k.homothet(x, lam), p, slack=1e-7)
             pos += 1
         else:
             pts = x + lam * _hull_samples(k, rng, 200)
@@ -336,10 +337,11 @@ def test_covering_radius_rejects_origin_off_interior(shift, width):
         covering_radius(arr, resolution=16, width=width)
 
 
-@pytest.mark.parametrize("s", [1e-3, 1e4, 1e8])
+@pytest.mark.parametrize("s", [1e-3, 1e4, 1e8, 1e12])
 def test_ns_is_scale_invariant(s):
     """Scaling body and lattice together changes neither the verdict nor
-    lambda_1, also where the dual determinant falls far below GEOM."""
+    lambda_1, also where the dual determinant and the polar's facet
+    offsets fall far below GEOM."""
     rng = np.random.default_rng(49)
     for i in range(20):
         band = (0.2, 0.45) if i % 2 == 0 else (0.55, 0.9)
@@ -425,6 +427,10 @@ def test_kronecker_gap_examples():
     assert kronecker_gap(u3, 20) < 0.005
     with pytest.raises(InputError, match="unit"):
         kronecker_gap([1.0, 1.0], 10)
+    # refused before any point is built: radius 200 in d = 3 lists 64.5 M
+    for r in (200, -1):
+        with pytest.raises(InputError, match=f"box_radius {r} "):
+            kronecker_gap(u3, r)
 
 
 def test_kronecker_gap_trend():

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import functools
@@ -6,6 +7,7 @@ import json
 import math
 import operator
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 from helpers import perimeter_record
 
 import nonsep
-from nonsep import cli, lp
+from nonsep import balls, cli, lp
 from nonsep.errors import InputError
 from nonsep.family import HomotheticFamily
 from nonsep.polytope import Polytope, cube, regular_polygon
@@ -309,6 +311,9 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["sigma"] == pytest.approx(2.0, abs=1e-6)
         assert payload["route_gap"] <= 1e-6
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sigma", tri, "--tol", "1e-6"])
+        assert exc.value.code == 2
 
     def test_summand_exit_codes(self, tmp_path):
         box = write_json(tmp_path / "box.json", cube(2).to_dict())
@@ -474,6 +479,107 @@ def test_demo_outputs_regenerate_byte_identical(tmp_path):
             fresh = (tmp_path / (path.stem + suffix)).read_bytes()
             committed = (DEMOS / "out" / (path.stem + suffix)).read_bytes()
             assert fresh == committed, path.stem + suffix
+
+
+UNIT_ARRANGEMENT = {"body": cube(2).to_dict(), "basis": [[1.0, 0.0], [0.0, 1.0]]}
+# squares of half the period leave gaps between the lattice translates
+SEPARABLE_ARRANGEMENT = {"body": cube(2, half=0.25).to_dict(),
+                         "basis": [[1.0, 0.0], [0.0, 1.0]]}
+
+
+def shorthand_cases():
+    """(argv with FILE for the input path, input document or None, the
+    equivalent scenario) for each verb that runs a scenario kind."""
+    chain = chain_family_dict()
+    # keys of the arrangement file other than body and basis are not read
+    noted = {**UNIT_ARRANGEMENT, "note": "ignored"}
+    return {
+        "cover": (["cover", "FILE"], chain,
+                  ("covering", {"family": chain, "mode": "weighted"})),
+        "cover sigma": (["cover", "FILE", "--mode", "sigma"], chain,
+                        ("covering", {"family": chain, "mode": "sigma"})),
+        "lambda": (["lambda", "FILE"], chain,
+                   ("covering", {"family": chain, "mode": "lambda"})),
+        "sigma": (["sigma", "FILE"], TRIANGLE, ("sigma", {"polytope": TRIANGLE})),
+        "lattice tightness": (
+            ["lattice", "tightness", "FILE", "--resolution", "16"], noted,
+            ("lattice", {**UNIT_ARRANGEMENT, "mode": "tightness", "resolution": 16})),
+        "lattice tightness width": (
+            ["lattice", "tightness", "FILE", "--resolution", "8", "--width", "0.3"],
+            UNIT_ARRANGEMENT,
+            ("lattice", {**UNIT_ARRANGEMENT, "mode": "tightness", "resolution": 8,
+                         "width": 0.3})),
+        "lattice ns": (["lattice", "ns", "FILE"], noted,
+                       ("lattice", {**UNIT_ARRANGEMENT, "mode": "ns",
+                                    "expect_verdict": True})),
+        "lattice ns separable": (
+            ["lattice", "ns", "FILE"], SEPARABLE_ARRANGEMENT,
+            ("lattice", {**SEPARABLE_ARRANGEMENT, "mode": "ns",
+                         "expect_verdict": True})),
+        "cubes search": (["cubes", "search", "--n", "5", "--objective", "perimeter"],
+                         None, ("cubes", {"n": 5, "objective": "perimeter"})),
+    }
+
+
+@pytest.mark.parametrize("case", list(shorthand_cases()))
+def test_shorthand_verbs_print_their_scenario_results(tmp_path, capsys, case):
+    argv, doc, (kind, params) = shorthand_cases()[case]
+    if doc is not None:
+        argv = [write_json(tmp_path / "input.json", doc) if a == "FILE" else a
+                for a in argv]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    report, ok = run_scenario({"kind": kind, "parameters": params}, out="-")
+    assert captured.err == ""
+    assert json.loads(captured.out) == json.loads(json.dumps(report["results"]))
+    assert code == (0 if ok else 1)
+    assert ok == (case != "lattice ns separable")
+
+
+def test_bent_chain_traces_each_bend_once(monkeypatch):
+    calls = []
+
+    def counted(fam):
+        calls.append(fam.n)
+        return circumradius(fam)
+
+    circumradius = balls.ball_circumradius
+    monkeypatch.setattr(balls, "ball_circumradius", counted)
+    path = DEMOS / "bent_chain_stability.json"
+    _, ok = run_scenario(path, out="-")
+    assert ok
+    assert len(calls) == len(load_scenario(path).parameters["deltas"]) == 9
+
+
+def subcommands(parser, prefix=""):
+    """Every subcommand of `parser` by its full name, say "lattice ns"."""
+    found = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found[prefix + name] = sub
+                found.update(subcommands(sub, prefix + name + " "))
+    return found
+
+
+def test_readme_cli_block_matches_parser():
+    """Each `nonsep` line of the README's CLI block names a subcommand of
+    the parser, and each --flag it shows exists on that subcommand."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    parsers = subcommands(cli.build_parser())
+    lines = [line.split("#", 1)[0] for line in block.splitlines()
+             if line.startswith("nonsep ")]
+    assert len(lines) >= 12
+    for line in lines:
+        words = line.split()
+        name = words[1]
+        if " ".join(words[1:3]) in parsers:
+            name = " ".join(words[1:3])
+        assert name in parsers, line
+        options = parsers[name]._option_string_actions
+        for flag in re.findall(r"--[a-z][a-z-]*", line):
+            assert flag in options, (line, flag)
 
 
 def json_paths(node, prefix=()):
