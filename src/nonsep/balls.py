@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.spatial.distance import cdist
 
 from . import lp, tolerances
 from .errors import GeometryError, InputError
@@ -116,7 +115,7 @@ def _enclosing_candidate(p, r):
 
 def _lower_bound(p, r):
     # the widest pair of balls (a ball paired with itself gives its radius)
-    return float((cdist(p, p) + r[:, None] + r).max() / 2)
+    return float((np.linalg.norm(p[:, None] - p, axis=-1) + r[:, None] + r).max() / 2)
 
 
 def ball_circumradius(f: BallFamily) -> tuple[np.ndarray, float]:

@@ -12,8 +12,9 @@ Routes provided:
 * `sigma_cover`: lambda = (sigma + 1) / 2 for arbitrary bases, sigma
   the base's central asymmetry,
 * `lambda_min`: the exact optimum by LP,
-* `is_summand` / `wip_summand_check` / `lutwak_check`: the structural
-  side conditions tying coverability to impassability.
+* `is_summand` / `wip_summand_check`: the structural side conditions
+  tying coverability to impassability; `lutwak_check`, one containment
+  LP checked against Lutwak's criterion, which Farkas weights decide.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import GeometryError, InputError
 from .family import HomotheticFamily, edges_covered, is_wns
 from .polytope import (
     Polytope,
-    circumscribed_simplices,
+    _simplex_rows,
     contains_translate,
     edges,
     is_generic,
@@ -89,8 +90,8 @@ def _support_dominates(family, t, lam):
     a, b = p.facet_normals, p.facet_offsets
     member_sup = family.member_offsets().max(axis=0)
     cover_sup = a @ t + lam * total * b
-    scale = max(1.0, float(np.abs(member_sup).max()))
-    return bool((member_sup <= cover_sup + tolerances.feas(scale)).all())
+    feas = tolerances.feas(float(np.abs(member_sup).max()))
+    return bool((member_sup <= cover_sup + feas).all())
 
 
 def weighted_cover(family: HomotheticFamily) -> CoverResult:
@@ -178,7 +179,7 @@ def is_summand(q: Polytope, k: Polytope):
     if q.dim < 2:
         raise InputError("need dim >= 2")
     ak, bk = k.facet_normals, k.facet_offsets
-    tight = tolerances.tight(max(1.0, float(np.abs(q.facet_offsets).max())))
+    tight = tolerances.tight(float(np.abs(q.facet_offsets).max()))
     for (i, j) in edges(q):
         vi, vj = q.vertices[i], q.vertices[j]
         evec = vj - vi
@@ -188,7 +189,7 @@ def is_summand(q: Polytope, k: Polytope):
         u = q.facet_normals[incident].mean(axis=0)
         u /= np.linalg.norm(u)
         h = k.support(u)
-        ftol = tolerances.tight(max(1.0, abs(h)))
+        ftol = tolerances.tight(abs(h))
         a_ub = np.vstack([ak, ak, -u[None, :], -u[None, :]])
         b_ub = np.concatenate([bk, bk - ak @ evec,
                                [-h + ftol], [-h + ftol + u @ evec]])
@@ -227,20 +228,18 @@ def wip_summand_check(family: HomotheticFamily):
 
 
 def lutwak_check(outer: Polytope, inner: Polytope):
-    """Translate-containment vs. the circumscribed-simplex criterion.
+    """Translate containment, by one LP and by Lutwak's criterion.
 
-    `inner` fits in `outer` by translation iff it fits in every simplex
-    circumscribing `outer`.  Both routes are computed independently and
-    must agree; returns (consistent, detail).  Requires a generic outer
-    body so the circumscribing simplices are a finite honest list.
+    `inner` fits in a generic `outer` by translation iff it fits in every
+    simplex cut out by d + 1 facets of `outer`; by Farkas, it fits in the
+    one with weights w (`polytope._simplex_rows`) iff
+    sum_i w_i (b_i - h_inner(a_i)) >= -feas.  Returns (routes agree, detail).
     """
     if not is_generic(outer):
         raise InputError("outer body must be generic")
     direct, _ = contains_translate(outer, inner)
-    via = True
-    for simplex in circumscribed_simplices(outer):
-        ok, _ = contains_translate(simplex, inner)
-        if not ok:
-            via = False
-            break
+    b, h = outer.facet_offsets, inner.support(outer.facet_normals)
+    idx, _, w = _simplex_rows(outer.facet_normals)
+    feas = tolerances.feas(float(np.abs(np.concatenate([b, h])).max()))
+    via = bool(((w * (b - h)[idx]).sum(axis=1) >= -feas).all())
     return direct == via, {"direct": direct, "via_simplices": via}

@@ -78,7 +78,7 @@ class Lattice:
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise InputError("basis must be a square matrix")
         det = abs(float(np.linalg.det(b)))
-        if det <= tolerances.GEOM:
+        if det <= tolerances.GEOM * float(np.prod(np.linalg.norm(b, axis=0))):
             raise InputError("basis is singular")
         return Lattice(_freeze(b), det)
 

@@ -400,25 +400,26 @@ def containment_ratio(outer: Polytope, inner: Polytope) -> float:
 
 
 def circumscribed_simplices(p: Polytope) -> list[Polytope]:
-    """All bounded (d+1)-facet-subset simplices; each contains p."""
+    """Each simplex cut out by d + 1 of a generic p's own rows; each contains p."""
     if not is_generic(p):
         raise GeometryError("polytope is not generic")
     a, b = p.facet_normals, p.facet_offsets
+    idx, rest, _ = _simplex_rows(a)
+    verts = np.linalg.solve(a[rest], b[rest][..., None])[..., 0]
+    return [_build(p.dim, a[i], b[i], v) for i, v in zip(idx, verts)]
+
+
+def _simplex_rows(a):
+    """(idx, rest, w) over the (d + 1)-subsets idx of the unit rows `a` that
+    bound a simplex: w > 0 sums to 1 with sum_i w_i a_i = 0.  By Cramer's rule
+    w_i ~ (-1)^i det(rows rest_i); bounded iff these minors share a sign."""
     m, d = a.shape
-    out = []
-    feas = tolerances.feas(p._scale())
-    for idx in itertools.combinations(range(m), d + 1):
-        try:
-            simplex = Polytope.from_facets(a[list(idx)], b[list(idx)])
-        except GeometryError as exc:
-            if exc.args != ("unbounded",):
-                raise
-            continue
-        res = simplex.facet_normals @ p.vertices.T - simplex.facet_offsets[:, None]
-        if res.max() > feas:
-            raise GeometryError("circumscribed simplex fails to contain input")
-        out.append(simplex)
-    return out
+    idx = np.array(list(itertools.combinations(range(m), d + 1)))
+    # rest[:, i]: the subset without its i-th row; they meet opposite that row
+    rest = idx[:, np.arange(d) + np.triu(np.ones((d + 1, d), dtype=int))]
+    w = np.linalg.det(a[rest]) * (-1.0) ** np.arange(d + 1)
+    keep = (w > 0).all(axis=1) | (w < 0).all(axis=1)
+    return idx[keep], rest[keep], w[keep] / w[keep].sum(axis=1, keepdims=True)
 
 
 def edges(p: Polytope) -> list[tuple[int, int]]:

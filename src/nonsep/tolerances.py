@@ -13,10 +13,10 @@ Fixed thresholds:
   `Polytope.support`); a facet offset this small (times the largest
   offset, when that is below 1), or a vertex this close to the origin,
   puts the origin off the interior (`Polytope.gauge`, `polytope.polar`);
-  a 1-D extent, Chebyshev radius, parallelotope determinant or input
-  lattice determinant (`Lattice.from_basis`) this small is degenerate,
-  and a polar facet offset this small means unbounded
-  (`Polytope.from_facets`).
+  a 1-D extent, Chebyshev radius or parallelotope determinant this small,
+  or a lattice determinant this small times the product of its column
+  norms (`Lattice.from_basis`), is degenerate, and a polar facet offset
+  this small means unbounded (`Polytope.from_facets`).
 * ``LP`` (1e-8), the default phase-1 threshold of `lp.solve`: for
   `contains_translate`, the hull-disjointness test of `is_ns` for d >= 3,
   the flat probe of `is_kwip_sampled` for k >= 2, the face test of
@@ -70,8 +70,8 @@ Thresholds that scale GEOM with the size of the data (``scale`` is the
 largest coordinate or offset in play; below 1 it counts as 1):
 
 * `feas`: how far a point may sit outside a halfspace and still count as
-  inside. Vertex/facet agreement in `polytope`, containment in
-  circumscribed simplices, cover certificates in `covering`, and the
+  inside. Vertex/facet agreement in `polytope`, the Farkas weight test of
+  `lutwak_check`, cover certificates in `covering`, and the
   certificate of a tall LP solved through its dual in `lp` (each row,
   and the duality gap, scaled by the largest product in play). The line
   clip `family._spans` uses the absolute `feas(1.0)`: a facet row

@@ -363,6 +363,45 @@ def grid_contains_translate(outer, inner, res=80, slack=1e-7):
     return False
 
 
+def circumscribed_simplices_oracle(p, inners=()):
+    """Lutwak's criterion by the general route: `Polytope.from_facets` (a
+    Chebyshev LP and a qhull hull) on every (d + 1)-subset of p's facet
+    rows, skipping the unbounded ones.
+
+    Returns the bounded subsets (index tuples, in order), their simplices
+    and, for each body in `inners`, whether a translate of it fits in all
+    of them, by one `contains_translate` LP per simplex.
+    """
+    from nonsep.errors import GeometryError
+    from nonsep.polytope import Polytope, contains_translate
+
+    a, b = p.facet_normals, p.facet_offsets
+    subsets, simplices = [], []
+    for idx in itertools.combinations(range(p.n_facets), p.dim + 1):
+        try:
+            simplex = Polytope.from_facets(a[list(idx)], b[list(idx)])
+        except GeometryError as exc:
+            if exc.args != ("unbounded",):
+                raise
+            continue
+        subsets.append(idx)
+        simplices.append(simplex)
+    via = [all(contains_translate(s, k)[0] for s in simplices) for k in inners]
+    return subsets, simplices, via
+
+
+def critical_fit(outer, inner) -> float:
+    """Largest s with a translate of s * inner inside outer, by HiGHS:
+    maximise s subject to <a_i, t> + s h_inner(a_i) <= b_i."""
+    a, b = outer.facet_normals, outer.facet_offsets
+    h = (inner.vertices @ a.T).max(axis=0)
+    d = outer.dim
+    res = linprog(np.r_[np.zeros(d), -1.0], A_ub=np.c_[a, h], b_ub=b,
+                  bounds=[(None, None)] * d + [(0, None)], method="highs")
+    assert res.status == 0, res.message
+    return float(res.x[d])
+
+
 def perimeter_witness(n):
     """Offsets of the split-run staircase W_n, for n >= 4.
 

@@ -3,7 +3,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import overlap_chain
+from helpers import (
+    circumscribed_simplices_oracle,
+    critical_fit,
+    overlap_chain,
+    same_point_set,
+)
+
+from nonsep import lp, polytope
 from nonsep.covering import (
     cover_intervals,
     is_summand,
@@ -17,7 +24,9 @@ from nonsep.errors import InputError
 from nonsep.family import HomotheticFamily, is_wns
 from nonsep.polytope import (
     Polytope,
+    _simplex_rows,
     box,
+    circumscribed_simplices,
     cross_polytope,
     cube,
     genericize,
@@ -355,8 +364,8 @@ def test_lutwak_requires_generic_outer():
 def test_lutwak_random_battery():
     rng = np.random.default_rng(6)
     seen_true = seen_false = 0
-    for trial in range(20):
-        d = int(rng.integers(2, 4))
+    for trial in range(24):
+        d = int(rng.integers(2, 4)) if trial < 20 else 4
         outer = genericize(random_polytope(d, d + 3, rng), eps=1e-4,
                            seed=trial)
         scale = float(rng.uniform(0.2, 1.6))
@@ -367,3 +376,64 @@ def test_lutwak_random_battery():
         seen_true += detail["direct"]
         seen_false += not detail["direct"]
     assert seen_true >= 3 and seen_false >= 3
+
+
+def _oracle_bodies():
+    """Seeded genericized bodies in d = 2, 3, 4, each with an inner body."""
+    rng = np.random.default_rng(16)
+    for d, npoints in ((2, 5), (2, 8), (3, 6), (3, 8), (4, 6), (4, 7)):
+        for trial in range(2):
+            outer = genericize(random_polytope(d, npoints, rng), eps=1e-3,
+                               seed=trial)
+            yield outer, random_polytope(d, d + 2, rng)
+
+
+def test_circumscribed_simplices_agree_with_from_facets_oracle():
+    """Subsets, vertices and the via verdict against `from_facets` per
+    subset and one containment LP per simplex."""
+    for outer, inner in _oracle_bodies():
+        a = outer.facet_normals
+        s_star = critical_fit(outer, inner)
+        inners = [inner.scale(0.9 * s_star), inner.scale(1.1 * s_star)]
+        subsets, oracle, oracle_via = circumscribed_simplices_oracle(outer, inners)
+        idx, _, w = _simplex_rows(a)
+        assert [tuple(i) for i in idx.tolist()] == subsets
+        assert (w > 0).all()
+        assert np.allclose(w.sum(axis=1), 1.0)
+        assert np.abs(np.einsum("ki,kij->kj", w, a[idx])).max() < 1e-12
+        sims = circumscribed_simplices(outer)
+        assert len(sims) == len(oracle)
+        for i, s, o in zip(idx, sims, oracle):
+            assert np.array_equal(s.facet_normals, a[i])
+            # within 1e-9 of the simplex's largest coordinate (up to 3e3 here)
+            eps = 1e-9 * max(1.0, float(np.abs(o.vertices).max()))
+            assert same_point_set(s.vertices, o.vertices, eps=eps)
+        # just inside and just outside the critical fit
+        assert oracle_via == [True, False]
+        for scaled, fits in zip(inners, oracle_via):
+            consistent, detail = lutwak_check(outer, scaled)
+            assert consistent and detail["via_simplices"] == fits
+
+
+def test_lutwak_check_solves_one_lp_and_builds_no_polytope(monkeypatch):
+    rng = np.random.default_rng(17)
+    outer = genericize(random_polytope(3, 8, rng), eps=1e-3, seed=0)
+    inner = random_polytope(3, 5, rng).scale(0.3)
+    calls = {"solve": 0, "from_facets": 0, "qhull": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(lp, "solve", counted("solve", lp.solve))
+    monkeypatch.setattr(Polytope, "from_facets",
+                        staticmethod(counted("from_facets", Polytope.from_facets)))
+    monkeypatch.setattr(polytope, "ConvexHull",
+                        counted("qhull", polytope.ConvexHull))
+    consistent, detail = lutwak_check(outer, inner)
+    assert consistent and detail["direct"]
+    assert calls == {"solve": 1, "from_facets": 0, "qhull": 0}
+    assert circumscribed_simplices(outer)
+    assert calls == {"solve": 1, "from_facets": 0, "qhull": 0}

@@ -337,11 +337,11 @@ def test_covering_radius_rejects_origin_off_interior(shift, width):
         covering_radius(arr, resolution=16, width=width)
 
 
-@pytest.mark.parametrize("s", [1e-3, 1e4, 1e8, 1e12])
+@pytest.mark.parametrize("s", [1e-8, 1e-5, 1e-3, 1e4, 1e8, 1e12])
 def test_ns_is_scale_invariant(s):
     """Scaling body and lattice together changes neither the verdict nor
-    lambda_1, also where the dual determinant and the polar's facet
-    offsets fall far below GEOM."""
+    lambda_1, also where the basis and dual determinants and the polar's
+    facet offsets fall far below GEOM."""
     rng = np.random.default_rng(49)
     for i in range(20):
         band = (0.2, 0.45) if i % 2 == 0 else (0.55, 0.9)
