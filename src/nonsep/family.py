@@ -6,8 +6,8 @@ classify how separable the family is:
 
 * `is_wns`: no hyperplane parallel to a facet of P strictly splits the
   members (touching does not count as splitting),
-* `is_ns`: no hyperplane at all does; in the plane with no LP and for any
-  n, for d >= 3 by an LP per bipartition (n <= 20),
+* `is_ns`: no hyperplane at all does; for any n, in the plane with no
+  LP, else by an LP per linear dichotomy of interior anchors of members,
 * `is_kwip_sampled`: Monte-Carlo falsification for k-flat impassability:
   flats through exact uniform hull points, their directions Haar inside
   a random facet hyperplane,
@@ -21,6 +21,7 @@ per direction, in `is_wns` and planar `is_ns`, and the edge pieces.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,13 +34,13 @@ from .polytope import (
     _finite,
     _freeze,
     _plane_basis,
+    _singular,
     edges,
     facet_directions,
     polytope_from_dict,
 )
 
-_BLOCK = 2048  # rows per block: lines of `_first_miss`, directions of planar `is_ns`
-_NS_SCAN_MAX = 20  # members the d >= 3 bipartition scan of `is_ns` accepts
+_BLOCK = 2048  # rows per block: `_first_miss` lines, `is_ns` directions and splits
 
 
 @dataclass(frozen=True)
@@ -168,10 +169,11 @@ def is_ns(family: HomotheticFamily):
     wider than GAP (touching does not split).  In the plane, for any n,
     u runs over the middle of each arc between neighbouring angles of
     `_critical_angles`; a split whose widest gap is W shows at least
-    W / 2 there, so a split wider than 2 GAP is always found.  For
-    d >= 3 (n <= 20) each bipartition is tested for disjoint sub-hulls
-    by one standard-form LP.  Returns (True, None) or
-    (False, (a_idx, b_idx)), the sides of a split, member n - 1 in a_idx.
+    W / 2 there, so a split wider than 2 GAP is always found.  Else, for any
+    n, each of `_anchor_splits` (every strict split also splits the anchors)
+    gets one disjoint-hulls LP in mask order: the first separable bipartition
+    wins.
+    Returns (True, None) or (False, (a_idx, b_idx)), member n - 1 in a_idx.
     """
     n = family.n
     if family.dim == 2:
@@ -186,17 +188,61 @@ def is_ns(family: HomotheticFamily):
                 return False, (np.flatnonzero(~side).tolist(),
                                np.flatnonzero(side).tolist())
         return True, None
-    if n > _NS_SCAN_MAX:
-        raise InputError(f"is_ns decides at most {_NS_SCAN_MAX} members in "
-                         f"d >= 3; this family has {n}")
-    vertex_sets = [family.member_vertices(i) for i in range(n)]
-    for mask in range(1, 1 << (n - 1)):
-        a_idx = [i for i in range(n) if not mask >> i & 1]
-        b_idx = [i for i in range(n) if mask >> i & 1]
-        if _hulls_disjoint(np.vstack([vertex_sets[i] for i in a_idx]),
-                           np.vstack([vertex_sets[i] for i in b_idx])):
-            return False, (a_idx, b_idx)
+    verts, k = family.all_vertices(), family.base.vertices.shape[0]
+    for side in _anchor_splits(family):
+        if _hulls_disjoint(verts[np.repeat(~side, k)], verts[np.repeat(side, k)]):
+            return False, (np.flatnonzero(~side).tolist(),
+                           np.flatnonzero(side).tolist())
     return True, None
+
+
+def _anchor_splits(family: HomotheticFamily):
+    """Sides (True: b) of the linear dichotomies of anchors x_i + tau_i (seeded
+    Dirichlet weights) @ base vertices, in mask order: each is cut by a plane
+    through d anchors (T. M. Cover, 1965), those `_singular` puts on it on
+    either side.  The anchors are whitened first (U of their centred SVD), an
+    affine map whose rounding moves them by about eps times the family's extent.
+    All bipartitions, lazily, if n <= d or if a block of d-tuples would gain more
+    than min(2^(n-1), _BLOCK) rows off general position; blocks merge bit-packed."""
+    n, d, v = family.n, family.dim, family.base.vertices
+    w = np.random.default_rng(0).standard_exponential((n, len(v)))
+    p = family.translations + family.ratios[:, None] * (w / w.sum(1)[:, None]) @ v
+    every = (m >> np.arange(n) & 1 == 1 for m in range(1, 1 << n - 1))
+    if n <= d:
+        return every
+    p = np.linalg.svd(p - p.mean(axis=0), full_matrices=False)[0]
+    tuples, out, kept = itertools.combinations(range(n), d), [], 0
+    while len(tup := np.array(list(itertools.islice(tuples, _BLOCK >> d or 1)))):
+        y = p - p[tup[:, :1]]  # det [r; y] = normal . y
+        r = np.take_along_axis(y, tup[:, 1:, None], axis=1)
+        minors = r[:, :, [[i for i in range(d) if i != j] for j in range(d)]]
+        normal = np.linalg.det(minors.swapaxes(1, 2)) * (-1.0) ** (d - 1 + np.arange(d))
+        det = (y @ normal[:, :, None])[..., 0]
+        np.put_along_axis(det, tup, 0.0, axis=1)  # the d anchors on the plane
+        ny = np.linalg.norm(y, axis=2)  # the row norms of [r; y]: r's, then y's
+        rows = np.take_along_axis(ny, tup[:, 1:], axis=1)[:, None].repeat(n, axis=1)
+        on = _singular(det, np.concatenate([rows, ny[..., None]], axis=2))
+        cnt = on.sum(axis=1)
+        if (np.exp2(cnt) - 2.0 ** d).sum() > min(2.0 ** (n - 1), _BLOCK):
+            return every
+        if sum(map(len, out)) > 2 * kept:
+            out = [_mask_order(np.concatenate(out))]
+            kept = len(out[0])
+        for c in np.unique(cnt):
+            sides = np.repeat((det[cnt == c] > 0)[:, None], 1 << c, axis=1)
+            at = np.nonzero(on[cnt == c])[1].reshape(-1, 1, c)
+            bits = np.arange(1 << c)[:, None] >> np.arange(c) & 1 == 1
+            np.put_along_axis(sides, at, bits, axis=2)
+            sides = np.packbits(sides ^ sides[..., -1:], 2, bitorder="little")
+            out.append(sides.reshape(-1, sides.shape[2]))  # member n - 1 on side a
+    packed = _mask_order(np.concatenate(out))
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
+
+
+def _mask_order(packed):
+    """Distinct little-endian bit-packed rows in mask order, without the all-a row."""
+    packed = packed[np.lexsort(packed.T)]
+    return packed[np.diff(packed, axis=0, prepend=np.uint8(0)).any(axis=1)]
 
 
 def _critical_angles(family: HomotheticFamily):

@@ -21,6 +21,7 @@ from .polytope import (
     _finite,
     _freeze,
     _require_origin_interior,
+    _singular,
     facet_directions,
     measure,
     polar,
@@ -77,10 +78,10 @@ class Lattice:
         b = _finite(basis, "lattice basis")
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise InputError("basis must be a square matrix")
-        det = abs(float(np.linalg.det(b)))
-        if det <= tolerances.GEOM * float(np.prod(np.linalg.norm(b, axis=0))):
+        det = float(np.linalg.det(b))
+        if _singular(det, np.linalg.norm(b, axis=0)):  # the rows of b^T
             raise InputError("basis is singular")
-        return Lattice(_freeze(b), det)
+        return Lattice(_freeze(b), abs(det))
 
     @property
     def dim(self) -> int:

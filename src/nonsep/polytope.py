@@ -292,6 +292,11 @@ def _affine_rank(pts) -> int:
     return int((s > 1e-9 * max(1.0, scale)).sum())
 
 
+def _singular(det, norms) -> np.ndarray:
+    """Zero determinants: |det| <= GEOM * prod(norms, last axis) (Hadamard's bound)."""
+    return np.abs(det) <= tolerances.GEOM * np.prod(norms, axis=-1)
+
+
 def _chebyshev_centre(a, b) -> np.ndarray:
     """Centre of the largest ball in {<a_i, x> <= b_i}; the rows are unit."""
     m, d = a.shape
@@ -327,7 +332,7 @@ def polar(p: Polytope) -> Polytope:
     _require_origin_interior(p)
     verts = p.facet_normals / p.facet_offsets[:, None]
     norms = np.linalg.norm(p.vertices, axis=1)
-    if (norms <= tolerances.GEOM).any():
+    if (norms <= tolerances.GEOM * min(1.0, float(norms.max()))).any():
         raise InputError("origin must be interior to the body")
     normals = p.vertices / norms[:, None]
     offsets = 1.0 / norms
@@ -344,10 +349,8 @@ def facet_directions(p: Polytope) -> np.ndarray:
 
 def is_generic(p: Polytope) -> bool:
     """Every d-subset of facet normals linearly independent?"""
-    m, d = p.facet_normals.shape
-    idx = np.array(list(itertools.combinations(range(m), d)))
-    dets = np.linalg.det(p.facet_normals[idx])
-    return bool((np.abs(dets) > 1e-9).all())
+    a = p.facet_normals[list(itertools.combinations(range(p.n_facets), p.dim))]
+    return not _singular(np.linalg.det(a), np.linalg.norm(a, axis=-1)).any()
 
 
 def genericize(p: Polytope, eps: float, seed: int = 0) -> Polytope:
@@ -524,7 +527,7 @@ def parallelotope(edges) -> Polytope:
     e = np.asarray(edges, dtype=float)
     if e.ndim != 2 or e.shape[0] != e.shape[1]:
         raise InputError("need d edge vectors of dimension d")
-    if abs(np.linalg.det(e)) <= tolerances.GEOM:
+    if _singular(np.linalg.det(e), np.linalg.norm(e, axis=1)):
         raise InputError("edge vectors are linearly dependent")
     signs = np.array(list(itertools.product([-0.5, 0.5], repeat=e.shape[0])))
     return Polytope.from_vertices(signs @ e)

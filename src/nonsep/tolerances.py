@@ -4,19 +4,19 @@ The verdicts listed below compare against these constants and scale
 functions.  Of the functions a verdict runs, only `lp.solve` takes a
 tolerance (``LP`` or ``SUBGRADIENT``); the `sigma_bisection` bracket
 width is a constant of `asymmetry`.  Numerical guards such as pivot and
-determinant cut-offs are still literals in their own modules.
+rank cut-offs are still literals in their own modules.
 
 Fixed thresholds:
 
 * ``GEOM`` (1e-9), coordinate-scale zero: a facet normal or support
-  direction this short is zero (`Polytope.from_facets`,
-  `Polytope.support`); a facet offset this small (times the largest
-  offset, when that is below 1), or a vertex this close to the origin,
-  puts the origin off the interior (`Polytope.gauge`, `polytope.polar`);
-  a 1-D extent, Chebyshev radius or parallelotope determinant this small,
-  or a lattice determinant this small times the product of its column
-  norms (`Lattice.from_basis`), is degenerate, and a polar facet offset
-  this small means unbounded (`Polytope.from_facets`).
+  direction this short is zero (`Polytope.from_facets`, `Polytope.support`);
+  a facet offset or vertex norm this small (times the largest, when below 1)
+  puts the origin off the interior (`Polytope.gauge`, `polytope.polar`); a
+  1-D extent or Chebyshev radius this small is degenerate; a polar facet
+  offset this small means unbounded (`Polytope.from_facets`); a d x d
+  determinant this small times its row norms' product (Hadamard's bound) is
+  zero (`polytope._singular`: parallelotope edges, `Lattice.from_basis` on
+  b^T, `is_generic`, which `is_ns` anchors lie on a plane).
 * ``LP`` (1e-8), the default phase-1 threshold of `lp.solve`: for
   `contains_translate`, the hull-disjointness test of `is_ns` for d >= 3,
   the flat probe of `is_kwip_sampled` for k >= 2, the face test of

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from nonsep import family as family_module
-from nonsep import tolerances
-from nonsep.errors import InputError
+from nonsep import lp, tolerances
+from nonsep.errors import GeometryError, InputError
 from nonsep.family import (
     HomotheticFamily,
     _frames,
@@ -123,13 +123,88 @@ def test_ns_corner_touching_pair():
     assert ok and parts is None
 
 
-def test_ns_guard_large_n():
-    # the bipartition scan, and with it the cap, is for d >= 3 only
-    fam = HomotheticFamily(unit_cube(3), np.c_[np.arange(21.0), np.zeros((21, 2))],
-                           np.ones(21))
-    with pytest.raises(InputError, match="at most 20 members"):
-        is_ns(fam)
+def test_ns_decides_large_n():
+    # no member cap in any dimension: 21 cubes in a row, each touching the
+    # next, are NS; pulled 0.5 clear, the last one splits off
+    xs = np.c_[np.arange(21.0), np.zeros((21, 2))]
+    assert is_ns(HomotheticFamily(unit_cube(3), xs, np.ones(21))) == (True, None)
+    xs[-1, 0] += 0.5
+    assert is_ns(HomotheticFamily(unit_cube(3), xs, np.ones(21))) == (
+        False, ([20], list(range(20))))
     assert is_ns(squares([(i, 0) for i in range(21)])) == (True, None)
+
+
+def test_ns_cube_chain_tests_only_anchor_dichotomies(monkeypatch):
+    # 14 unit cubes in a row have at most sum_{k <= 3} C(13, k) - 1 = 377
+    # linear dichotomies of their anchors, one LP each; all 8,191
+    # bipartitions would take one LP each
+    calls = []
+    solve = lp.solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "solve", counted)
+    fam = HomotheticFamily(unit_cube(3), np.c_[np.arange(14.0), np.zeros((14, 2))],
+                           np.ones(14))
+    assert is_ns(fam) == (True, None)
+    assert 0 < len(calls) <= 377
+
+
+def test_ns_decides_near_degenerate_families():
+    # whitened anchors stay in general position where raw ones lie within
+    # GEOM (relative, Hadamard's bound) of planes through d others: unit
+    # cubes in a row 1e4 apart (30 of them, and 4 in two orders), tiny cubes
+    # on the corners of a unit square, and plates 2e-9 thick tiling a 3 x 3
+    # square with or without its centre
+    row = np.c_[np.arange(30.0) * 1e4, np.zeros((30, 2))]
+    fam = HomotheticFamily(unit_cube(3), row, np.ones(30))
+    assert len(family_module._anchor_splits(fam)) <= 1 + 29 + 406 + 3654 - 1
+    assert is_ns(fam) == (False, (list(range(1, 30)), [0]))
+    assert_ns_matches_oracle(HomotheticFamily(unit_cube(3), row[[1, 0, 2, 3]], np.ones(4)))
+    corners = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0.0]])
+    assert_ns_matches_oracle(HomotheticFamily(unit_cube(3), corners, np.full(4, 1e-12)))
+    plate = Polytope.from_vertices(np.c_[unit_cube(2).vertices.repeat(2, axis=0),
+                                         np.tile([0.0, 2e-9], 4)])
+    cells = np.array([[i, j, 0.0] for i in range(3) for j in range(3)])
+    for keep in (np.arange(9), np.r_[0:4, 5:9]):
+        fam = HomotheticFamily(plate, cells[keep], np.ones(len(keep)))
+        assert assert_ns_matches_oracle(fam)
+
+
+def test_ns_wider_zero_rule_only_adds_candidates(monkeypatch):
+    # calling more determinants zero puts more anchors on both sides of
+    # their planes (or lists every bipartition): the verdict and split stay
+    paths = set()
+    anchor_splits = family_module._anchor_splits
+
+    def recorded(fam):
+        splits = anchor_splits(fam)
+        paths.add(isinstance(splits, np.ndarray))
+        return splits
+
+    monkeypatch.setattr(family_module, "_anchor_splits", recorded)
+    monkeypatch.setattr(family_module, "_singular",
+                        lambda det, norms: np.abs(det) <= 0.01 * np.prod(norms, axis=-1))
+    for d in (3, 4):
+        rng = np.random.default_rng(808 + d)
+        for base in (unit_cube(d), Polytope.from_vertices(rng.standard_normal((d + 1, d)))):
+            for fam in ns_battery(rng, base, 9, 6):
+                assert_ns_matches_oracle(fam)
+    assert paths == {True, False}
+
+
+def test_ns_anchor_blocks_give_the_same_candidates(monkeypatch):
+    # 12 cubes in d = 3 (220 tuples) and 9 in d = 4 (126): blocks of one
+    # tuple, merged as they come, list the candidates of one block
+    rng = np.random.default_rng(4)
+    fams = [HomotheticFamily(unit_cube(d), np.cumsum(rng.uniform(0.3, 0.8, (n, d)), axis=0),
+                             rng.uniform(0.6, 1.4, n)) for d, n in ((3, 12), (4, 9))]
+    whole = [family_module._anchor_splits(fam) for fam in fams]
+    monkeypatch.setattr(family_module, "_BLOCK", 1)
+    for fam, rows in zip(fams, whole):
+        assert np.array_equal(family_module._anchor_splits(fam), rows)
 
 
 def test_ns_planar_chain_of_100_sweeps_two_directions_per_pair(monkeypatch):
@@ -159,7 +234,10 @@ def assert_ns_matches_oracle(fam):
     side and be strictly separable.  Returns the verdict."""
     verts = [fam.member_vertices(i) for i in range(fam.n)]
     ok, split = is_ns(fam)
-    assert ok == ns_oracle(verts)[0]
+    oracle = ns_oracle(verts)
+    assert ok == oracle[0]
+    if fam.dim >= 3:
+        assert split == oracle[1]  # the first separable split in mask order
     if not ok:
         a_idx, b_idx = split
         assert fam.n - 1 in a_idx
@@ -192,14 +270,14 @@ def ns_battery(rng, base, max_n, count):
         yield HomotheticFamily(base, xs, taus)
 
 
-@pytest.mark.parametrize("d, max_n, per_base", [(2, 10, 12), (3, 6, 9)])
+@pytest.mark.parametrize("d, max_n, per_base", [(2, 10, 12), (3, 6, 9), (4, 6, 9)])
 def test_ns_matches_bipartition_oracle(d, max_n, per_base):
     rng = np.random.default_rng(808 + d)
     if d == 2:
         bases = (unit_cube(2), Polytope.from_vertices(rng.standard_normal((3, 2))),
                  regular_polygon(6, radius=float(rng.uniform(0.5, 1.5))))
     else:
-        bases = (unit_cube(3), Polytope.from_vertices(rng.standard_normal((4, 3))))
+        bases = (unit_cube(d), Polytope.from_vertices(rng.standard_normal((d + 1, d))))
     seen = {True: 0, False: 0}
     for base in bases:
         for fam in ns_battery(rng, base, max_n, per_base):

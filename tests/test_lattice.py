@@ -337,7 +337,7 @@ def test_covering_radius_rejects_origin_off_interior(shift, width):
         covering_radius(arr, resolution=16, width=width)
 
 
-@pytest.mark.parametrize("s", [1e-8, 1e-5, 1e-3, 1e4, 1e8, 1e12])
+@pytest.mark.parametrize("s", [1e-10, 1e-9, 1e-8, 1e-5, 1e-3, 1e4, 1e8, 1e12])
 def test_ns_is_scale_invariant(s):
     """Scaling body and lattice together changes neither the verdict nor
     lambda_1, also where the basis and dual determinants and the polar's

@@ -29,6 +29,7 @@ from nonsep.polytope import (
     genericize,
     is_generic,
     measure,
+    parallelotope,
     polar,
     polytope_from_dict,
     random_polytope,
@@ -404,6 +405,17 @@ def test_contains_translate_against_grid_oracle():
         ok_out, _ = contains_translate(outer, outside)
         assert not ok_out
         assert not grid_contains_translate(outer, outside, res=40, slack=-1e-6)
+
+
+@pytest.mark.parametrize("s", [1e-4, 1e-8])
+def test_parallelotope_small_box(s):
+    """Edges as short as s give the box [-s/2, s/2]^3, as from_vertices
+    does; the determinant test is relative to the edge lengths."""
+    p = parallelotope(s * np.eye(3))
+    assert np.allclose(p.facet_offsets, s / 2, rtol=1e-12, atol=0)
+    assert measure(p, "volume") == pytest.approx(s ** 3, rel=1e-9)
+    with pytest.raises(InputError, match="linearly dependent"):
+        parallelotope(s * np.array([[1.0, 0, 0], [0, 1.0, 0], [1.0, 1.0, 0]]))
 
 
 def test_is_generic_flags_parallel_facets():

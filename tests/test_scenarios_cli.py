@@ -448,8 +448,8 @@ class TestCliProcess:
         assert "Traceback" not in err
         assert "BrokenPipeError" not in err
 
-    def test_ns_over_member_limit_names_it(self, tmp_path):
-        # the cap holds for d >= 3 only; 21 squares in a row are decided
+    def test_ns_decides_21_cubes(self, tmp_path):
+        # no member cap in any dimension: 21 cubes or squares in a row are NS
         cubes = write_json(tmp_path / "row.json", HomotheticFamily(
             cube(3), np.array([[float(i), 0.0, 0.0] for i in range(21)]),
             np.ones(21)).to_dict())
@@ -458,12 +458,9 @@ class TestCliProcess:
             np.ones(21)).to_dict())
         assert run_cli_process(["ns", squares])[0] == 0
         code, out, err = run_cli_process(["ns", cubes])
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:")
-        assert "at most 20 members" in err
-        assert "sampled" not in err
-        assert "Traceback" not in err
+        assert code == 0
+        assert json.loads(out) == {"ns": True}
+        assert err == ""
 
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
