@@ -135,7 +135,10 @@ def _cmd_lattice_mu1w(args) -> int:
     from .lattice import weak_covering_minimum_1
 
     arr = _arrangement(args.arrangement)
-    t_grid = [float(t) for t in args.t.split(",") if t]
+    try:
+        t_grid = [float(t) for t in args.t.split(",") if t]
+    except ValueError:
+        t_grid = []
     if not t_grid:
         raise InputError("--t needs a comma-separated list of scales")
     rows = weak_covering_minimum_1(arr.body, arr.lattice, t_grid,

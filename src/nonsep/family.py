@@ -7,7 +7,8 @@ classify how separable the family is:
 * `is_wns`: no hyperplane parallel to a facet of P strictly splits the
   members (touching does not count as splitting),
 * `is_ns`: no hyperplane at all does; for any n, in the plane with no
-  LP, else by an LP per linear dichotomy of interior anchors of members,
+  LP, else by a depth-first walk over bipartitions that drops a partial
+  split as soon as its two sides' hulls meet,
 * `is_kwip_sampled`: Monte-Carlo falsification for k-flat impassability:
   flats through exact uniform hull points, their directions Haar inside
   a random facet hyperplane,
@@ -21,7 +22,6 @@ per direction, in `is_wns` and planar `is_ns`, and the edge pieces.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,13 +34,12 @@ from .polytope import (
     _finite,
     _freeze,
     _plane_basis,
-    _singular,
     edges,
     facet_directions,
     polytope_from_dict,
 )
 
-_BLOCK = 2048  # rows per block: `_first_miss` lines, `is_ns` directions and splits
+_BLOCK = 2048  # block rows: `_first_miss` lines, planar `is_ns` directions and pairs
 
 
 @dataclass(frozen=True)
@@ -169,10 +168,15 @@ def is_ns(family: HomotheticFamily):
     wider than GAP (touching does not split).  In the plane, for any n,
     u runs over the middle of each arc between neighbouring angles of
     `_critical_angles`; a split whose widest gap is W shows at least
-    W / 2 there, so a split wider than 2 GAP is always found.  Else, for any
-    n, each of `_anchor_splits` (every strict split also splits the anchors)
-    gets one disjoint-hulls LP in mask order: the first separable bipartition
-    wins.
+    W / 2 there, so a split wider than 2 GAP is always found.  Else members
+    n - 1, ..., 0 are placed one at a time, side a before side b, and a
+    partial split whose sides' hulls meet (one disjoint-hulls LP once side
+    b holds a member) is dropped with all its completions, whose hulls hold
+    those: the first complete split reached is the first separable
+    bipartition in mask order.  A surviving partial split of k members
+    separates interior points of them, which can be in general position: at
+    most sum_{i<=d} C(k - 1, i) such splits (T. M. Cover, 1965), two LPs
+    each, so a call makes at most 2 sum_{i<=d} C(n - 1, i + 1) LPs.
     Returns (True, None) or (False, (a_idx, b_idx)), member n - 1 in a_idx.
     """
     n = family.n
@@ -189,60 +193,20 @@ def is_ns(family: HomotheticFamily):
                                np.flatnonzero(side).tolist())
         return True, None
     verts, k = family.all_vertices(), family.base.vertices.shape[0]
-    for side in _anchor_splits(family):
-        if _hulls_disjoint(verts[np.repeat(~side, k)], verts[np.repeat(side, k)]):
+    side = np.zeros(n, bool)  # True: side b; a node places members m..n-1
+    stack = [(n - 2, True), (n - 2, False)]  # side a pops first
+    while stack:
+        m, b = stack.pop()
+        side[m] = b
+        placed, on_b = verts[m * k:], np.repeat(side[m:], k)
+        if on_b.any() and not _hulls_disjoint(placed[~on_b], placed[on_b]):
+            continue
+        if m > 0:
+            stack += [(m - 1, True), (m - 1, False)]
+        elif side.any():
             return False, (np.flatnonzero(~side).tolist(),
                            np.flatnonzero(side).tolist())
     return True, None
-
-
-def _anchor_splits(family: HomotheticFamily):
-    """Sides (True: b) of the linear dichotomies of anchors x_i + tau_i (seeded
-    Dirichlet weights) @ base vertices, in mask order: each is cut by a plane
-    through d anchors (T. M. Cover, 1965), those `_singular` puts on it on
-    either side.  The anchors are whitened first (U of their centred SVD), an
-    affine map whose rounding moves them by about eps times the family's extent.
-    All bipartitions, lazily, if n <= d or if a block of d-tuples would gain more
-    than min(2^(n-1), _BLOCK) rows off general position; blocks merge bit-packed."""
-    n, d, v = family.n, family.dim, family.base.vertices
-    w = np.random.default_rng(0).standard_exponential((n, len(v)))
-    p = family.translations + family.ratios[:, None] * (w / w.sum(1)[:, None]) @ v
-    every = (m >> np.arange(n) & 1 == 1 for m in range(1, 1 << n - 1))
-    if n <= d:
-        return every
-    p = np.linalg.svd(p - p.mean(axis=0), full_matrices=False)[0]
-    tuples, out, kept = itertools.combinations(range(n), d), [], 0
-    while len(tup := np.array(list(itertools.islice(tuples, _BLOCK >> d or 1)))):
-        y = p - p[tup[:, :1]]  # det [r; y] = normal . y
-        r = np.take_along_axis(y, tup[:, 1:, None], axis=1)
-        minors = r[:, :, [[i for i in range(d) if i != j] for j in range(d)]]
-        normal = np.linalg.det(minors.swapaxes(1, 2)) * (-1.0) ** (d - 1 + np.arange(d))
-        det = (y @ normal[:, :, None])[..., 0]
-        np.put_along_axis(det, tup, 0.0, axis=1)  # the d anchors on the plane
-        ny = np.linalg.norm(y, axis=2)  # the row norms of [r; y]: r's, then y's
-        rows = np.take_along_axis(ny, tup[:, 1:], axis=1)[:, None].repeat(n, axis=1)
-        on = _singular(det, np.concatenate([rows, ny[..., None]], axis=2))
-        cnt = on.sum(axis=1)
-        if (np.exp2(cnt) - 2.0 ** d).sum() > min(2.0 ** (n - 1), _BLOCK):
-            return every
-        if sum(map(len, out)) > 2 * kept:
-            out = [_mask_order(np.concatenate(out))]
-            kept = len(out[0])
-        for c in np.unique(cnt):
-            sides = np.repeat((det[cnt == c] > 0)[:, None], 1 << c, axis=1)
-            at = np.nonzero(on[cnt == c])[1].reshape(-1, 1, c)
-            bits = np.arange(1 << c)[:, None] >> np.arange(c) & 1 == 1
-            np.put_along_axis(sides, at, bits, axis=2)
-            sides = np.packbits(sides ^ sides[..., -1:], 2, bitorder="little")
-            out.append(sides.reshape(-1, sides.shape[2]))  # member n - 1 on side a
-    packed = _mask_order(np.concatenate(out))
-    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
-
-
-def _mask_order(packed):
-    """Distinct little-endian bit-packed rows in mask order, without the all-a row."""
-    packed = packed[np.lexsort(packed.T)]
-    return packed[np.diff(packed, axis=0, prepend=np.uint8(0)).any(axis=1)]
 
 
 def _critical_angles(family: HomotheticFamily):

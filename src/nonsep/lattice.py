@@ -181,6 +181,8 @@ def covering_radius(arr: LatticeArrangement, resolution: int = 48,
         raise InputError("covering_radius needs d <= 3")
     if resolution < 2:
         raise InputError("resolution must be at least 2")
+    if width is not None and not 0.0 <= width < np.inf:
+        raise InputError("width must be finite and non-negative")
     _require_origin_interior(arr.body)
     b = arr.lattice.basis
     # the gauge's Lipschitz constant: facet normals are unit rows, so
@@ -274,7 +276,7 @@ def kronecker_gap(u, box_radius: int) -> float:
     (a lone value reports the full circle, 1); rationally independent
     coordinates drive the gap to zero as the box grows.
     """
-    u = np.asarray(u, dtype=float)
+    u = _finite(u, "direction")
     if abs(np.linalg.norm(u) - 1.0) > 1e-9:
         raise InputError("direction must be a unit vector")
     _check_box(u.size, int(box_radius), 0, "box_radius")
@@ -299,6 +301,13 @@ def weak_covering_minimum_1(p: Polytope, lat: Lattice, t_grid,
     d = p.dim
     if d != lat.dim:
         raise InputError("body and lattice dimensions differ")
+    t_grid = np.atleast_1d(_finite(t_grid, "scales t"))
+    if (t_grid < 0).any():
+        raise InputError("scales t must be non-negative")
+    if samples < 1:
+        raise InputError("samples must be at least 1")
+    if seed < 0:
+        raise InputError("seed must be non-negative")
     if window is None:
         window = min(200, int((_OFFSET_MAX ** (1.0 / d) - 1.0) / 2.0))
     _check_box(d, window, 1, "window")
@@ -313,7 +322,7 @@ def weak_covering_minimum_1(p: Polytope, lat: Lattice, t_grid,
                         size=samples)
         per_dir.append((proj, c, p.support(u), p.support(-u)))
     rows = []
-    for t in np.atleast_1d(np.asarray(t_grid, dtype=float)):
+    for t in t_grid:
         hit = total = 0
         worst = 0.0
         for proj, c, hplus, hminus in per_dir:

@@ -16,7 +16,7 @@ Fixed thresholds:
   offset this small means unbounded (`Polytope.from_facets`); a d x d
   determinant this small times its row norms' product (Hadamard's bound) is
   zero (`polytope._singular`: parallelotope edges, `Lattice.from_basis` on
-  b^T, `is_generic`, which `is_ns` anchors lie on a plane).
+  b^T, `is_generic`).
 * ``LP`` (1e-8), the default phase-1 threshold of `lp.solve`: for
   `contains_translate`, the hull-disjointness test of `is_ns` for d >= 3,
   the flat probe of `is_kwip_sampled` for k >= 2, the face test of

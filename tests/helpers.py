@@ -311,6 +311,19 @@ def hulls_meet(pa, pb) -> bool:
     return res.status == 0
 
 
+def bridging_family():
+    """A d = 3 NS family of three scales: a hub cube of ratio 1.2e9 (member
+    0) holding two rows of 10 unit cubes, one row 1 apart, the other 1e3
+    apart, the rows 1e9 from each other."""
+    from nonsep.family import HomotheticFamily
+    from nonsep.polytope import unit_cube
+
+    k = np.arange(10.0)
+    xs = np.r_[[[-1e8, -1e8, -6e8]], np.c_[k, 0 * k, 0 * k],
+               np.c_[1e3 * k, 0 * k + 1e9, 0 * k]]
+    return HomotheticFamily(unit_cube(3), xs, np.r_[1.2e9, np.ones(20)])
+
+
 def ns_oracle(member_verts):
     """Non-separability by brute force over bipartitions: a family is NS
     when every split's two hulls meet.  Returns (True, None) or

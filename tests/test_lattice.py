@@ -174,6 +174,16 @@ def test_covering_radius_budget_error_reports_bracket(monkeypatch):
         covering_radius(half_cross(2), resolution=4, width=1e-4)
 
 
+@pytest.mark.parametrize("width", [np.nan, np.inf, -1.0])
+def test_covering_radius_and_tightness_refuse_bad_width(width):
+    # refused before any sampling: nan and inf were ignored, and -1 refined
+    # until the evaluation budget ran out
+    arr = LatticeArrangement(cube(2), Lattice.from_basis(np.eye(2)))
+    for bracket in (covering_radius, tightness):
+        with pytest.raises(InputError, match="width must be finite"):
+            bracket(arr, resolution=8, width=width)
+
+
 def test_tightness_examples():
     lo, hi = tightness(chessboard(), resolution=32, width=0.02)
     assert lo <= 1.0 <= hi and hi - lo <= 0.02
@@ -433,6 +443,12 @@ def test_kronecker_gap_examples():
             kronecker_gap(u3, r)
 
 
+def test_kronecker_gap_refuses_non_finite_direction():
+    for u in ([np.nan, 0.0], [np.inf, 0.0]):
+        with pytest.raises(InputError, match="finite"):
+            kronecker_gap(u, 5)
+
+
 def test_kronecker_gap_trend():
     u = np.array([1.0, np.sqrt(2.0)])
     u /= np.linalg.norm(u)
@@ -479,6 +495,16 @@ def test_weak_minimum_window_budget():
     assert (2 * 28 + 1) ** 3 <= lattice._OFFSET_MAX < (2 * 29 + 1) ** 3
     assert weak_covering_minimum_1(cube(3), lat, [0.4], samples=50) \
         == weak_covering_minimum_1(cube(3), lat, [0.4], window=28, samples=50)
+
+
+@pytest.mark.parametrize("t_grid, samples, seed, message", [
+    ([np.nan], 400, 0, "finite"), ([0.1, np.inf], 400, 0, "finite"),
+    ([-0.1], 400, 0, "non-negative"), ([0.1], 0, 0, "samples"),
+    ([0.1], -1, 0, "samples"), ([0.1], 400, -1, "seed")])
+def test_weak_minimum_refuses_bad_numbers(t_grid, samples, seed, message):
+    with pytest.raises(InputError, match=message):
+        weak_covering_minimum_1(cube(2), Lattice.from_basis(np.eye(2)), t_grid,
+                                window=10, samples=samples, seed=seed)
 
 
 def test_weak_minimum_dimension_mismatch():

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import perimeter_record
+from helpers import bridging_family, perimeter_record
 
 import nonsep
 from nonsep import balls, cli, lp
@@ -360,6 +360,21 @@ class TestCli:
                           "basis": [[4e4, 0.0], [0.0, 4e4]]})
         assert run_quietly(["lattice", "ns", arr]) == (1, "")
 
+    @pytest.mark.parametrize("args, message", [
+        (["mu1w", "--t", "a,b"], "--t"), (["mu1w", "--t", "nan"], "finite"),
+        (["mu1w", "--t", "inf"], "finite"),
+        (["mu1w", "--t", "0.4", "--seed", "-5"], "seed"),
+        (["tightness", "--width", "nan"], "width"),
+        (["tightness", "--width", "-1"], "width")])
+    def test_lattice_refuses_bad_numbers(self, tmp_path, capsys, args, message):
+        # each is refused at the boundary, naming the bad input: exit 2 and
+        # one line on stderr, no traceback and no NaN or Infinity printed
+        arr = write_json(tmp_path / "arr.json", UNIT_ARRANGEMENT)
+        assert cli.main(["lattice", args[0], arr, *args[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
     def test_lattice_missing_keys(self, tmp_path, capsys):
         arr = write_json(tmp_path / "arr.json", {"basis": [[1, 0], [0, 1]]})
         assert cli.main(["lattice", "ns", arr]) == 2
@@ -449,18 +464,21 @@ class TestCliProcess:
         assert "BrokenPipeError" not in err
 
     def test_ns_decides_21_cubes(self, tmp_path):
-        # no member cap in any dimension: 21 cubes or squares in a row are NS
+        # no member cap in any dimension: 21 cubes or squares in a row are
+        # NS, and so are 21 cubes of three scales (two rows inside a hub)
         cubes = write_json(tmp_path / "row.json", HomotheticFamily(
             cube(3), np.array([[float(i), 0.0, 0.0] for i in range(21)]),
             np.ones(21)).to_dict())
         squares = write_json(tmp_path / "row2.json", HomotheticFamily(
             cube(2), np.array([[float(i), 0.0] for i in range(21)]),
             np.ones(21)).to_dict())
+        bridged = write_json(tmp_path / "hub.json", bridging_family().to_dict())
         assert run_cli_process(["ns", squares])[0] == 0
-        code, out, err = run_cli_process(["ns", cubes])
-        assert code == 0
-        assert json.loads(out) == {"ns": True}
-        assert err == ""
+        for fam in (cubes, bridged):
+            code, out, err = run_cli_process(["ns", fam])
+            assert code == 0
+            assert json.loads(out) == {"ns": True}
+            assert err == ""
 
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
