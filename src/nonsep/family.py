@@ -14,14 +14,20 @@ classify how separable the family is:
   a random facet hyperplane,
 * `edges_covered`: do the members cover every edge of the union's hull.
 
-`_spans` clips lines p + s w (points: w = 0) against all members for
-`is_kwip_sampled` (k <= 1) and `edges_covered`; `_first_gap` sweeps
-columns of intervals for an open stretch: member projections, one column
-per direction, in `is_wns` and planar `is_ns`, and the edge pieces.
+A flat through a point that lies in a member meets that member, so
+`is_kwip_sampled` settles such samples on their facet slacks alone, and
+`_frames` builds directions only for the rows still open, each frame
+the same whichever others are built.  `_spans` clips lines p + s w
+(points: w = 0) against all members for those rows (k <= 1) and for
+`edges_covered`; `_first_gap` sweeps columns of intervals for an open
+stretch: member projections, one column per direction, in `is_wns` and
+planar `is_ns`, and the edge pieces.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,29 +264,34 @@ def is_kwip_sampled(family: HomotheticFamily, k: int, samples: int = 10000,
     k = d-1 delegates to `is_wns` and is exact; its witness is the
     (direction, gap) pair.
     """
+    try:
+        k, samples, seed = map(operator.index, (k, samples, seed))
+    except TypeError:
+        raise InputError("k, samples and seed must be integers") from None
     d = family.dim
     if not 0 <= k <= d - 1:
         raise InputError("k must lie in [0, d-1]")
     if samples < 1:
         raise InputError("samples must be at least 1")
+    if seed < 0:
+        raise InputError("seed must be non-negative")
     if k == d - 1:
         ok, witness = is_wns(family)
         return ("not-falsified", None) if ok else ("falsified", witness)
 
     rng = np.random.default_rng(seed)
     points = _points_in_hull(family.hull(), samples, rng)
-    if k == 0:
-        lines = np.broadcast_to(0.0, points.shape)  # a point: the line w = 0
-    else:
+    frames = None  # k = 0: points, the lines with w = 0
+    if k:
         dirs = facet_directions(family.base)
         frames = _frames(dirs, rng.integers(0, dirs.shape[0], size=samples), k, rng)
         if k >= 2:
             return _kwip_flats(family, points, frames)
-        lines = frames[:, :, 0]
-    miss = _first_miss(family, points, lines)
+    miss = _first_miss(family, points, frames)
     if miss is None:
         return "not-falsified", None
-    return "falsified", Flat(points[miss], lines[miss, :, None][:, :k])
+    basis = np.zeros((d, 0)) if frames is None else frames(np.array([miss]))[0]
+    return "falsified", Flat(points[miss], basis)
 
 
 def _points_in_hull(hull, count, rng):
@@ -296,28 +307,57 @@ def _points_in_hull(hull, count, rng):
 
 
 def _frames(dirs, choices, k, rng):
-    """(samples, d, k) orthonormal frames, frame i inside the hyperplane
-    normal to dirs[choices[i]]: Gram-Schmidt on Gaussian (d - 1, k)
-    frames (Haar-distributed), mapped through the plane's basis."""
+    """Orthonormal frames by sample index: `frames(rows)` is the
+    (rows.size, d, k) stack whose frame i lies inside the hyperplane normal
+    to dirs[choices[i]]: Gram-Schmidt on a Gaussian (d - 1, k) frame
+    (Haar-distributed), mapped through the plane's basis.
+
+    The first call takes all Gaussians from `rng` in one draw, sample i's
+    at its rank in facet order: the stream of one draw per facet in turn.
+    So a frame does not depend on which others are built, only the rows
+    asked for are orthonormalised and mapped, and nothing is drawn when
+    no row is asked for.
+    """
     d = dirs.shape[1]
-    out = np.empty((choices.size, d, k))
-    for f in range(dirs.shape[0]):
-        mask = choices == f
-        g = rng.standard_normal((int(mask.sum()), d - 1, k))
+    drawn = np.bincount(choices, minlength=dirs.shape[0])
+    bases = [_plane_basis(u) for u in dirs]
+
+    @functools.cache
+    def gaussians():
+        g = np.empty((choices.size, d - 1, k))
+        # a stable sort of 8- or 16-bit keys is a radix sort
+        keys = choices.astype(np.min_scalar_type(dirs.shape[0]))
+        g[np.argsort(keys, kind="stable")] = rng.standard_normal(g.shape)
+        return g
+
+    def frames(rows):
+        h = gaussians()[rows]
         for j in range(k):
-            v = g[:, :, j]
+            v = h[:, :, j]
             for i in range(j):
-                v -= (g[:, :, i] * v).sum(axis=1, keepdims=True) * g[:, :, i]
+                v -= (h[:, :, i] * v).sum(axis=1, keepdims=True) * h[:, :, i]
             v /= np.linalg.norm(v, axis=1, keepdims=True)
-        w = g.transpose(0, 2, 1).reshape(-1, d - 1) @ _plane_basis(dirs[f])
-        out[mask] = w.reshape(-1, k, d).transpose(0, 2, 1)
-    return out
+        facet = choices[rows]
+        out = np.empty((rows.size, d, k))
+        for f in np.unique(facet):
+            mask = facet == f
+            v = h[mask].transpose(0, 2, 1).reshape(-1, d - 1)
+            m = v.shape[0]
+            # numpy hands a one-row product to BLAS's matrix-vector routine,
+            # which rounds apart from the matrix product that maps a facet
+            # drawn more than once: such a lone row goes in as a pair
+            if m == 1 < drawn[f]:
+                v = np.repeat(v, 2, axis=0)
+            out[mask] = (v @ bases[f])[:m].reshape(-1, k, d).transpose(0, 2, 1)
+        return out
+
+    return frames
 
 
 def _kwip_flats(family, points, frames):
     """k >= 2: member i meets the flat p + W s iff an s has a W s <= c_i - a p."""
     a, offsets = family.base.facet_normals, family.member_offsets()
-    for p, w in zip(points, frames):
+    for p, w in zip(points, frames(np.arange(points.shape[0]))):
         aw, slack = a @ w, offsets - a @ p
         if not any(lp.solve(np.zeros(w.shape[1]), aw, row).optimal for row in slack):
             return "falsified", Flat(p, w)
@@ -342,16 +382,25 @@ def _spans(alpha, beta):
     return lo, hi
 
 
-def _first_miss(family, points, lines):
-    """Index of the first line points[i] + s lines[i] missing every member.
-    Lines go in blocks of sample order; each member clips only those of the
-    block that no earlier member hit."""
+def _first_miss(family, points, frames):
+    """Index of the first line points[i] + s w_i missing every member, w_i the
+    one column of frames([i]) (frames None: points, w = 0).
+
+    A line through a point that lies in a member hits it at s = 0.  So a
+    block's points are first settled on their slacks c_i - a p: a point with
+    every slack of some member >= 0 is dropped, as the clip would keep it
+    (the IEEE signs of beta / alpha are exact, so lo <= 0 <= hi).  The rest
+    get directions, in sample order; each member clips those of them that
+    no earlier member hit."""
     a, offsets = family.base.facet_normals, family.member_offsets()
     eps = tolerances.feas(1.0)
     for start in range(0, points.shape[0], _BLOCK):
-        alpha = a @ lines[start:start + _BLOCK].T
         ap = a @ points[start:start + _BLOCK].T
-        left = np.arange(start, start + ap.shape[1])
+        outside = (offsets[:, :, None] < ap).any(axis=1).all(axis=0)
+        left, ap = start + np.flatnonzero(outside), ap[:, outside]
+        if left.size == 0:
+            continue
+        alpha = np.zeros_like(ap) if frames is None else a @ frames(left)[:, :, 0].T
         for c in offsets:
             lo, hi = _spans(alpha, c[:, None] - ap)
             missed = lo > hi + eps

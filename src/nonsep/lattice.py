@@ -181,8 +181,8 @@ def covering_radius(arr: LatticeArrangement, resolution: int = 48,
         raise InputError("covering_radius needs d <= 3")
     if resolution < 2:
         raise InputError("resolution must be at least 2")
-    if width is not None and not 0.0 <= width < np.inf:
-        raise InputError("width must be finite and non-negative")
+    if width is not None and not 0.0 < width < np.inf:
+        raise InputError("width must be finite and positive")
     _require_origin_interior(arr.body)
     b = arr.lattice.basis
     # the gauge's Lipschitz constant: facet normals are unit rows, so

@@ -29,6 +29,7 @@ from nonsep.family import (
 from nonsep.polytope import (
     Polytope,
     _plane_basis,
+    box,
     cross_polytope,
     cube,
     edges,
@@ -374,6 +375,53 @@ def test_kwip_lines_3d():
     assert all(flat_misses(fam2.member(i), flat) for i in range(fam2.n))
 
 
+def clipped_columns(monkeypatch):
+    """Count the line columns that reach `_spans`, and record the sample
+    rows that `_frames` is asked to build."""
+    seen = {"columns": 0, "rows": []}
+    spans, frames = family_module._spans, family_module._frames
+
+    def counting_spans(alpha, beta):
+        seen["columns"] += beta.shape[1]
+        return spans(alpha, beta)
+
+    def recording_frames(*args):
+        build = frames(*args)
+
+        def rows(idx):
+            seen["rows"].extend(idx.tolist())
+            return build(idx)
+        return rows
+
+    monkeypatch.setattr(family_module, "_spans", counting_spans)
+    monkeypatch.setattr(family_module, "_frames", recording_frames)
+    return seen
+
+
+def test_kwip_lines_through_points_in_a_member_skip_the_clip(monkeypatch):
+    """A line through a point inside a member hits it, so on a box tower,
+    whose members fill its hull, no sample is clipped or given a direction.
+    Two cubes 3 apart leave most of the hull empty: the falsifying sample
+    is one of those clipped."""
+    seen = clipped_columns(monkeypatch)
+    tower = np.zeros((4, 3))
+    tower[:, 2] = [0.0, 0.7, 1.4, 2.1]
+    fam = HomotheticFamily(unit_cube(3), tower, np.ones(4))
+    assert is_kwip_sampled(fam, 1, samples=10**5, seed=4) == ("not-falsified", None)
+    assert seen == {"columns": 0, "rows": []}
+    apart = HomotheticFamily(unit_cube(3), np.array([(0, 0, 0), (3, 3, 3)], float),
+                             np.ones(2))
+    verdict, flat = is_kwip_sampled(apart, 1, samples=10**5, seed=4)
+    assert verdict == "falsified"
+    points = _points_in_hull(apart.hull(), 10**5, np.random.default_rng(4))
+    miss = int(np.flatnonzero((points == flat.point).all(axis=1))[0])
+    assert miss in seen["rows"] and 0 < seen["columns"] <= 2 * len(seen["rows"])
+    # the points lying in a cube before the miss were settled unclipped
+    a, c = apart.base.facet_normals, apart.member_offsets()
+    inside = (a @ points[:miss].T <= c[:, :, None]).all(axis=1).any(axis=0)
+    assert inside.any() and not set(np.flatnonzero(inside)) & set(seen["rows"])
+
+
 def flat_misses(member, flat):
     """No s with a (p + W s) <= b, by HiGHS: the flat misses the member."""
     a, b = member.facet_normals, member.facet_offsets
@@ -439,11 +487,49 @@ def test_frames_orthonormal_inside_facet_plane(k):
     rng = np.random.default_rng(11)
     dirs = facet_directions(cross_polytope(4))
     choices = rng.integers(0, dirs.shape[0], size=500)
-    frames = _frames(dirs, choices, k, rng)
+    frames = _frames(dirs, choices, k, rng)(np.arange(500))
     assert frames.shape == (500, 4, k)
     gram = np.einsum("sdi,sdj->sij", frames, frames)
     assert np.abs(gram - np.eye(k)).max() <= 1e-12
     assert np.abs(np.einsum("sd,sdi->si", dirs[choices], frames)).max() <= 1e-12
+
+
+def eager_frames(dirs, choices, k, rng):
+    """Every frame at once, one Gaussian draw per facet in turn: the
+    construction that the index-addressed `_frames` replaced."""
+    d = dirs.shape[1]
+    out = np.empty((choices.size, d, k))
+    for f in range(dirs.shape[0]):
+        mask = choices == f
+        g = rng.standard_normal((int(mask.sum()), d - 1, k))
+        for j in range(k):
+            v = g[:, :, j]
+            for i in range(j):
+                v -= (g[:, :, i] * v).sum(axis=1, keepdims=True) * g[:, :, i]
+            v /= np.linalg.norm(v, axis=1, keepdims=True)
+        w = g.transpose(0, 2, 1).reshape(-1, d - 1) @ _plane_basis(dirs[f])
+        out[mask] = w.reshape(-1, k, d).transpose(0, 2, 1)
+    return out
+
+
+@pytest.mark.parametrize("base, k", [(unit_cube(3), 1), (cross_polytope(3), 1),
+                                     (cross_polytope(4), 1), (cross_polytope(4), 2)],
+                         ids=["cube3-k1", "cross3-k1", "cross4-k1", "cross4-k2"])
+def test_frames_by_index_match_eager_per_facet_draws(base, k):
+    """Bit for bit, for the full range, for random subsets in any order and
+    for single rows, also where a facet was drawn once or never."""
+    dirs = facet_directions(base)
+    pick = np.random.default_rng(3)
+    for seed, samples in enumerate((1, 2, dirs.shape[0] + 1, 700, 5000)):
+        choices = np.random.default_rng(seed).integers(0, dirs.shape[0], size=samples)
+        want = eager_frames(dirs, choices, k, np.random.default_rng(seed))
+        frames = _frames(dirs, choices, k, np.random.default_rng(seed))
+        assert np.array_equal(frames(np.arange(samples)), want)
+        for size in (1, 2, 3, samples // 3, samples):
+            rows = pick.choice(samples, size=min(max(size, 1), samples), replace=False)
+            assert np.array_equal(frames(rows), want[rows]), (seed, size)
+        for i in pick.choice(samples, size=min(samples, 12), replace=False):
+            assert np.array_equal(frames(np.array([i]))[0], want[i])
 
 
 def test_kwip_rejects_bad_k():
@@ -455,6 +541,14 @@ def test_kwip_rejects_bad_k():
     for bad in (0, -1):
         with pytest.raises(InputError, match="samples"):
             is_kwip_sampled(fam, 0, samples=bad)
+
+
+@pytest.mark.parametrize("kwargs", [{"seed": -1}, {"seed": 1.5}, {"samples": 2.5}])
+def test_kwip_rejects_bad_seed_and_samples(kwargs):
+    # refused before numpy sees them: it raised ValueError or TypeError
+    fam = squares([(0, 0), (1, 0), (0, 1)])
+    with pytest.raises(InputError):
+        is_kwip_sampled(fam, 0, **{"samples": 10, **kwargs})
 
 
 def test_edges_covered_touching_pair():
@@ -676,3 +770,53 @@ def test_kernels_match_reference_routes(block, monkeypatch):
             # matrix-vector product per edge rounds a few ulps apart
             assert np.allclose(got_pt, want_pt, rtol=0, atol=1e-12), idx
     assert min(verdicts.values()) >= 5, verdicts
+
+
+def tolerance_edge_battery():
+    """Families whose sample points sit on shared facets or within
+    `feas(1.0)` outside a member: touching members, thin layers `eps / 2`
+    apart or overlapping by as much (thin, so that the gaps hold a share of
+    the hull's points), and a base whose roof and floor are pairs of
+    facets 2e-5 rad from parallel."""
+    eps = tolerances.feas(1.0)
+    for d in (2, 3):
+        thin = box(np.zeros(d), np.r_[np.ones(d - 1), 5e-6])
+        for gap in (0.0, eps / 2, -eps / 2):
+            xs = np.zeros((3, d))
+            xs[:, -1] = np.arange(3) * (5e-6 + gap)
+            yield HomotheticFamily(thin, xs, np.ones(3))
+            xs[1:, 0] += 0.5  # the upper layers half a width aside
+            yield HomotheticFamily(thin, xs, np.ones(3))
+    block = np.array([(i, j, 0) for i in range(2) for j in range(2)], float)
+    yield HomotheticFamily(unit_cube(3), block, np.ones(4))
+    yield HomotheticFamily(unit_cube(3), block[:3], np.ones(3))  # an L
+    yield HomotheticFamily(cross_polytope(3), np.array([np.zeros(3), np.full(3, 2 / 3)]),
+                           np.ones(2))  # touching along a facet
+    corners = np.array([(i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1)], float)
+    roof = Polytope.from_vertices(np.vstack(
+        [corners, [(0.5, 0, 1 + 5e-6), (0.5, 1, 1 + 5e-6), (0.5, 0, -5e-6), (0.5, 1, -5e-6)]]))
+    for step in ((0, 0, 1), (1, 0, 0), (1, 1, 0)):
+        yield HomotheticFamily(roof, np.outer(np.arange(3), step), np.ones(3))
+
+
+def test_kwip_matches_reference_at_tolerance_edges():
+    """Points settled inside a member skip the clip, so where slacks sit
+    near 0 the verdict and witness must still be the reference's."""
+    eps = tolerances.feas(1.0)
+    near, verdicts = 0, {"falsified": 0, "not-falsified": 0}
+    for idx, fam in enumerate(tolerance_edge_battery()):
+        a, c = fam.base.facet_normals, fam.member_offsets()
+        for k in range(fam.dim - 1):
+            seed = 11 * idx + k
+            points = _points_in_hull(fam.hull(), 1500, np.random.default_rng(seed))
+            worst = (a @ points.T - c[:, :, None]).max(axis=1).min(axis=0)
+            near += int(((worst > 0) & (worst <= eps)).sum())
+            want, point, line = ref_kwip(fam, k, 1500, seed)
+            got, flat = is_kwip_sampled(fam, k, samples=1500, seed=seed)
+            assert got == want, (idx, k)
+            verdicts[got] += 1
+            if flat is not None:
+                assert np.array_equal(flat.point, point), (idx, k)
+                if k == 1:
+                    assert np.array_equal(flat.basis[:, 0], line), (idx, k)
+    assert near >= 20 and min(verdicts.values()) >= 3, (near, verdicts)

@@ -174,10 +174,11 @@ def test_covering_radius_budget_error_reports_bracket(monkeypatch):
         covering_radius(half_cross(2), resolution=4, width=1e-4)
 
 
-@pytest.mark.parametrize("width", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("width", [np.nan, np.inf, -1.0, 0.0])
 def test_covering_radius_and_tightness_refuse_bad_width(width):
-    # refused before any sampling: nan and inf were ignored, and -1 refined
-    # until the evaluation budget ran out
+    # refused before any sampling: nan and inf were ignored, and -1 and 0
+    # (a Lipschitz bracket never closes to nothing) refined until the
+    # evaluation budget ran out
     arr = LatticeArrangement(cube(2), Lattice.from_basis(np.eye(2)))
     for bracket in (covering_radius, tightness):
         with pytest.raises(InputError, match="width must be finite"):
