@@ -15,7 +15,8 @@ classify how separable the family is:
 * `edges_covered`: do the members cover every edge of the union's hull.
 
 A flat through a point that lies in a member meets that member, so
-`is_kwip_sampled` settles such samples on their facet slacks alone, and
+`is_kwip_sampled` answers at once when `_covers_hull` finds the members
+covering their hull, settles samples in a member on their slacks, and
 `_frames` builds directions only for the rows still open, each frame
 the same whichever others are built.  `_spans` clips lines p + s w
 (points: w = 0) against all members for those rows (k <= 1) and for
@@ -260,7 +261,8 @@ def is_kwip_sampled(family: HomotheticFamily, k: int, samples: int = 10000,
     direction space Haar-distributed (Gram-Schmidt on a Gaussian frame)
     inside a uniformly chosen facet hyperplane. Returns ("falsified", Flat)
     on a flat missing every member, ("not-falsified", None) after
-    `samples` clean draws.
+    `samples` clean draws, or with none drawn when the members cover
+    their hull, since every draw would then lie in a member.
     k = d-1 delegates to `is_wns` and is exact; its witness is the
     (direction, gap) pair.
     """
@@ -279,19 +281,43 @@ def is_kwip_sampled(family: HomotheticFamily, k: int, samples: int = 10000,
         ok, witness = is_wns(family)
         return ("not-falsified", None) if ok else ("falsified", witness)
 
+    hull = family.hull()
+    if _covers_hull(family):
+        return "not-falsified", None
     rng = np.random.default_rng(seed)
-    points = _points_in_hull(family.hull(), samples, rng)
+    points = _points_in_hull(hull, samples, rng)
     frames = None  # k = 0: points, the lines with w = 0
     if k:
         dirs = facet_directions(family.base)
         frames = _frames(dirs, rng.integers(0, dirs.shape[0], size=samples), k, rng)
         if k >= 2:
             return _kwip_flats(family, points, frames)
-    miss = _first_miss(family, points, frames)
+    eps = tolerances.feas(1.0) * min(1.0, float(np.ptp(hull.vertices, axis=0).max()))
+    miss = _first_miss(family, points, frames, eps)
     if miss is None:
         return "not-falsified", None
     basis = np.zeros((d, 0)) if frames is None else frames(np.array([miss]))[0]
     return "falsified", Flat(points[miss], basis)
+
+
+def _covers_hull(family) -> bool:
+    """Do the members cover their hull?  Yes when every cell of the Delaunay
+    triangulation of the member vertices has all its corners in one member:
+    its own vertices, or points meeting its facet rows with no slack.  Such
+    a cell lies in that member; the cells (with the exact duplicates qhull
+    leaves out) fill the hull."""
+    verts = family.all_vertices()
+    tri = Delaunay(verts)
+    if (verts[tri.coplanar[:, 0]] != verts[tri.coplanar[:, 2]]).any():
+        return False
+    cells, av = tri.simplices, family.base.facet_normals @ verts.T
+    owner = np.arange(verts.shape[0]) // family.base.vertices.shape[0]
+    for i, c in enumerate(family.member_offsets()):
+        inside = (av <= c[:, None]).all(axis=0) | (owner == i)
+        cells = cells[~inside[cells].all(axis=1)]
+        if cells.size == 0:
+            return True
+    return False
 
 
 def _points_in_hull(hull, count, rng):
@@ -364,12 +390,12 @@ def _kwip_flats(family, points, frames):
     return "not-falsified", None
 
 
-def _spans(alpha, beta):
+def _spans(alpha, beta, eps):
     """Intervals [lo, hi] of s with a_j . (p + s w) <= c_j on every facet row.
 
     alpha = a_j . w and beta = c_j - a_j . p, rows on the first axis (numpy
     reduces fastest there), other axes broadcast.  A row with alpha ~ 0 that
-    p violates by more than `feas` blocks the line: lo = inf, hi = -inf.
+    p violates by more than `eps` blocks the line: lo = inf, hi = -inf.
     """
     pos = alpha > tolerances.PARALLEL
     neg = alpha < -tolerances.PARALLEL
@@ -377,14 +403,14 @@ def _spans(alpha, beta):
         ratio = beta / alpha
     lo = np.where(neg, ratio, -np.inf).max(axis=0)
     hi = np.where(pos, ratio, np.inf).min(axis=0)
-    blocked = (~(pos | neg) & (beta < -tolerances.feas(1.0))).any(axis=0)
+    blocked = (~(pos | neg) & (beta < -eps)).any(axis=0)
     lo[blocked], hi[blocked] = np.inf, -np.inf
     return lo, hi
 
 
-def _first_miss(family, points, frames):
-    """Index of the first line points[i] + s w_i missing every member, w_i the
-    one column of frames([i]) (frames None: points, w = 0).
+def _first_miss(family, points, frames, eps):
+    """Index of the first line points[i] + s w_i missing every member by more
+    than `eps`, w_i the one column of frames([i]) (frames None: points, w = 0).
 
     A line through a point that lies in a member hits it at s = 0.  So a
     block's points are first settled on their slacks c_i - a p: a point with
@@ -393,7 +419,6 @@ def _first_miss(family, points, frames):
     get directions, in sample order; each member clips those of them that
     no earlier member hit."""
     a, offsets = family.base.facet_normals, family.member_offsets()
-    eps = tolerances.feas(1.0)
     for start in range(0, points.shape[0], _BLOCK):
         ap = a @ points[start:start + _BLOCK].T
         outside = (offsets[:, :, None] < ap).any(axis=1).all(axis=0)
@@ -402,7 +427,7 @@ def _first_miss(family, points, frames):
             continue
         alpha = np.zeros_like(ap) if frames is None else a @ frames(left)[:, :, 0].T
         for c in offsets:
-            lo, hi = _spans(alpha, c[:, None] - ap)
+            lo, hi = _spans(alpha, c[:, None] - ap, eps)
             missed = lo > hi + eps
             left, alpha, ap = left[missed], alpha[:, missed], ap[:, missed]
             if left.size == 0:
@@ -424,7 +449,8 @@ def edges_covered(family: HomotheticFamily):
     dirv = hull.vertices[ends[:, 1]] - x
     a = family.base.facet_normals
     lo, hi = _spans((a @ dirv.T)[:, None, :],  # (members, edges)
-                    family.member_offsets().T[:, :, None] - (a @ x.T)[:, None, :])
+                    family.member_offsets().T[:, :, None] - (a @ x.T)[:, None, :],
+                    tolerances.feas(1.0))
     # misses become [-inf, -inf]; the sentinels [-inf, 0] and [1, inf]
     # leave only [0, 1] to cover, so pieces need no clipping to it
     missed = lo > hi + tolerances.GAP

@@ -74,10 +74,12 @@ largest coordinate or offset in play; below 1 it counts as 1):
   `lutwak_check`, cover certificates in `covering`, and the
   certificate of a tall LP solved through its dual in `lp` (each row,
   and the duality gap, scaled by the largest product in play). The line
-  clip `family._spans` uses the absolute `feas(1.0)`: a facet row
-  parallel to the line blocks it when violated by more, and in
-  `is_kwip_sampled` (k = 0 and 1) a line or point hits a member when its
-  span is non-empty up to it.
+  clip `family._spans` takes `feas(1.0)`, in `is_kwip_sampled` (k = 0
+  and 1) times the hull's widest axis extent when below 1: a facet row
+  parallel to the line blocks it when violated by more, and a line or
+  point hits a member when its span is non-empty up to it.  The cover
+  test that `is_kwip_sampled` runs first (`family._covers_hull`) uses
+  no threshold.
 * `tight`: how close a vertex must sit to a facet plane to lie on it.
   Vertex/facet agreement and rows shaving off less than a merged vertex
   in `Polytope.from_facets`, `edges`, and the face test of `is_summand`.

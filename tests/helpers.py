@@ -201,6 +201,52 @@ def overlap_chain(base, n, rng, direction=None):
     return HomotheticFamily(base, xs, taus)
 
 
+def tower_family(rng):
+    """Equal cubes overlapping along one axis: the union is a box."""
+    from nonsep.family import HomotheticFamily
+    from nonsep.polytope import cube
+
+    n = int(rng.integers(2, 7))
+    tau = float(rng.uniform(0.5, 2.0))
+    axis = int(rng.integers(0, 3))
+    steps = rng.uniform(0.2, 0.95, size=n - 1) * tau
+    ys = np.zeros((n, 3))
+    ys[1:, axis] = np.cumsum(steps)
+    return HomotheticFamily(cube(3), ys, np.full(n, tau))
+
+
+def nested_family(rng, base):
+    """One dominant member at the shared center, the rest strictly inside."""
+    from nonsep.family import HomotheticFamily
+
+    n = int(rng.integers(2, 6))
+    taus = np.empty(n)
+    taus[0] = float(rng.uniform(1.5, 3.0))
+    taus[1:] = rng.uniform(0.2, 0.5, size=n - 1)
+    c = base.vertices.mean(axis=0)
+    rad = np.linalg.norm(base.vertices - c, axis=1).max()
+    ys = np.zeros((n, 3))
+    ys[1:] = rng.uniform(-0.2, 0.2, size=(n - 1, 3)) * rad
+    xs = ys - np.outer(taus, c) + c
+    xs[0] = c - taus[0] * c
+    return HomotheticFamily(base, xs, taus)
+
+
+def criterion_11_families():
+    """The 50 seeded towers and nested families of acceptance criterion 11,
+    whose members cover their hulls."""
+    from nonsep.polytope import cross_polytope, cube, random_polytope
+
+    rng = np.random.default_rng(111)
+    for i in range(50):
+        if i % 2 == 0:
+            yield tower_family(rng)
+        else:
+            base = [cube(3), cross_polytope(3),
+                    random_polytope(3, 7, rng, symmetric=True)][i % 3]
+            yield nested_family(rng, base)
+
+
 def same_point_set(a, b, eps=1e-7) -> bool:
     """Bijective matching of rows within eps."""
     a = np.atleast_2d(np.asarray(a, float))

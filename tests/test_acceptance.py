@@ -20,6 +20,7 @@ import pytest
 
 from helpers import (
     arrangement_with_lambda1,
+    criterion_11_families,
     ns_patch_probe,
     overlap_chain,
     perimeter_record,
@@ -301,42 +302,9 @@ def test_criterion_10_translate_containment_biconditional():
     assert inconsistencies == 0
 
 
-def tower_family(rng):
-    # equal-ratio cubes overlapping along one axis: the union is a box
-    n = int(rng.integers(2, 7))
-    tau = float(rng.uniform(0.5, 2.0))
-    axis = int(rng.integers(0, 3))
-    steps = rng.uniform(0.2, 0.95, size=n - 1) * tau
-    ys = np.zeros((n, 3))
-    ys[1:, axis] = np.cumsum(steps)
-    return HomotheticFamily(cube(3), ys, np.full(n, tau))
-
-
-def nested_family(rng, base):
-    """One dominant member at the shared center, the rest strictly inside."""
-    n = int(rng.integers(2, 6))
-    taus = np.empty(n)
-    taus[0] = float(rng.uniform(1.5, 3.0))
-    taus[1:] = rng.uniform(0.2, 0.5, size=n - 1)
-    c = base.vertices.mean(axis=0)
-    rad = np.linalg.norm(base.vertices - c, axis=1).max()
-    ys = np.zeros((n, 3))
-    ys[1:] = rng.uniform(-0.2, 0.2, size=(n - 1, 3)) * rad
-    xs = ys - np.outer(taus, c) + c
-    xs[0] = c - taus[0] * c
-    return HomotheticFamily(base, xs, taus)
-
-
 def test_criterion_11_impassability_pipeline():
-    rng = np.random.default_rng(111)
     t0 = time.monotonic()
-    for i in range(50):
-        if i % 2 == 0:
-            fam = tower_family(rng)
-        else:
-            base = [cube(3), cross_polytope(3),
-                    random_polytope(3, 7, rng, symmetric=True)][i % 3]
-            fam = nested_family(rng, base)
+    for i, fam in enumerate(criterion_11_families()):
         verdict, _ = is_kwip_sampled(fam, 1, samples=10**5, seed=i)
         assert verdict == "not-falsified", f"family {i} falsified"
         covered, _ = edges_covered(fam)

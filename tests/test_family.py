@@ -4,6 +4,7 @@ from helpers import (
     Interval,
     bridging_family,
     contains_point,
+    criterion_11_families,
     ns_oracle,
     project_member,
     strict_separator,
@@ -16,6 +17,7 @@ from nonsep import family as family_module
 from nonsep import lp, tolerances
 from nonsep.errors import GeometryError, InputError
 from nonsep.family import (
+    Flat,
     HomotheticFamily,
     _frames,
     _points_in_hull,
@@ -381,9 +383,9 @@ def clipped_columns(monkeypatch):
     seen = {"columns": 0, "rows": []}
     spans, frames = family_module._spans, family_module._frames
 
-    def counting_spans(alpha, beta):
+    def counting_spans(alpha, beta, eps):
         seen["columns"] += beta.shape[1]
-        return spans(alpha, beta)
+        return spans(alpha, beta, eps)
 
     def recording_frames(*args):
         build = frames(*args)
@@ -400,10 +402,12 @@ def clipped_columns(monkeypatch):
 
 def test_kwip_lines_through_points_in_a_member_skip_the_clip(monkeypatch):
     """A line through a point inside a member hits it, so on a box tower,
-    whose members fill its hull, no sample is clipped or given a direction.
-    Two cubes 3 apart leave most of the hull empty: the falsifying sample
-    is one of those clipped."""
+    whose members fill its hull, the sampling route (the cover test that
+    answers first is turned off) clips no sample and gives none a
+    direction.  Two cubes 3 apart leave most of the hull empty: the
+    falsifying sample is one of those clipped."""
     seen = clipped_columns(monkeypatch)
+    monkeypatch.setattr(family_module, "_covers_hull", lambda family: False)
     tower = np.zeros((4, 3))
     tower[:, 2] = [0.0, 0.7, 1.4, 2.1]
     fam = HomotheticFamily(unit_cube(3), tower, np.ones(4))
@@ -431,13 +435,22 @@ def flat_misses(member, flat):
     return res.status == 2
 
 
-def test_kwip_planes_4d():
-    """k = 2 in d = 4 goes through the flat LP, member by member."""
+def test_kwip_planes_4d(monkeypatch):
+    """k = 2 in d = 4 goes through the flat LP, member by member.  The
+    tower covers its hull, so the cover test answers for it with no LP;
+    turned off, the LP route gives the same answer."""
     base = unit_cube(4)
     tower = np.zeros((3, 4))
     tower[:, 2] = [0.0, 0.6, 1.2]
     fam = HomotheticFamily(base, tower, np.ones(3))
+    solves = []
+    solve = lp.solve
+    monkeypatch.setattr(lp, "solve", lambda *a, **kw: solves.append(1) or solve(*a, **kw))
     assert is_kwip_sampled(fam, 2, samples=60, seed=2) == ("not-falsified", None)
+    assert not solves
+    monkeypatch.setattr(family_module, "_covers_hull", lambda family: False)
+    assert is_kwip_sampled(fam, 2, samples=60, seed=2) == ("not-falsified", None)
+    assert len(solves) >= 60
     apart = HomotheticFamily(base, np.array([[0.0] * 4, [3.0, 3.0, 0.0, 0.0]]),
                              np.ones(2))
     verdict, flat = is_kwip_sampled(apart, 2, samples=200, seed=2)
@@ -641,8 +654,9 @@ def test_wns_agrees_with_dense_direction_sweep():
 
 def ref_kwip(fam, k, samples, seed):
     rng = np.random.default_rng(seed)
-    points = _points_in_hull(fam.hull(), samples, rng)
-    eps = tolerances.feas(1.0)
+    hull = fam.hull()
+    points = _points_in_hull(hull, samples, rng)
+    eps = tolerances.feas(1.0) * min(1.0, np.ptp(hull.vertices, axis=0).max())
     if k == 0:
         for p in points:
             if not any(contains_point(fam.base, (p - fam.translations[i]) / fam.ratios[i],
@@ -820,3 +834,96 @@ def test_kwip_matches_reference_at_tolerance_edges():
                 if k == 1:
                     assert np.array_equal(flat.basis[:, 0], line), (idx, k)
     assert near >= 20 and min(verdicts.values()) >= 3, (near, verdicts)
+
+
+def test_kwip_slack_relative_below_unit_scale():
+    """Two cubes of side s set 3 s apart leave half their hull empty, so
+    points (k = 0) are falsified as lines (k = 1) are, at every scale.  An
+    absolute slack of `feas(1.0)` reached across the whole gap at s = 1e-7
+    and passed every point there."""
+    unit = HomotheticFamily(unit_cube(3), np.array([[0, 0, 0], [0, 0, 3]]), np.ones(2))
+    for side in (1.0, 1e-3, 1e-6, 1e-7, 1e-9):
+        fam = HomotheticFamily(unit.base, side * unit.translations, side * unit.ratios)
+        for k in (0, 1):
+            verdict, flat = is_kwip_sampled(fam, k, samples=2000, seed=0)
+            assert verdict == "falsified", (side, k)
+            # judged in the family's unit-scale copy, lines by HiGHS
+            flat = Flat(flat.point / side, flat.basis)
+            if k == 0:
+                assert 1 < flat.point[2] < 3, side
+            else:
+                assert all(flat_misses(unit.member(i), flat) for i in range(unit.n)), side
+
+
+def cover_battery():
+    """(family, whether its members cover its hull) in d = 2, 3, 4: towers,
+    nested families, touching blocks, thin layers touching, overlapping or
+    apart, tiny cubes overlapping or apart (by less than `feas(1.0)`), an L,
+    a pair just short of touching and scattered cubes.  Each covered hull is
+    covered with room or with members that touch, so the certificate
+    settles it."""
+    rng = np.random.default_rng(20261019)
+    eps = tolerances.feas(1.0)
+    for fam in criterion_11_families():
+        yield fam, True
+    for d in (2, 3, 4):
+        for n in (2, 4):
+            tau = rng.uniform(0.5, 2.0)
+            xs = np.zeros((n, d))
+            xs[1:, rng.integers(0, d)] = np.cumsum(rng.uniform(0.2, 0.95, size=n - 1)) * tau
+            yield HomotheticFamily(unit_cube(d), xs, np.full(n, tau)), True
+            xs[1:] += rng.uniform(0.02, 0.2, size=(n - 1, d)) * tau  # slanted: gaps
+            xs[1:, 0] += tau
+            yield HomotheticFamily(unit_cube(d), xs, np.full(n, tau)), False
+        for base in (cube(d), cross_polytope(d)):
+            taus = np.r_[rng.uniform(1.5, 3.0), rng.uniform(0.2, 0.4, size=2)]
+            xs = np.vstack([np.zeros(d), rng.uniform(-0.1, 0.1, size=(2, d))])
+            yield HomotheticFamily(base, xs, taus), True
+        corners = np.array(list(np.ndindex(*(2,) * d)), float)[:2 ** min(d, 3)]
+        yield HomotheticFamily(unit_cube(d), corners, np.ones(len(corners))), True
+        yield HomotheticFamily(unit_cube(d), corners[:3], np.ones(3)), False  # an L
+        # a pair 1e-15 from touching: qhull leaves out vertices that are not
+        # exact duplicates, and the sliver between the cubes is open
+        yield HomotheticFamily(unit_cube(d), np.vstack([np.zeros(d), np.full(d, 1e-15)
+                                                        + np.eye(d)[0]]), np.ones(2)), False
+        thin = box(np.zeros(d), np.r_[np.ones(d - 1), 5e-6])
+        for gap, covered in ((0.0, True), (-eps / 2, True), (eps / 2, False)):
+            xs = np.zeros((3, d))
+            xs[:, -1] = np.arange(3) * (5e-6 + gap)
+            yield HomotheticFamily(thin, xs, np.ones(3)), covered
+        for step, covered in ((0.6e-7, True), (1.5e-7, False)):
+            xs = np.zeros((2, d))
+            xs[1, -1] = step
+            yield HomotheticFamily(unit_cube(d), xs, np.full(2, 1e-7)), covered
+        xs = np.outer(np.arange(3), np.ones(d)) * 2.2
+        yield HomotheticFamily(unit_cube(d), xs, np.ones(3)), False
+    yield HomotheticFamily(cross_polytope(3), np.array([np.zeros(3), np.full(3, 2 / 3)]),
+                           np.ones(2)), False  # touching along a facet: not convex
+
+
+def test_cover_certificate_agrees_with_the_sampling_route(monkeypatch):
+    """Where the cover test settles a family, the sampling route (the test
+    turned off) finds every draw inside a member, for three seeds; where it
+    does not, the public call is the sampling route bit for bit."""
+    def sampled(fam, k, samples, seed):
+        with monkeypatch.context() as m:
+            m.setattr(family_module, "_covers_hull", lambda family: False)
+            return is_kwip_sampled(fam, k, samples=samples, seed=seed)
+
+    counts = {True: 0, False: 0, "falsified": 0}
+    for idx, (fam, covered) in enumerate(cover_battery()):
+        assert family_module._covers_hull(fam) == covered, idx
+        counts[covered] += 1
+        for k in range(fam.dim - 1):
+            samples = 60 if k >= 2 else 1000
+            for seed in range(3):
+                got = is_kwip_sampled(fam, k, samples=samples, seed=seed)
+                want = sampled(fam, k, samples, seed)
+                assert got[0] == want[0], (idx, k, seed)
+                if covered:
+                    assert got == want == ("not-falsified", None), (idx, k, seed)
+                elif want[1] is not None:
+                    counts["falsified"] += 1
+                    assert got[1].point.tobytes() == want[1].point.tobytes()
+                    assert got[1].basis.tobytes() == want[1].basis.tobytes()
+    assert min(counts.values()) >= 15, counts
