@@ -44,20 +44,23 @@ def _reflection_rows(p: Polytope):
 def sigma_lp(p: Polytope) -> AsymmetryResult:
     """Asymmetry constant by one LP in the variables (r, mu), r = (1+mu) q."""
     a, b, rhs_min = _reflection_rows(p)
+    # r in units of max |b| rounded up to a power of two (an exact scaling),
+    # so the facet rows share the scale of the row mu >= 1 at any size
+    unit = np.ldexp(1.0, np.frexp(np.abs(b).max())[1])
     d = p.dim
     m = a.shape[0]
     a_ub = np.zeros((m + 1, d + 1))
     a_ub[:m, :d] = a
-    a_ub[:m, d] = -b
+    a_ub[:m, d] = -b / unit
     a_ub[m, d] = -1.0  # mu >= 1
-    b_ub = np.concatenate([rhs_min, [-1.0]])
+    b_ub = np.concatenate([rhs_min / unit, [-1.0]])
     c = np.zeros(d + 1)
     c[d] = 1.0
     res = lp.solve(c, a_ub, b_ub, maximize=False)
     if not res.optimal:
         raise GeometryError(f"asymmetry LP ended {res.status}")
     mu = float(res.x[d])
-    center = res.x[:d] / (1.0 + mu)
+    center = res.x[:d] * unit / (1.0 + mu)
     return AsymmetryResult(mu, center, "lp")
 
 

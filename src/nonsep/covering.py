@@ -149,18 +149,21 @@ def lambda_min(family: HomotheticFamily) -> CoverResult:
     shifted = family.translations + np.outer(family.ratios, c0)
     rhs_max = (shifted @ a.T + np.outer(family.ratios, b)).max(axis=0)
 
+    # t in units of max |rhs| rounded up to a power of two (exact): rows of
+    # unit size at any scale, which the LP's absolute tolerances assume
+    unit = np.ldexp(1.0, np.frexp(np.abs(rhs_max).max())[1])
     d = p.dim
     m = a.shape[0]
     a_ub = np.zeros((m, d + 1))
     a_ub[:, :d] = -a
-    a_ub[:, d] = -total * b
+    a_ub[:, d] = -total * b / unit
     c = np.zeros(d + 1)
     c[d] = 1.0
-    res = lp.solve(c, a_ub, -rhs_max, maximize=False)
+    res = lp.solve(c, a_ub, -rhs_max / unit, maximize=False)
     if not res.optimal:
         raise GeometryError(f"covering LP ended {res.status}")
     lam = float(res.x[d])
-    t = res.x[:d] - lam * total * c0
+    t = res.x[:d] * unit - lam * total * c0
     certified = _support_dominates(family, t, lam)
     return CoverResult(t, lam, certified)
 

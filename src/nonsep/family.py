@@ -32,10 +32,10 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import Delaunay
+from scipy.spatial import Delaunay, QhullError
 
 from . import lp, tolerances
-from .errors import InputError
+from .errors import GeometryError, InputError
 from .polytope import (
     Polytope,
     _finite,
@@ -300,6 +300,15 @@ def is_kwip_sampled(family: HomotheticFamily, k: int, samples: int = 10000,
     return "falsified", Flat(points[miss], basis)
 
 
+def _delaunay(points):
+    # qhull lifts the points by their squared norms, which lose the rank at
+    # extreme scales (two unit cubes times 1e60) where `hull()` did not
+    try:
+        return Delaunay(points)
+    except QhullError as exc:
+        raise GeometryError("Delaunay triangulation failed") from exc
+
+
 def _covers_hull(family) -> bool:
     """Do the members cover their hull?  Yes when every cell of the Delaunay
     triangulation of the member vertices has all its corners in one member:
@@ -307,7 +316,7 @@ def _covers_hull(family) -> bool:
     a cell lies in that member; the cells (with the exact duplicates qhull
     leaves out) fill the hull."""
     verts = family.all_vertices()
-    tri = Delaunay(verts)
+    tri = _delaunay(verts)
     if (verts[tri.coplanar[:, 0]] != verts[tri.coplanar[:, 2]]).any():
         return False
     cells, av = tri.simplices, family.base.facet_normals @ verts.T
@@ -324,7 +333,7 @@ def _points_in_hull(hull, count, rng):
     """`count` uniform points of the hull: Delaunay simplices picked by
     volume, then flat Dirichlet weights on the corners (normalised
     exponentials; Devroye, Non-Uniform Random Variate Generation, ch. XI)."""
-    corners = hull.vertices[Delaunay(hull.vertices).simplices]  # (s, d + 1, d)
+    corners = hull.vertices[_delaunay(hull.vertices).simplices]  # (s, d + 1, d)
     vol = np.abs(np.linalg.det(corners[:, 1:] - corners[:, :1]))
     pick = rng.choice(vol.size, size=count, p=vol / vol.sum())
     w = rng.standard_exponential((count, hull.dim + 1))

@@ -10,23 +10,29 @@ the three statuses we need, and its feasible points double as witnesses.
 ``row @ x == rhs``; it maximizes unless told otherwise, and a feasibility
 question passes a zero objective and reads ``.optimal`` or ``.x``.
 Statuses are ``"optimal"``, ``"infeasible"``, ``"unbounded"``.  Variables
-are free, or with ``nonneg=True`` non-negative with one tableau column
-each, so standard form (``A y == b``, ``y >= 0``) needs no ``-I`` rows.
-`tol` is the phase-1 and pricing threshold, `tolerances.LP` by default.
+are free, or non-negative with ``nonneg=True``.  `tol` is the phase-1 and
+pricing threshold, `tolerances.LP` by default.
 
-Tall free LPs (``min c@x``, ``A x <= b``, no equality rows, more than
-twice as many rows m as variables n) are solved through their dual in
-standard form, ``min b@y``, ``A.T y == -c``, ``y >= 0``: n rows over m
-columns, so a pivot costs O(nm) where the split primal tableau costs
-O(m^2).  x is the solution of the primal rows the optimal dual basis
-makes tight, taken in ascending row order, and is certified before it is
-returned (``A x <= b`` and ``c@x == -b@y`` up to `tolerances.feas`;
-otherwise `GeometryError`).  Statuses follow duality: an unbounded dual
-means an infeasible primal; an infeasible dual means an unbounded primal
-unless the Farkas LP ``min b@y``, ``A.T y == 0``, ``sum(y) == 1``,
-``y >= 0`` (on unit-scaled rows) has a negative optimum, which means an
-infeasible one.  Shorter LPs keep the split primal tableau, whose round-off
-the pinned outputs of small bodies were computed with.
+One tableau form runs: standard form, ``min c@y``, ``A y == b``,
+``y >= 0``, rows over their largest entry.  ``nonneg=True`` with only
+equality rows is solved in it as it stands, and an LP with no rows needs
+no tableau.  Any other LP becomes ``min c@x``, ``A x <= b``, x free (an
+equality row is a pair of rows, ``nonneg=True`` adds ``-x <= 0``), and is
+solved through its dual ``min b@y``, ``A.T y == -c``, ``y >= 0``: n rows
+over m columns.  x solves the rows the optimal dual basis makes tight,
+over their largest entry as the tableau scales them: the row (0.7071...,
+0.7071...) is solved as (1, 1), which keeps the demo triangle's
+asymmetry at exactly 2.0.  The dual is priced on b as given, so its
+stopping test is absolute, like phase 1's; `asymmetry.sigma_lp` and
+`covering.lambda_min` state their LPs in power-of-two units instead.
+Priced on ``b / max|b|``, rows whose right-hand sides cancel to +-1e-16
+(P holds a translate of P) would read as a contradiction.  x is
+certified (``A x <= b``, ``c@x == -b@y`` up to `tolerances.feas`; else
+`GeometryError`).  An unbounded dual means an infeasible primal (a zero
+objective makes y = 0 dual-feasible, so a feasibility question costs one
+LP); an infeasible dual means an unbounded primal unless the Farkas LP
+``min b@y``, ``A.T y == 0``, ``sum(y) == 1``, ``y >= 0`` on unit rows
+has a negative optimum.
 """
 
 from __future__ import annotations
@@ -69,10 +75,20 @@ def solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, maximize=True,
         raise InputError("constraint block shapes are inconsistent")
 
     c_min = -c if maximize else c
-    if nonneg or b_eq.size or b_ub.size <= 2 * n:
-        status, x = _solve_min(c_min, a_ub, b_ub, a_eq, b_eq, tol, not nonneg)[:2]
+    if not (b_ub.size or b_eq.size):
+        # No rows: optimal (at 0) only if no direction lowers the cost.
+        lower = np.minimum(c_min, 0.0) if nonneg else c_min
+        if np.abs(lower).max(initial=0.0) > tol:
+            return LpResult("unbounded", None, None)
+        status, x = "optimal", np.zeros(n)
+    elif nonneg and not b_ub.size:
+        status, x = _standard(c_min, a_eq, b_eq, tol)[:2]
     else:
-        status, x = _solve_dual(c_min, a_ub, b_ub, tol)
+        if nonneg:
+            a_ub = np.vstack([a_ub, -np.eye(n)])
+            b_ub = np.concatenate([b_ub, np.zeros(n)])
+        status, x = _solve_dual(c_min, np.vstack([a_ub, a_eq, -a_eq]),
+                                np.concatenate([b_ub, b_eq, -b_eq]), tol)
     if status != "optimal":
         return LpResult(status, None, None)
     return LpResult("optimal", float(c @ x), x)
@@ -86,28 +102,32 @@ def _unit_rows(a, b):
     return a / scale[:, None], b / scale
 
 
+def _standard(c, a, b, tol):
+    """min c@y, a@y == b, y >= 0; also the optimal basis and the rows it kept."""
+    rows, rhs = _unit_rows(a, b)
+    rows[rhs < 0] *= -1.0
+    return _two_phase(rows, np.abs(rhs), c, tol)
+
+
 def _solve_dual(c, a, b, tol):
     """min c@x subject to a@x <= b, x free, through the standard-form dual."""
     m, n = a.shape
-    no_rows = np.zeros((0, m)), np.zeros(0)
-    status, y, basis, keep = _solve_min(b, *no_rows, a.T, -c, tol, free=False)
+    unit, rhs = _unit_rows(a, b)
+    status, y, basis, keep = _standard(b, a.T, -c, tol)
     if status == "unbounded":
         return "infeasible", None
     if status == "infeasible":
         # Farkas: y >= 0 with y@a == 0 and y@b < 0 exists iff a@x <= b has
         # no solution; the rows are unit-scaled so sum(y) == 1 is fair.
-        unit, rhs = _unit_rows(a, b)
         a_eq = np.vstack([unit.T, np.ones((1, m))])
-        b_eq = np.zeros(n + 1)
-        b_eq[n] = 1.0
-        _, w = _solve_min(rhs, *no_rows, a_eq, b_eq, tol, free=False)[:2]
+        w = _standard(rhs, a_eq, np.r_[np.zeros(n), 1.0], tol)[1]
         if w is not None and rhs @ w < -tol * max(1.0, float(np.abs(rhs).max())):
             return "infeasible", None
         return "unbounded", None
     rows = np.sort(basis)
     x = np.zeros(n)
     try:
-        x[keep] = np.linalg.solve(a[np.ix_(rows, keep)], b[rows])
+        x[keep] = np.linalg.solve(unit[np.ix_(rows, keep)], rhs[rows])
     except np.linalg.LinAlgError as exc:
         raise GeometryError("dual LP basis is singular") from exc
     scale = max(float(np.abs(b).max()), float((np.abs(a) @ np.abs(x)).max()))
@@ -116,42 +136,6 @@ def _solve_dual(c, a, b, tol):
             max(scale, float(np.abs(b) @ y))):
         raise GeometryError("dual LP solution failed its certificate")
     return "optimal", x
-
-
-def _solve_min(c, a_ub, b_ub, a_eq, b_eq, tol, free=True):
-    """min c@x, x free or >= 0. Splits free variables, adds slacks, runs
-    two phases.  Also returns the optimal basis and the rows it kept."""
-    n = c.size
-    n_neg = n if free else 0
-    m_ub, m_eq = b_ub.size, b_eq.size
-    m = m_ub + m_eq
-
-    if m == 0:
-        # Unconstrained: optimal only for a zero objective (x >= 0: none < 0).
-        if np.abs(c if free else np.minimum(c, 0.0)).max(initial=0.0) <= tol:
-            return "optimal", np.zeros(n), [], []
-        return "unbounded", None, None, None
-
-    rows, rhs = _unit_rows(np.vstack([a_ub, a_eq]), np.concatenate([b_ub, b_eq]))
-
-    # x = xp - xm (free x only), slack per inequality row.
-    ncols = n + n_neg + m_ub
-    big = np.zeros((m, ncols))
-    big[:, :n] = rows
-    big[:, n:n + n_neg] = -rows[:, :n_neg]
-    big[:m_ub, n + n_neg:] = np.eye(m_ub)
-    neg = rhs < 0
-    big[neg] *= -1.0
-    rhs = np.abs(rhs)
-
-    cost = np.zeros(ncols)
-    cost[:n] = c
-    cost[n:n + n_neg] = -c[:n_neg]
-
-    status, y, basis, keep = _two_phase(big, rhs, cost, tol)
-    if status != "optimal":
-        return status, None, None, None
-    return "optimal", y[:n] - y[n:2 * n] if free else y[:n], basis, keep
 
 
 def _two_phase(A, b, c, tol):
@@ -176,31 +160,22 @@ def _two_phase(A, b, c, tol):
     for r in range(m):
         if basis[r] >= n:
             j = int(np.argmax(np.abs(T[r, :n])))
-            if abs(T[r, j]) > _PIVOT_EPS:
-                _pivot(T, z, basis, r, j)
-            else:
+            if abs(T[r, j]) <= _PIVOT_EPS:
                 continue
+            _pivot(T, z, basis, r, j)
         keep.append(r)
-    if len(keep) < m:
-        T = T[keep]
-        basis = [basis[r] for r in keep]
-        m = len(keep)
-
-    T = np.hstack([T[:, :n], T[:, -1:]])
+    T = np.hstack([T[keep, :n], T[keep, -1:]])
+    basis = [basis[r] for r in keep]
 
     # Phase 2 with the true costs.
     z2 = np.concatenate([c, [0.0]])
-    for r in range(m):
-        coeff = z2[basis[r]]
-        if coeff != 0.0:
-            z2 -= coeff * T[r]
-    status = _iterate(T, z2, basis, n, tol)
-    if status == "unbounded":
-        return "unbounded", None, None, None
-
-    x = np.zeros(n)
     for r, j in enumerate(basis):
-        x[j] = T[r, -1]
+        if z2[j] != 0.0:
+            z2 -= z2[j] * T[r]
+    if _iterate(T, z2, basis, n, tol) == "unbounded":
+        return "unbounded", None, None, None
+    x = np.zeros(n)
+    x[basis] = T[:, -1]
     return "optimal", x, basis, keep
 
 

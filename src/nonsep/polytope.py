@@ -255,6 +255,8 @@ def _dedupe_facets(a, b):
     row is compared with the kept rows only: normals componentwise,
     offsets relative to the kept row's.
     """
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):  # qhull overflowed
+        raise GeometryError("hull equations are not finite")
     norms = np.linalg.norm(a, axis=1)
     a, b = a / norms[:, None], b / norms
     eps = tolerances.FACET_MERGE

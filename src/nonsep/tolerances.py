@@ -72,8 +72,8 @@ largest coordinate or offset in play; below 1 it counts as 1):
 * `feas`: how far a point may sit outside a halfspace and still count as
   inside. Vertex/facet agreement in `polytope`, the Farkas weight test of
   `lutwak_check`, cover certificates in `covering`, and the
-  certificate of a tall LP solved through its dual in `lp` (each row,
-  and the duality gap, scaled by the largest product in play). The line
+  certificate of every free LP, each solved through its dual in `lp`
+  (each row, and the duality gap, scaled by the largest product in play). The line
   clip `family._spans` takes `feas(1.0)`, in `is_kwip_sampled` (k = 0
   and 1) times the hull's widest axis extent when below 1: a facet row
   parallel to the line blocks it when violated by more, and a line or

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from helpers import contains_point
@@ -15,6 +18,7 @@ from nonsep.polytope import (
     cross_polytope,
     cube,
     genericize,
+    polytope_from_dict,
     random_polytope,
     random_simplex,
     regular_polygon,
@@ -37,6 +41,15 @@ def test_simplex_attains_dimension(d):
     assert abs(sigma_bisection(p).sigma - d) < 1e-6
     # the optimal center of the standard simplex is its centroid
     assert np.allclose(res.center, np.full(d, 1.0 / (d + 1)), atol=1e-6)
+
+
+def test_demo_triangle_sigma_is_exactly_two():
+    # the demo's hypotenuse row is (0.7071..., 0.7071...) with offset
+    # 0.7071...; solved as given rather than over its largest entry, the
+    # tight rows give 1.9999999999999998
+    path = Path(__file__).resolve().parents[1] / "demos/scenarios/triangle_asymmetry.json"
+    body = polytope_from_dict(json.loads(path.read_text())["parameters"]["polytope"])
+    assert sigma_lp(body).sigma == 2.0
 
 
 def test_pentagon_value_frozen():

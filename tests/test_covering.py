@@ -185,6 +185,26 @@ def test_lambda_min_matches_grid_oracle():
         assert res.lam <= grid_lambda(fam) + 1e-6
 
 
+def test_sigma_and_lambda_do_not_move_when_the_input_is_scaled_by_1e8():
+    """Metamorphic: sigma and lambda_min are scale-free, so 20 seeded bodies
+    (d = 2, 3, 8-11 Gaussian points) and families of 4 members on them,
+    multiplied by 1e8, keep their unit-scale answers to 1e-9 relative."""
+    from nonsep.asymmetry import sigma_lp
+
+    for i in range(20):
+        rng = np.random.default_rng(i)
+        d = 2 + i % 2
+        pts = rng.normal(size=(int(rng.integers(8, 12)), d))
+        x, t = 2.0 * rng.normal(size=(4, d)), rng.uniform(0.5, 2.0, size=4)
+        sigma, lam = [], []
+        for s in (1.0, 1e8):
+            body = Polytope.from_vertices(s * pts)
+            sigma.append(sigma_lp(body).sigma)
+            lam.append(lambda_min(HomotheticFamily(body, s * x, t)).lam)
+        assert sigma[1] == pytest.approx(sigma[0], rel=1e-9, abs=0), i
+        assert lam[1] == pytest.approx(lam[0], rel=1e-9, abs=0), i
+
+
 def test_sigma_cover_symmetric_base_is_lambda_one():
     res = sigma_cover(two_squares())
     assert res.certified

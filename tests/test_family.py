@@ -564,6 +564,17 @@ def test_kwip_rejects_bad_seed_and_samples(kwargs):
         is_kwip_sampled(fam, 0, **{"samples": 10, **kwargs})
 
 
+@pytest.mark.parametrize("scale", [1e60, 1e70])
+@pytest.mark.parametrize("k", [0, 1])
+def test_kwip_refuses_a_hull_delaunay_cannot_triangulate(scale, k):
+    # the hull passes `from_vertices`, but qhull's lifted points lose the
+    # rank: a GeometryError, not scipy's QhullError
+    fam = HomotheticFamily(cube(3).homothet(np.zeros(3), scale),
+                           np.array([[0.0, 0.0, 0.0], [scale, 0.0, 0.0]]), np.ones(2))
+    with pytest.raises(GeometryError, match="Delaunay"):
+        is_kwip_sampled(fam, k, samples=10)
+
+
 def test_edges_covered_touching_pair():
     ok, _ = edges_covered(squares([(0, 0), (1, 0)]))
     assert ok

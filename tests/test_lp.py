@@ -220,18 +220,28 @@ def test_tall_lps_go_through_the_dual_and_match_highs(monkeypatch):
             want = -ref.fun if maximize else ref.fun
             assert abs(mine.value - want) <= 1e-6 * (1.0 + abs(want)), k
             assert (a @ mine.x <= b + 1e-6).all(), k
-    assert len(dual_calls) == tall >= 140
+    assert len(dual_calls) == 160 and tall >= 140
     assert min(statuses.get(s, 0) for s in ("optimal", "unbounded", "infeasible")) >= 20, statuses
 
 
-def test_short_and_constrained_lps_keep_the_primal_tableau(monkeypatch):
-    monkeypatch.setattr(lp, "_solve_dual", lambda *a: pytest.fail("dual route"))
+def test_short_and_constrained_lps_go_through_the_dual(monkeypatch):
+    """Every free or inequality LP reaches the dual; standard form never does."""
+    dual_calls = []
+    inner = lp._solve_dual
+    monkeypatch.setattr(lp, "_solve_dual",
+                        lambda *a: dual_calls.append(a[1].shape) or inner(*a))
     a = np.vstack([np.eye(2), -np.eye(2)])
     assert solve([1.0, 1.0], a, np.ones(4)).value == pytest.approx(2.0)
     tall = np.vstack([a] * 3)
     assert solve([1.0, 1.0], tall, np.ones(12), a_eq=[[1.0, -1.0]],
                  b_eq=[0.0]).value == pytest.approx(2.0)
     assert solve([1.0, 1.0], tall, np.ones(12), nonneg=True).value == pytest.approx(2.0)
+    assert dual_calls == [(4, 2), (14, 2), (14, 2)]
+    simplex = dict(a_eq=np.ones((1, 3)), b_eq=[1.0], nonneg=True)
+    assert solve(np.zeros(3), **simplex).optimal
+    assert solve([1.0, 2.0, 0.5], maximize=False, **simplex).value == pytest.approx(0.5)
+    assert solve([1.0, 2.0], maximize=False, nonneg=True).value == 0.0
+    assert dual_calls == [(4, 2), (14, 2), (14, 2)]
 
 
 def test_chebyshev_centre_statuses_on_the_dual_route(monkeypatch):

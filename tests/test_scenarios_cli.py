@@ -3,6 +3,7 @@ import contextlib
 import copy
 import functools
 import io
+import itertools
 import json
 import math
 import operator
@@ -479,6 +480,17 @@ class TestCliProcess:
             assert code == 0
             assert json.loads(out) == {"ns": True}
             assert err == ""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_cube_at_extreme_scale_exits_without_traceback(self, tmp_path, dim):
+        # qhull's facet equations overflow at 1e160: refused, not a
+        # traceback from the facet merge
+        corners = itertools.product([-1e160, 1e160], repeat=dim)
+        body = write_json(tmp_path / "huge.json",
+                          {"dim": dim, "vertices": [list(v) for v in corners]})
+        code, _, err = run_cli_process(["sigma", body])
+        assert code in (1, 2)
+        assert "Traceback" not in err
 
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
