@@ -16,13 +16,13 @@ classify how separable the family is:
 
 A flat through a point that lies in a member meets that member, so
 `is_kwip_sampled` answers at once when `_covers_hull` finds the members
-covering their hull, settles samples in a member on their slacks, and
-`_frames` builds directions only for the rows still open, each frame
-the same whichever others are built.  `_spans` clips lines p + s w
-(points: w = 0) against all members for those rows (k <= 1) and for
-`edges_covered`; `_first_gap` sweeps columns of intervals for an open
-stretch: member projections, one column per direction, in `is_wns` and
-planar `is_ns`, and the edge pieces.
+covering their hull, builds points block by block, settles those in a
+member on their slacks, and gives directions only to the rows still open;
+each point and frame is the same whichever others are built.  `_spans`
+clips lines p + s w (points: w = 0) against all members for those rows
+(k <= 1) and for `edges_covered`; `_first_gap` sweeps columns of
+intervals for an open stretch: member projections, one column per
+direction, in `is_wns` and planar `is_ns`, and the edge pieces.
 """
 
 from __future__ import annotations
@@ -291,13 +291,13 @@ def is_kwip_sampled(family: HomotheticFamily, k: int, samples: int = 10000,
         dirs = facet_directions(family.base)
         frames = _frames(dirs, rng.integers(0, dirs.shape[0], size=samples), k, rng)
         if k >= 2:
-            return _kwip_flats(family, points, frames)
+            return _kwip_flats(family, points, samples, frames)
     eps = tolerances.feas(1.0) * min(1.0, float(np.ptp(hull.vertices, axis=0).max()))
-    miss = _first_miss(family, points, frames, eps)
+    miss = _first_miss(family, points, samples, frames, eps)
     if miss is None:
         return "not-falsified", None
     basis = np.zeros((d, 0)) if frames is None else frames(np.array([miss]))[0]
-    return "falsified", Flat(points[miss], basis)
+    return "falsified", Flat(points(np.array([miss]))[0], basis)
 
 
 def _delaunay(points):
@@ -330,15 +330,28 @@ def _covers_hull(family) -> bool:
 
 
 def _points_in_hull(hull, count, rng):
-    """`count` uniform points of the hull: Delaunay simplices picked by
-    volume, then flat Dirichlet weights on the corners (normalised
-    exponentials; Devroye, Non-Uniform Random Variate Generation, ch. XI)."""
+    """Uniform points of the hull by sample index, `points(rows)`: Delaunay
+    simplices picked by volume, then flat Dirichlet weights on the corners
+    (normalised exponentials; Devroye, Non-Uniform Random Variate Generation,
+    ch. XI).  All `count` draws are made here, as `rng.choice(p=...)` makes
+    them; only the rows asked for are picked, weighted and mapped."""
     corners = hull.vertices[_delaunay(hull.vertices).simplices]  # (s, d + 1, d)
     vol = np.abs(np.linalg.det(corners[:, 1:] - corners[:, :1]))
-    pick = rng.choice(vol.size, size=count, p=vol / vol.sum())
+    total = vol.sum()
+    if not 0 < total < np.inf:  # `rng.choice` refuses such weights
+        raise GeometryError("hull volume is zero or overflows")
+    cdf = (vol / total).cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(count)
     w = rng.standard_exponential((count, hull.dim + 1))
-    w /= w.sum(axis=1, keepdims=True)
-    return np.einsum("ij,ijk->ik", w, corners[pick])
+
+    def points(rows):
+        pick = cdf.searchsorted(u[rows], side="right")
+        v = w[rows]
+        v /= v.sum(axis=1, keepdims=True)
+        return np.einsum("ij,ijk->ik", v, corners[pick])
+
+    return points
 
 
 def _frames(dirs, choices, k, rng):
@@ -347,26 +360,30 @@ def _frames(dirs, choices, k, rng):
     to dirs[choices[i]]: Gram-Schmidt on a Gaussian (d - 1, k) frame
     (Haar-distributed), mapped through the plane's basis.
 
-    The first call takes all Gaussians from `rng` in one draw, sample i's
-    at its rank in facet order: the stream of one draw per facet in turn.
-    So a frame does not depend on which others are built, only the rows
-    asked for are orthonormalised and mapped, and nothing is drawn when
-    no row is asked for.
+    The first call takes all Gaussians from `rng` in one draw: the stream
+    of one draw per facet in turn, so sample i's sit at its facet's start
+    plus its index among that facet's samples (counted up to the last row
+    asked for).  So a frame does not depend on which others are built, only
+    the rows asked for are orthonormalised and mapped, and nothing is drawn
+    when no row is asked for.
     """
     d = dirs.shape[1]
     drawn = np.bincount(choices, minlength=dirs.shape[0])
+    # a stable sort of 8- or 16-bit keys is a radix sort
+    keys = choices.astype(np.min_scalar_type(dirs.shape[0]))
     bases = [_plane_basis(u) for u in dirs]
-
-    @functools.cache
-    def gaussians():
-        g = np.empty((choices.size, d - 1, k))
-        # a stable sort of 8- or 16-bit keys is a radix sort
-        keys = choices.astype(np.min_scalar_type(dirs.shape[0]))
-        g[np.argsort(keys, kind="stable")] = rng.standard_normal(g.shape)
-        return g
+    gaussians = functools.cache(lambda: rng.standard_normal((choices.size, d - 1, k)))
+    at = np.empty(choices.size, np.intp)  # sample i's place in the Gaussian stream
+    placed, free = 0, np.cumsum(drawn) - drawn  # samples placed; next place per facet
 
     def frames(rows):
-        h = gaussians()[rows]
+        nonlocal placed, free
+        fresh = keys[placed:rows.max(initial=-1) + 1]
+        seen = np.bincount(fresh, minlength=dirs.shape[0])
+        at[placed + np.argsort(fresh, kind="stable")] = (
+            np.arange(fresh.size) + np.repeat(free - np.cumsum(seen) + seen, seen))
+        placed, free = placed + fresh.size, free + seen
+        h = gaussians()[at[rows]]
         for j in range(k):
             v = h[:, :, j]
             for i in range(j):
@@ -389,13 +406,15 @@ def _frames(dirs, choices, k, rng):
     return frames
 
 
-def _kwip_flats(family, points, frames):
+def _kwip_flats(family, points, count, frames):
     """k >= 2: member i meets the flat p + W s iff an s has a W s <= c_i - a p."""
     a, offsets = family.base.facet_normals, family.member_offsets()
-    for p, w in zip(points, frames(np.arange(points.shape[0]))):
-        aw, slack = a @ w, offsets - a @ p
-        if not any(lp.solve(np.zeros(w.shape[1]), aw, row).optimal for row in slack):
-            return "falsified", Flat(p, w)
+    for start in range(0, count, _BLOCK):
+        rows = np.arange(start, min(start + _BLOCK, count))
+        for p, w in zip(points(rows), frames(rows)):
+            aw, slack = a @ w, offsets - a @ p
+            if not any(lp.solve(np.zeros(w.shape[1]), aw, row).optimal for row in slack):
+                return "falsified", Flat(p, w)
     return "not-falsified", None
 
 
@@ -417,9 +436,9 @@ def _spans(alpha, beta, eps):
     return lo, hi
 
 
-def _first_miss(family, points, frames, eps):
-    """Index of the first line points[i] + s w_i missing every member by more
-    than `eps`, w_i the one column of frames([i]) (frames None: points, w = 0).
+def _first_miss(family, points, count, frames, eps):
+    """Index of the first of `count` lines points([i]) + s w_i missing every
+    member by more than `eps`, w_i the one column of frames([i]) (or 0).
 
     A line through a point that lies in a member hits it at s = 0.  So a
     block's points are first settled on their slacks c_i - a p: a point with
@@ -428,10 +447,11 @@ def _first_miss(family, points, frames, eps):
     get directions, in sample order; each member clips those of them that
     no earlier member hit."""
     a, offsets = family.base.facet_normals, family.member_offsets()
-    for start in range(0, points.shape[0], _BLOCK):
-        ap = a @ points[start:start + _BLOCK].T
+    for start in range(0, count, _BLOCK):
+        rows = np.arange(start, min(start + _BLOCK, count))
+        ap = a @ points(rows).T
         outside = (offsets[:, :, None] < ap).any(axis=1).all(axis=0)
-        left, ap = start + np.flatnonzero(outside), ap[:, outside]
+        left, ap = rows[outside], ap[:, outside]
         if left.size == 0:
             continue
         alpha = np.zeros_like(ap) if frames is None else a @ frames(left)[:, :, 0].T

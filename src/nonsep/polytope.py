@@ -87,7 +87,7 @@ class Polytope:
         except QhullError as exc:
             raise GeometryError("unbounded") from exc
         n, off = _dedupe_facets(hull.equations[:, :-1], -hull.equations[:, -1])
-        if (off <= tolerances.GEOM).any():
+        if (off <= tolerances.GEOM * min(1.0, off.max())).any():
             raise GeometryError("unbounded")
         verts = c + n / off[:, None]
         # A row that cuts a corner smaller than the merge above is tight
@@ -291,7 +291,7 @@ def _affine_rank(pts) -> int:
     scale = s.max(initial=0.0)
     if scale == 0.0:
         return 0
-    return int((s > 1e-9 * max(1.0, scale)).sum())
+    return int((s > tolerances.GEOM * scale).sum())
 
 
 def _singular(det, norms) -> np.ndarray:

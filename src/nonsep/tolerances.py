@@ -11,12 +11,12 @@ Fixed thresholds:
 * ``GEOM`` (1e-9), coordinate-scale zero: a facet normal or support
   direction this short is zero (`Polytope.from_facets`, `Polytope.support`);
   a facet offset or vertex norm this small (times the largest, when below 1)
-  puts the origin off the interior (`Polytope.gauge`, `polytope.polar`); a
-  1-D extent or Chebyshev radius this small is degenerate; a polar facet
-  offset this small means unbounded (`Polytope.from_facets`); a d x d
-  determinant this small times its row norms' product (Hadamard's bound) is
-  zero (`polytope._singular`: parallelotope edges, `Lattice.from_basis` on
-  b^T, `is_generic`).
+  puts the origin off the interior (`gauge`, `polar`; a polar facet offset
+  in `from_facets`: unbounded); a singular value of centred vertices this
+  small times the largest is zero (`polytope._affine_rank`); a 1-D extent
+  or Chebyshev radius this small is degenerate; a d x d determinant this
+  small times its row norms' product (Hadamard's bound) is zero
+  (`polytope._singular`: parallelotope edges, `Lattice.from_basis`, `is_generic`).
 * ``LP`` (1e-8), the default phase-1 threshold of `lp.solve`: for
   `contains_translate`, the hull-disjointness test of `is_ns` for d >= 3,
   the flat probe of `is_kwip_sampled` for k >= 2, the face test of

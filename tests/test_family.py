@@ -12,6 +12,7 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
+from scipy.spatial import Delaunay
 
 from nonsep import family as family_module
 from nonsep import lp, tolerances
@@ -417,7 +418,7 @@ def test_kwip_lines_through_points_in_a_member_skip_the_clip(monkeypatch):
                              np.ones(2))
     verdict, flat = is_kwip_sampled(apart, 1, samples=10**5, seed=4)
     assert verdict == "falsified"
-    points = _points_in_hull(apart.hull(), 10**5, np.random.default_rng(4))
+    points = _points_in_hull(apart.hull(), 10**5, np.random.default_rng(4))(np.arange(10**5))
     miss = int(np.flatnonzero((points == flat.point).all(axis=1))[0])
     assert miss in seen["rows"] and 0 < seen["columns"] <= 2 * len(seen["rows"])
     # the points lying in a cube before the miss were settled unclipped
@@ -473,23 +474,23 @@ def test_points_in_hull_uniform_and_exact():
         np.ones(8))
     for fam in (diag, block):
         hull = fam.hull()
-        pts = _points_in_hull(hull, count, np.random.default_rng(5))
+        pts = _points_in_hull(hull, count, np.random.default_rng(5))(np.arange(count))
         assert pts.shape == (count, 3)
         assert (hull.facet_normals @ pts.T <= hull.facet_offsets[:, None]).all()
-        again = _points_in_hull(hull, count, np.random.default_rng(5))
+        again = _points_in_hull(hull, count, np.random.default_rng(5))(np.arange(count))
         assert np.array_equal(pts, again)
-    pts = _points_in_hull(diag.hull(), count, np.random.default_rng(6))
+    pts = _points_in_hull(diag.hull(), count, np.random.default_rng(6))(np.arange(count))
     centroid = 0.5 * (0.4 + (3 * 1.8 + 0.4))  # reflection centre of the hull
     se = pts.std(axis=0) / np.sqrt(count)
     assert (np.abs(pts.mean(axis=0) - centroid) <= 4 * se).all()
-    pts = _points_in_hull(block.hull(), count, np.random.default_rng(7))
+    pts = _points_in_hull(block.hull(), count, np.random.default_rng(7))(np.arange(count))
     for axis in range(3):
         share = np.bincount(np.minimum((pts[:, axis] * 4).astype(int), 7),
                             minlength=8) / count
         assert (np.abs(share - 1 / 8) <= 4 * np.sqrt(1 / 8 * 7 / 8 / count)).all()
     # hull of [0, 1]^2 and [3, 5] x [0, 2]: height 1 + x / 3 up to x = 3, then 2
     pts = _points_in_hull(squares([(0, 0), (3, 0)], [1, 2]).hull(), count,
-                          np.random.default_rng(8))
+                          np.random.default_rng(8))(np.arange(count))
     want = np.array([7 / 6, 9 / 6, 11 / 6, 2, 2]) / 8.5
     share = np.bincount(np.minimum(pts[:, 0].astype(int), 4), minlength=5) / count
     assert (np.abs(share - want) <= 4 * np.sqrt(want * (1 - want) / count)).all()
@@ -530,19 +531,90 @@ def eager_frames(dirs, choices, k, rng):
                          ids=["cube3-k1", "cross3-k1", "cross4-k1", "cross4-k2"])
 def test_frames_by_index_match_eager_per_facet_draws(base, k):
     """Bit for bit, for the full range, for random subsets in any order and
-    for single rows, also where a facet was drawn once or never."""
+    for single rows, also where a facet was drawn once or never, and when
+    the first rows asked for are single ones out of order."""
     dirs = facet_directions(base)
     pick = np.random.default_rng(3)
     for seed, samples in enumerate((1, 2, dirs.shape[0] + 1, 700, 5000)):
         choices = np.random.default_rng(seed).integers(0, dirs.shape[0], size=samples)
         want = eager_frames(dirs, choices, k, np.random.default_rng(seed))
         frames = _frames(dirs, choices, k, np.random.default_rng(seed))
+        for i in pick.choice(samples, size=min(samples, 5), replace=False):
+            assert np.array_equal(frames(np.array([i]))[0], want[i])
         assert np.array_equal(frames(np.arange(samples)), want)
         for size in (1, 2, 3, samples // 3, samples):
             rows = pick.choice(samples, size=min(max(size, 1), samples), replace=False)
             assert np.array_equal(frames(rows), want[rows]), (seed, size)
         for i in pick.choice(samples, size=min(samples, 12), replace=False):
             assert np.array_equal(frames(np.array([i]))[0], want[i])
+
+
+def eager_points(hull, count, rng):
+    """Every point at once: simplices picked by `rng.choice`, then all
+    weights normalised and mapped, the construction that the index-addressed
+    `_points_in_hull` replaced."""
+    corners = hull.vertices[Delaunay(hull.vertices).simplices]
+    vol = np.abs(np.linalg.det(corners[:, 1:] - corners[:, :1]))
+    pick = rng.choice(vol.size, size=count, p=vol / vol.sum())
+    w = rng.standard_exponential((count, hull.dim + 1))
+    w /= w.sum(axis=1, keepdims=True)
+    return np.einsum("ij,ijk->ik", w, corners[pick])
+
+
+@pytest.mark.parametrize("hull", [
+    squares([(0, 0), (3, 0)], [1, 2]).hull(),
+    HomotheticFamily(unit_cube(3), np.outer(np.arange(4), np.full(3, 1.8)),
+                     np.full(4, 0.8)).hull(),
+    Polytope.from_vertices(np.random.default_rng(0).normal(size=(12, 4))),
+], ids=["squares2", "diag3", "gauss4"])
+def test_points_by_index_match_eager_draws(hull):
+    """Bit for bit, for the full range, for random subsets in any order and
+    for single rows; the stream after the points is the eager one's too."""
+    pick = np.random.default_rng(3)
+    for seed, count in enumerate((1, 2, 10**5)):
+        rng, eager_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        points = _points_in_hull(hull, count, rng)
+        want = eager_points(hull, count, eager_rng)
+        assert rng.random() == eager_rng.random()
+        assert np.array_equal(points(np.arange(count)), want)
+        for size in (1, 2, 3, count // 3, count):
+            rows = pick.choice(count, size=min(max(size, 1), count), replace=False)
+            assert np.array_equal(points(rows), want[rows]), (seed, size)
+        for i in pick.choice(count, size=min(count, 12), replace=False):
+            assert np.array_equal(points(np.array([i]))[0], want[i])
+
+
+def test_points_in_hull_refuses_a_volume_that_underflows():
+    """Two cubes of side 1e-110: the hull passes, but its simplex volumes
+    (about 1e-330) round to 0, so no volume can weight the picks."""
+    fam = HomotheticFamily(unit_cube(3), np.array([[0.0] * 3, [3e-110] * 3]),
+                           np.full(2, 1e-110))
+    with pytest.raises(GeometryError, match="volume"):
+        _points_in_hull(fam.hull(), 10, np.random.default_rng(0))
+    with pytest.raises(GeometryError, match="volume"):
+        is_kwip_sampled(fam, 1, samples=10)
+
+
+def test_kwip_builds_points_up_to_the_first_miss(monkeypatch):
+    """Two cubes 3 apart leave most of the hull empty, so the first block
+    holds a miss: no point past it is built."""
+    built = []
+    points_in_hull = family_module._points_in_hull
+
+    def recording_points(*args):
+        build = points_in_hull(*args)
+
+        def rows(idx):
+            built.extend(idx.tolist())
+            return build(idx)
+        return rows
+
+    monkeypatch.setattr(family_module, "_points_in_hull", recording_points)
+    apart = HomotheticFamily(unit_cube(3), np.array([(0, 0, 0), (3, 3, 3)], float),
+                             np.ones(2))
+    verdict, _ = is_kwip_sampled(apart, 1, samples=10**5, seed=4)
+    assert verdict == "falsified"
+    assert 0 < len(set(built)) and max(built) < family_module._BLOCK
 
 
 def test_kwip_rejects_bad_k():
@@ -666,7 +738,7 @@ def test_wns_agrees_with_dense_direction_sweep():
 def ref_kwip(fam, k, samples, seed):
     rng = np.random.default_rng(seed)
     hull = fam.hull()
-    points = _points_in_hull(hull, samples, rng)
+    points = _points_in_hull(hull, samples, rng)(np.arange(samples))
     eps = tolerances.feas(1.0) * min(1.0, np.ptp(hull.vertices, axis=0).max())
     if k == 0:
         for p in points:
@@ -833,7 +905,8 @@ def test_kwip_matches_reference_at_tolerance_edges():
         a, c = fam.base.facet_normals, fam.member_offsets()
         for k in range(fam.dim - 1):
             seed = 11 * idx + k
-            points = _points_in_hull(fam.hull(), 1500, np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            points = _points_in_hull(fam.hull(), 1500, rng)(np.arange(1500))
             worst = (a @ points.T - c[:, :, None]).max(axis=1).min(axis=0)
             near += int(((worst > 0) & (worst <= eps)).sum())
             want, point, line = ref_kwip(fam, k, 1500, seed)

@@ -305,6 +305,29 @@ def test_roundtrip_on_random_polytopes():
         assert same_point_set(p.vertices, r.vertices, eps=1e-6)
 
 
+def scaled_gaussian_hulls(scale):
+    """(unit-scale hull, hull of the same points times `scale`), 40 seeded
+    d = 2, 3 clouds of 8-11 Gaussian points."""
+    for i in range(40):
+        pts = np.random.default_rng(i).normal(size=(8 + i % 4, 2 + i % 2))
+        yield Polytope.from_vertices(pts), Polytope.from_vertices(scale * pts)
+
+
+def test_from_vertices_keeps_small_bodies():
+    """The affine-rank cut is relative: at 1e-9 two of these hulls have a
+    singular value under an absolute 1e-9 and were refused as flat."""
+    for unit, small in scaled_gaussian_hulls(1e-9):
+        assert same_point_set(small.vertices * 1e9, unit.vertices, eps=1e-9)
+
+
+def test_from_facets_keeps_large_bodies():
+    """The polar hull's offsets shrink like 1 / scale: at 1e10 an absolute
+    GEOM read every one of these bodies as unbounded."""
+    for unit, large in scaled_gaussian_hulls(1e10):
+        again = Polytope.from_facets(large.facet_normals, large.facet_offsets)
+        assert same_point_set(again.vertices / 1e10, unit.vertices, eps=1e-9)
+
+
 def test_support_is_subadditive_and_homogeneous():
     rng = np.random.default_rng(11)
     for _ in range(20):
