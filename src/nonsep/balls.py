@@ -106,7 +106,7 @@ def _enclosing_candidate(p, r):
             if cand is None:
                 continue
             c, rad = cand
-            if _reach(c, p, r).max() > rad + tolerances.ENCLOSE:
+            if _reach(c, p, r).max() > rad + tolerances.enclose(rad):
                 continue
             if best is None or rad < best[1]:
                 best = (c, float(rad))
@@ -139,7 +139,7 @@ def ball_circumradius(f: BallFamily) -> tuple[np.ndarray, float]:
         c, rad = best
         g = _reach(c, p, r)
         far = int(np.argmax(g))
-        if g[far] <= rad + tolerances.ENCLOSE:
+        if g[far] <= rad + tolerances.enclose(rad):
             if _certified(c, rad, p, r):
                 return best
             break
@@ -161,6 +161,12 @@ def _certified(c, rad, p, r) -> bool:
     u = diff / dist[:, None]
     a_eq = np.vstack([u.T, np.ones((1, active.size))])
     b_eq = np.concatenate([np.zeros(c.size), [1.0]])
+    # least-squares weights that are non-negative and exact to rounding
+    # certify without the LP
+    w = np.linalg.lstsq(a_eq, b_eq, rcond=None)[0]
+    if lp.witnessed(np.vstack([a_eq, -a_eq, -np.eye(w.size)]),
+                    np.concatenate([b_eq, -b_eq, np.zeros(w.size)]), w):
+        return True
     return lp.solve(np.zeros(active.size), a_eq=a_eq, b_eq=b_eq, nonneg=True,
                     tol=tolerances.SUBGRADIENT).optimal
 

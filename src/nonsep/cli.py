@@ -15,6 +15,7 @@ and 2 for invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -246,8 +247,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process; it binds the _cmd_* functions as they stand
+    # then, so rebinding one later does not reach `main`
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -173,9 +173,10 @@ def is_summand(q: Polytope, k: Polytope):
 
     Edge criterion: for every edge E of q, the face of k exposed by a
     direction interior to E's normal cone must contain a translate of
-    E.  Each containment is one feasibility LP asking for a point x
-    with both x and x + E inside the near-tight face of k.  Returns
-    (bool, failing edge direction or None).
+    E.  Each containment asks for a point x with both x and x + E inside
+    the near-tight face of k.  A vertex v of that face, or v - E, usually
+    is one (`lp.witnessed`); only when none is does a feasibility LP
+    decide.  Returns (bool, failing edge direction or None).
     """
     if q.dim != k.dim:
         raise InputError("dimension mismatch")
@@ -196,6 +197,9 @@ def is_summand(q: Polytope, k: Polytope):
         a_ub = np.vstack([ak, ak, -u[None, :], -u[None, :]])
         b_ub = np.concatenate([bk, bk - ak @ evec,
                                [-h + ftol], [-h + ftol + u @ evec]])
+        face = k.vertices[k.vertices @ u >= h - ftol]
+        if lp.witnessed(a_ub, b_ub, np.vstack([face, face - evec])):
+            continue
         if not lp.solve(np.zeros(q.dim), a_ub, b_ub).optimal:
             return False, evec / np.linalg.norm(evec)
     return True, None

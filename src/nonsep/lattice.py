@@ -157,13 +157,18 @@ def _min_gauge_dist(body: Polytope, ys: np.ndarray,
                     zs: np.ndarray) -> np.ndarray:
     """min over rows z of body.gauge(y - z), one value per row of ys."""
     scaled = (body.facet_normals / body.facet_offsets[:, None]).T
-    zdot = zs @ scaled
+    zdot = (zs @ scaled).T[:, :, None]
     chunk = max(1, int(4_000_000 / max(1, zdot.size)))
     out = np.empty(len(ys))
     for s in range(0, len(ys), chunk):
-        ydot = ys[s:s + chunk] @ scaled
-        per = ydot[:, None, :] - zdot[None, :, :]
-        out[s:s + chunk] = np.maximum(per.max(axis=2), 0.0).min(axis=1)
+        # a running max over the facets, one (zs, ys) slab each: a body has
+        # few facets, and a reduction over so short an axis runs slowly
+        ydot = (ys[s:s + chunk] @ scaled).T[:, None, :]
+        acc = ydot[0] - zdot[0]
+        step = np.empty_like(acc)
+        for yf, zf in zip(ydot[1:], zdot[1:]):
+            np.maximum(acc, np.subtract(yf, zf, out=step), out=acc)
+        out[s:s + chunk] = np.maximum(acc, 0.0).min(axis=0)
     return out
 
 

@@ -33,6 +33,10 @@ objective makes y = 0 dual-feasible, so a feasibility question costs one
 LP); an infeasible dual means an unbounded primal unless the Farkas LP
 ``min b@y``, ``A.T y == 0``, ``sum(y) == 1``, ``y >= 0`` on unit rows
 has a negative optimum.
+
+`witnessed` solves nothing: it checks points a caller writes down against
+the rows it would otherwise pass to `solve`, so a feasibility question
+with an evident answer costs a few flops instead of an LP.
 """
 
 from __future__ import annotations
@@ -92,6 +96,16 @@ def solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, maximize=True,
     if status != "optimal":
         return LpResult(status, None, None)
     return LpResult("optimal", float(c @ x), x)
+
+
+def witnessed(a_ub, b_ub, points) -> bool:
+    """Does some row x of `points` meet ``a_ub @ x <= b_ub`` up to
+    `tolerances.ROUNDING` of each row's scale?"""
+    x = np.atleast_2d(points).T
+    excess = a_ub @ x - b_ub[:, None]
+    slack = tolerances.ROUNDING * (np.abs(a_ub) @ np.abs(x)
+                                   + np.abs(b_ub)[:, None])
+    return bool((excess <= slack).all(axis=0).any())
 
 
 def _unit_rows(a, b):

@@ -20,12 +20,23 @@ Fixed thresholds:
 * ``LP`` (1e-8), the default phase-1 threshold of `lp.solve`: for
   `contains_translate`, the hull-disjointness test of `is_ns` for d >= 3,
   the flat probe of `is_kwip_sampled` for k >= 2, the face test of
-  `is_summand` and the reflection LP of `sigma_bisection`.
+  `is_summand` (run only when no witness holds, see ``ROUNDING``) and the
+  reflection LP of `sigma_bisection`.
+* ``ROUNDING`` (16 machine epsilons), the slack a written-down witness
+  gets in `lp.witnessed`: row i holds at x when
+  a_i @ x - b_i <= ROUNDING * (|a_i| @ |x| + |b_i|), which forgives the
+  rounding of the product and nothing more.  A witness settles the face
+  test of `is_summand` (a vertex v of the exposed face, or v - e, for the
+  edge e) and the `ball_circumradius` optimality certificate (the
+  least-squares weights of the active unit gradients) without their LP.
+  `feas` would be too loose here: it lets an edge that overhangs its face
+  by 3e-8 at unit scale pass as a translate inside it, where the LP says no.
 * ``REFLECT_FIT`` (1e-12), a `sigma_bisection` centre counts as feasible
   at mu only when it meets every reflection row within this times
   max(1, |rhs|), so LP round-off cannot pass a mu below sigma.
 * ``SUBGRADIENT`` (1e-9), the phase-1 threshold of the `ball_circumradius`
-  optimality certificate (0 in the hull of the active unit gradients).
+  optimality certificate (0 in the hull of the active unit gradients),
+  whose LP runs only when no witness holds (see ``ROUNDING``).
 * ``LAMBDA_ONE`` (1e-7), `wip_summand_check` accepts lambda_min up to
   1 + LAMBDA_ONE as "at most 1", and the covering scenario's
   `expect_lambda_le` check allows the same slack above its bound.
@@ -44,9 +55,10 @@ Fixed thresholds:
 * ``NS_LATTICE`` (1e-9), `is_ns_lattice` calls an arrangement
   non-separable when its shortest dual vector reaches 1/2 - NS_LATTICE in
   the polar gauge.
-* ``ENCLOSE`` (1e-9), a `ball_circumradius` candidate encloses every
-  ball reaching at most this far past its radius, and the active set
-  stops once no ball reaches farther.
+* ``ENCLOSE`` (1e-9), relative: `enclose(radius)` is ENCLOSE times the
+  radius when larger than 1.  A `ball_circumradius` candidate encloses
+  every ball reaching at most that far past its radius, and the active
+  set stops once no ball reaches farther.
 * ``PAIR_COINCIDE`` (1e-14), two ball centers at most this far apart give
   no `ball_circumradius` pair candidate (a singleton covers them).
 * ``AFFINE_RANK`` (1e-10), a `ball_circumradius` subset whose span has a
@@ -103,6 +115,7 @@ PARALLEL = 1e-12
 FACET_MERGE = 100 * GEOM
 NS_LATTICE = 1e-9
 ENCLOSE = 1e-9
+ROUNDING = 16 * 2.0 ** -52
 POLAR_SIGMA = 1e-6
 PAIR_COINCIDE = 1e-14
 AFFINE_RANK = 1e-10
@@ -132,3 +145,8 @@ def dedupe(scale: float = 1.0) -> float:
 def active(radius: float) -> float:
     """Band below an enclosing radius in which a ball counts as active."""
     return max(ACTIVE, ACTIVE_REL * radius)
+
+
+def enclose(radius: float) -> float:
+    """How far a ball may reach past an enclosing radius and count as inside."""
+    return ENCLOSE * max(1.0, radius)

@@ -723,3 +723,61 @@ def enclosing_ball_oracle(centers, radii):
             if best is None or rad < best[1]:
                 best = (np.asarray(c, dtype=float), float(rad))
     return best
+
+
+def summand_lp_oracle(q, k):
+    """`covering.is_summand` deciding every edge by its feasibility LP, with
+    no witness tried first: (bool, failing edge direction or None)."""
+    from nonsep import lp, tolerances
+    from nonsep.polytope import edges
+
+    ak, bk = k.facet_normals, k.facet_offsets
+    tight = tolerances.tight(float(np.abs(q.facet_offsets).max()))
+    for (i, j) in edges(q):
+        vi, vj = q.vertices[i], q.vertices[j]
+        evec = vj - vi
+        slack_i = q.facet_offsets - q.facet_normals @ vi
+        slack_j = q.facet_offsets - q.facet_normals @ vj
+        incident = (slack_i <= tight) & (slack_j <= tight)
+        u = q.facet_normals[incident].mean(axis=0)
+        u /= np.linalg.norm(u)
+        h = k.support(u)
+        ftol = tolerances.tight(abs(h))
+        a_ub = np.vstack([ak, ak, -u[None, :], -u[None, :]])
+        b_ub = np.concatenate([bk, bk - ak @ evec,
+                               [-h + ftol], [-h + ftol + u @ evec]])
+        if not lp.solve(np.zeros(q.dim), a_ub, b_ub).optimal:
+            return False, evec / np.linalg.norm(evec)
+    return True, None
+
+
+def ball_certified_lp_oracle(c, rad, p, r) -> bool:
+    """`balls._certified` deciding by its LP alone, with no least-squares
+    witness tried first."""
+    from nonsep import lp, tolerances
+
+    g = np.linalg.norm(p - c, axis=1) + r
+    active = np.flatnonzero(g >= rad - tolerances.active(rad))
+    diff = c - p[active]
+    dist = np.linalg.norm(diff, axis=1)
+    if dist.min() < tolerances.CENTRE_COINCIDE:
+        return True
+    u = diff / dist[:, None]
+    a_eq = np.vstack([u.T, np.ones((1, active.size))])
+    b_eq = np.concatenate([np.zeros(c.size), [1.0]])
+    return lp.solve(np.zeros(active.size), a_eq=a_eq, b_eq=b_eq, nonneg=True,
+                    tol=tolerances.SUBGRADIENT).optimal
+
+
+def min_gauge_dist_oracle(body, ys, zs):
+    """`lattice._min_gauge_dist` reducing a (ys, zs, facets) block over its
+    last axis, chunked over ys at the same cap."""
+    scaled = (body.facet_normals / body.facet_offsets[:, None]).T
+    zdot = zs @ scaled
+    chunk = max(1, int(4_000_000 / max(1, zdot.size)))
+    out = np.empty(len(ys))
+    for s in range(0, len(ys), chunk):
+        ydot = ys[s:s + chunk] @ scaled
+        per = ydot[:, None, :] - zdot[None, :, :]
+        out[s:s + chunk] = np.maximum(per.max(axis=2), 0.0).min(axis=1)
+    return out

@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 import pytest
-from helpers import enclosing_ball_oracle
+from helpers import ball_certified_lp_oracle, enclosing_ball_oracle
 
 from nonsep import balls
 from nonsep.balls import (
@@ -340,6 +340,48 @@ def test_large_family_in_3d(n, monkeypatch):
     assert (np.linalg.norm(p - c, axis=1) + r).max() <= rad + 1e-9
     assert balls._certified(c, rad, p, r)
     assert max(sizes) <= 5
+
+
+def _certificate_calls(rng):
+    """(c, rad, p, r) at the optimum of seeded families in d = 2, 3, 4, at
+    centres moved off it by 1e-12 to 1e-3, and along a bending chain."""
+    for k in range(140):
+        d = (2, 3, 4)[k % 3]
+        n = int(rng.integers(2, 10))
+        p = rng.normal(scale=2.0, size=(n, d))
+        r = rng.uniform(0.1, 2.0, n)
+        c, rad = ball_circumradius(BallFamily(p, r))
+        yield c, rad, p, r
+        for shift in (1e-12, 1e-9, 1e-6, 1e-3):
+            cs = c + shift * rng.standard_normal(d)
+            yield cs, float((np.linalg.norm(p - cs, axis=1) + r).max()), p, r
+    for delta in np.logspace(-1, -8, 30):
+        f = stability_construction([1.0, 0.7, 1.3, 0.9, 1.1], float(delta))
+        c, rad = ball_circumradius(f)
+        yield c, rad, f.centers, f.radii
+
+
+def test_certificate_matches_lp_oracle():
+    calls = list(_certificate_calls(np.random.default_rng(8)))
+    assert len(calls) >= 700
+    verdicts = [ball_certified_lp_oracle(*call) for call in calls]
+    assert [balls._certified(*call) for call in calls] == verdicts
+    assert 200 <= sum(verdicts) <= len(verdicts) - 200
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e6, 1e9])
+def test_radius_at_large_scale(scale):
+    # the enclosure slack grows with the radius, so far from unit scale
+    # every family still closes its active set and certifies
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        p = rng.normal(size=(6, 3))
+        r = rng.uniform(0.1, 1.0, 6)
+        _, want = ball_circumradius(BallFamily(p, r))
+        c, rad = ball_circumradius(BallFamily(scale * p, scale * r))
+        assert rad == pytest.approx(scale * want, rel=1e-9)
+        reach = np.linalg.norm(scale * p - c, axis=1) + scale * r
+        assert reach.max() <= rad * (1.0 + 1e-9)
 
 
 def _bounds(message):

@@ -8,6 +8,8 @@ from helpers import (
     critical_fit,
     overlap_chain,
     same_point_set,
+    summand_lp_oracle,
+    tower_family,
 )
 
 from nonsep import lp, polytope
@@ -334,6 +336,87 @@ def test_summand_agrees_with_erosion_oracle():
         agree_true += want
         agree_false += not want
     assert agree_false >= 5
+
+
+def _summand_pairs(rng):
+    """(part, whole) pairs in d = 2, 3, 4: homothets smaller, equal and
+    larger, both parts of a Minkowski sum and the sum in a part, and hulls
+    of jittered vertices, at half size and at full size."""
+    for d in (2, 3, 4):
+        for _ in range(12):
+            p = random_polytope(d, 6 + d, rng)
+            for lam in (0.3, 1.0, 1.1):
+                yield p.homothet(rng.standard_normal(d), lam), p
+            a, b = random_polytope(d, 5, rng), random_polytope(d, 5, rng)
+            s = Polytope.from_vertices(
+                (a.vertices[:, None] + b.vertices[None]).reshape(-1, d))
+            yield a, s
+            yield b, s
+            yield s, a
+            for jit in (1e-10, 1e-7, 1e-2):
+                q = Polytope.from_vertices(
+                    p.vertices + jit * rng.standard_normal(p.vertices.shape))
+                yield q.homothet(np.zeros(d), 0.5), p
+                yield q, p
+
+
+def _same_summand_answer(got, want) -> bool:
+    if got[0] != want[0]:
+        return False
+    if want[1] is None:
+        return got[1] is None
+    return got[1] is not None and np.array_equal(got[1], want[1])
+
+
+def test_summand_matches_lp_oracle():
+    # the witnesses settle most edges; verdict and blamed edge stay the LP's
+    pairs = list(_summand_pairs(np.random.default_rng(5)))
+    assert len(pairs) >= 400
+    verdicts = []
+    for q, k in pairs:
+        want = summand_lp_oracle(q, k)
+        assert _same_summand_answer(is_summand(q, k), want)
+        verdicts.append(want[0])
+    assert 100 <= sum(verdicts) <= len(verdicts) - 100
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_summand_boundary_band_matches_lp_oracle(d, scale):
+    # a box whose long edge overhangs the matching face of a box by
+    # delta * scale: a witness slack past rounding would pass edges the
+    # LP refuses (from 3e-8 at unit scale, from 1e-9 at 1e3)
+    whole = box(np.zeros(d), scale * np.array([2.0] + [1.0] * (d - 1)))
+    for delta in (-1e-9, 0.0, 1e-14, 1e-12, 1e-9, 1e-8, 3e-8, 1e-7):
+        lo = np.full(d, 5.0 * scale)
+        part = box(lo, lo + scale * np.array([2.0 + delta] + [0.5] * (d - 1)))
+        got = is_summand(part, whole)
+        assert _same_summand_answer(got, summand_lp_oracle(part, whole))
+        if delta <= 0.0:
+            assert got[0]
+        elif delta == 1e-7 and scale >= 1.0:
+            assert not got[0] and abs(got[1][0]) == 1.0
+
+
+def test_summand_witnesses_spare_the_tower_its_lps(monkeypatch):
+    rng = np.random.default_rng(3)
+    families = [tower_family(rng) for _ in range(6)]
+    calls = []
+    solve = lp.solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "solve", counted)
+    for fam in families:
+        whole = fam.base.homothet(np.zeros(3), fam.total_ratio)
+        assert is_summand(fam.hull(), whole) == (True, None)
+    assert not calls
+    # no vertex of the apex face takes the square's top edge: the LP decides
+    big = standard_simplex(2).homothet(np.zeros(2), 2.0)
+    assert not is_summand(unit_cube(2), big)[0]
+    assert calls
 
 
 def test_pipeline_on_square_block():

@@ -9,6 +9,7 @@ from helpers import (
     gauge_dist,
     gauge_rows,
     lattice_patch,
+    min_gauge_dist_oracle,
     ns_patch_probe,
     weak_impassability_probe,
 )
@@ -261,6 +262,23 @@ def test_tightness_matches_direct_grid_oracle():
         oracle = depth - 1.0
         w = hi - lo
         assert lo - w - 1e-9 <= oracle <= hi + 1e-9
+
+
+@pytest.mark.parametrize("d, window, count", [(2, 4, 500), (3, 2, 400),
+                                               (3, 3, 3000)])
+def test_min_gauge_dist_matches_facet_axis_reduction(d, window, count):
+    # the same subtractions and maxima in another order: equal bit for bit
+    rng = np.random.default_rng([d, window])
+    for _ in range(3):
+        body = random_polytope(d, 6 + 2 * d, rng, symmetric=True)
+        basis = rng.uniform(-1.5, 1.5, size=(d, d)) + 2.0 * np.eye(d)
+        zs = lattice_patch(basis, window)
+        ys = rng.uniform(-1.0, 1.0, size=(count, d)) @ basis.T
+        got = lattice._min_gauge_dist(body, ys, zs)
+        assert np.array_equal(got, min_gauge_dist_oracle(body, ys, zs))
+    if window == 3:
+        # several chunks of ys
+        assert count * len(zs) * body.n_facets > 2 * 4_000_000
 
 
 # -- the dual-lattice separability criterion ---------------------------------

@@ -493,6 +493,21 @@ class TestCliProcess:
         assert "Traceback" not in err
 
 
+def test_parser_built_once_answers_as_a_fresh_process(monkeypatch, capsys):
+    # one process: a usage error, a good call and --help on one parser
+    monkeypatch.setenv("COLUMNS", "80")
+    cli._parser.cache_clear()
+    for argv in (["cubes", "extremal", "--n", "four"],
+                 ["cubes", "extremal", "--n", "4"], ["--help"]):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out, err) == run_cli_process(argv)
+    assert cli._parser.cache_info().misses == 1
+
+
 DEMOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
 
 
