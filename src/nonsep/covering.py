@@ -27,7 +27,7 @@ import numpy as np
 from . import lp, tolerances
 from .asymmetry import sigma_lp
 from .errors import GeometryError, InputError
-from .family import HomotheticFamily, edges_covered, is_wns
+from .family import HomotheticFamily, _edges_covered, is_wns
 from .polytope import (
     Polytope,
     _simplex_rows,
@@ -218,8 +218,8 @@ def wip_summand_check(family: HomotheticFamily):
     d = family.dim
     if d < 2:
         raise InputError("pipeline needs dim >= 2")
-    edges_ok, _ = edges_covered(family)
     hull = family.hull()
+    edges_ok, _ = _edges_covered(family, hull)
     scaled = family.base.homothet(np.zeros(d), family.total_ratio)
     summand_ok, direction = is_summand(hull, scaled)
     lam = lambda_min(family)

@@ -16,9 +16,10 @@ classify how separable the family is:
 
 A flat through a point that lies in a member meets that member, so
 `is_kwip_sampled` answers at once when `_covers_hull` finds the members
-covering their hull, builds points block by block, settles those in a
-member on their slacks, and gives directions only to the rows still open;
-each point and frame is the same whichever others are built.  `_spans`
+covering their hull, draws its samples block by block up to the block
+holding the first miss, settles the points in a member on their slacks,
+and gives directions only to the rows still open.  Sample i depends only
+on the seed and i, so more samples only add rows after the others.  `_spans`
 clips lines p + s w (points: w = 0) against all members for those rows
 (k <= 1) and for `edges_covered`; `_first_gap` sweeps columns of
 intervals for an open stretch: member projections, one column per
@@ -262,7 +263,9 @@ def is_kwip_sampled(family: HomotheticFamily, k: int, samples: int = 10000,
     inside a uniformly chosen facet hyperplane. Returns ("falsified", Flat)
     on a flat missing every member, ("not-falsified", None) after
     `samples` clean draws, or with none drawn when the members cover
-    their hull, since every draw would then lie in a member.
+    their hull, since every draw would then lie in a member.  Sample i
+    depends only on the seed and i (`_sample_blocks`): with more samples
+    the same seed draws the same flats first, then more.
     k = d-1 delegates to `is_wns` and is exact; its witness is the
     (direction, gap) pair.
     """
@@ -284,20 +287,14 @@ def is_kwip_sampled(family: HomotheticFamily, k: int, samples: int = 10000,
     hull = family.hull()
     if _covers_hull(family):
         return "not-falsified", None
-    rng = np.random.default_rng(seed)
-    points = _points_in_hull(hull, samples, rng)
-    frames = None  # k = 0: points, the lines with w = 0
-    if k:
-        dirs = facet_directions(family.base)
-        frames = _frames(dirs, rng.integers(0, dirs.shape[0], size=samples), k, rng)
-        if k >= 2:
-            return _kwip_flats(family, points, samples, frames)
-    eps = tolerances.feas(1.0) * min(1.0, float(np.ptp(hull.vertices, axis=0).max()))
-    miss = _first_miss(family, points, samples, frames, eps)
-    if miss is None:
-        return "not-falsified", None
-    basis = np.zeros((d, 0)) if frames is None else frames(np.array([miss]))[0]
-    return "falsified", Flat(points(np.array([miss]))[0], basis)
+    dirs = facet_directions(family.base) if k else None
+    blocks = _sample_blocks(hull, dirs, k, samples, seed)
+    if k >= 2:
+        flat = _kwip_flats(family, blocks)
+    else:
+        eps = tolerances.feas(1.0) * min(1.0, float(np.ptp(hull.vertices, axis=0).max()))
+        flat = _first_miss(family, blocks, eps)
+    return ("not-falsified", None) if flat is None else ("falsified", flat)
 
 
 def _delaunay(points):
@@ -329,93 +326,75 @@ def _covers_hull(family) -> bool:
     return False
 
 
-def _points_in_hull(hull, count, rng):
-    """Uniform points of the hull by sample index, `points(rows)`: Delaunay
-    simplices picked by volume, then flat Dirichlet weights on the corners
-    (normalised exponentials; Devroye, Non-Uniform Random Variate Generation,
-    ch. XI).  All `count` draws are made here, as `rng.choice(p=...)` makes
-    them; only the rows asked for are picked, weighted and mapped."""
+def _sample_blocks(hull, dirs, k, count, seed):
+    """The samples of `is_kwip_sampled`, one block of `_BLOCK` rows at a time,
+    each drawn only when the scan asks for it: (points, frames), where
+    `frames(rows)` builds the (rows.size, d, k) frames of those rows of the
+    block (None for k = 0).
+
+    A block draws, in this order, its simplex picks, exponential weights
+    and, for k >= 1, facet choices and Gaussian frames, always for all
+    `_BLOCK` rows; the last block keeps the rows up to `count`.  So sample i
+    depends only on the seed and i.  Points: Delaunay simplices of the hull
+    picked by volume, then flat Dirichlet weights on the corners (normalised
+    exponentials; Devroye, Non-Uniform Random Variate Generation, ch. XI).
+    Frames lie in the hyperplane normal to the chosen row of `dirs`.
+    """
     corners = hull.vertices[_delaunay(hull.vertices).simplices]  # (s, d + 1, d)
     vol = np.abs(np.linalg.det(corners[:, 1:] - corners[:, :1]))
     total = vol.sum()
-    if not 0 < total < np.inf:  # `rng.choice` refuses such weights
+    if not 0 < total < np.inf:  # no volume can weight the picks
         raise GeometryError("hull volume is zero or overflows")
     cdf = (vol / total).cumsum()
     cdf /= cdf[-1]
-    u = rng.random(count)
-    w = rng.standard_exponential((count, hull.dim + 1))
-
-    def points(rows):
-        pick = cdf.searchsorted(u[rows], side="right")
-        v = w[rows]
-        v /= v.sum(axis=1, keepdims=True)
-        return np.einsum("ij,ijk->ik", v, corners[pick])
-
-    return points
-
-
-def _frames(dirs, choices, k, rng):
-    """Orthonormal frames by sample index: `frames(rows)` is the
-    (rows.size, d, k) stack whose frame i lies inside the hyperplane normal
-    to dirs[choices[i]]: Gram-Schmidt on a Gaussian (d - 1, k) frame
-    (Haar-distributed), mapped through the plane's basis.
-
-    The first call takes all Gaussians from `rng` in one draw: the stream
-    of one draw per facet in turn, so sample i's sit at its facet's start
-    plus its index among that facet's samples (counted up to the last row
-    asked for).  So a frame does not depend on which others are built, only
-    the rows asked for are orthonormalised and mapped, and nothing is drawn
-    when no row is asked for.
-    """
-    d = dirs.shape[1]
-    drawn = np.bincount(choices, minlength=dirs.shape[0])
-    # a stable sort of 8- or 16-bit keys is a radix sort
-    keys = choices.astype(np.min_scalar_type(dirs.shape[0]))
-    bases = [_plane_basis(u) for u in dirs]
-    gaussians = functools.cache(lambda: rng.standard_normal((choices.size, d - 1, k)))
-    at = np.empty(choices.size, np.intp)  # sample i's place in the Gaussian stream
-    placed, free = 0, np.cumsum(drawn) - drawn  # samples placed; next place per facet
-
-    def frames(rows):
-        nonlocal placed, free
-        fresh = keys[placed:rows.max(initial=-1) + 1]
-        seen = np.bincount(fresh, minlength=dirs.shape[0])
-        at[placed + np.argsort(fresh, kind="stable")] = (
-            np.arange(fresh.size) + np.repeat(free - np.cumsum(seen) + seen, seen))
-        placed, free = placed + fresh.size, free + seen
-        h = gaussians()[at[rows]]
-        for j in range(k):
-            v = h[:, :, j]
-            for i in range(j):
-                v -= (h[:, :, i] * v).sum(axis=1, keepdims=True) * h[:, :, i]
-            v /= np.linalg.norm(v, axis=1, keepdims=True)
-        facet = choices[rows]
-        out = np.empty((rows.size, d, k))
-        for f in np.unique(facet):
-            mask = facet == f
-            v = h[mask].transpose(0, 2, 1).reshape(-1, d - 1)
-            m = v.shape[0]
-            # numpy hands a one-row product to BLAS's matrix-vector routine,
-            # which rounds apart from the matrix product that maps a facet
-            # drawn more than once: such a lone row goes in as a pair
-            if m == 1 < drawn[f]:
-                v = np.repeat(v, 2, axis=0)
-            out[mask] = (v @ bases[f])[:m].reshape(-1, k, d).transpose(0, 2, 1)
-        return out
-
-    return frames
-
-
-def _kwip_flats(family, points, count, frames):
-    """k >= 2: member i meets the flat p + W s iff an s has a W s <= c_i - a p."""
-    a, offsets = family.base.facet_normals, family.member_offsets()
+    d, rng = hull.dim, np.random.default_rng(seed)
+    bases = np.stack([_plane_basis(u) for u in dirs]) if k else None
     for start in range(0, count, _BLOCK):
-        rows = np.arange(start, min(start + _BLOCK, count))
-        for p, w in zip(points(rows), frames(rows)):
+        rows = min(_BLOCK, count - start)
+        pick = cdf.searchsorted(rng.random(_BLOCK)[:rows], side="right")
+        w = rng.standard_exponential((_BLOCK, d + 1))[:rows]
+        w /= w.sum(axis=1, keepdims=True)
+        frames = None
+        if k:
+            facet = rng.integers(0, bases.shape[0], size=_BLOCK)[:rows]
+            gauss = rng.standard_normal((_BLOCK, d - 1, k))[:rows]
+            frames = functools.partial(_frames, bases, facet, gauss)
+        yield np.einsum("ij,ijk->ik", w, corners[pick]), frames
+
+
+def _frames(bases, facet, gauss, rows):
+    """Orthonormal (rows.size, d, k) frames, frame i inside the plane with
+    basis bases[facet[i]] (d - 1, d): Gram-Schmidt on the Gaussian (d - 1, k)
+    frame gauss[i] (Haar-distributed), mapped through that basis by
+    elementwise products summed over its rows: no BLAS call, whose rounding
+    can depend on how many rows it is given, so a frame's bits do not."""
+    h, k = gauss[rows], gauss.shape[2]
+    for j in range(k):
+        v = h[:, :, j]
+        for i in range(j):
+            v -= (h[:, :, i] * v).sum(axis=1, keepdims=True) * h[:, :, i]
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return (h[:, :, None, :] * bases[facet[rows]][:, :, :, None]).sum(axis=1)
+
+
+def _open_rows(offsets, ap):
+    """Block rows whose point lies in no member: for every member some facet
+    row a p > c, compared with no tolerance (ap = a @ points.T)."""
+    return np.flatnonzero((offsets[:, :, None] < ap).any(axis=1).all(axis=0))
+
+
+def _kwip_flats(family, blocks):
+    """k >= 2: member i meets the flat p + W s iff an s has a W s <= c_i - a p.
+    A point that lies in a member is on its flat, so only `_open_rows` get
+    frames and reach the LPs, in sample order."""
+    a, offsets = family.base.facet_normals, family.member_offsets()
+    for points, frames in blocks:
+        left = _open_rows(offsets, a @ points.T)
+        for p, w in zip(points[left], frames(left)):
             aw, slack = a @ w, offsets - a @ p
             if not any(lp.solve(np.zeros(w.shape[1]), aw, row).optimal for row in slack):
-                return "falsified", Flat(p, w)
-    return "not-falsified", None
+                return Flat(p, w)
+    return None
 
 
 def _spans(alpha, beta, eps):
@@ -436,33 +415,34 @@ def _spans(alpha, beta, eps):
     return lo, hi
 
 
-def _first_miss(family, points, count, frames, eps):
-    """Index of the first of `count` lines points([i]) + s w_i missing every
-    member by more than `eps`, w_i the one column of frames([i]) (or 0).
+def _first_miss(family, blocks, eps):
+    """The first of the sampled lines p + s w (points: w = 0) missing every
+    member by more than `eps`, as a Flat; None if every line hits one.
 
     A line through a point that lies in a member hits it at s = 0.  So a
-    block's points are first settled on their slacks c_i - a p: a point with
-    every slack of some member >= 0 is dropped, as the clip would keep it
-    (the IEEE signs of beta / alpha are exact, so lo <= 0 <= hi).  The rest
-    get directions, in sample order; each member clips those of them that
-    no earlier member hit."""
+    block's points are first settled on their slacks c_i - a p: only
+    `_open_rows` are kept, as the clip would keep the others (the IEEE signs
+    of beta / alpha are exact, so lo <= 0 <= hi).  Those get directions, in
+    sample order; each member clips those of them that no earlier member hit."""
     a, offsets = family.base.facet_normals, family.member_offsets()
-    for start in range(0, count, _BLOCK):
-        rows = np.arange(start, min(start + _BLOCK, count))
-        ap = a @ points(rows).T
-        outside = (offsets[:, :, None] < ap).any(axis=1).all(axis=0)
-        left, ap = rows[outside], ap[:, outside]
+    for points, frames in blocks:
+        ap = a @ points.T
+        left = _open_rows(offsets, ap)
         if left.size == 0:
             continue
-        alpha = np.zeros_like(ap) if frames is None else a @ frames(left)[:, :, 0].T
+        ap = ap[:, left]
+        w = None if frames is None else frames(left)  # (rows, d, 1)
+        alpha = np.zeros_like(ap) if w is None else a @ w[:, :, 0].T
+        at = np.arange(left.size)  # the rows of `left` still open
         for c in offsets:
             lo, hi = _spans(alpha, c[:, None] - ap, eps)
             missed = lo > hi + eps
-            left, alpha, ap = left[missed], alpha[:, missed], ap[:, missed]
-            if left.size == 0:
+            at, alpha, ap = at[missed], alpha[:, missed], ap[:, missed]
+            if at.size == 0:
                 break
-        if left.size:
-            return int(left[0])
+        if at.size:
+            i = at[0]
+            return Flat(points[left[i]], np.zeros((family.dim, 0)) if w is None else w[i])
     return None
 
 
@@ -472,7 +452,11 @@ def edges_covered(family: HomotheticFamily):
     Returns (True, None) or (False, witness_point) with a point of an
     uncovered edge stretch.
     """
-    hull = family.hull()
+    return _edges_covered(family, family.hull())
+
+
+def _edges_covered(family, hull):
+    """`edges_covered` on the family's hull, built once by the caller."""
     ends = np.array(edges(hull))
     x = hull.vertices[ends[:, 0]]
     dirv = hull.vertices[ends[:, 1]] - x

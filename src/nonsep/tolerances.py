@@ -90,8 +90,9 @@ largest coordinate or offset in play; below 1 it counts as 1):
   and 1) times the hull's widest axis extent when below 1: a facet row
   parallel to the line blocks it when violated by more, and a line or
   point hits a member when its span is non-empty up to it.  The cover
-  test that `is_kwip_sampled` runs first (`family._covers_hull`) uses
-  no threshold.
+  test that `is_kwip_sampled` runs first (`family._covers_hull`) and its
+  settling of sample points that lie in a member (`family._open_rows`,
+  before the clip or the k >= 2 LPs) use no threshold.
 * `tight`: how close a vertex must sit to a facet plane to lie on it.
   Vertex/facet agreement and rows shaving off less than a merged vertex
   in `Polytope.from_facets`, `edges`, and the face test of `is_summand`.

@@ -781,3 +781,17 @@ def min_gauge_dist_oracle(body, ys, zs):
         per = ydot[:, None, :] - zdot[None, :, :]
         out[s:s + chunk] = np.maximum(per.max(axis=2), 0.0).min(axis=1)
     return out
+
+
+def kwip_flats_lp_oracle(family, points, frames):
+    """`family._kwip_flats` solving one flat LP per member for every sample,
+    with no point settled on its slacks first: the index of the first flat
+    points[i] + frames[i] s that misses every member, or None."""
+    from nonsep import lp
+
+    a, offsets = family.base.facet_normals, family.member_offsets()
+    for i, (p, w) in enumerate(zip(points, frames)):
+        aw, slack = a @ w, offsets - a @ p
+        if not any(lp.solve(np.zeros(w.shape[1]), aw, row).optimal for row in slack):
+            return i
+    return None

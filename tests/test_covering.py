@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     circumscribed_simplices_oracle,
+    criterion_11_families,
     critical_fit,
     overlap_chain,
     same_point_set,
@@ -23,7 +24,7 @@ from nonsep.covering import (
     wip_summand_check,
 )
 from nonsep.errors import InputError
-from nonsep.family import HomotheticFamily, is_wns
+from nonsep.family import HomotheticFamily, edges_covered, is_wns
 from nonsep.polytope import (
     Polytope,
     _simplex_rows,
@@ -434,6 +435,32 @@ def test_pipeline_padded_identical_members():
                            np.array([[0, 0], [0, 0]], float), np.ones(2))
     ok, rep = wip_summand_check(fam)
     assert ok and rep["lambda"] <= 1.0 + 1e-9
+
+
+def test_pipeline_builds_one_hull(monkeypatch):
+    """The edge test and the summand test share one hull of the union; the
+    report is the one that the public pieces give."""
+    hull = HomotheticFamily.hull
+    calls = []
+
+    def counting_hull(family):
+        calls.append(1)
+        return hull(family)
+
+    for fam in criterion_11_families():
+        want_edges = edges_covered(fam)[0]
+        want_summand, direction = is_summand(
+            fam.hull(), fam.base.homothet(np.zeros(fam.dim), fam.total_ratio))
+        lam = lambda_min(fam)
+        with monkeypatch.context() as m:
+            m.setattr(HomotheticFamily, "hull", counting_hull)
+            calls.clear()
+            ok, rep = wip_summand_check(fam)
+        assert len(calls) == 1
+        assert rep == {"edges_covered": want_edges, "summand": want_summand,
+                       "failing_direction": None if direction is None else direction.tolist(),
+                       "lambda": lam.lam, "lambda_certified": lam.certified}
+        assert ok
 
 
 def test_pipeline_line_of_cubes_3d():

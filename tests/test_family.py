@@ -5,6 +5,7 @@ from helpers import (
     bridging_family,
     contains_point,
     criterion_11_families,
+    kwip_flats_lp_oracle,
     ns_oracle,
     project_member,
     strict_separator,
@@ -21,7 +22,7 @@ from nonsep.family import (
     Flat,
     HomotheticFamily,
     _frames,
-    _points_in_hull,
+    _sample_blocks,
     edges_covered,
     facet_directions,
     family_from_dict,
@@ -378,26 +379,38 @@ def test_kwip_lines_3d():
     assert all(flat_misses(fam2.member(i), flat) for i in range(fam2.n))
 
 
+def recording_blocks(monkeypatch):
+    """Record the blocks that `_sample_blocks` builds (their sizes) and the
+    sample rows whose frames are built."""
+    seen = {"blocks": [], "rows": []}
+    sample_blocks = family_module._sample_blocks
+
+    def recording(*args):
+        for b, (points, frames) in enumerate(sample_blocks(*args)):
+            start = family_module._BLOCK * b
+            seen["blocks"].append(len(points))
+
+            def rows(idx, frames=frames, start=start):
+                seen["rows"].extend((start + idx).tolist())
+                return frames(idx)
+            yield points, None if frames is None else rows
+
+    monkeypatch.setattr(family_module, "_sample_blocks", recording)
+    return seen
+
+
 def clipped_columns(monkeypatch):
     """Count the line columns that reach `_spans`, and record the sample
-    rows that `_frames` is asked to build."""
-    seen = {"columns": 0, "rows": []}
-    spans, frames = family_module._spans, family_module._frames
+    rows whose frames are built."""
+    seen = recording_blocks(monkeypatch)
+    seen["columns"] = 0
+    spans = family_module._spans
 
     def counting_spans(alpha, beta, eps):
         seen["columns"] += beta.shape[1]
         return spans(alpha, beta, eps)
 
-    def recording_frames(*args):
-        build = frames(*args)
-
-        def rows(idx):
-            seen["rows"].extend(idx.tolist())
-            return build(idx)
-        return rows
-
     monkeypatch.setattr(family_module, "_spans", counting_spans)
-    monkeypatch.setattr(family_module, "_frames", recording_frames)
     return seen
 
 
@@ -413,13 +426,13 @@ def test_kwip_lines_through_points_in_a_member_skip_the_clip(monkeypatch):
     tower[:, 2] = [0.0, 0.7, 1.4, 2.1]
     fam = HomotheticFamily(unit_cube(3), tower, np.ones(4))
     assert is_kwip_sampled(fam, 1, samples=10**5, seed=4) == ("not-falsified", None)
-    assert seen == {"columns": 0, "rows": []}
+    assert seen["columns"] == 0 and seen["rows"] == []
     apart = HomotheticFamily(unit_cube(3), np.array([(0, 0, 0), (3, 3, 3)], float),
                              np.ones(2))
     verdict, flat = is_kwip_sampled(apart, 1, samples=10**5, seed=4)
     assert verdict == "falsified"
-    points = _points_in_hull(apart.hull(), 10**5, np.random.default_rng(4))(np.arange(10**5))
-    miss = int(np.flatnonzero((points == flat.point).all(axis=1))[0])
+    points, _ = eager_stream(apart.hull(), facet_directions(apart.base), 1, 10**5, 4)
+    miss = row_of(points, flat.point)
     assert miss in seen["rows"] and 0 < seen["columns"] <= 2 * len(seen["rows"])
     # the points lying in a cube before the miss were settled unclipped
     a, c = apart.base.facet_normals, apart.member_offsets()
@@ -439,7 +452,8 @@ def flat_misses(member, flat):
 def test_kwip_planes_4d(monkeypatch):
     """k = 2 in d = 4 goes through the flat LP, member by member.  The
     tower covers its hull, so the cover test answers for it with no LP;
-    turned off, the LP route gives the same answer."""
+    turned off, every sample lies in a member and is settled on its slacks
+    with no LP, and the LP-only route gives the same answer."""
     base = unit_cube(4)
     tower = np.zeros((3, 4))
     tower[:, 2] = [0.0, 0.6, 1.2]
@@ -451,6 +465,9 @@ def test_kwip_planes_4d(monkeypatch):
     assert not solves
     monkeypatch.setattr(family_module, "_covers_hull", lambda family: False)
     assert is_kwip_sampled(fam, 2, samples=60, seed=2) == ("not-falsified", None)
+    assert not solves
+    points, frames = eager_stream(fam.hull(), facet_directions(base), 2, 60, 2)
+    assert kwip_flats_lp_oracle(fam, points, frames) is None
     assert len(solves) >= 60
     apart = HomotheticFamily(base, np.array([[0.0] * 4, [3.0, 3.0, 0.0, 0.0]]),
                              np.ones(2))
@@ -459,6 +476,11 @@ def test_kwip_planes_4d(monkeypatch):
     assert flat.basis.shape == (4, 2)
     assert np.allclose(flat.basis.T @ flat.basis, np.eye(2))
     assert all(flat_misses(apart.member(i), flat) for i in range(apart.n))
+
+
+def stream_points(hull, count, seed):
+    """The points of `_sample_blocks` (k = 0), every block in turn."""
+    return np.concatenate([p for p, _ in _sample_blocks(hull, None, 0, count, seed)])
 
 
 def test_points_in_hull_uniform_and_exact():
@@ -474,23 +496,22 @@ def test_points_in_hull_uniform_and_exact():
         np.ones(8))
     for fam in (diag, block):
         hull = fam.hull()
-        pts = _points_in_hull(hull, count, np.random.default_rng(5))(np.arange(count))
+        pts = stream_points(hull, count, 5)
         assert pts.shape == (count, 3)
         assert (hull.facet_normals @ pts.T <= hull.facet_offsets[:, None]).all()
-        again = _points_in_hull(hull, count, np.random.default_rng(5))(np.arange(count))
+        again = stream_points(hull, count, 5)
         assert np.array_equal(pts, again)
-    pts = _points_in_hull(diag.hull(), count, np.random.default_rng(6))(np.arange(count))
+    pts = stream_points(diag.hull(), count, 6)
     centroid = 0.5 * (0.4 + (3 * 1.8 + 0.4))  # reflection centre of the hull
     se = pts.std(axis=0) / np.sqrt(count)
     assert (np.abs(pts.mean(axis=0) - centroid) <= 4 * se).all()
-    pts = _points_in_hull(block.hull(), count, np.random.default_rng(7))(np.arange(count))
+    pts = stream_points(block.hull(), count, 7)
     for axis in range(3):
         share = np.bincount(np.minimum((pts[:, axis] * 4).astype(int), 7),
                             minlength=8) / count
         assert (np.abs(share - 1 / 8) <= 4 * np.sqrt(1 / 8 * 7 / 8 / count)).all()
     # hull of [0, 1]^2 and [3, 5] x [0, 2]: height 1 + x / 3 up to x = 3, then 2
-    pts = _points_in_hull(squares([(0, 0), (3, 0)], [1, 2]).hull(), count,
-                          np.random.default_rng(8))(np.arange(count))
+    pts = stream_points(squares([(0, 0), (3, 0)], [1, 2]).hull(), count, 8)
     want = np.array([7 / 6, 9 / 6, 11 / 6, 2, 2]) / 8.5
     share = np.bincount(np.minimum(pts[:, 0].astype(int), 4), minlength=5) / count
     assert (np.abs(share - want) <= 4 * np.sqrt(want * (1 - want) / count)).all()
@@ -500,65 +521,74 @@ def test_points_in_hull_uniform_and_exact():
 def test_frames_orthonormal_inside_facet_plane(k):
     rng = np.random.default_rng(11)
     dirs = facet_directions(cross_polytope(4))
+    bases = np.stack([_plane_basis(u) for u in dirs])
     choices = rng.integers(0, dirs.shape[0], size=500)
-    frames = _frames(dirs, choices, k, rng)(np.arange(500))
+    frames = _frames(bases, choices, rng.standard_normal((500, 3, k)), np.arange(500))
     assert frames.shape == (500, 4, k)
     gram = np.einsum("sdi,sdj->sij", frames, frames)
     assert np.abs(gram - np.eye(k)).max() <= 1e-12
     assert np.abs(np.einsum("sd,sdi->si", dirs[choices], frames)).max() <= 1e-12
 
 
-def eager_frames(dirs, choices, k, rng):
-    """Every frame at once, one Gaussian draw per facet in turn: the
-    construction that the index-addressed `_frames` replaced."""
-    d = dirs.shape[1]
-    out = np.empty((choices.size, d, k))
+def eager_stream(hull, dirs, k, count, seed):
+    """Every sample at once, from the draws of whole blocks of `_BLOCK` rows
+    in their order (simplex picks by `rng.choice`, exponential weights, and
+    for k >= 1 facet choices and Gaussian frames): all points mapped
+    together, all frames orthonormalised together and then mapped facet by
+    facet.  Returns (points, frames or None)."""
+    block, d = family_module._BLOCK, hull.dim
+    corners = hull.vertices[Delaunay(hull.vertices).simplices]
+    vol = np.abs(np.linalg.det(corners[:, 1:] - corners[:, :1]))
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(0, count, block):
+        draws.append([rng.choice(vol.size, size=block, p=vol / vol.sum()),
+                      rng.standard_exponential((block, d + 1))])
+        if k:
+            draws[-1] += [rng.integers(0, dirs.shape[0], size=block),
+                          rng.standard_normal((block, d - 1, k))]
+    pick, w, *frame_draws = (np.concatenate(col)[:count] for col in zip(*draws))
+    w /= w.sum(axis=1, keepdims=True)
+    points = np.einsum("ij,ijk->ik", w, corners[pick])
+    if not k:
+        return points, None
+    choices, g = frame_draws
+    for j in range(k):
+        v = g[:, :, j]
+        for i in range(j):
+            v -= (g[:, :, i] * v).sum(axis=1, keepdims=True) * g[:, :, i]
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+    frames = np.empty((count, d, k))
     for f in range(dirs.shape[0]):
         mask = choices == f
-        g = rng.standard_normal((int(mask.sum()), d - 1, k))
-        for j in range(k):
-            v = g[:, :, j]
-            for i in range(j):
-                v -= (g[:, :, i] * v).sum(axis=1, keepdims=True) * g[:, :, i]
-            v /= np.linalg.norm(v, axis=1, keepdims=True)
-        w = g.transpose(0, 2, 1).reshape(-1, d - 1) @ _plane_basis(dirs[f])
-        out[mask] = w.reshape(-1, k, d).transpose(0, 2, 1)
-    return out
+        hb = _plane_basis(dirs[f])
+        frames[mask] = (g[mask][:, :, None, :] * hb[None, :, :, None]).sum(axis=1)
+    return points, frames
 
 
 @pytest.mark.parametrize("base, k", [(unit_cube(3), 1), (cross_polytope(3), 1),
                                      (cross_polytope(4), 1), (cross_polytope(4), 2)],
                          ids=["cube3-k1", "cross3-k1", "cross4-k1", "cross4-k2"])
 def test_frames_by_index_match_eager_per_facet_draws(base, k):
-    """Bit for bit, for the full range, for random subsets in any order and
-    for single rows, also where a facet was drawn once or never, and when
-    the first rows asked for are single ones out of order."""
+    """Bit for bit, block by block: for the whole block, for random subsets
+    in any order and for single rows, also where a facet was drawn once or
+    never among the rows kept, and when the first rows asked for are single
+    ones out of order."""
     dirs = facet_directions(base)
     pick = np.random.default_rng(3)
     for seed, samples in enumerate((1, 2, dirs.shape[0] + 1, 700, 5000)):
-        choices = np.random.default_rng(seed).integers(0, dirs.shape[0], size=samples)
-        want = eager_frames(dirs, choices, k, np.random.default_rng(seed))
-        frames = _frames(dirs, choices, k, np.random.default_rng(seed))
-        for i in pick.choice(samples, size=min(samples, 5), replace=False):
-            assert np.array_equal(frames(np.array([i]))[0], want[i])
-        assert np.array_equal(frames(np.arange(samples)), want)
-        for size in (1, 2, 3, samples // 3, samples):
-            rows = pick.choice(samples, size=min(max(size, 1), samples), replace=False)
-            assert np.array_equal(frames(rows), want[rows]), (seed, size)
-        for i in pick.choice(samples, size=min(samples, 12), replace=False):
-            assert np.array_equal(frames(np.array([i]))[0], want[i])
-
-
-def eager_points(hull, count, rng):
-    """Every point at once: simplices picked by `rng.choice`, then all
-    weights normalised and mapped, the construction that the index-addressed
-    `_points_in_hull` replaced."""
-    corners = hull.vertices[Delaunay(hull.vertices).simplices]
-    vol = np.abs(np.linalg.det(corners[:, 1:] - corners[:, :1]))
-    pick = rng.choice(vol.size, size=count, p=vol / vol.sum())
-    w = rng.standard_exponential((count, hull.dim + 1))
-    w /= w.sum(axis=1, keepdims=True)
-    return np.einsum("ij,ijk->ik", w, corners[pick])
+        _, want = eager_stream(base, dirs, k, samples, seed)
+        start = 0
+        for points, frames in _sample_blocks(base, dirs, k, samples, seed):
+            n, want_block = len(points), want[start:start + len(points)]
+            for i in pick.choice(n, size=min(n, 5), replace=False):
+                assert np.array_equal(frames(np.array([i]))[0], want_block[i])
+            assert np.array_equal(frames(np.arange(n)), want_block)
+            for size in (1, 2, 3, n // 3, n):
+                rows = pick.choice(n, size=min(max(size, 1), n), replace=False)
+                assert np.array_equal(frames(rows), want_block[rows]), (seed, size)
+            start += n
+        assert start == samples
 
 
 @pytest.mark.parametrize("hull", [
@@ -568,20 +598,18 @@ def eager_points(hull, count, rng):
     Polytope.from_vertices(np.random.default_rng(0).normal(size=(12, 4))),
 ], ids=["squares2", "diag3", "gauss4"])
 def test_points_by_index_match_eager_draws(hull):
-    """Bit for bit, for the full range, for random subsets in any order and
-    for single rows; the stream after the points is the eager one's too."""
-    pick = np.random.default_rng(3)
+    """Bit for bit with the eager draws, block by block; and sample i
+    depends only on the seed and i, so fewer samples are the first rows of
+    more, inside a block and across block boundaries."""
+    block = family_module._BLOCK
     for seed, count in enumerate((1, 2, 10**5)):
-        rng, eager_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        points = _points_in_hull(hull, count, rng)
-        want = eager_points(hull, count, eager_rng)
-        assert rng.random() == eager_rng.random()
-        assert np.array_equal(points(np.arange(count)), want)
-        for size in (1, 2, 3, count // 3, count):
-            rows = pick.choice(count, size=min(max(size, 1), count), replace=False)
-            assert np.array_equal(points(rows), want[rows]), (seed, size)
-        for i in pick.choice(count, size=min(count, 12), replace=False):
-            assert np.array_equal(points(np.array([i]))[0], want[i])
+        want, _ = eager_stream(hull, None, 0, count, seed)
+        sizes = [len(p) for p, _ in _sample_blocks(hull, None, 0, count, seed)]
+        assert sizes == [block] * (count // block) + [count % block] * (count % block > 0)
+        assert np.array_equal(stream_points(hull, count, seed), want)
+        for fewer in (1, 2, block - 1, block, block + 1, count // 3):
+            if 0 < fewer <= count:
+                assert np.array_equal(stream_points(hull, fewer, seed), want[:fewer])
 
 
 def test_points_in_hull_refuses_a_volume_that_underflows():
@@ -590,31 +618,154 @@ def test_points_in_hull_refuses_a_volume_that_underflows():
     fam = HomotheticFamily(unit_cube(3), np.array([[0.0] * 3, [3e-110] * 3]),
                            np.full(2, 1e-110))
     with pytest.raises(GeometryError, match="volume"):
-        _points_in_hull(fam.hull(), 10, np.random.default_rng(0))
+        next(_sample_blocks(fam.hull(), None, 0, 10, 0))
     with pytest.raises(GeometryError, match="volume"):
         is_kwip_sampled(fam, 1, samples=10)
 
 
+def cubes_apart(gap):
+    """Two unit cubes in d = 3, the second `gap` along the first axis past
+    the first, which it would touch at gap 0."""
+    return HomotheticFamily(unit_cube(3), np.array([[0.0] * 3, [1.0 + gap, 0, 0]]),
+                            np.ones(2))
+
+
+def row_of(points, p):
+    """The first row of `points` equal to p."""
+    return int(np.flatnonzero((points == p).all(axis=1))[0])
+
+
 def test_kwip_builds_points_up_to_the_first_miss(monkeypatch):
     """Two cubes 3 apart leave most of the hull empty, so the first block
-    holds a miss: no point past it is built."""
-    built = []
-    points_in_hull = family_module._points_in_hull
-
-    def recording_points(*args):
-        build = points_in_hull(*args)
-
-        def rows(idx):
-            built.extend(idx.tolist())
-            return build(idx)
-        return rows
-
-    monkeypatch.setattr(family_module, "_points_in_hull", recording_points)
+    holds a miss: no block past it is built."""
+    seen = recording_blocks(monkeypatch)
     apart = HomotheticFamily(unit_cube(3), np.array([(0, 0, 0), (3, 3, 3)], float),
                              np.ones(2))
     verdict, _ = is_kwip_sampled(apart, 1, samples=10**5, seed=4)
     assert verdict == "falsified"
-    assert 0 < len(set(built)) and max(built) < family_module._BLOCK
+    assert seen["blocks"] == [family_module._BLOCK]
+    assert 0 < len(seen["rows"]) and max(seen["rows"]) < family_module._BLOCK
+
+
+def test_kwip_draws_one_block_when_it_holds_the_miss(monkeypatch):
+    """10^5 samples of two cubes 3 apart: the random stream is drawn for the
+    first block only, in its order, since that block holds a miss."""
+    draws = []
+    default_rng = np.random.default_rng
+
+    class RecordingRng:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def __getattr__(self, name):
+            draw = getattr(self.rng, name)
+
+            def recorded(*args, **kwargs):
+                out = draw(*args, **kwargs)
+                draws.append((name, np.shape(out)))
+                return out
+            return recorded
+
+    monkeypatch.setattr(np.random, "default_rng", RecordingRng)
+    apart = HomotheticFamily(unit_cube(3), np.array([(0, 0, 0), (3, 3, 3)], float),
+                             np.ones(2))
+    b = family_module._BLOCK
+    for k in (0, 1):
+        draws.clear()
+        assert is_kwip_sampled(apart, k, samples=10**5, seed=4)[0] == "falsified"
+        assert draws == [("random", (b,)), ("standard_exponential", (b, 4))] + (
+            [("integers", (b,)), ("standard_normal", (b, 2, 1))] if k else []), k
+
+
+def test_kwip_miss_past_a_block_boundary(monkeypatch):
+    """Cubes 0.02 apart: few samples fall in the slab between them, so with
+    blocks of 37 rows the first miss lies past the first block.  The witness
+    is the reference's, and no block past its own is built."""
+    monkeypatch.setattr(family_module, "_BLOCK", 37)
+    seen = recording_blocks(monkeypatch)
+    fam = cubes_apart(0.02)
+    dirs = facet_directions(fam.base)
+    for k in (0, 1):
+        seen["blocks"].clear()
+        want, point, line = ref_kwip(fam, k, 3000, 1)
+        got, flat = is_kwip_sampled(fam, k, samples=3000, seed=1)
+        assert got == want == "falsified", k
+        miss = row_of(eager_stream(fam.hull(), dirs, k, 3000, 1)[0], point)
+        assert miss >= 37, (k, miss)
+        assert np.array_equal(flat.point, point)
+        if k == 1:
+            assert np.array_equal(flat.basis[:, 0], line)
+        assert seen["blocks"] == [37] * (miss // 37 + 1), k
+
+
+@pytest.mark.parametrize("block", [None, 37])
+def test_kwip_more_samples_only_add_rows_after_the_others(block, monkeypatch):
+    """Sample i depends only on the seed and i: with N samples the witness
+    is the one of M > N samples whenever its index is below N, and there is
+    none otherwise."""
+    if block is not None:
+        monkeypatch.setattr(family_module, "_BLOCK", block)
+    checked = 0
+    for fam in (cubes_apart(0.02), cubes_apart(0.3), squares([(0, 0), (1, 1)])):
+        dirs = facet_directions(fam.base)
+        for k in range(fam.dim - 1):
+            for seed in range(3):
+                got, flat = is_kwip_sampled(fam, k, samples=3000, seed=seed)
+                assert got == "falsified"
+                miss = row_of(eager_stream(fam.hull(), dirs, k, 3000, seed)[0], flat.point)
+                for n in {1, 2, 36, 37, 38, miss, miss + 1, 2 * miss + 1, 2048, 2049}:
+                    if not 0 < n < 3000:
+                        continue
+                    fewer = is_kwip_sampled(fam, k, samples=n, seed=seed)
+                    if miss < n:
+                        checked += 1
+                        assert fewer[0] == "falsified", (k, seed, n)
+                        assert fewer[1].point.tobytes() == flat.point.tobytes()
+                        assert fewer[1].basis.tobytes() == flat.basis.tobytes()
+                    else:
+                        assert fewer == ("not-falsified", None), (k, seed, n)
+    assert checked >= 30
+
+
+def uncovered_4d_families():
+    """d = 4 families whose members leave part of their hull uncovered:
+    cubes apart, an L, a slanted tower, and cross polytopes along a line."""
+    base = unit_cube(4)
+    yield HomotheticFamily(base, np.array([[0.0] * 4, [3.0, 3.0, 0.0, 0.0]]), np.ones(2))
+    yield HomotheticFamily(base, np.array([[0.0] * 4, [1.0, 0, 0, 0], [0, 1.0, 0, 0]]),
+                           np.ones(3))
+    tower = np.outer(np.arange(3), [0.2, 0.1, 0.0, 0.8])
+    yield HomotheticFamily(base, tower, np.ones(3))
+    yield HomotheticFamily(cross_polytope(4), np.outer(np.arange(3), [1.5, 0.5, 0, 0]),
+                           np.ones(3))
+
+
+def test_kwip_flats_settle_points_in_a_member_before_the_lps(monkeypatch):
+    """k = 2 in d = 4: a point that lies in a member needs no LP, so the
+    verdict and the witness are the LP-only oracle's bit for bit, from fewer
+    LPs."""
+    solves = []
+    solve = lp.solve
+    monkeypatch.setattr(lp, "solve", lambda *a, **kw: solves.append(1) or solve(*a, **kw))
+    lps = {"oracle": 0, "kwip": 0}
+    verdicts = {"falsified": 0, "not-falsified": 0}
+    for idx, fam in enumerate(uncovered_4d_families()):
+        assert not family_module._covers_hull(fam), idx
+        for seed in range(3):
+            points, frames = eager_stream(fam.hull(), facet_directions(fam.base), 2, 60, seed)
+            solves.clear()
+            miss = kwip_flats_lp_oracle(fam, points, frames)
+            lps["oracle"] += len(solves)
+            solves.clear()
+            got, flat = is_kwip_sampled(fam, 2, samples=60, seed=seed)
+            lps["kwip"] += len(solves)
+            verdicts[got] += 1
+            assert got == ("not-falsified" if miss is None else "falsified"), (idx, seed)
+            if miss is not None:
+                assert flat.point.tobytes() == points[miss].tobytes()
+                assert flat.basis.tobytes() == frames[miss].tobytes()
+    assert lps["kwip"] < lps["oracle"], lps
+    assert min(verdicts.values()) >= 3, verdicts
 
 
 def test_kwip_rejects_bad_k():
@@ -736,9 +887,8 @@ def test_wns_agrees_with_dense_direction_sweep():
 # replaced.  The battery pins the kernels to their verdicts and witnesses.
 
 def ref_kwip(fam, k, samples, seed):
-    rng = np.random.default_rng(seed)
     hull = fam.hull()
-    points = _points_in_hull(hull, samples, rng)(np.arange(samples))
+    points, frames = eager_stream(hull, facet_directions(fam.base), k, samples, seed)
     eps = tolerances.feas(1.0) * min(1.0, np.ptp(hull.vertices, axis=0).max())
     if k == 0:
         for p in points:
@@ -746,18 +896,7 @@ def ref_kwip(fam, k, samples, seed):
                                       slack=eps) for i in range(fam.n)):
                 return "falsified", p, None
         return "not-falsified", None, None
-    dirs = facet_directions(fam.base)
-    choices = rng.integers(0, dirs.shape[0], size=samples)
-    line_dirs = np.empty((samples, fam.dim))
-    for f in range(dirs.shape[0]):
-        mask = choices == f
-        cnt = int(mask.sum())
-        if cnt == 0:
-            continue
-        hb = _plane_basis(dirs[f])
-        g = rng.standard_normal((cnt, hb.shape[0]))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        line_dirs[mask] = g @ hb
+    line_dirs = frames[:, :, 0]
     hit = np.zeros(samples, dtype=bool)
     a, b = fam.base.facet_normals, fam.base.facet_offsets
     for i in range(fam.n):
@@ -905,8 +1044,7 @@ def test_kwip_matches_reference_at_tolerance_edges():
         a, c = fam.base.facet_normals, fam.member_offsets()
         for k in range(fam.dim - 1):
             seed = 11 * idx + k
-            rng = np.random.default_rng(seed)
-            points = _points_in_hull(fam.hull(), 1500, rng)(np.arange(1500))
+            points, _ = eager_stream(fam.hull(), facet_directions(fam.base), k, 1500, seed)
             worst = (a @ points.T - c[:, :, None]).max(axis=1).min(axis=0)
             near += int(((worst > 0) & (worst <= eps)).sum())
             want, point, line = ref_kwip(fam, k, 1500, seed)
