@@ -44,9 +44,8 @@ def _reflection_rows(p: Polytope):
 def sigma_lp(p: Polytope) -> AsymmetryResult:
     """Asymmetry constant by one LP in the variables (r, mu), r = (1+mu) q."""
     a, b, rhs_min = _reflection_rows(p)
-    # r in units of max |b| rounded up to a power of two (an exact scaling),
-    # so the facet rows share the scale of the row mu >= 1 at any size
-    unit = np.ldexp(1.0, np.frexp(np.abs(b).max())[1])
+    # r in power-of-two units of max |b|: facet rows at the scale of mu >= 1
+    unit = lp.pow2_unit(b)
     d = p.dim
     m = a.shape[0]
     a_ub = np.zeros((m + 1, d + 1))

@@ -149,9 +149,8 @@ def lambda_min(family: HomotheticFamily) -> CoverResult:
     shifted = family.translations + np.outer(family.ratios, c0)
     rhs_max = (shifted @ a.T + np.outer(family.ratios, b)).max(axis=0)
 
-    # t in units of max |rhs| rounded up to a power of two (exact): rows of
-    # unit size at any scale, which the LP's absolute tolerances assume
-    unit = np.ldexp(1.0, np.frexp(np.abs(rhs_max).max())[1])
+    # t in power-of-two units of max |rhs|, as the LP's absolute tolerances assume
+    unit = lp.pow2_unit(rhs_max)
     d = p.dim
     m = a.shape[0]
     a_ub = np.zeros((m, d + 1))

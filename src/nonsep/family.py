@@ -14,16 +14,16 @@ classify how separable the family is:
   a random facet hyperplane,
 * `edges_covered`: do the members cover every edge of the union's hull.
 
-A flat through a point that lies in a member meets that member, so
-`is_kwip_sampled` answers at once when `_covers_hull` finds the members
-covering their hull, draws its samples block by block up to the block
-holding the first miss, settles the points in a member on their slacks,
-and gives directions only to the rows still open.  Sample i depends only
-on the seed and i, so more samples only add rows after the others.  `_spans`
-clips lines p + s w (points: w = 0) against all members for those rows
-(k <= 1) and for `edges_covered`; `_first_gap` sweeps columns of
-intervals for an open stretch: member projections, one column per
-direction, in `is_wns` and planar `is_ns`, and the edge pieces.
+A flat through a point in a member meets it, so `is_kwip_sampled`, on one
+Delaunay triangulation of the member vertices, answers at once when
+`_covers_hull` finds each cell in a member, else draws points from those
+cells block by block up to the block holding the first miss, settles the
+points in a member on their slacks, and gives directions to the rest.
+Sample i depends only on the seed and i, so more samples only add rows
+after the others.  `_spans` clips lines p + s w (points: w = 0) against
+all members for those rows (k <= 1) and for `edges_covered`; `_first_gap`
+sweeps columns of intervals for an open stretch: member projections, one
+column per direction, in `is_wns` and planar `is_ns`, and the edge pieces.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .polytope import (
 )
 
 _BLOCK = 2048  # block rows: `_first_miss` lines, planar `is_ns` directions and pairs
+_DELAUNAY_MAX = 1e80  # largest |coordinate| `_delaunay` hands to qhull
 
 
 @dataclass(frozen=True)
@@ -273,47 +274,47 @@ def is_kwip_sampled(family: HomotheticFamily, k: int, samples: int = 10000,
         k, samples, seed = map(operator.index, (k, samples, seed))
     except TypeError:
         raise InputError("k, samples and seed must be integers") from None
-    d = family.dim
-    if not 0 <= k <= d - 1:
+    if not 0 <= k < family.dim:
         raise InputError("k must lie in [0, d-1]")
     if samples < 1:
         raise InputError("samples must be at least 1")
     if seed < 0:
         raise InputError("seed must be non-negative")
-    if k == d - 1:
+    if k == family.dim - 1:
         ok, witness = is_wns(family)
         return ("not-falsified", None) if ok else ("falsified", witness)
 
-    hull = family.hull()
-    if _covers_hull(family):
+    verts = family.all_vertices()
+    tri = _delaunay(verts)
+    if _covers_hull(family, verts, tri):
         return "not-falsified", None
     dirs = facet_directions(family.base) if k else None
-    blocks = _sample_blocks(hull, dirs, k, samples, seed)
+    blocks = _sample_blocks(verts[tri.simplices], dirs, k, samples, seed)
     if k >= 2:
         flat = _kwip_flats(family, blocks)
     else:
-        eps = tolerances.feas(1.0) * min(1.0, float(np.ptp(hull.vertices, axis=0).max()))
+        eps = tolerances.feas(1.0) * min(1.0, float(np.ptp(verts, axis=0).max()))
         flat = _first_miss(family, blocks, eps)
     return ("not-falsified", None) if flat is None else ("falsified", flat)
 
 
 def _delaunay(points):
-    # qhull lifts the points by their squared norms, which lose the rank at
-    # extreme scales (two unit cubes times 1e60) where `hull()` did not
+    # qhull's lift by squared norms refuses points from about 1e77 in the
+    # plane and 1e52 in 3-D, and can crash from 1e104 (d = 3): never hand it those
+    if np.abs(points).max() > _DELAUNAY_MAX:
+        raise GeometryError("Delaunay triangulation failed: coordinates too large")
     try:
         return Delaunay(points)
     except QhullError as exc:
         raise GeometryError("Delaunay triangulation failed") from exc
 
 
-def _covers_hull(family) -> bool:
-    """Do the members cover their hull?  Yes when every cell of the Delaunay
-    triangulation of the member vertices has all its corners in one member:
-    its own vertices, or points meeting its facet rows with no slack.  Such
-    a cell lies in that member; the cells (with the exact duplicates qhull
-    leaves out) fill the hull."""
-    verts = family.all_vertices()
-    tri = _delaunay(verts)
+def _covers_hull(family, verts, tri) -> bool:
+    """Do the members cover their hull?  Yes when every cell of `tri`, the
+    Delaunay triangulation of the member vertices `verts`, has all its
+    corners in one member: its own vertices, or points meeting its facet
+    rows with no slack.  The cells (with the exact duplicates qhull leaves
+    out) fill the hull, and such a cell lies in that member."""
     if (verts[tri.coplanar[:, 0]] != verts[tri.coplanar[:, 2]]).any():
         return False
     cells, av = tri.simplices, family.base.facet_normals @ verts.T
@@ -326,7 +327,7 @@ def _covers_hull(family) -> bool:
     return False
 
 
-def _sample_blocks(hull, dirs, k, count, seed):
+def _sample_blocks(corners, dirs, k, count, seed):
     """The samples of `is_kwip_sampled`, one block of `_BLOCK` rows at a time,
     each drawn only when the scan asks for it: (points, frames), where
     `frames(rows)` builds the (rows.size, d, k) frames of those rows of the
@@ -335,19 +336,19 @@ def _sample_blocks(hull, dirs, k, count, seed):
     A block draws, in this order, its simplex picks, exponential weights
     and, for k >= 1, facet choices and Gaussian frames, always for all
     `_BLOCK` rows; the last block keeps the rows up to `count`.  So sample i
-    depends only on the seed and i.  Points: Delaunay simplices of the hull
-    picked by volume, then flat Dirichlet weights on the corners (normalised
-    exponentials; Devroye, Non-Uniform Random Variate Generation, ch. XI).
-    Frames lie in the hyperplane normal to the chosen row of `dirs`.
+    depends only on the seed and i.  Points: cells of any triangulation of
+    the hull, `corners` (cells, d + 1, d), picked by volume, then uniform in
+    the cell by normalised exponential weights on its corners (Devroye,
+    Non-Uniform Random Variate Generation, ch. XI).  Frames lie in the
+    hyperplane normal to the chosen row of `dirs`.
     """
-    corners = hull.vertices[_delaunay(hull.vertices).simplices]  # (s, d + 1, d)
     vol = np.abs(np.linalg.det(corners[:, 1:] - corners[:, :1]))
     total = vol.sum()
     if not 0 < total < np.inf:  # no volume can weight the picks
         raise GeometryError("hull volume is zero or overflows")
     cdf = (vol / total).cumsum()
     cdf /= cdf[-1]
-    d, rng = hull.dim, np.random.default_rng(seed)
+    d, rng = corners.shape[2], np.random.default_rng(seed)
     bases = np.stack([_plane_basis(u) for u in dirs]) if k else None
     for start in range(0, count, _BLOCK):
         rows = min(_BLOCK, count - start)

@@ -23,8 +23,8 @@ over m columns.  x solves the rows the optimal dual basis makes tight,
 over their largest entry as the tableau scales them: the row (0.7071...,
 0.7071...) is solved as (1, 1), which keeps the demo triangle's
 asymmetry at exactly 2.0.  The dual is priced on b as given, so its
-stopping test is absolute, like phase 1's; `asymmetry.sigma_lp` and
-`covering.lambda_min` state their LPs in power-of-two units instead.
+stopping test is absolute, like phase 1's; `sigma_lp`, `lambda_min` and
+`_chebyshev_centre` (below 1) take power-of-two units (`pow2_unit`).
 Priced on ``b / max|b|``, rows whose right-hand sides cancel to +-1e-16
 (P holds a translate of P) would read as a contradiction.  x is
 certified (``A x <= b``, ``c@x == -b@y`` up to `tolerances.feas`; else
@@ -106,6 +106,11 @@ def witnessed(a_ub, b_ub, points) -> bool:
     slack = tolerances.ROUNDING * (np.abs(a_ub) @ np.abs(x)
                                    + np.abs(b_ub)[:, None])
     return bool((excess <= slack).all(axis=0).any())
+
+
+def pow2_unit(values) -> float:
+    """max |values| rounded up to a power of two: dividing by it is exact."""
+    return np.ldexp(1.0, np.frexp(np.abs(values).max())[1])
 
 
 def _unit_rows(a, b):

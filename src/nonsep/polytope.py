@@ -284,14 +284,8 @@ def _interval(lo, hi) -> Polytope:
 
 
 def _affine_rank(pts) -> int:
-    centered = pts - pts.mean(axis=0)
-    if centered.shape[0] < 2:
-        return 0
-    s = np.linalg.svd(centered, compute_uv=False)
-    scale = s.max(initial=0.0)
-    if scale == 0.0:
-        return 0
-    return int((s > tolerances.GEOM * scale).sum())
+    s = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
+    return int((s > tolerances.GEOM * s.max()).sum())
 
 
 def _singular(det, norms) -> np.ndarray:
@@ -304,12 +298,13 @@ def _chebyshev_centre(a, b) -> np.ndarray:
     m, d = a.shape
     cost = np.zeros(d + 1)
     cost[d] = 1.0
-    res = lp.solve(cost, np.hstack([a, np.ones((m, 1))]), b)
+    unit = min(1.0, lp.pow2_unit(b))  # small bodies: the LP's thresholds are absolute
+    res = lp.solve(cost, np.hstack([a, np.ones((m, 1))]), b / unit)
     if res.status == "unbounded":
         raise GeometryError("unbounded")
     if not res.optimal or res.value <= tolerances.GEOM:
         raise GeometryError("not full-dimensional")
-    return res.x[:d]
+    return res.x[:d] * unit
 
 
 # ---------------------------------------------------------------------------

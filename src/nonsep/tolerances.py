@@ -14,9 +14,10 @@ Fixed thresholds:
   puts the origin off the interior (`gauge`, `polar`; a polar facet offset
   in `from_facets`: unbounded); a singular value of centred vertices this
   small times the largest is zero (`polytope._affine_rank`); a 1-D extent
-  or Chebyshev radius this small is degenerate; a d x d determinant this
-  small times its row norms' product (Hadamard's bound) is zero
-  (`polytope._singular`: parallelotope edges, `Lattice.from_basis`, `is_generic`).
+  or Chebyshev radius (in power-of-two units of max |offset| below 1) this
+  small is degenerate; a d x d determinant this small times its row norms'
+  product (Hadamard's bound) is zero (`polytope._singular`: parallelotope
+  edges, `Lattice.from_basis`, `is_generic`).
 * ``LP`` (1e-8), the default phase-1 threshold of `lp.solve`: for
   `contains_translate`, the hull-disjointness test of `is_ns` for d >= 3,
   the flat probe of `is_kwip_sampled` for k >= 2, the face test of
@@ -83,11 +84,11 @@ largest coordinate or offset in play; below 1 it counts as 1):
 
 * `feas`: how far a point may sit outside a halfspace and still count as
   inside. Vertex/facet agreement in `polytope`, the Farkas weight test of
-  `lutwak_check`, cover certificates in `covering`, and the
-  certificate of every free LP, each solved through its dual in `lp`
-  (each row, and the duality gap, scaled by the largest product in play). The line
-  clip `family._spans` takes `feas(1.0)`, in `is_kwip_sampled` (k = 0
-  and 1) times the hull's widest axis extent when below 1: a facet row
+  `lutwak_check`, cover certificates in `covering`, and the certificate
+  of every free LP, each solved through its dual in `lp` (each row, and
+  the duality gap, scaled by the largest product in play). The line clip
+  `family._spans` takes `feas(1.0)`, in `is_kwip_sampled` (k = 0 and 1)
+  times the member vertices' widest axis extent when below 1: a facet row
   parallel to the line blocks it when violated by more, and a line or
   point hits a member when its span is non-empty up to it.  The cover
   test that `is_kwip_sampled` runs first (`family._covers_hull`) and its

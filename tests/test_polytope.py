@@ -163,13 +163,15 @@ def test_from_facets_rejects_unbounded_and_flat_systems():
         cone = (a @ w) <= 0.0
         with pytest.raises(GeometryError, match="^unbounded$"):
             Polytope.from_facets(a[cone], b[cone])
-        # a slab of width zero through the interior, and an empty one
+        # a slab of width zero through the interior, and an empty one, also
+        # at 1e-9, where the Chebyshev-radius test is relative
         mid = float(verts.mean(axis=0) @ w)
         for gap in (0.0, 1.0):
             flat_a = np.vstack([a, w, -w])
             flat_b = np.concatenate([b, [mid, -mid - gap]])
-            with pytest.raises(GeometryError, match="^not full-dimensional$"):
-                Polytope.from_facets(flat_a, flat_b)
+            for scale in (1.0, 1e-9):
+                with pytest.raises(GeometryError, match="^not full-dimensional$"):
+                    Polytope.from_facets(flat_a, scale * flat_b)
 
 
 def test_non_finite_input_rejected():
@@ -326,6 +328,14 @@ def test_from_facets_keeps_large_bodies():
     for unit, large in scaled_gaussian_hulls(1e10):
         again = Polytope.from_facets(large.facet_normals, large.facet_offsets)
         assert same_point_set(again.vertices / 1e10, unit.vertices, eps=1e-9)
+
+
+def test_from_facets_keeps_small_bodies():
+    """The Chebyshev radius is judged relative to the largest offset below
+    unit scale: at 1e-9 an absolute GEOM read 24 of these bodies as flat."""
+    for unit, small in scaled_gaussian_hulls(1e-9):
+        again = Polytope.from_facets(small.facet_normals, small.facet_offsets)
+        assert same_point_set(again.vertices * 1e9, unit.vertices, eps=1e-9)
 
 
 def test_support_is_subadditive_and_homogeneous():
