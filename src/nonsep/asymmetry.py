@@ -4,8 +4,11 @@ The constant is the least factor mu such that, for a well-chosen
 center q, the reflected body -(K - q) covers (K - q) after dilation
 by mu.  It is 1 exactly for centrally symmetric bodies and peaks at
 dim(K) on simplices.  Two independent routes are provided: a single
-joint LP over (center, mu), and a bisection on mu with a feasibility
-LP per step.
+joint LP over (center, mu), and a bracket on mu with a feasibility LP
+per trial.  An infeasible trial's Farkas vector (`lp.LpResult.farkas`)
+rules out every mu below its root, so the trials sit just above those
+roots and the bracket usually closes in a few LPs; each end is still
+decided by an LP centre or a checked vector, never by the placement.
 """
 
 from __future__ import annotations
@@ -63,41 +66,66 @@ def sigma_lp(p: Polytope) -> AsymmetryResult:
     return AsymmetryResult(mu, center, "lp")
 
 
-def _reflection_feasible(a, b, rhs_min, mu):
-    """A centre meeting the reflection rows at mu, or None.
+def _reflection_step(a, b, rhs_min, mu):
+    """The reflection LP at mu: (centre, None), or (None, floor).
 
     The centre must meet every row within REFLECT_FIT * max(1, |rhs|),
-    so LP round-off cannot pass a mu below sigma.
+    so LP round-off cannot pass a mu below sigma.  Without one, `floor`
+    is where sigma probably lies just above: the root
+    -(y @ rhs_min) / (y @ b) of the LP's checked Farkas vector y (y >= 0,
+    y @ a == 0, y @ (mu b + rhs_min) < 0), which rules out every mu below
+    it; mu itself when the LP found a centre that misses the rows by more
+    than REFLECT_FIT (a near fit: the LP's pricing tolerance leaves a band
+    of them just above sigma); None when there is neither.
     """
     rows, rhs = (1.0 + mu) * a, mu * b + rhs_min
-    q = lp.solve(np.zeros(a.shape[1]), rows, rhs).x
-    limit = tolerances.REFLECT_FIT * np.maximum(1.0, np.abs(rhs))
-    if q is None or (rows @ q - rhs > limit).any():
-        return None
-    return q
+    res = lp.solve(np.zeros(a.shape[1]), rows, rhs)
+    if res.x is not None:
+        limit = tolerances.REFLECT_FIT * np.maximum(1.0, np.abs(rhs))
+        return (None, mu) if (rows @ res.x - rhs > limit).any() else (res.x, None)
+    y = res.farkas
+    if y is None or not y @ b > 0:
+        return None, None
+    return None, max(mu, -float(y @ rhs_min) / float(y @ b))
 
 
 def sigma_bisection(p: Polytope) -> AsymmetryResult:
-    """Asymmetry constant by bisection; independent of `sigma_lp`.
+    """Asymmetry constant by bracketing; independent of `sigma_lp`.
 
-    Returns the certified upper end of the final bracket, with a center
+    Each trial mu is one reflection LP (`_reflection_step`).  A centre
+    that meets the rows lowers the upper end to mu; otherwise the lower
+    end rises to mu, or to the trial's floor (a Farkas root, or mu after
+    a near fit).  The trial after a floor sits `step` above it: half the
+    final bracket width after a root, which usually closes the bracket,
+    and twice the last step after a near fit, to cross their band.
+    After three such trials in a row the next is the midpoint, so that
+    floors creeping up in small steps cannot stall the bracket.  Returns
+    the certified upper end of the final bracket, with a center
     witnessing feasibility there.
     """
     a, b, rhs_min = _reflection_rows(p)
     lo, hi = 1.0, float(p.dim)
-    q = _reflection_feasible(a, b, rhs_min, lo)
+    q, floor = _reflection_step(a, b, rhs_min, lo)
     if q is not None:
         return AsymmetryResult(lo, q, "bisection")
-    q = _reflection_feasible(a, b, rhs_min, hi)
+    lo, near = (lo, False) if floor is None else (floor, True)
+    q = _reflection_step(a, b, rhs_min, hi)[0]
     if q is None:
         raise GeometryError("containment infeasible at mu = dim")
+    tries, step = 0, 0.5 * _BRACKET  # trials at lo + step since the last midpoint
     while hi - lo > _BRACKET:
-        mid = 0.5 * (lo + hi)
-        cand = _reflection_feasible(a, b, rhs_min, mid)
-        if cand is None:
-            lo = mid
+        if near and tries < 3:
+            mu, tries = min(lo + step, 0.5 * (lo + hi)), tries + 1
         else:
-            hi, q = mid, cand
+            mu, tries = 0.5 * (lo + hi), 0
+        cand, floor = _reflection_step(a, b, rhs_min, mu)
+        if cand is not None:
+            hi, q = mu, cand
+        elif floor is None:
+            lo, near = mu, False
+        else:
+            step = 0.5 * _BRACKET if floor > mu else 2.0 * step
+            lo, near = floor, True
     return AsymmetryResult(hi, q, "bisection")
 
 

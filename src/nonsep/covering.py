@@ -181,9 +181,14 @@ def is_summand(q: Polytope, k: Polytope):
         raise InputError("dimension mismatch")
     if q.dim < 2:
         raise InputError("need dim >= 2")
+    return _is_summand(q, k, edges(q))
+
+
+def _is_summand(q, k, pairs):
+    """`is_summand` over q's edges `pairs`, enumerated once by the caller."""
     ak, bk = k.facet_normals, k.facet_offsets
     tight = tolerances.tight(float(np.abs(q.facet_offsets).max()))
-    for (i, j) in edges(q):
+    for (i, j) in pairs:
         vi, vj = q.vertices[i], q.vertices[j]
         evec = vj - vi
         slack_i = q.facet_offsets - q.facet_normals @ vi
@@ -218,9 +223,10 @@ def wip_summand_check(family: HomotheticFamily):
     if d < 2:
         raise InputError("pipeline needs dim >= 2")
     hull = family.hull()
-    edges_ok, _ = _edges_covered(family, hull)
+    pairs = edges(hull)
+    edges_ok, _ = _edges_covered(family, hull, pairs)
     scaled = family.base.homothet(np.zeros(d), family.total_ratio)
-    summand_ok, direction = is_summand(hull, scaled)
+    summand_ok, direction = _is_summand(hull, scaled, pairs)
     lam = lambda_min(family)
     ok = summand_ok and lam.certified and lam.lam <= 1.0 + tolerances.LAMBDA_ONE
     report = {

@@ -38,6 +38,7 @@ from scipy.spatial import Delaunay, QhullError
 from . import lp, tolerances
 from .errors import GeometryError, InputError
 from .polytope import (
+    _QHULL_MAX,
     Polytope,
     _finite,
     _freeze,
@@ -48,7 +49,6 @@ from .polytope import (
 )
 
 _BLOCK = 2048  # block rows: `_first_miss` lines, planar `is_ns` directions and pairs
-_DELAUNAY_MAX = 1e80  # largest |coordinate| `_delaunay` hands to qhull
 
 
 @dataclass(frozen=True)
@@ -301,7 +301,7 @@ def is_kwip_sampled(family: HomotheticFamily, k: int, samples: int = 10000,
 def _delaunay(points):
     # qhull's lift by squared norms refuses points from about 1e77 in the
     # plane and 1e52 in 3-D, and can crash from 1e104 (d = 3): never hand it those
-    if np.abs(points).max() > _DELAUNAY_MAX:
+    if np.abs(points).max() > _QHULL_MAX:
         raise GeometryError("Delaunay triangulation failed: coordinates too large")
     try:
         return Delaunay(points)
@@ -453,12 +453,14 @@ def edges_covered(family: HomotheticFamily):
     Returns (True, None) or (False, witness_point) with a point of an
     uncovered edge stretch.
     """
-    return _edges_covered(family, family.hull())
+    hull = family.hull()
+    return _edges_covered(family, hull, edges(hull))
 
 
-def _edges_covered(family, hull):
-    """`edges_covered` on the family's hull, built once by the caller."""
-    ends = np.array(edges(hull))
+def _edges_covered(family, hull, pairs):
+    """`edges_covered` on the family's hull and its edges `pairs`, both
+    built once by the caller."""
+    ends = np.array(pairs)
     x = hull.vertices[ends[:, 0]]
     dirv = hull.vertices[ends[:, 1]] - x
     a = family.base.facet_normals

@@ -34,6 +34,18 @@ LP); an infeasible dual means an unbounded primal unless the Farkas LP
 ``min b@y``, ``A.T y == 0``, ``sum(y) == 1``, ``y >= 0`` on unit rows
 has a negative optimum.
 
+"infeasible" from the dual route carries that proof as ``.farkas``: the
+dual's ray (y_j = 1 at the column with no pivot, the basis solved for
+the rest, clipped at 0), or the Farkas LP's y over the row scales.  It
+is built when read, so callers that only want the status pay nothing
+for it, and given only when it passes the check a caller could make in
+a few flops: y >= 0, ``|A.T y| <= ROUNDING * (|A|.T y)`` column by
+column, and ``b@y < 0`` (`_farkas`), so it is certified to rounding as
+x is.  It has one weight per ``a_ub`` row, then one signed weight per
+``a_eq`` row; with ``nonneg=True``, ``A.T y`` may also be positive.
+Every other result has ``farkas=None``, as does "infeasible" from the
+standard-form route.
+
 `witnessed` solves nothing: it checks points a caller writes down against
 the rows it would otherwise pass to `solve`, so a feasibility question
 with an evident answer costs a few flops instead of an LP.
@@ -41,7 +53,8 @@ with an evident answer costs a few flops instead of an LP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,10 +73,20 @@ class LpResult:
     status: str
     value: float | None
     x: np.ndarray | None
+    # builds `farkas` when read, so a caller that never reads it pays for
+    # no ray solve and no check
+    _proof: Callable[[], np.ndarray | None] | None = field(
+        default=None, repr=False, compare=False)
 
     @property
     def optimal(self) -> bool:
         return self.status == "optimal"
+
+    @property
+    def farkas(self) -> np.ndarray | None:
+        """The checked Farkas vector of "infeasible" from the dual route
+        (see the module docstring), else None; built anew on each read."""
+        return None if self._proof is None else self._proof()
 
 
 def solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, maximize=True,
@@ -79,6 +102,7 @@ def solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, maximize=True,
         raise InputError("constraint block shapes are inconsistent")
 
     c_min = -c if maximize else c
+    proof = None
     if not (b_ub.size or b_eq.size):
         # No rows: optimal (at 0) only if no direction lowers the cost.
         lower = np.minimum(c_min, 0.0) if nonneg else c_min
@@ -88,13 +112,24 @@ def solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, maximize=True,
     elif nonneg and not b_ub.size:
         status, x = _standard(c_min, a_eq, b_eq, tol)[:2]
     else:
+        m = b_ub.size
         if nonneg:
             a_ub = np.vstack([a_ub, -np.eye(n)])
             b_ub = np.concatenate([b_ub, np.zeros(n)])
-        status, x = _solve_dual(c_min, np.vstack([a_ub, a_eq, -a_eq]),
-                                np.concatenate([b_ub, b_eq, -b_eq]), tol)
+        status, x, farkas = _solve_dual(c_min, np.vstack([a_ub, a_eq, -a_eq]),
+                                        np.concatenate([b_ub, b_eq, -b_eq]), tol)
+        if farkas is not None:
+            e, k = b_ub.size, b_eq.size
+
+            def proof():
+                # back to the caller's rows: a pair of equality rows nets to
+                # one signed weight, and the weights of -x <= 0 drop out
+                y = farkas()
+                if y is not None:
+                    y = np.concatenate([y[:m], y[e:e + k] - y[e + k:]])
+                return y
     if status != "optimal":
-        return LpResult(status, None, None)
+        return LpResult(status, None, None, proof)
     return LpResult("optimal", float(c @ x), x)
 
 
@@ -115,34 +150,50 @@ def pow2_unit(values) -> float:
 
 def _unit_rows(a, b):
     """Rows and right-hand sides over each row's largest entry (a zero row
-    stays): row equilibration keeps the ratio tests honest across scales."""
+    stays), and those entries: row equilibration keeps the ratio tests
+    honest across scales."""
     scale = np.abs(a).max(axis=1)
     scale[scale < 1e-30] = 1.0
-    return a / scale[:, None], b / scale
+    return a / scale[:, None], b / scale, scale
 
 
 def _standard(c, a, b, tol):
-    """min c@y, a@y == b, y >= 0; also the optimal basis and the rows it kept."""
-    rows, rhs = _unit_rows(a, b)
+    """min c@y, a@y == b, y >= 0; also the optimal basis and the rows it
+    kept.  "unbounded" comes with a function building its ray in place of y."""
+    rows, rhs, _ = _unit_rows(a, b)
     rows[rhs < 0] *= -1.0
     return _two_phase(rows, np.abs(rhs), c, tol)
 
 
+def _farkas(a, b, y):
+    """y when it proves a@x <= b infeasible up to rounding, else None:
+    y >= 0, |y@a| <= ROUNDING * (y@|a|) column by column, and y@b < 0."""
+    if (y < 0).any() or not y @ b < 0:
+        return None
+    if (np.abs(y @ a) > tolerances.ROUNDING * (y @ np.abs(a))).any():
+        return None
+    return y
+
+
 def _solve_dual(c, a, b, tol):
-    """min c@x subject to a@x <= b, x free, through the standard-form dual."""
+    """min c@x subject to a@x <= b, x free, through the standard-form dual.
+
+    Returns (status, x, farkas): x when "optimal"; when "infeasible", a
+    function giving the checked Farkas vector (`_farkas`) or None."""
     m, n = a.shape
-    unit, rhs = _unit_rows(a, b)
+    unit, rhs, scale = _unit_rows(a, b)
     status, y, basis, keep = _standard(b, a.T, -c, tol)
     if status == "unbounded":
-        return "infeasible", None
+        # y builds the dual's ray: y >= 0, y@a == 0, y@b < 0
+        return "infeasible", None, lambda: _farkas(a, b, y())
     if status == "infeasible":
         # Farkas: y >= 0 with y@a == 0 and y@b < 0 exists iff a@x <= b has
         # no solution; the rows are unit-scaled so sum(y) == 1 is fair.
         a_eq = np.vstack([unit.T, np.ones((1, m))])
         w = _standard(rhs, a_eq, np.r_[np.zeros(n), 1.0], tol)[1]
         if w is not None and rhs @ w < -tol * max(1.0, float(np.abs(rhs).max())):
-            return "infeasible", None
-        return "unbounded", None
+            return "infeasible", None, lambda: _farkas(a, b, np.maximum(w, 0.0) / scale)
+        return "unbounded", None, None
     rows = np.sort(basis)
     x = np.zeros(n)
     try:
@@ -154,7 +205,7 @@ def _solve_dual(c, a, b, tol):
     if (a @ x - b).max() > tolerances.feas(scale) or gap > tolerances.feas(
             max(scale, float(np.abs(b) @ y))):
         raise GeometryError("dual LP solution failed its certificate")
-    return "optimal", x
+    return "optimal", x, None
 
 
 def _two_phase(A, b, c, tol):
@@ -191,29 +242,46 @@ def _two_phase(A, b, c, tol):
     for r, j in enumerate(basis):
         if z2[j] != 0.0:
             z2 -= z2[j] * T[r]
-    if _iterate(T, z2, basis, n, tol) == "unbounded":
-        return "unbounded", None, None, None
+    j = _iterate(T, z2, basis, n, tol)
+    if j is not None:
+        return "unbounded", lambda: _ray(A, keep, basis, j, T[:, j]), None, None
     x = np.zeros(n)
     x[basis] = T[:, -1]
     return "optimal", x, basis, keep
 
 
+def _ray(A, rows, basis, j, column):
+    """The ray of an unbounded standard-form LP along column j: y_j = 1, and
+    the basis gives way by B^-1 A_j, clipped at 0.  B^-1 A_j is solved from
+    A's kept `rows`; the pivoted tableau's `column` serves only when B is
+    singular.  Read off the tableau, 16 of the 308 rays of `sigma_bisection`'s
+    test battery failed `_farkas`, and three of its bodies took 32-36 LPs."""
+    y = np.zeros(A.shape[1])
+    y[j] = 1.0
+    try:
+        y[basis] = -np.linalg.solve(A[np.ix_(rows, basis)], A[rows, j])
+    except np.linalg.LinAlgError:
+        y[basis] = -column
+    return np.maximum(y, 0.0)
+
+
 def _iterate(T, z, basis, ncols, tol):
+    """Pivot to optimality (None) or to a column with no pivot (returned)."""
     for it in range(_MAX_ITER):
         if it < _BLAND_AFTER:
             j = int(np.argmin(z[:ncols]))
             if z[j] >= -tol:
-                return "optimal"
+                return None
         else:
             # Bland's rule: slower, cycle-free.
             negs = np.nonzero(z[:ncols] < -tol)[0]
             if negs.size == 0:
-                return "optimal"
+                return None
             j = int(negs[0])
         col = T[:, j]
         pivotable = col > _PIVOT_EPS
         if not pivotable.any():
-            return "unbounded"
+            return j
         ratios = np.full(col.size, np.inf)
         ratios[pivotable] = T[pivotable, -1] / col[pivotable]
         r = int(np.argmin(ratios))

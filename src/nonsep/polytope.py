@@ -26,6 +26,14 @@ from . import lp, tolerances
 from .errors import GeometryError, InputError
 
 _GENERICIZE_TRIES = 1000  # draws `genericize` makes before it gives up
+# Largest |coordinate| handed to qhull where it can crash.  In 3-D and 4-D
+# it writes hyperplanes as determinants of coordinate differences, whose
+# products overflow and kill the interpreter (from about 1e154 in 3-D and
+# 1e104 in 4-D); it already refuses such point sets from about 1e77 (3-D)
+# and 1e52 (4-D).  Its planar hulls, and the Gaussian elimination it uses
+# for d >= 5, answer at far larger scales, so `from_vertices` checks only
+# d = 3, 4; `family._delaunay` checks every d against the same limit.
+_QHULL_MAX = 1e80
 
 
 def _freeze(a) -> np.ndarray:
@@ -106,6 +114,8 @@ class Polytope:
             return _interval(pts.min(), pts.max())
         if pts.shape[0] < d + 1 or _affine_rank(pts) < d:
             raise GeometryError("not full-dimensional")
+        if d in (3, 4) and np.abs(pts).max() > _QHULL_MAX:
+            raise GeometryError("hull failed: coordinates too large")
         try:
             hull = ConvexHull(pts)
         except QhullError as exc:

@@ -22,19 +22,27 @@ Fixed thresholds:
   `contains_translate`, the hull-disjointness test of `is_ns` for d >= 3,
   the flat probe of `is_kwip_sampled` for k >= 2, the face test of
   `is_summand` (run only when no witness holds, see ``ROUNDING``) and the
-  reflection LP of `sigma_bisection`.
+  reflection LP of `sigma_bisection`.  An "infeasible" from the dual route
+  carries its Farkas vector only when it passes the ``ROUNDING`` check.
 * ``ROUNDING`` (16 machine epsilons), the slack a written-down witness
   gets in `lp.witnessed`: row i holds at x when
   a_i @ x - b_i <= ROUNDING * (|a_i| @ |x| + |b_i|), which forgives the
-  rounding of the product and nothing more.  A witness settles the face
-  test of `is_summand` (a vertex v of the exposed face, or v - e, for the
-  edge e) and the `ball_circumradius` optimality certificate (the
-  least-squares weights of the active unit gradients) without their LP.
+  rounding of the product and nothing more.  `lp.solve`'s Farkas vector y
+  gets the same slack: it is returned only when |A.T y| <= ROUNDING *
+  (|A|.T y) column by column, y >= 0 and b @ y < 0.  A witness settles
+  the face test of `is_summand` (a vertex v of the exposed face, or
+  v - e, for the edge e) and the `ball_circumradius` optimality
+  certificate (the least-squares weights of the active unit gradients)
+  without their LP.
   `feas` would be too loose here: it lets an edge that overhangs its face
   by 3e-8 at unit scale pass as a translate inside it, where the LP says no.
 * ``REFLECT_FIT`` (1e-12), a `sigma_bisection` centre counts as feasible
   at mu only when it meets every reflection row within this times
-  max(1, |rhs|), so LP round-off cannot pass a mu below sigma.
+  max(1, |rhs|), so LP round-off cannot pass a mu below sigma.  Only such
+  a centre lowers the upper end; the lower end rises to any other trial,
+  or to the root of its checked Farkas vector (see ``ROUNDING``).  A
+  centre the LP finds that misses by more (a near fit) counts as none,
+  and places the next trial as a root does.
 * ``SUBGRADIENT`` (1e-9), the phase-1 threshold of the `ball_circumradius`
   optimality certificate (0 in the hull of the active unit gradients),
   whose LP runs only when no witness holds (see ``ROUNDING``).

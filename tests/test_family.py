@@ -827,7 +827,7 @@ except GeometryError as exc:
 @pytest.mark.parametrize("k", [0, 1])
 def test_kwip_refuses_a_hull_delaunay_cannot_triangulate(scale, k):
     """Two cubes of side 2 scale: qhull's lifted points lose the rank (1e60,
-    1e70), and past `_DELAUNAY_MAX` qhull never sees the points, where it
+    1e70), and past `polytope._QHULL_MAX` qhull never sees the points, where it
     can crash the interpreter.  Each case ends in a GeometryError, not
     scipy's QhullError; from 1e130 in a child process, so that a crash
     fails this test instead of ending the run."""

@@ -265,3 +265,100 @@ def test_chebyshev_centre_statuses_on_the_dual_route(monkeypatch):
         with pytest.raises(GeometryError, match="^not full-dimensional$"):
             _chebyshev_centre(a, b)
     assert dual_calls == [(8, 3), (9, 3), (10, 3), (10, 3)]
+
+
+def _exact_farkas(a, b, y):
+    """The checks `lp` makes of a Farkas vector, redone in rationals: y >= 0,
+    |y @ a| <= ROUNDING * (y @ |a|) column by column, and y @ b < 0."""
+    from fractions import Fraction
+
+    from nonsep import tolerances
+
+    ys = [Fraction(float(v)) for v in y]
+    rows = [[Fraction(float(v)) for v in row] for row in a]
+    bound = Fraction(tolerances.ROUNDING)
+    if min(ys) < 0 or sum(yi * Fraction(float(bi)) for yi, bi in zip(ys, b)) >= 0:
+        return False
+    for j in range(a.shape[1]):
+        col = [row[j] for row in rows]
+        if abs(sum(yi * c for yi, c in zip(ys, col))) > bound * sum(
+                yi * abs(c) for yi, c in zip(ys, col)):
+            return False
+    return True
+
+
+def _infeasible_instance(rng, objective):
+    """An infeasible ``a @ x <= b`` in d = 2..5 with a contradicting pair
+    (u, -u).  With objective "zero" the dual is unbounded; with "cone" every
+    row leans on w and the cost is w, so the dual is infeasible and the
+    Farkas LP runs."""
+    d = int(rng.integers(2, 6))
+    m = int(rng.integers(d + 2, 40))
+    w = rng.normal(size=d)
+    w /= np.linalg.norm(w)
+    a = rng.normal(size=(m, d))
+    a *= np.sign(a @ w)[:, None]
+    u = rng.normal(size=d)
+    u -= (u @ w) * w
+    b = a @ rng.normal(size=d) + rng.uniform(0.1, 2.0, size=m)
+    a = np.vstack([a, u, -u])
+    b = np.concatenate([b, [1.0, -1.0 - rng.uniform(0.01, 1.0)]])
+    order = rng.permutation(m + 2)
+    return a[order], b[order], (np.zeros(d) if objective == "zero" else w)
+
+
+@pytest.mark.parametrize("objective", ["zero", "cone"])
+def test_infeasible_lps_carry_checked_farkas_vectors(monkeypatch, objective):
+    """Both dual branches return their Farkas vector, and each one passes
+    the same checks redone in rationals; its negation fails lp's check."""
+    rng = np.random.default_rng(31 if objective == "zero" else 37)
+    standard_calls = []
+    inner = lp._standard
+    monkeypatch.setattr(lp, "_standard",
+                        lambda *a: standard_calls.append(1) or inner(*a))
+    returned = 0
+    for _ in range(100):
+        a, b, c = _infeasible_instance(rng, objective)
+        standard_calls.clear()
+        res = solve(c, a, b, maximize=False)
+        assert res.status == "infeasible" and res.x is None
+        # one LP when the dual is unbounded, two when the Farkas LP runs
+        assert len(standard_calls) == (1 if objective == "zero" else 2)
+        if res.farkas is None:
+            continue
+        returned += 1
+        assert res.farkas.shape == b.shape
+        assert _exact_farkas(a, b, res.farkas)
+        assert lp._farkas(a, b, -res.farkas) is None
+    assert returned >= 90, returned
+
+
+def test_farkas_rows_follow_the_callers_blocks():
+    """The vector has one weight per a_ub row, then one signed weight per
+    a_eq row; with nonneg=True, y @ A may be positive (the weights of
+    -x <= 0 drop out)."""
+    # x <= 1 and x == 2
+    res = solve([0.0], a_ub=[[1.0]], b_ub=[1.0], a_eq=[[1.0]], b_eq=[2.0])
+    assert res.status == "infeasible"
+    assert res.farkas / res.farkas[0] == pytest.approx([1.0, -1.0])
+    # x + y <= -1 with x, y >= 0
+    res = solve([1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[-1.0], nonneg=True)
+    assert res.status == "infeasible"
+    assert res.farkas.shape == (1,) and res.farkas[0] > 0
+
+
+def test_feasible_and_unbounded_lps_carry_no_farkas_vector():
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        d = int(rng.integers(2, 6))
+        a = rng.normal(size=(3 * d, d))
+        b = a @ rng.normal(size=d) + rng.uniform(0.1, 2.0, size=3 * d)
+        for c in (np.zeros(d), rng.normal(size=d)):
+            res = solve(c, a, b)
+            assert res.status in ("optimal", "unbounded")
+            assert res.farkas is None
+    # standard form, the empty LP, and a ray
+    assert solve(np.zeros(3), a_eq=np.ones((1, 3)), b_eq=[-1.0],
+                 nonneg=True).farkas is None
+    assert solve([1.0]).farkas is None
+    assert solve([1.0], a_ub=[[-1.0]], b_ub=[0.0]).farkas is None

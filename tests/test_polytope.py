@@ -1,6 +1,10 @@
 """Kernel checks: representation completion, duality, containment, measures."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -320,6 +324,46 @@ def test_from_vertices_keeps_small_bodies():
     singular value under an absolute 1e-9 and were refused as flat."""
     for unit, small in scaled_gaussian_hulls(1e-9):
         assert same_point_set(small.vertices * 1e9, unit.vertices, eps=1e-9)
+
+
+HUGE_HULL_CHILD = """
+import sys
+import numpy as np
+from nonsep.errors import GeometryError
+from nonsep.polytope import Polytope, cube, cross_polytope
+d, scale = int(sys.argv[1]), float(sys.argv[2])
+pts = np.vstack([cube(d).vertices, cross_polytope(d).vertices + 1.5])
+try:
+    Polytope.from_vertices(scale * pts)
+    print("answered")
+except GeometryError as exc:
+    print("GeometryError:", exc)
+"""
+
+
+@pytest.mark.parametrize("d, scale", [(3, 1e160), (4, 1e110), (4, 1e130)])
+def test_from_vertices_refuses_coordinates_qhull_cannot_take(d, scale):
+    """In 3-D and 4-D qhull's determinant products overflow on such points
+    and kill the interpreter; `from_vertices` refuses them before qhull
+    runs.  In a child process, so that a crash fails this test instead of
+    ending the run."""
+    src = str(Path(polytope.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    proc = subprocess.run([sys.executable, "-c", HUGE_HULL_CHILD, str(d), repr(scale)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, (proc.returncode, proc.stderr)
+    assert proc.stdout.startswith("GeometryError: hull failed"), proc.stdout
+
+
+@pytest.mark.parametrize("d, scale", [(2, 1e150), (3, 1e76), (4, 1e48), (5, 1e300)])
+def test_from_vertices_answers_below_its_refusal(d, scale):
+    """Where qhull answers, `from_vertices` still does: planar and d >= 5
+    hulls at any scale it can take, 3-D and 4-D ones below the limit."""
+    for base in (cube(d), cross_polytope(d)):
+        p = Polytope.from_vertices(scale * base.vertices)
+        assert p.n_facets == base.n_facets
+        assert same_point_set(p.vertices / scale, base.vertices, eps=1e-9)
 
 
 def test_from_facets_keeps_large_bodies():
