@@ -1,3 +1,10 @@
+import itertools
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +18,7 @@ from helpers import (
     permutation_max_oracle,
     shadow_normalize_oracle,
 )
+from nonsep import cubes
 from nonsep.cubes import (
     IntegerCubeFamily,
     _cells_hull,
@@ -22,7 +30,7 @@ from nonsep.cubes import (
     hull_metrics,
     shadow_normalize,
 )
-from nonsep.errors import InputError
+from nonsep.errors import GeometryError, InputError
 from nonsep.family import is_wns
 
 F5 = [(1, 0), (4, 1), (3, 4), (0, 3), (2, 2)]
@@ -53,6 +61,38 @@ def test_integer_floats_accepted():
     f = fam([(0.0, 1.0), (2.0, 0.0)])
     assert f.offsets.dtype == np.int64
     assert offsets_sorted(f) == [(0, 1), (2, 0)]
+
+
+@pytest.mark.parametrize("build, raw", [
+    (cube_family_from_dict, {"d": "x", "offsets": [[0, 0], [1, 1]]}),
+    (cube_family_from_dict, {"d": None, "offsets": [[0, 0], [1, 1]]}),
+    (cube_family_from_dict, {"d": 2, "offsets": [[0, 0], [1]]}),
+    (cube_family_from_dict, {"d": 2, "offsets": [[1e30, 0], [0, 1]]}),
+    (IntegerCubeFamily, [["a", 0]]),
+    (IntegerCubeFamily, [["1", 0]]),
+    (IntegerCubeFamily, [[None, 0]]),
+    (IntegerCubeFamily, [[1e30, 0]]),
+    (IntegerCubeFamily, [[-1e30, 0], [0, 1]]),
+    (IntegerCubeFamily, [[2.0 ** 63, 0]]),
+    (IntegerCubeFamily, [[2 ** 70, 0]]),
+    (IntegerCubeFamily, [[float("nan"), 0]]),
+    (IntegerCubeFamily, [[float("inf"), 0]]),
+    (IntegerCubeFamily, np.array([[2 ** 64 - 1, 0], [0, 1]], dtype=np.uint64)),
+    (cube_family_from_dict, {"offsets": [[2 ** 64 - 1, 0], [0, 1]]}),
+], ids=["d-text", "d-none", "ragged", "dict-1e30", "text", "numeric-text", "none",
+        "1e30", "-1e30", "2**63", "bigint", "nan", "inf", "uint64", "dict-2**64-1"])
+def test_malformed_input_is_an_input_error_without_warnings(build, raw):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError):
+            build(raw)
+
+
+def test_largest_integer_offsets_accepted():
+    f = fam([(-2.0 ** 63, 0), (2.0 ** 62, 1)])
+    assert f.offsets.tolist() == [[-2 ** 63, 0], [2 ** 62, 1]]
+    small = IntegerCubeFamily(np.array([[3, 0], [0, 1]], dtype=np.uint8))
+    assert small.offsets.dtype == np.int64 and small.offsets.tolist() == [[3, 0], [0, 1]]
 
 
 def test_axis_separability_examples():
@@ -222,7 +262,7 @@ def test_normalize_rejections():
         shadow_normalize(fam([(0, 0), (1, 1)]), "girth")
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("n", [4, 5, 6, 8])
 def test_search_area_matches_closed_form(n):
     f, val = exhaustive_max(n, "area")
     assert val == float(n * n - 2 * n + 4)
@@ -263,6 +303,17 @@ def test_search_perimeter_beats_corner_construction(n):
     assert cube_is_wns(f)
     lo, hi = bounding_box(f)
     assert lo.tolist() == [0, 0] and hi.tolist() == [n, n]
+
+
+def test_search_perimeter_record_at_8():
+    # the staircase's edge over the corner-glued configuration shrinks with
+    # n: about 0.009 at n = 8
+    f, val = exhaustive_max(8, "perimeter")
+    assert val == pytest.approx(perimeter_record(8), abs=1e-9)
+    assert val > hull_metrics(construct_extremal(8))[1] + 0.005
+    assert cube_is_wns(f)
+    lo, hi = bounding_box(f)
+    assert lo.tolist() == [0, 0] and hi.tolist() == [8, 8]
 
 
 @pytest.mark.parametrize("objective", ["area", "perimeter"])
@@ -316,3 +367,107 @@ def test_json_round_trip():
         cube_family_from_dict({"d": 2})
     with pytest.raises(InputError):
         cube_family_from_dict({"d": 3, "offsets": [[0, 0], [1, 1]]})
+
+
+def test_candidate_hulls_match_cells_hull(monkeypatch):
+    """Every candidate of every round, scored on the round's patched column
+    profile, has exactly the hull `_cells_hull` gives its whole family."""
+    inner = cubes._candidate_hulls
+    seen = {"candidates": 0, "negative": 0, "moved": 0}
+
+    def checked(cur, moves):
+        hulls = list(inner(cur, moves))
+        assert len(hulls) == len(moves)
+        for (i, moved), hull in zip(moves, hulls):
+            cand = cur.copy()
+            cand[i] = moved
+            assert hull == _cells_hull(cand), (cur, i, moved)
+            seen["moved"] += moved[0] != cur[i][0]
+        seen["candidates"] += len(moves)
+        seen["negative"] += min(min(c) for c in cur) < 0
+        return iter(hulls)
+
+    monkeypatch.setattr(cubes, "_candidate_hulls", checked)
+    rng = np.random.default_rng(28)
+    for trial in range(280):
+        n = 2 + trial % 14
+        cells = contiguous_cells(rng, n) - int(rng.integers(0, 4))
+        f = IntegerCubeFamily(cells)
+        for objective in ("area", "perimeter"):
+            shadow_normalize(f, objective)
+    assert seen["candidates"] >= 10_000
+    assert seen["negative"] >= 100 and seen["moved"] >= 1_000
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_search_leaf_hulls_match_cells_hull(n, monkeypatch):
+    """The depth-first search scores the permutations in lexicographic
+    order, each on exactly the hull `_cells_hull` gives its cells."""
+    hulls = []
+    monkeypatch.setitem(cubes._PLANAR_OBJECTIVES, "area",
+                        lambda h: hulls.append(h) or float(len(hulls)))
+    exhaustive_max(n, "area")
+    perms = list(itertools.permutations(range(n)))
+    assert len(hulls) == len(perms)
+    for perm, hull in zip(perms, hulls):
+        assert hull == _cells_hull(enumerate(perm)), perm
+
+
+def test_planar_hull_cost_contract(monkeypatch):
+    """A planar `shadow_normalize` call builds one whole hull, its starting
+    value; its candidates and every permutation of `exhaustive_max` are
+    scored without one."""
+    calls = []
+    inner = cubes._cells_hull
+    monkeypatch.setattr(cubes, "_cells_hull", lambda cells: calls.append(1) or inner(cells))
+    rng = np.random.default_rng(3)
+    for trial in range(20):
+        f = IntegerCubeFamily(contiguous_cells(rng, 3 + trial % 8))
+        for objective in ("area", "perimeter"):
+            calls.clear()
+            shadow_normalize(f, objective)
+            assert len(calls) == 1
+    for n in (4, 5, 6):
+        for objective in ("area", "perimeter"):
+            exhaustive_max(n, objective)
+    assert len(calls) == 1
+
+
+def test_normalize_raises_when_the_round_recheck_fails(monkeypatch):
+    # the input check passes; the per-round re-check fails
+    calls = []
+    monkeypatch.setattr(cubes, "cube_is_wns", lambda f: calls.append(1) or len(calls) == 1)
+    with pytest.raises(GeometryError, match="separable"):
+        shadow_normalize(fam([(0, k) for k in range(4)]))
+
+
+def test_normalize_raises_on_an_invalid_move(monkeypatch):
+    # x slabs 0 and 2 leave a gap: moving a cell to x = 3 would leave axis 0
+    # in two runs, which the move check refuses
+    monkeypatch.setattr(cubes, "cube_is_wns", lambda f: True)
+    with pytest.raises(GeometryError, match="invalid move"):
+        shadow_normalize(fam([(0, 0), (0, 1), (2, 0), (2, 1)]))
+
+
+OPTIMIZED_CHILD = """
+from nonsep import cubes
+from nonsep.errors import GeometryError
+if __debug__:
+    raise SystemExit("asserts are on: the child must run under python -O")
+calls = []
+cubes.cube_is_wns = lambda f: calls.append(1) or len(calls) == 1
+try:
+    cubes.shadow_normalize(cubes.IntegerCubeFamily([[0, k] for k in range(4)]))
+except GeometryError as exc:
+    print("GeometryError:", exc)
+"""
+
+
+def test_normalize_checks_survive_python_optimize():
+    src = str(Path(cubes.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHILD],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, (proc.returncode, proc.stderr)
+    assert proc.stdout.startswith("GeometryError: normalized family"), proc.stdout
