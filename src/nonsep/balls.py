@@ -167,7 +167,7 @@ def _certified(c, rad, p, r) -> bool:
     if lp.witnessed(np.vstack([a_eq, -a_eq, -np.eye(w.size)]),
                     np.concatenate([b_eq, -b_eq, np.zeros(w.size)]), w):
         return True
-    return lp.solve(np.zeros(active.size), a_eq=a_eq, b_eq=b_eq, nonneg=True,
+    return lp.solve(np.zeros(active.size), a_eq=a_eq, b_eq=b_eq,
                     tol=tolerances.SUBGRADIENT).optimal
 
 

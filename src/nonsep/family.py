@@ -251,8 +251,7 @@ def _hulls_disjoint(va, vb) -> bool:
     a_eq = np.vstack([np.hstack([va.T, -vb.T]),
                       np.repeat(np.eye(2), [len(va), len(vb)], axis=1)])
     b_eq = np.r_[np.zeros(va.shape[1]), 1.0, 1.0]
-    return not lp.solve(np.zeros(a_eq.shape[1]), a_eq=a_eq, b_eq=b_eq,
-                        nonneg=True).optimal
+    return not lp.solve(np.zeros(a_eq.shape[1]), a_eq=a_eq, b_eq=b_eq).optimal
 
 
 def is_kwip_sampled(family: HomotheticFamily, k: int, samples: int = 10000,

@@ -6,23 +6,22 @@ linear program with at most a few hundred rows and a few dozen variables.
 At that scale a self-contained dense tableau is reproducible, has exactly
 the three statuses we need, and its feasible points double as witnesses.
 
-`solve` is the only entry point.  Rows are ``row @ x <= rhs`` or
-``row @ x == rhs``; it maximizes unless told otherwise, and a feasibility
-question passes a zero objective and reads ``.optimal`` or ``.x``.
-Statuses are ``"optimal"``, ``"infeasible"``, ``"unbounded"``.  Variables
-are free, or non-negative with ``nonneg=True``.  `tol` is the phase-1 and
-pricing threshold, `tolerances.LP` by default.
+`solve` is the only entry point, and it takes one of the two shapes the
+package poses: rows ``a_ub @ x <= b_ub`` over free x, or rows
+``a_eq @ x == b_eq`` over x >= 0; both blocks, neither or no rows at all
+are an `InputError`.  It maximizes unless told otherwise, and a
+feasibility question passes a zero objective and reads ``.optimal`` or
+``.x``.  Statuses are ``"optimal"``, ``"infeasible"``, ``"unbounded"``.
+`tol` is the phase-1 and pricing threshold, `tolerances.LP` by default.
 
 One tableau form runs: standard form, ``min c@y``, ``A y == b``,
-``y >= 0``, rows over their largest entry.  ``nonneg=True`` with only
-equality rows is solved in it as it stands, and an LP with no rows needs
-no tableau.  Any other LP becomes ``min c@x``, ``A x <= b``, x free (an
-equality row is a pair of rows, ``nonneg=True`` adds ``-x <= 0``), and is
-solved through its dual ``min b@y``, ``A.T y == -c``, ``y >= 0``: n rows
-over m columns.  x solves the rows the optimal dual basis makes tight,
-over their largest entry as the tableau scales them: the row (0.7071...,
-0.7071...) is solved as (1, 1), which keeps the demo triangle's
-asymmetry at exactly 2.0.  The dual is priced on b as given, so its
+``y >= 0``, rows over their largest entry.  An ``a_eq`` block is solved
+in it as it stands.  An ``a_ub`` block, ``min c@x``, ``A x <= b``, x
+free, is solved through its dual ``min b@y``, ``A.T y == -c``,
+``y >= 0``: n rows over m columns.  x solves the rows the optimal dual
+basis makes tight, over their largest entry as the tableau scales them:
+the row (0.7071..., 0.7071...) is solved as (1, 1), which keeps the demo
+triangle's asymmetry at exactly 2.0.  The dual is priced on b as given, so its
 stopping test is absolute, like phase 1's; `sigma_lp`, `lambda_min` and
 `_chebyshev_centre` (below 1) take power-of-two units (`pow2_unit`).
 Priced on ``b / max|b|``, rows whose right-hand sides cancel to +-1e-16
@@ -34,17 +33,14 @@ LP); an infeasible dual means an unbounded primal unless the Farkas LP
 ``min b@y``, ``A.T y == 0``, ``sum(y) == 1``, ``y >= 0`` on unit rows
 has a negative optimum.
 
-"infeasible" from the dual route carries that proof as ``.farkas``: the
-dual's ray (y_j = 1 at the column with no pivot, the basis solved for
-the rest, clipped at 0), or the Farkas LP's y over the row scales.  It
-is built when read, so callers that only want the status pay nothing
-for it, and given only when it passes the check a caller could make in
-a few flops: y >= 0, ``|A.T y| <= ROUNDING * (|A|.T y)`` column by
-column, and ``b@y < 0`` (`_farkas`), so it is certified to rounding as
-x is.  It has one weight per ``a_ub`` row, then one signed weight per
-``a_eq`` row; with ``nonneg=True``, ``A.T y`` may also be positive.
-Every other result has ``farkas=None``, as does "infeasible" from the
-standard-form route.
+"infeasible" from the ``a_ub`` route carries that proof as ``.farkas``,
+one weight per ``a_ub`` row: the dual's ray (y_j = 1 at the column with
+no pivot, the basis solved for the rest, clipped at 0), or the Farkas
+LP's y over the row scales.  It is given only when it passes the check a
+caller could make in a few flops: y >= 0, ``|A.T y| <= ROUNDING *
+(|A|.T y)`` column by column, and ``b@y < 0`` (`_farkas`), so it is
+certified to rounding as x is.  Every other result has ``farkas=None``,
+as does "infeasible" from the ``a_eq`` route.
 
 `witnessed` solves nothing: it checks points a caller writes down against
 the rows it would otherwise pass to `solve`, so a feasibility question
@@ -53,8 +49,7 @@ with an evident answer costs a few flops instead of an LP.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,63 +68,36 @@ class LpResult:
     status: str
     value: float | None
     x: np.ndarray | None
-    # builds `farkas` when read, so a caller that never reads it pays for
-    # no ray solve and no check
-    _proof: Callable[[], np.ndarray | None] | None = field(
-        default=None, repr=False, compare=False)
+    farkas: np.ndarray | None = None
 
     @property
     def optimal(self) -> bool:
         return self.status == "optimal"
 
-    @property
-    def farkas(self) -> np.ndarray | None:
-        """The checked Farkas vector of "infeasible" from the dual route
-        (see the module docstring), else None; built anew on each read."""
-        return None if self._proof is None else self._proof()
-
 
 def solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, maximize=True,
-          nonneg=False, tol: float = tolerances.LP) -> LpResult:
-    """Matrix-form entry point. Arrays may be None when a block is absent."""
+          tol: float = tolerances.LP) -> LpResult:
+    """Matrix-form entry point: exactly one block of rows, ``a_ub @ x <=
+    b_ub`` over free x or ``a_eq @ x == b_eq`` over x >= 0."""
     c = np.atleast_1d(np.asarray(c, dtype=float))
-    n = c.size
-    a_ub = np.zeros((0, n)) if a_ub is None else np.atleast_2d(np.asarray(a_ub, float))
-    b_ub = np.zeros(0) if b_ub is None else np.atleast_1d(np.asarray(b_ub, float))
-    a_eq = np.zeros((0, n)) if a_eq is None else np.atleast_2d(np.asarray(a_eq, float))
-    b_eq = np.zeros(0) if b_eq is None else np.atleast_1d(np.asarray(b_eq, float))
-    if a_ub.shape != (b_ub.size, n) or a_eq.shape != (b_eq.size, n):
-        raise InputError("constraint block shapes are inconsistent")
+    free = a_ub is not None or b_ub is not None
+    a, b = (a_ub, b_ub) if free else (a_eq, b_eq)
+    if free == (a_eq is not None or b_eq is not None) or a is None or b is None:
+        raise InputError("an LP takes one block of rows: a_ub, b_ub or a_eq, b_eq")
+    # a C-ordered copy: products round the same whatever the caller's layout
+    a = np.array(a, dtype=float, ndmin=2, order="C")
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    if not b.size or a.shape != (b.size, c.size):
+        raise InputError("constraint block shapes are inconsistent or empty")
 
     c_min = -c if maximize else c
-    proof = None
-    if not (b_ub.size or b_eq.size):
-        # No rows: optimal (at 0) only if no direction lowers the cost.
-        lower = np.minimum(c_min, 0.0) if nonneg else c_min
-        if np.abs(lower).max(initial=0.0) > tol:
-            return LpResult("unbounded", None, None)
-        status, x = "optimal", np.zeros(n)
-    elif nonneg and not b_ub.size:
-        status, x = _standard(c_min, a_eq, b_eq, tol)[:2]
+    farkas = None
+    if free:
+        status, x, farkas = _solve_dual(c_min, a, b, tol)
     else:
-        m = b_ub.size
-        if nonneg:
-            a_ub = np.vstack([a_ub, -np.eye(n)])
-            b_ub = np.concatenate([b_ub, np.zeros(n)])
-        status, x, farkas = _solve_dual(c_min, np.vstack([a_ub, a_eq, -a_eq]),
-                                        np.concatenate([b_ub, b_eq, -b_eq]), tol)
-        if farkas is not None:
-            e, k = b_ub.size, b_eq.size
-
-            def proof():
-                # back to the caller's rows: a pair of equality rows nets to
-                # one signed weight, and the weights of -x <= 0 drop out
-                y = farkas()
-                if y is not None:
-                    y = np.concatenate([y[:m], y[e:e + k] - y[e + k:]])
-                return y
+        status, x = _standard(c_min, a, b, tol)[:2]
     if status != "optimal":
-        return LpResult(status, None, None, proof)
+        return LpResult(status, None, None, farkas)
     return LpResult("optimal", float(c @ x), x)
 
 
@@ -159,7 +127,7 @@ def _unit_rows(a, b):
 
 def _standard(c, a, b, tol):
     """min c@y, a@y == b, y >= 0; also the optimal basis and the rows it
-    kept.  "unbounded" comes with a function building its ray in place of y."""
+    kept.  "unbounded" comes with its ray in place of y."""
     rows, rhs, _ = _unit_rows(a, b)
     rows[rhs < 0] *= -1.0
     return _two_phase(rows, np.abs(rhs), c, tol)
@@ -178,21 +146,21 @@ def _farkas(a, b, y):
 def _solve_dual(c, a, b, tol):
     """min c@x subject to a@x <= b, x free, through the standard-form dual.
 
-    Returns (status, x, farkas): x when "optimal"; when "infeasible", a
-    function giving the checked Farkas vector (`_farkas`) or None."""
+    Returns (status, x, farkas): x when "optimal"; when "infeasible", the
+    checked Farkas vector (`_farkas`) or None."""
     m, n = a.shape
     unit, rhs, scale = _unit_rows(a, b)
     status, y, basis, keep = _standard(b, a.T, -c, tol)
     if status == "unbounded":
-        # y builds the dual's ray: y >= 0, y@a == 0, y@b < 0
-        return "infeasible", None, lambda: _farkas(a, b, y())
+        # y is the dual's ray: y >= 0, y@a == 0, y@b < 0
+        return "infeasible", None, _farkas(a, b, y)
     if status == "infeasible":
         # Farkas: y >= 0 with y@a == 0 and y@b < 0 exists iff a@x <= b has
         # no solution; the rows are unit-scaled so sum(y) == 1 is fair.
         a_eq = np.vstack([unit.T, np.ones((1, m))])
         w = _standard(rhs, a_eq, np.r_[np.zeros(n), 1.0], tol)[1]
         if w is not None and rhs @ w < -tol * max(1.0, float(np.abs(rhs).max())):
-            return "infeasible", None, lambda: _farkas(a, b, np.maximum(w, 0.0) / scale)
+            return "infeasible", None, _farkas(a, b, np.maximum(w, 0.0) / scale)
         return "unbounded", None, None
     rows = np.sort(basis)
     x = np.zeros(n)
@@ -244,7 +212,7 @@ def _two_phase(A, b, c, tol):
             z2 -= z2[j] * T[r]
     j = _iterate(T, z2, basis, n, tol)
     if j is not None:
-        return "unbounded", lambda: _ray(A, keep, basis, j, T[:, j]), None, None
+        return "unbounded", _ray(A, keep, basis, j, T[:, j]), None, None
     x = np.zeros(n)
     x[basis] = T[:, -1]
     return "optimal", x, basis, keep

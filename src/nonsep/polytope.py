@@ -183,9 +183,9 @@ class Polytope:
         return self.scale(ratio).translate(x)
 
     def is_origin_symmetric(self) -> bool:
-        """Does every vertex v have a vertex within `dedupe` of -v?"""
+        """Does every vertex v have a vertex within `tight` of -v?"""
         near, _ = cKDTree(self.vertices).query(-self.vertices)
-        return bool(near.max() <= tolerances.dedupe(self._scale()))
+        return bool(near.max() <= tolerances.tight(self._scale()))
 
     # -- serialization -----------------------------------------------------
 

@@ -102,11 +102,11 @@ largest coordinate or offset in play; below 1 it counts as 1):
   test that `is_kwip_sampled` runs first (`family._covers_hull`) and its
   settling of sample points that lie in a member (`family._open_rows`,
   before the clip or the k >= 2 LPs) use no threshold.
-* `tight`: how close a vertex must sit to a facet plane to lie on it.
-  Vertex/facet agreement and rows shaving off less than a merged vertex
-  in `Polytope.from_facets`, `edges`, and the face test of `is_summand`.
-* `dedupe`: how close two vertices must sit to count as one
-  (`Polytope.is_origin_symmetric`).
+* `tight`: how close a vertex must sit to a facet plane to lie on it,
+  or to another vertex to count as one.  Vertex/facet agreement and rows
+  shaving off less than a merged vertex in `Polytope.from_facets`,
+  `edges`, the face test of `is_summand`, and the antipodal vertices of
+  `Polytope.is_origin_symmetric`.
 * `active` (``ACTIVE`` 1e-9, or ``ACTIVE_REL`` 1e-7 times the radius
   when larger): how close to the radius a ball must reach to count as
   active in `ball_circumradius`, both for the balls its active set keeps
@@ -143,12 +143,8 @@ def feas(scale: float = 1.0) -> float:
 
 
 def tight(scale: float = 1.0) -> float:
-    """Facet tightness threshold used when classifying vertices."""
-    return 1e3 * GEOM * max(1.0, scale)
-
-
-def dedupe(scale: float = 1.0) -> float:
-    """Distance under which two computed points count as one vertex."""
+    """Facet tightness threshold used when classifying vertices, and the
+    distance under which two computed points count as one vertex."""
     return 1e3 * GEOM * max(1.0, scale)
 
 

@@ -289,11 +289,11 @@ def facet_directions_all_pairs(a):
 
 
 def origin_symmetric_all_pairs(p) -> bool:
-    """Does every vertex v have a vertex within `dedupe` of -v?"""
+    """Does every vertex v have a vertex within `tight` of -v?"""
     from nonsep import tolerances
 
     v = p.vertices
-    eps = tolerances.dedupe(p._scale())
+    eps = tolerances.tight(p._scale())
     return all(np.linalg.norm(v + w, axis=1).min() <= eps for w in v)
 
 
@@ -765,7 +765,7 @@ def ball_certified_lp_oracle(c, rad, p, r) -> bool:
     u = diff / dist[:, None]
     a_eq = np.vstack([u.T, np.ones((1, active.size))])
     b_eq = np.concatenate([np.zeros(c.size), [1.0]])
-    return lp.solve(np.zeros(active.size), a_eq=a_eq, b_eq=b_eq, nonneg=True,
+    return lp.solve(np.zeros(active.size), a_eq=a_eq, b_eq=b_eq,
                     tol=tolerances.SUBGRADIENT).optimal
 
 

@@ -123,6 +123,20 @@ def test_bisection_lp_count_on_the_battery(monkeypatch):
         assert n <= (2 if i % 3 == 0 else 12), (i, n)
 
 
+def test_bisection_without_farkas_vectors(monkeypatch):
+    """When no LP returns a checked Farkas vector, each trial's floor is
+    mu after a near fit or none, and the bracket closes by halving: the
+    first 30 bodies of the battery take more LPs than any with vectors
+    (see above), and land as close to sigma_lp."""
+    monkeypatch.setattr(asymmetry.lp, "_farkas", lambda a, b, y: None)
+    run = counted_bisection(monkeypatch)
+    for i, p in zip(range(30), reflection_battery()):
+        s_lp = sigma_lp(p).sigma
+        res, n = run(p)
+        assert s_lp - 1e-12 <= res.sigma <= s_lp + 1e-9 + 1e-12, (i, s_lp, res.sigma)
+        assert n > 12, (i, n)
+
+
 def test_bisection_lp_count_on_simplices_and_symmetric_bodies(monkeypatch):
     """A simplex's first Farkas root is its dimension, which closes the
     bracket after the LP at mu = d; a symmetric body is settled at mu = 1."""

@@ -21,6 +21,7 @@ from scipy.optimize import linprog
 from scipy.spatial import Delaunay
 
 from nonsep import family as family_module
+from nonsep.covering import lambda_min
 from nonsep import lp, tolerances
 from nonsep.errors import GeometryError, InputError
 from nonsep.family import (
@@ -1228,3 +1229,19 @@ def test_cover_certificate_agrees_with_the_sampling_route(monkeypatch):
                     assert got[1].point.tobytes() == want[1].point.tobytes()
                     assert got[1].basis.tobytes() == want[1].basis.tobytes()
     assert min(counts.values()) >= 15, counts
+
+
+def test_families_of_intervals_in_d1():
+    """Copies of [-1, 1] at 0, 2 and 3.5 overlap or touch, so no point
+    splits them, and the shortest homothet covering them is [-1, 4.5];
+    at 0, 2 and 5 the point 4 leaves a gap of 1 before the third."""
+    base = Polytope.from_vertices([[-1.0], [1.0]])
+    fam = HomotheticFamily(base, [[0.0], [2.0], [3.5]], np.ones(3))
+    assert is_wns(fam) == (True, None) and is_ns(fam) == (True, None)
+    cover = lambda_min(fam)
+    assert cover.lam == pytest.approx(11 / 12, abs=1e-12)
+    assert cover.certified
+    fam = HomotheticFamily(base, [[0.0], [2.0], [5.0]], np.ones(3))
+    ok, (direction, gap) = is_wns(fam)
+    assert not ok and abs(direction[0]) == 1.0 and gap == pytest.approx(1.0, abs=1e-12)
+    assert is_ns(fam) == (False, ([2], [0, 1]))

@@ -37,13 +37,13 @@ def test_iteration_limit_is_geometry_error(monkeypatch):
 
 
 def test_equality_row():
-    # max x + y on the segment x + y = 1, 0 <= x, y <= 1
+    # max 2x + y on the segment x + y = 1, 0 <= x, y <= 1: the equality
+    # is the row pair x + y <= 1, -x - y <= -1
     res = solve(
         np.array([2.0, 1.0]),
-        a_ub=np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
-        b_ub=np.array([1.0, 0.0, 1.0, 0.0]),
-        a_eq=np.array([[1.0, 1.0]]),
-        b_eq=np.array([1.0]),
+        a_ub=np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
+                       [1.0, 1.0], [-1.0, -1.0]]),
+        b_ub=np.array([1.0, 0.0, 1.0, 0.0, 1.0, -1.0]),
     )
     assert res.status == "optimal"
     assert res.value == pytest.approx(2.0, abs=1e-8)
@@ -115,7 +115,9 @@ def test_against_scipy_oracle_with_equalities():
         x0 = rng.normal(size=n)
         b_eq = a_eq @ x0
         b = np.maximum(b, a @ x0 + 0.1)  # keep x0 feasible for both blocks
-        mine = solve(c, a_ub=a, b_ub=b, a_eq=a_eq, b_eq=b_eq, maximize=False)
+        # each equality row as a pair of opposite inequality rows
+        mine = solve(c, a_ub=np.vstack([a, a_eq, -a_eq]),
+                     b_ub=np.concatenate([b, b_eq, -b_eq]), maximize=False)
         ref = linprog(c, A_ub=a, b_ub=b, A_eq=a_eq, b_eq=b_eq,
                       bounds=(None, None), method="highs")
         ref_status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
@@ -141,8 +143,9 @@ def test_feasible_nonneg_matches_split_form_and_scipy():
             b -= (w @ b + rng.uniform(0.1, 1.0)) * w / (w @ w)
         else:  # either way
             b = rng.normal(size=m) * 3.0
-        y = solve(np.zeros(n), a_eq=a, b_eq=b, nonneg=True).x
-        split = solve(np.zeros(n), -np.eye(n), np.zeros(n), a, b).x
+        y = solve(np.zeros(n), a_eq=a, b_eq=b).x
+        split = solve(np.zeros(n), np.vstack([-np.eye(n), a, -a]),
+                      np.concatenate([np.zeros(n), b, -b])).x
         ref = linprog(np.zeros(n), A_eq=a, b_eq=b, bounds=(0, None), method="highs")
         assert (y is not None) == (split is not None) == (ref.status == 0), k
         verdicts[y is not None] += 1
@@ -151,11 +154,11 @@ def test_feasible_nonneg_matches_split_form_and_scipy():
             assert np.allclose(a @ y, b, atol=1e-7)
     assert min(verdicts.values()) >= 40, verdicts
     with pytest.raises(InputError, match="shapes"):
-        solve(np.zeros(3), a_eq=np.ones((2, 3)), b_eq=np.ones(3), nonneg=True)
+        solve(np.zeros(3), a_eq=np.ones((2, 3)), b_eq=np.ones(3))
 
 
 def test_nonneg_solve_matches_scipy():
-    """x >= 0 optima against HiGHS."""
+    """x >= 0 optima against HiGHS, the bounds posed as rows -x <= 0."""
     rng = np.random.default_rng(47)
     for k in range(100):
         m, n = int(rng.integers(1, 6)), int(rng.integers(1, 8))
@@ -163,16 +166,18 @@ def test_nonneg_solve_matches_scipy():
         b = rng.uniform(0.5, 2.0, size=m)
         c = rng.normal(size=n)
         bounded = np.vstack([a, np.ones((1, n))]), np.r_[b, 5.0]
-        mine = solve(c, *bounded, maximize=False, nonneg=True)
+        mine = solve(c, np.vstack([bounded[0], -np.eye(n)]),
+                     np.concatenate([bounded[1], np.zeros(n)]), maximize=False)
         ref = linprog(c, A_ub=bounded[0], b_ub=bounded[1], bounds=(0, None),
                       method="highs")
         assert mine.optimal == (ref.status == 0), k
         if mine.optimal:
             assert (mine.x >= -1e-12).all()
             assert abs(mine.value - ref.fun) <= 1e-6 * (1.0 + abs(ref.fun))
-    assert solve([1.0, 2.0], maximize=False, nonneg=True).value == 0.0
-    assert solve([1.0, -2.0], maximize=False, nonneg=True).status == "unbounded"
-    assert solve(np.zeros(3), a_eq=np.ones((1, 3)), b_eq=[1.0], nonneg=True).optimal
+    orthant = -np.eye(2), np.zeros(2)
+    assert solve([1.0, 2.0], *orthant, maximize=False).value == 0.0
+    assert solve([1.0, -2.0], *orthant, maximize=False).status == "unbounded"
+    assert solve(np.zeros(3), a_eq=np.ones((1, 3)), b_eq=[1.0]).optimal
 
 
 def _tall_instance(rng, kind, m, n):
@@ -225,7 +230,8 @@ def test_tall_lps_go_through_the_dual_and_match_highs(monkeypatch):
 
 
 def test_short_and_constrained_lps_go_through_the_dual(monkeypatch):
-    """Every free or inequality LP reaches the dual; standard form never does."""
+    """Every a_ub block reaches the dual; an a_eq block never does, and no
+    other shape reaches either."""
     dual_calls = []
     inner = lp._solve_dual
     monkeypatch.setattr(lp, "_solve_dual",
@@ -233,14 +239,24 @@ def test_short_and_constrained_lps_go_through_the_dual(monkeypatch):
     a = np.vstack([np.eye(2), -np.eye(2)])
     assert solve([1.0, 1.0], a, np.ones(4)).value == pytest.approx(2.0)
     tall = np.vstack([a] * 3)
-    assert solve([1.0, 1.0], tall, np.ones(12), a_eq=[[1.0, -1.0]],
-                 b_eq=[0.0]).value == pytest.approx(2.0)
-    assert solve([1.0, 1.0], tall, np.ones(12), nonneg=True).value == pytest.approx(2.0)
+    # x == y as a row pair; x >= 0 as -I rows
+    assert solve([1.0, 1.0], np.vstack([tall, [[1.0, -1.0], [-1.0, 1.0]]]),
+                 np.r_[np.ones(12), 0.0, 0.0]).value == pytest.approx(2.0)
+    assert solve([1.0, 1.0], np.vstack([tall, -np.eye(2)]),
+                 np.r_[np.ones(12), 0.0, 0.0]).value == pytest.approx(2.0)
     assert dual_calls == [(4, 2), (14, 2), (14, 2)]
-    simplex = dict(a_eq=np.ones((1, 3)), b_eq=[1.0], nonneg=True)
+    simplex = dict(a_eq=np.ones((1, 3)), b_eq=[1.0])
     assert solve(np.zeros(3), **simplex).optimal
     assert solve([1.0, 2.0, 0.5], maximize=False, **simplex).value == pytest.approx(0.5)
-    assert solve([1.0, 2.0], maximize=False, nonneg=True).value == 0.0
+    # no block, both blocks, half of each, and a block of zero rows
+    for kw in ({}, dict(a_ub=a, b_ub=np.ones(4), **simplex),
+               dict(a_ub=np.ones((1, 3)), b_eq=[1.0])):
+        with pytest.raises(InputError, match="one block"):
+            solve(np.zeros(3), **kw)
+    for kw in (dict(a_ub=np.zeros((0, 2)), b_ub=[]),
+               dict(a_eq=np.zeros((0, 2)), b_eq=[])):
+        with pytest.raises(InputError, match="empty"):
+            solve([1.0, 2.0], maximize=False, **kw)
     assert dual_calls == [(4, 2), (14, 2), (14, 2)]
 
 
@@ -334,17 +350,21 @@ def test_infeasible_lps_carry_checked_farkas_vectors(monkeypatch, objective):
 
 
 def test_farkas_rows_follow_the_callers_blocks():
-    """The vector has one weight per a_ub row, then one signed weight per
-    a_eq row; with nonneg=True, y @ A may be positive (the weights of
-    -x <= 0 drop out)."""
-    # x <= 1 and x == 2
-    res = solve([0.0], a_ub=[[1.0]], b_ub=[1.0], a_eq=[[1.0]], b_eq=[2.0])
+    """The vector has one weight per a_ub row, so an equality posed as a
+    row pair nets to one signed weight, and rows -x <= 0 carry their own."""
+    # x <= 1 and x == 2, as x <= 2, -x <= -2
+    res = solve([0.0], a_ub=[[1.0], [1.0], [-1.0]], b_ub=[1.0, 2.0, -2.0])
     assert res.status == "infeasible"
-    assert res.farkas / res.farkas[0] == pytest.approx([1.0, -1.0])
+    y = res.farkas
+    assert y.shape == (3,)
+    assert np.r_[y[0], y[1] - y[2]] / y[0] == pytest.approx([1.0, -1.0])
     # x + y <= -1 with x, y >= 0
-    res = solve([1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[-1.0], nonneg=True)
+    a = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    res = solve([1.0, 1.0], a_ub=a, b_ub=[-1.0, 0.0, 0.0])
     assert res.status == "infeasible"
-    assert res.farkas.shape == (1,) and res.farkas[0] > 0
+    y = res.farkas
+    assert y.shape == (3,) and y[0] > 0
+    assert y[1:] / y[0] == pytest.approx([1.0, 1.0])
 
 
 def test_feasible_and_unbounded_lps_carry_no_farkas_vector():
@@ -357,8 +377,8 @@ def test_feasible_and_unbounded_lps_carry_no_farkas_vector():
             res = solve(c, a, b)
             assert res.status in ("optimal", "unbounded")
             assert res.farkas is None
-    # standard form, the empty LP, and a ray
-    assert solve(np.zeros(3), a_eq=np.ones((1, 3)), b_eq=[-1.0],
-                 nonneg=True).farkas is None
-    assert solve([1.0]).farkas is None
+    # standard form, infeasible and unbounded, and a ray
+    assert solve(np.zeros(3), a_eq=np.ones((1, 3)), b_eq=[-1.0]).farkas is None
+    res = solve([1.0, 0.0], a_eq=[[1.0, -1.0]], b_eq=[0.0])
+    assert res.status == "unbounded" and res.farkas is None
     assert solve([1.0], a_ub=[[-1.0]], b_ub=[0.0]).farkas is None

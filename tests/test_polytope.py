@@ -178,6 +178,24 @@ def test_from_facets_rejects_unbounded_and_flat_systems():
                     Polytope.from_facets(flat_a, scale * flat_b)
 
 
+def test_intervals_in_d1():
+    """d = 1 bodies are intervals: the extreme points of a vertex list, the
+    tightest offsets over the normals of each sign, with their length as
+    volume; one-sided or empty rows are refused."""
+    p = Polytope.from_vertices([[0.0], [1.0], [0.3]])
+    assert p.vertices.tolist() == [[0.0], [1.0]]
+    assert p.facet_normals.tolist() == [[1.0], [-1.0]]
+    assert measure(p, "volume") == 1.0
+    q = Polytope.from_facets([[1.0], [-2.0], [3.0]], [1.0, 1.0, 6.0])
+    assert q.vertices.tolist() == [[-0.5], [1.0]]
+    assert q.facet_offsets.tolist() == [1.0, 0.5]
+    assert measure(q, "volume") == 1.5
+    with pytest.raises(GeometryError, match="^unbounded$"):
+        Polytope.from_facets([[1.0], [2.0]], [1.0, 1.0])
+    with pytest.raises(GeometryError, match="^not full-dimensional$"):
+        Polytope.from_facets([[1.0], [-1.0]], [1.0, -2.0])
+
+
 def test_non_finite_input_rejected():
     square = np.vstack([np.eye(2), -np.eye(2)])
     with pytest.raises(InputError, match="finite"):
@@ -254,7 +272,7 @@ def test_near_duplicate_queries_match_all_pairs_oracles():
     """`_dedupe_facets`, `facet_directions` and `is_origin_symmetric`
     against the all-pairs scans they replaced, on random and symmetric
     bodies in d = 2..4, boxes with a normal 0.5e-9 and 2e-9 off its
-    antipode, symmetric bodies with a vertex moved 0.5 or 2 dedupe
+    antipode, symmetric bodies with a vertex moved 0.5 or 2 `tight`
     distances, and a 1,020-facet sphere body."""
     rng = np.random.default_rng(29)
     bodies = [random_polytope(2 + i % 3, 5 + i % 7, rng, symmetric=i % 4 < 2)
@@ -269,7 +287,7 @@ def test_near_duplicate_queries_match_all_pairs_oracles():
         for move, symmetric in ((0.5, True), (2.0, False)):
             p = _sphere_body(rng, 12, d)
             v = p.vertices.copy()
-            v[0] *= 1.0 + move * tolerances.dedupe(p._scale()) / np.linalg.norm(v[0])
+            v[0] *= 1.0 + move * tolerances.tight(p._scale()) / np.linalg.norm(v[0])
             q = Polytope.from_vertices(v)
             assert q.is_origin_symmetric() == symmetric
             bodies += [p, q]
