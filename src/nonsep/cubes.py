@@ -6,14 +6,15 @@ non-separability reduces to per-axis contiguity of the occupied slabs and
 is decided in exact integer arithmetic.  In the plane the module offers an
 exact search for hull-area and hull-perimeter maximizers over the n!
 permutation placements (some maximizer is one, by the shadow
-normalization argument), a greedy shadow normalizer that grows the
-bounding box to n * C_d, and the corner-glued configuration attaining
-the closed-form area record.
+normalization argument), a shadow normalizer that moves one crowded
+cube per round to the better end of its axis until the box is n * C_d,
+and the corner-glued configuration attaining the closed-form area record.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from math import hypot
@@ -162,6 +163,13 @@ def hull_metrics(f: IntegerCubeFamily) -> tuple[float, float]:
 _PLANAR_OBJECTIVES = {"area": _hull_area, "perimeter": _hull_perimeter}
 
 
+def _count(n) -> int:
+    try:  # ints and numpy integers pass; floats, even 5.0, do not
+        return operator.index(n)
+    except TypeError:
+        raise InputError("n must be an integer") from None
+
+
 def construct_extremal(n: int) -> IntegerCubeFamily:
     """Corner-glued configuration: four boundary cubes plus a diagonal.
 
@@ -173,6 +181,7 @@ def construct_extremal(n: int) -> IntegerCubeFamily:
     diagonal runs unevenly and reaches 4 + 2*sqrt((n-3)^2 + 1)
     + 2*sqrt((n-1)^2 + 1), the maximum `exhaustive_max` finds for n <= 8.
     """
+    n = _count(n)
     if n < 4:
         raise InputError("the construction needs n >= 4")
     offs = [(1, 0), (n - 1, 1), (n - 2, n - 1), (0, n - 2)]
@@ -188,85 +197,45 @@ def _objective_value(cells, dim: int, objective: str) -> float:
     raise InputError(f"unsupported objective {objective!r} in dimension {dim}")
 
 
-def _candidate_hulls(cur, moves):
-    """`_cells_hull` of cur with cell i moved, per move (i, moved), from one
-    profile of cur: a move changes at most four corner columns."""
-    base = min(x for x, _ in cur) - 1
-    cols = [[] for _ in range(max(x for x, _ in cur) - base + 3)]
-    for y, x in sorted((y, x) for x, y in cur):
-        cols[x - base].append(y)
-        cols[x + 1 - base].append(y)
-    low0 = [(c, ys[0]) if ys else None for c, ys in enumerate(cols, base)]
-    top0 = [(c, ys[-1] + 1) if ys else None for c, ys in enumerate(cols, base)]
-    for i, (mx, my) in moves:
-        x, y = cur[i]
-        low, top = low0.copy(), top0.copy()
-        for c in (x, x + 1):  # the next corner of the column takes over
-            ys = cols[c - base]
-            if ys[0] == y:
-                low[c - base] = (c, ys[1]) if ys[1:] else None
-            if ys[-1] == y:
-                top[c - base] = (c, ys[-2] + 1) if ys[1:] else None
-        for c in (mx, mx + 1):
-            if low[c - base] is None or my < low[c - base][1]:
-                low[c - base] = (c, my)
-            if top[c - base] is None or my >= top[c - base][1]:
-                top[c - base] = (c, my + 1)
-        a, b = low[0] is None, len(low) - (low[-1] is None)  # only ends can be empty
-        yield _chain(low[a:b]) + _chain(top[a:b][::-1])
-
-
 def shadow_normalize(f: IntegerCubeFamily,
                      objective: str = "area") -> IntegerCubeFamily:
-    """Grow the bounding box towards n * C_d by re-homing crowded slabs.
+    """Grow the bounding box to the n-box by re-homing crowded slabs.
 
     Integer input makes the residue-merging phase a no-op, so the routine
-    goes straight to endpoint moves: while some axis extent is below n, a
-    deficient axis has a multiply-occupied slab by pigeonhole, and one of
-    its cubes is moved to whichever end of the axis scores best.  Hull
-    measures are convex along such single-cube tracks, so the best end
-    never scores below the current position.  Every move keeps the family
-    valid: each candidate is checked against per-axis slab counts, and the
-    accepted family is rebuilt and re-checked with `cube_is_wns`; a failed
-    check raises `GeometryError`.  Each move widens one extent by one,
-    which bounds the loop.  Should scoring ever regress, the current family
-    is returned as a local maximum.  The result is translated to offset 0.
+    goes straight to endpoint moves.  Each round takes the first axis with
+    extent below n and the first cell, in row order, that shares its slab
+    on that axis (one does, by pigeonhole), and moves it to `lo - 1`, or to
+    `hi + 1` when that scores more than `tolerances.CUBE_CANDIDATE` higher.
+    Hull measures are convex along the cube's track, so the better end
+    never scores below the current family.  A move scoring more than
+    `tolerances.CUBE_SCORE` below it, a move that would split the axis and
+    a failed `cube_is_wns` re-check raise `GeometryError`.  Each move widens
+    one extent by one, so the objective is scored 1 + 2 * sum_j (n - extent_j)
+    times, and the result, translated to offset 0, fills the n-box.
     """
     if not cube_is_wns(f):
         raise InputError("family is separable along an axis")
     cur = [tuple(c) for c in f.offsets.tolist()]
     val = _objective_value(cur, f.dim, objective)  # rejects unsupported ones
-    value = _PLANAR_OBJECTIVES.get(objective) if f.dim == 2 else None
     while True:
         slabs = [Counter(col) for col in zip(*cur)]
-        deficient = [j for j, s in enumerate(slabs) if max(s) - min(s) + 1 < f.n]
-        if not deficient:
+        j = next((j for j, s in enumerate(slabs) if max(s) - min(s) + 1 < f.n), None)
+        if j is None:
             break
-        occupied, moves = set(cur), []
-        for j in deficient:
-            s = slabs[j]
-            lo, hi = min(s), max(s)
-            for i, cell in enumerate(cur):
-                if s[cell[j]] < 2:
-                    continue
-                for target in (lo - 1, hi + 1):
-                    # the old slab keeps a cube, so the family stays valid
-                    # if the cell is new and axis j stays one run of slabs
-                    moved = cell[:j] + (target,) + cell[j + 1:]
-                    run = max(hi, target) - min(lo, target) + 1
-                    if moved in occupied or run != len(s) + (target not in s):
-                        raise GeometryError(f"invalid move of {cell} to {moved}")
-                    moves.append((i, moved))
-        scores = (map(value, _candidate_hulls(cur, moves)) if value else
-                  (_objective_value(cur[:i] + [m] + cur[i + 1:], f.dim, objective)
-                   for i, m in moves))
-        best = None
-        for v, (i, moved) in zip(scores, moves):
-            if best is None or v > best[0] + tolerances.CUBE_CANDIDATE:
-                best = (v, cur[:i] + [moved] + cur[i + 1:])
-        if best is None or best[0] < val - tolerances.CUBE_SCORE:
-            break
-        val, cur = best
+        s = slabs[j]
+        lo, hi = min(s), max(s)
+        i = next(i for i, cell in enumerate(cur) if s[cell[j]] >= 2)
+        # the old slab keeps a cube and both ends lie outside every cell, so
+        # the moved family stays valid if axis j is one run of slabs
+        if hi - lo + 1 != len(s):
+            raise GeometryError(f"invalid move of {cur[i]} along axis {j}")
+        ends = [cur[:i] + [cur[i][:j] + (t,) + cur[i][j + 1:]] + cur[i + 1:]
+                for t in (lo - 1, hi + 1)]
+        scores = [_objective_value(c, f.dim, objective) for c in ends]
+        k = int(scores[1] > scores[0] + tolerances.CUBE_CANDIDATE)
+        if scores[k] < val - tolerances.CUBE_SCORE:
+            raise GeometryError(f"both ends of the track score below {val}")
+        val, cur = scores[k], ends[k]
         if not cube_is_wns(IntegerCubeFamily(np.array(cur))):
             raise GeometryError("normalized family is separable along an axis")
     offsets = np.array(cur, dtype=np.int64)
@@ -289,6 +258,7 @@ def exhaustive_max(n: int, objective: str) -> tuple[IntegerCubeFamily, float]:
     n = 8 takes about 0.4 s on one core of a 2-core Xeon host; n = 9 would
     take about nine times as long and is refused.
     """
+    n = _count(n)
     if not 4 <= n <= 8:
         raise InputError("search supports 4 <= n <= 8")
     if objective not in _PLANAR_OBJECTIVES:

@@ -79,12 +79,13 @@ Fixed thresholds:
   no signal: both slopes of the stability scenario, fitted to one
   `stability_trace` (the deviation slope by `stability_exponent`), drop
   the bend.
-* ``CUBE_CANDIDATE`` (1e-12), a `shadow_normalize` candidate move
-  replaces the best one so far only when it scores more than this above
-  it, so among ties the first in candidate order wins.
-* ``CUBE_SCORE`` (1e-9), `shadow_normalize` stops when its best move
-  scores more than this below the current family, and `exhaustive_max`
-  keeps the first permutation beating the best so far by more than this.
+* ``CUBE_CANDIDATE`` (1e-12), breaks ties between the two ends of a
+  `shadow_normalize` move: the cube goes to the high end only when that
+  scores more than this above the low end.
+* ``CUBE_SCORE`` (1e-9), `shadow_normalize` raises `GeometryError` when
+  the better end scores more than this below the current family, which
+  the convexity of hull measures rules out, and `exhaustive_max` keeps
+  the first permutation beating the best so far by more than this.
 * ``POLAR_SIGMA`` (1e-6), relative slack of `polar_sigma_check`.
 
 Thresholds that scale GEOM with the size of the data (``scale`` is the

@@ -568,15 +568,16 @@ def permutation_max_oracle(n, objective):
 
 
 def shadow_normalize_oracle(f, objective="area"):
-    """Shadow normalization that builds and checks a whole family per
-    candidate move.  In the plane it scores the family with
-    `hull_2d_oracle` on its corners; the d = 3 `volume` scores the
-    validated `Polytope.from_vertices` hull of its corners with `measure`.
+    """Shadow normalization that builds, checks and scores a whole family
+    per move.  In the plane it scores the family with `hull_2d_oracle` on
+    its corners; the d = 3 `volume` scores the validated
+    `Polytope.from_vertices` hull of its corners with `measure`.
 
-    Same candidate order and tie rules as `nonsep.cubes.shadow_normalize`:
-    a candidate replaces the best so far when it scores more than 1e-12
-    above it, and the loop stops when the best move scores more than 1e-9
-    below the current family.  Returns the normalized offsets as a list.
+    Same rule as `nonsep.cubes.shadow_normalize`: each round moves the
+    first row sharing its slab on the first deficient axis to the low end
+    of that axis, or to the high end when that scores more than 1e-12
+    above the low end; the better end never scores more than 1e-9 below
+    the current family.  Returns the normalized offsets as a list.
     """
     from nonsep.cubes import IntegerCubeFamily, cube_is_wns
     from nonsep.polytope import Polytope, measure
@@ -597,23 +598,19 @@ def shadow_normalize_oracle(f, objective="area"):
         deficient = [j for j in range(cur.shape[1]) if hi[j] - lo[j] + 1 < n]
         if not deficient:
             break
-        best = None
-        for j in deficient:
-            col = cur[:, j].tolist()
-            for i in range(n):
-                if col.count(col[i]) < 2:
-                    continue
-                for target in (lo[j] - 1, hi[j] + 1):
-                    cand = cur.copy()
-                    cand[i, j] = target
-                    fam = IntegerCubeFamily(cand)
-                    assert cube_is_wns(fam)
-                    v = score(fam)
-                    if best is None or v > best[0] + 1e-12:
-                        best = (v, cand)
-        if best is None or best[0] < val - 1e-9:
-            break
-        val, cur = best[0], best[1]
+        j = deficient[0]
+        col = cur[:, j].tolist()
+        i = next(i for i in range(n) if col.count(col[i]) >= 2)
+        ends = []
+        for target in (lo[j] - 1, hi[j] + 1):
+            cand = cur.copy()
+            cand[i, j] = target
+            fam = IntegerCubeFamily(cand)
+            assert cube_is_wns(fam)
+            ends.append((score(fam), cand))
+        best = ends[1] if ends[1][0] > ends[0][0] + 1e-12 else ends[0]
+        assert best[0] >= val - 1e-9
+        val, cur = best
     return (cur - cur.min(axis=0)).tolist()
 
 

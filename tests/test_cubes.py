@@ -32,6 +32,7 @@ from nonsep.cubes import (
 )
 from nonsep.errors import GeometryError, InputError
 from nonsep.family import is_wns
+from nonsep.polytope import Polytope, measure
 
 F5 = [(1, 0), (4, 1), (3, 4), (0, 3), (2, 2)]
 
@@ -245,6 +246,26 @@ def test_normalize_matches_per_candidate_family_oracle(objective):
     assert moved >= trials // 2
 
 
+def test_normalize_fills_the_box_in_three_dimensions():
+    # the lemma in d = 3: every result holds one cube per slab on each axis
+    # and keeps at least the starting volume
+    rng = np.random.default_rng(30)
+
+    def volume(offsets):
+        return measure(Polytope.from_vertices(
+            IntegerCubeFamily(offsets).corners().astype(float)), "volume")
+
+    for trial in range(40):
+        n = 3 + trial % 4
+        f = IntegerCubeFamily(contiguous_cells(rng, n, d=3))
+        out = shadow_normalize(f, "volume")
+        lo, hi = bounding_box(out)
+        assert lo.tolist() == [0, 0, 0] and hi.tolist() == [n, n, n]
+        for col in out.offsets.T.tolist():
+            assert sorted(col) == list(range(n))
+        assert volume(out.offsets) >= volume(f.offsets) - 1e-9
+
+
 def test_normalize_three_dim_heuristic():
     col = IntegerCubeFamily(np.array([(0, 0, k) for k in range(3)]))
     out = shadow_normalize(col, "volume")
@@ -344,6 +365,17 @@ def test_search_rejections():
         exhaustive_max(4, "width")
 
 
+def test_non_integer_n_is_an_input_error():
+    for bad in (5.0, 4.5, "5", None):
+        with pytest.raises(InputError):
+            exhaustive_max(bad, "area")
+        with pytest.raises(InputError):
+            construct_extremal(bad)
+    assert offsets_sorted(construct_extremal(np.int64(5))) == sorted(F5)
+    f, val = exhaustive_max(np.int64(4), "area")
+    assert (f.offsets.tolist(), val) == (exhaustive_max(4, "area")[0].offsets.tolist(), 12.0)
+
+
 def test_axis_check_agrees_with_general_route():
     rng = np.random.default_rng(5)
     seen = {True: 0, False: 0}
@@ -369,34 +401,15 @@ def test_json_round_trip():
         cube_family_from_dict({"d": 3, "offsets": [[0, 0], [1, 1]]})
 
 
-def test_candidate_hulls_match_cells_hull(monkeypatch):
-    """Every candidate of every round, scored on the round's patched column
-    profile, has exactly the hull `_cells_hull` gives its whole family."""
-    inner = cubes._candidate_hulls
-    seen = {"candidates": 0, "negative": 0, "moved": 0}
-
-    def checked(cur, moves):
-        hulls = list(inner(cur, moves))
-        assert len(hulls) == len(moves)
-        for (i, moved), hull in zip(moves, hulls):
-            cand = cur.copy()
-            cand[i] = moved
-            assert hull == _cells_hull(cand), (cur, i, moved)
-            seen["moved"] += moved[0] != cur[i][0]
-        seen["candidates"] += len(moves)
-        seen["negative"] += min(min(c) for c in cur) < 0
-        return iter(hulls)
-
-    monkeypatch.setattr(cubes, "_candidate_hulls", checked)
+def test_cells_hull_matches_oracle_on_shifted_contiguous_families():
     rng = np.random.default_rng(28)
+    negative = 0
     for trial in range(280):
         n = 2 + trial % 14
-        cells = contiguous_cells(rng, n) - int(rng.integers(0, 4))
-        f = IntegerCubeFamily(cells)
-        for objective in ("area", "perimeter"):
-            shadow_normalize(f, objective)
-    assert seen["candidates"] >= 10_000
-    assert seen["negative"] >= 100 and seen["moved"] >= 1_000
+        cells = (contiguous_cells(rng, n) - int(rng.integers(0, 4))).tolist()
+        assert _cells_hull(cells) == hull_2d_oracle(cell_corners(cells)), cells
+        negative += min(min(c) for c in cells) < 0
+    assert negative >= 100
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
@@ -414,23 +427,34 @@ def test_search_leaf_hulls_match_cells_hull(n, monkeypatch):
 
 
 def test_planar_hull_cost_contract(monkeypatch):
-    """A planar `shadow_normalize` call builds one whole hull, its starting
-    value; its candidates and every permutation of `exhaustive_max` are
-    scored without one."""
+    """A planar `shadow_normalize` call builds one whole hull for its
+    starting value and two per move, one for each end of the track; every
+    permutation of `exhaustive_max` is scored without one."""
     calls = []
     inner = cubes._cells_hull
     monkeypatch.setattr(cubes, "_cells_hull", lambda cells: calls.append(1) or inner(cells))
     rng = np.random.default_rng(3)
     for trial in range(20):
         f = IntegerCubeFamily(contiguous_cells(rng, 3 + trial % 8))
+        moves = sum(f.n - len(set(col)) for col in f.offsets.T.tolist())
         for objective in ("area", "perimeter"):
             calls.clear()
             shadow_normalize(f, objective)
-            assert len(calls) == 1
+            assert len(calls) == 1 + 2 * moves
+    calls.clear()
     for n in (4, 5, 6):
         for objective in ("area", "perimeter"):
             exhaustive_max(n, objective)
-    assert len(calls) == 1
+    assert calls == []
+
+
+def test_normalize_raises_when_neither_end_keeps_the_score(monkeypatch):
+    # convexity along the track rules this out; a family that does not
+    # fill the n-box must not come back in its place
+    scores = iter([1.0, 0.5, 0.25])
+    monkeypatch.setattr(cubes, "_objective_value", lambda cells, dim, objective: next(scores))
+    with pytest.raises(GeometryError, match="score below"):
+        shadow_normalize(fam([(0, 0), (0, 1)]))
 
 
 def test_normalize_raises_when_the_round_recheck_fails(monkeypatch):
