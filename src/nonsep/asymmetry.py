@@ -57,8 +57,8 @@ def sigma_lp(p: Polytope) -> AsymmetryResult:
     a_ub[m, d] = -1.0  # mu >= 1
     b_ub = np.concatenate([rhs_min / unit, [-1.0]])
     c = np.zeros(d + 1)
-    c[d] = 1.0
-    res = lp.solve(c, a_ub, b_ub, maximize=False)
+    c[d] = -1.0  # minimize mu
+    res = lp.solve(c, a_ub, b_ub)
     if not res.optimal:
         raise GeometryError(f"asymmetry LP ended {res.status}")
     mu = float(res.x[d])

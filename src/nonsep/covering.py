@@ -157,8 +157,8 @@ def lambda_min(family: HomotheticFamily) -> CoverResult:
     a_ub[:, :d] = -a
     a_ub[:, d] = -total * b / unit
     c = np.zeros(d + 1)
-    c[d] = 1.0
-    res = lp.solve(c, a_ub, -rhs_max / unit, maximize=False)
+    c[d] = -1.0  # minimize lambda
+    res = lp.solve(c, a_ub, -rhs_max / unit)
     if not res.optimal:
         raise GeometryError(f"covering LP ended {res.status}")
     lam = float(res.x[d])

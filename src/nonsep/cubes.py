@@ -20,12 +20,9 @@ from dataclasses import dataclass
 from math import hypot
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from . import tolerances
 from .errors import GeometryError, InputError
-from .family import HomotheticFamily
-from .polytope import cube
 
 @dataclass(frozen=True)
 class IntegerCubeFamily:
@@ -61,11 +58,6 @@ class IntegerCubeFamily:
         shifts = np.array(list(itertools.product((0, 1), repeat=self.dim)),
                           dtype=np.int64)
         return (self.offsets[:, None, :] + shifts[None, :, :]).reshape(-1, self.dim)
-
-    def as_homothets(self) -> HomotheticFamily:
-        """The same family as unit homothets of the centred cube (n >= 2)."""
-        return HomotheticFamily(cube(self.dim), self.offsets + 0.5,
-                                np.ones(self.n))
 
     def to_dict(self) -> dict:
         return {"d": self.dim, "offsets": self.offsets.tolist()}
@@ -193,6 +185,8 @@ def _objective_value(cells, dim: int, objective: str) -> float:
     if dim == 2 and objective in _PLANAR_OBJECTIVES:
         return _PLANAR_OBJECTIVES[objective](_cells_hull(cells))
     if dim == 3 and objective == "volume":
+        from scipy.spatial import ConvexHull  # the only scipy use here
+
         return float(ConvexHull(IntegerCubeFamily(np.array(cells)).corners()).volume)
     raise InputError(f"unsupported objective {objective!r} in dimension {dim}")
 

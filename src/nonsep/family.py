@@ -92,9 +92,6 @@ class HomotheticFamily:
     def member(self, i: int) -> Polytope:
         return self.base.homothet(self.translations[i], float(self.ratios[i]))
 
-    def member_vertices(self, i: int) -> np.ndarray:
-        return self.translations[i] + self.ratios[i] * self.base.vertices
-
     def all_vertices(self) -> np.ndarray:
         v = self.base.vertices
         return (self.translations[:, None, :]

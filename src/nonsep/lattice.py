@@ -91,15 +91,6 @@ class Lattice:
         """Every B m with integer coefficients m in [-coeff_box, coeff_box]^d."""
         return _int_box(self.dim, int(coeff_box)) @ self.basis.T
 
-    def to_dict(self) -> dict:
-        return {"basis": self.basis.tolist()}
-
-
-def lattice_from_dict(obj: dict) -> Lattice:
-    if "basis" not in obj:
-        raise InputError('lattice JSON needs a "basis" key')
-    return Lattice.from_basis(obj["basis"])
-
 
 @dataclass(frozen=True)
 class LatticeArrangement:
@@ -318,35 +309,28 @@ def weak_covering_minimum_1(p: Polytope, lat: Lattice, t_grid,
     _check_box(d, window, 1, "window")
     rng = np.random.default_rng(seed)
     z = lat.points(window)
-    per_dir = []
-    for u in facet_directions(p):
+    t = t_grid[:, None]
+    hit = np.zeros(t_grid.size, dtype=np.int64)
+    worst = np.zeros(t_grid.size)
+    dirs = facet_directions(p)
+    for u in dirs:
         proj = np.sort(z @ u)
         span = proj[-1] - proj[0]
         # central half of the window only, away from truncation artifacts
         c = rng.uniform(proj[0] + 0.25 * span, proj[-1] - 0.25 * span,
                         size=samples)
-        per_dir.append((proj, c, p.support(u), p.support(-u)))
-    rows = []
-    for t in t_grid:
-        hit = total = 0
-        worst = 0.0
-        for proj, c, hplus, hminus in per_dir:
-            # the plane <u,x> = c meets z + tP iff
-            # c - proj(z) lies in [-t*hminus, t*hplus]
-            idx = np.searchsorted(proj, c)
-            near_lo = proj[np.clip(idx - 1, 0, len(proj) - 1)]
-            near_hi = proj[np.clip(idx, 0, len(proj) - 1)]
-
-            def _dist(pz):
-                below = pz - float(t) * hminus - c
-                above = c - pz - float(t) * hplus
-                return np.maximum(np.maximum(below, above), 0.0)
-
-            miss = np.minimum(_dist(near_lo), _dist(near_hi))
-            ok = miss <= 1e-12
-            hit += int(ok.sum())
-            total += len(c)
-            if (~ok).any():
-                worst = max(worst, float(miss.max()))
-        rows.append((float(t), hit / total, worst))
-    return rows
+        hplus, hminus = p.support(u), p.support(-u)
+        # the plane <u,x> = c meets z + tP iff c - proj(z) lies in
+        # [-t*hminus, t*hplus]; the nearest z on either side decides
+        idx = np.searchsorted(proj, c)
+        last = len(proj) - 1
+        miss = np.inf
+        for pz in (proj[np.clip(idx - 1, 0, last)], proj[np.clip(idx, 0, last)]):
+            below = pz - t * hminus - c
+            above = c - pz - t * hplus
+            miss = np.minimum(miss, np.maximum(np.maximum(below, above), 0.0))
+        ok = miss <= 1e-12
+        hit += ok.sum(axis=1)
+        worst = np.maximum(worst, np.where(ok, 0.0, miss).max(axis=1))
+    total = len(dirs) * samples
+    return [(float(s), int(h) / total, float(w)) for s, h, w in zip(t_grid, hit, worst)]

@@ -9,20 +9,22 @@ the three statuses we need, and its feasible points double as witnesses.
 `solve` is the only entry point, and it takes one of the two shapes the
 package poses: rows ``a_ub @ x <= b_ub`` over free x, or rows
 ``a_eq @ x == b_eq`` over x >= 0; both blocks, neither or no rows at all
-are an `InputError`.  It maximizes unless told otherwise, and a
-feasibility question passes a zero objective and reads ``.optimal`` or
-``.x``.  Statuses are ``"optimal"``, ``"infeasible"``, ``"unbounded"``.
-`tol` is the phase-1 and pricing threshold, `tolerances.LP` by default.
+are an `InputError`.  It maximizes ``c @ x`` (a minimization passes
+``-c``), and a feasibility question passes a zero objective and reads
+``.optimal`` or ``.x``.  Statuses are ``"optimal"``, ``"infeasible"``,
+``"unbounded"``.  `tol` is the phase-1 and pricing threshold,
+`tolerances.LP` by default.
 
-One tableau form runs: standard form, ``min c@y``, ``A y == b``,
-``y >= 0``, rows over their largest entry.  An ``a_eq`` block is solved
-in it as it stands.  An ``a_ub`` block, ``min c@x``, ``A x <= b``, x
-free, is solved through its dual ``min b@y``, ``A.T y == -c``,
-``y >= 0``: n rows over m columns.  x solves the rows the optimal dual
-basis makes tight, over their largest entry as the tableau scales them:
-the row (0.7071..., 0.7071...) is solved as (1, 1), which keeps the demo
-triangle's asymmetry at exactly 2.0.  The dual is priced on b as given, so its
-stopping test is absolute, like phase 1's; `sigma_lp`, `lambda_min` and
+One tableau form runs, on the negated objective: standard form,
+``min c@y``, ``A y == b``, ``y >= 0``, rows over their largest entry.
+An ``a_eq`` block is solved in it as it stands.  An ``a_ub`` block,
+``min c@x``, ``A x <= b``, x free, is solved through its dual
+``min b@y``, ``A.T y == -c``, ``y >= 0``: n rows over m columns.
+x solves the rows the optimal dual basis makes tight, over their largest
+entry as the tableau scales them: the row (0.7071..., 0.7071...) is
+solved as (1, 1), which keeps the demo triangle's asymmetry at exactly
+2.0.  The dual is priced on b as given, so its stopping test is
+absolute, like phase 1's; `sigma_lp`, `lambda_min` and
 `_chebyshev_centre` (below 1) take power-of-two units (`pow2_unit`).
 Priced on ``b / max|b|``, rows whose right-hand sides cancel to +-1e-16
 (P holds a translate of P) would read as a contradiction.  x is
@@ -75,9 +77,9 @@ class LpResult:
         return self.status == "optimal"
 
 
-def solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, maximize=True,
+def solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
           tol: float = tolerances.LP) -> LpResult:
-    """Matrix-form entry point: exactly one block of rows, ``a_ub @ x <=
+    """Maximize ``c @ x`` over exactly one block of rows, ``a_ub @ x <=
     b_ub`` over free x or ``a_eq @ x == b_eq`` over x >= 0."""
     c = np.atleast_1d(np.asarray(c, dtype=float))
     free = a_ub is not None or b_ub is not None
@@ -90,12 +92,11 @@ def solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, maximize=True,
     if not b.size or a.shape != (b.size, c.size):
         raise InputError("constraint block shapes are inconsistent or empty")
 
-    c_min = -c if maximize else c
     farkas = None
     if free:
-        status, x, farkas = _solve_dual(c_min, a, b, tol)
+        status, x, farkas = _solve_dual(-c, a, b, tol)
     else:
-        status, x = _standard(c_min, a, b, tol)[:2]
+        status, x = _standard(-c, a, b, tol)[:2]
     if status != "optimal":
         return LpResult(status, None, None, farkas)
     return LpResult("optimal", float(c @ x), x)

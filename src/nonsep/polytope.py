@@ -87,11 +87,15 @@ class Polytope:
                 raise GeometryError("unbounded")
             return _interval(-downs.min(), ups.min())
         c = _chebyshev_centre(a, b)
+        slack = b - a @ c
+        if (slack <= 0).any():  # c rounded onto a row: offsets too far apart
+            raise InputError(f"facet offsets from {b.min():.6g} to {b.max():.6g} "
+                             "span too wide a range to place a centre inside")
         # Polar about c: row i becomes the point a_i / (b_i - <a_i, c>).
         # Hull vertices are the irredundant rows; a hull facet
         # <n, y> = off is the vertex c + n / off.
         try:
-            hull = ConvexHull(a / (b - a @ c)[:, None])
+            hull = ConvexHull(a / slack[:, None])
         except QhullError as exc:
             raise GeometryError("unbounded") from exc
         n, off = _dedupe_facets(hull.equations[:, :-1], -hull.equations[:, -1])
@@ -174,18 +178,19 @@ class Polytope:
         return _build(self.dim, self.facet_normals, self.facet_offsets * s,
                       self.vertices * s, validate=False)
 
-    def negate(self) -> "Polytope":
-        return _build(self.dim, -self.facet_normals, self.facet_offsets,
-                      -self.vertices, validate=False)
-
     def homothet(self, x, ratio: float) -> "Polytope":
         """x + ratio * P for ratio > 0."""
         return self.scale(ratio).translate(x)
 
     def is_origin_symmetric(self) -> bool:
         """Does every vertex v have a vertex within `tight` of -v?"""
-        near, _ = cKDTree(self.vertices).query(-self.vertices)
-        return bool(near.max() <= tolerances.tight(self._scale()))
+        v = self.vertices
+        n = len(v)
+        pairs = _near_pairs(np.vstack([v, -v]), tolerances.tight(self._scale()))
+        # a cross pair (i, n + k) has |v_i + v_k| <= tight: v_i and v_k
+        # each have a partner
+        cross = pairs[(pairs[:, 0] < n) & (pairs[:, 1] >= n)]
+        return bool(np.unique(cross % n).size == n)
 
     # -- serialization -----------------------------------------------------
 
@@ -402,11 +407,6 @@ def _tilt(a, theta, rng):
 def _pairing_angles(old, new):
     cos = np.clip(new @ old.T, -1.0, 1.0)
     return np.arccos(cos.max(axis=1))
-
-
-def containment_ratio(outer: Polytope, inner: Polytope) -> float:
-    """Smallest ratio r with inner a subset of r*outer (origin inside outer)."""
-    return float(outer.gauge(inner.vertices).max())
 
 
 def circumscribed_simplices(p: Polytope) -> list[Polytope]:

@@ -31,8 +31,8 @@ from nonsep.cubes import (
     shadow_normalize,
 )
 from nonsep.errors import GeometryError, InputError
-from nonsep.family import is_wns
-from nonsep.polytope import Polytope, measure
+from nonsep.family import HomotheticFamily, is_wns
+from nonsep.polytope import Polytope, cube, measure
 
 F5 = [(1, 0), (4, 1), (3, 4), (0, 3), (2, 2)]
 
@@ -383,7 +383,7 @@ def test_axis_check_agrees_with_general_route():
         n = int(rng.integers(2, 6))
         cells = rng.choice(16, size=n, replace=False)
         f = IntegerCubeFamily(np.stack([cells // 4, cells % 4], axis=1))
-        verdict, _ = is_wns(f.as_homothets())
+        verdict, _ = is_wns(HomotheticFamily(cube(2), f.offsets + 0.5, np.ones(f.n)))
         assert verdict == cube_is_wns(f)
         seen[verdict] += 1
     assert seen[True] >= 5 and seen[False] >= 5

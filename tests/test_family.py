@@ -242,7 +242,7 @@ def test_ns_planar_chain_of_100_sweeps_two_directions_per_pair(monkeypatch):
 def assert_ns_matches_oracle(fam):
     """is_ns against `ns_oracle`; a split must hold member n - 1 on its a
     side and be strictly separable.  Returns the verdict."""
-    verts = [fam.member_vertices(i) for i in range(fam.n)]
+    verts = [fam.member(i).vertices for i in range(fam.n)]
     ok, split = is_ns(fam)
     oracle = ns_oracle(verts)
     assert ok == oracle[0]

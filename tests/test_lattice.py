@@ -18,12 +18,12 @@ from nonsep.errors import InputError
 from nonsep.lattice import (
     Lattice,
     LatticeArrangement,
+    arrangement_from_dict,
     covering_radius,
     density,
     dual_lattice,
     is_ns_lattice,
     kronecker_gap,
-    lattice_from_dict,
     tightness,
     weak_covering_minimum_1,
 )
@@ -90,10 +90,11 @@ def test_dual_is_involution():
 
 def test_lattice_json_roundtrip():
     lat = Lattice.from_basis([[1.0, 1.0], [1.0, -1.0]])
-    again = lattice_from_dict(lat.to_dict())
+    body = cube(2).to_dict()
+    again = arrangement_from_dict({"body": body, "basis": lat.basis.tolist()}).lattice
     assert np.allclose(again.basis, lat.basis)
     with pytest.raises(InputError, match="basis"):
-        lattice_from_dict({"dim": 2})
+        arrangement_from_dict({"body": body, "dim": 2})
 
 
 # -- density -----------------------------------------------------------------

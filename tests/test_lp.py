@@ -92,14 +92,14 @@ def test_against_scipy_oracle():
     statuses = set()
     for _ in range(250):
         c, a, b = _random_instance(rng)
-        mine = solve(c, a_ub=a, b_ub=b, maximize=False)
+        mine = solve(-c, a_ub=a, b_ub=b)  # min c @ x = -max(-c @ x)
         ref = linprog(c, A_ub=a, b_ub=b, bounds=(None, None), method="highs")
         ref_status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
         statuses.add(ref_status)
         assert mine.status == ref_status, (mine.status, ref_status)
         if ref_status == "optimal":
             scale = 1.0 + abs(ref.fun)
-            assert abs(mine.value - ref.fun) <= 1e-6 * scale
+            assert abs(-mine.value - ref.fun) <= 1e-6 * scale
             assert (a @ mine.x <= b + 1e-6).all()
     # The generator must actually have exercised both interesting statuses.
     assert "optimal" in statuses and "unbounded" in statuses
@@ -116,15 +116,15 @@ def test_against_scipy_oracle_with_equalities():
         b_eq = a_eq @ x0
         b = np.maximum(b, a @ x0 + 0.1)  # keep x0 feasible for both blocks
         # each equality row as a pair of opposite inequality rows
-        mine = solve(c, a_ub=np.vstack([a, a_eq, -a_eq]),
-                     b_ub=np.concatenate([b, b_eq, -b_eq]), maximize=False)
+        mine = solve(-c, a_ub=np.vstack([a, a_eq, -a_eq]),
+                     b_ub=np.concatenate([b, b_eq, -b_eq]))
         ref = linprog(c, A_ub=a, b_ub=b, A_eq=a_eq, b_eq=b_eq,
                       bounds=(None, None), method="highs")
         ref_status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
         assert mine.status == ref_status
         if ref_status == "optimal":
             scale = 1.0 + abs(ref.fun)
-            assert abs(mine.value - ref.fun) <= 1e-6 * scale
+            assert abs(-mine.value - ref.fun) <= 1e-6 * scale
 
 
 def test_feasible_nonneg_matches_split_form_and_scipy():
@@ -166,17 +166,17 @@ def test_nonneg_solve_matches_scipy():
         b = rng.uniform(0.5, 2.0, size=m)
         c = rng.normal(size=n)
         bounded = np.vstack([a, np.ones((1, n))]), np.r_[b, 5.0]
-        mine = solve(c, np.vstack([bounded[0], -np.eye(n)]),
-                     np.concatenate([bounded[1], np.zeros(n)]), maximize=False)
+        mine = solve(-c, np.vstack([bounded[0], -np.eye(n)]),
+                     np.concatenate([bounded[1], np.zeros(n)]))
         ref = linprog(c, A_ub=bounded[0], b_ub=bounded[1], bounds=(0, None),
                       method="highs")
         assert mine.optimal == (ref.status == 0), k
         if mine.optimal:
             assert (mine.x >= -1e-12).all()
-            assert abs(mine.value - ref.fun) <= 1e-6 * (1.0 + abs(ref.fun))
+            assert abs(-mine.value - ref.fun) <= 1e-6 * (1.0 + abs(ref.fun))
     orthant = -np.eye(2), np.zeros(2)
-    assert solve([1.0, 2.0], *orthant, maximize=False).value == 0.0
-    assert solve([1.0, -2.0], *orthant, maximize=False).status == "unbounded"
+    assert solve([-1.0, -2.0], *orthant).value == 0.0
+    assert solve([-1.0, 2.0], *orthant).status == "unbounded"
     assert solve(np.zeros(3), a_eq=np.ones((1, 3)), b_eq=[1.0]).optimal
 
 
@@ -213,16 +213,16 @@ def test_tall_lps_go_through_the_dual_and_match_highs(monkeypatch):
         n = int(rng.integers(3, 21))
         a, b = _tall_instance(rng, kinds[(k // 4) % 4], m, n)
         c = rng.normal(size=n)
-        maximize = bool(k % 2)
+        if k % 2 == 0:  # every other LP minimizes c @ x as -max(-c @ x)
+            c = -c
         tall += m > 2 * n
-        mine = solve(c, a_ub=a, b_ub=b, maximize=maximize)
-        ref = linprog(-c if maximize else c, A_ub=a, b_ub=b,
-                      bounds=(None, None), method="highs")
+        mine = solve(c, a_ub=a, b_ub=b)
+        ref = linprog(-c, A_ub=a, b_ub=b, bounds=(None, None), method="highs")
         ref_status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
         statuses[ref_status] = statuses.get(ref_status, 0) + 1
         assert mine.status == ref_status, (k, mine.status, ref_status)
         if ref_status == "optimal":
-            want = -ref.fun if maximize else ref.fun
+            want = -ref.fun
             assert abs(mine.value - want) <= 1e-6 * (1.0 + abs(want)), k
             assert (a @ mine.x <= b + 1e-6).all(), k
     assert len(dual_calls) == 160 and tall >= 140
@@ -247,7 +247,7 @@ def test_short_and_constrained_lps_go_through_the_dual(monkeypatch):
     assert dual_calls == [(4, 2), (14, 2), (14, 2)]
     simplex = dict(a_eq=np.ones((1, 3)), b_eq=[1.0])
     assert solve(np.zeros(3), **simplex).optimal
-    assert solve([1.0, 2.0, 0.5], maximize=False, **simplex).value == pytest.approx(0.5)
+    assert solve([-1.0, -2.0, -0.5], **simplex).value == pytest.approx(-0.5)
     # no block, both blocks, half of each, and a block of zero rows
     for kw in ({}, dict(a_ub=a, b_ub=np.ones(4), **simplex),
                dict(a_ub=np.ones((1, 3)), b_eq=[1.0])):
@@ -256,7 +256,7 @@ def test_short_and_constrained_lps_go_through_the_dual(monkeypatch):
     for kw in (dict(a_ub=np.zeros((0, 2)), b_ub=[]),
                dict(a_eq=np.zeros((0, 2)), b_eq=[])):
         with pytest.raises(InputError, match="empty"):
-            solve([1.0, 2.0], maximize=False, **kw)
+            solve([1.0, 2.0], **kw)
     assert dual_calls == [(4, 2), (14, 2), (14, 2)]
 
 
@@ -336,7 +336,7 @@ def test_infeasible_lps_carry_checked_farkas_vectors(monkeypatch, objective):
     for _ in range(100):
         a, b, c = _infeasible_instance(rng, objective)
         standard_calls.clear()
-        res = solve(c, a, b, maximize=False)
+        res = solve(-c, a, b)
         assert res.status == "infeasible" and res.x is None
         # one LP when the dual is unbounded, two when the Farkas LP runs
         assert len(standard_calls) == (1 if objective == "zero" else 2)

@@ -24,7 +24,6 @@ from nonsep.polytope import (
     Polytope,
     box,
     circumscribed_simplices,
-    containment_ratio,
     contains_translate,
     cross_polytope,
     cube,
@@ -473,7 +472,7 @@ def test_contains_translate_basic():
 def test_contains_translate_simplex_in_reflected():
     # The smallest reflected homothet holding a d-simplex has ratio d.
     tri = standard_simplex(2)
-    neg = tri.negate()
+    neg = Polytope.from_vertices(-tri.vertices)
     ok, _ = contains_translate(neg.scale(2.0), tri)
     assert ok
     ok, _ = contains_translate(neg.scale(1.9), tri)
@@ -531,7 +530,7 @@ def test_genericize_contract():
         h = np.array([p.support(a) for a in q.facet_normals])
         assert (h <= q.facet_offsets + 1e-9).all()
         # and is contained in a (1 + c*eps) blow-up for a modest c
-        c = (containment_ratio(p, q) - 1.0) / eps
+        c = (float(p.gauge(q.vertices).max()) - 1.0) / eps
         assert 0.0 <= c < 50.0
         # normals moved by at most eps
         cos = np.clip(q.facet_normals @ p.facet_normals.T, -1, 1)

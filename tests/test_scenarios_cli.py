@@ -431,6 +431,28 @@ class TestCli:
         assert cli.main(["sigma", degenerate]) == 1
         assert "failed:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("length", [1e16, 1e300])
+    def test_long_box_is_input_error(self, tmp_path, capsys, length):
+        # [-L, 0.5] x [-0.5, 0.5]: L - 0.5 rounds to L, so no centre lies
+        # strictly inside every row
+        rows = [([1.0, 0.0], 0.5), ([-1.0, 0.0], length),
+                ([0.0, 1.0], 0.5), ([0.0, -1.0], 0.5)]
+        box = write_json(tmp_path / "long.json",
+                         {"dim": 2, "facets": [{"a": a, "b": b} for a, b in rows]})
+        assert cli.main(["sigma", box]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: facet offsets")
+
+
+def child_env():
+    """The environment with this checkout's nonsep first on PYTHONPATH."""
+    src = str(Path(nonsep.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "PYTHONPATH": src if not path else src + os.pathsep + path}
+
 
 def run_cli_process(args, close_stdout=False):
     """Run `python -m nonsep.cli ARGS` as a child process.
@@ -438,13 +460,9 @@ def run_cli_process(args, close_stdout=False):
     With `close_stdout` the parent closes its end of the output pipe before
     the child writes, as `| head` does once it has read enough.
     """
-    src = str(Path(nonsep.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ,
-           "PYTHONPATH": src if not path else src + os.pathsep + path}
     proc = subprocess.Popen([sys.executable, "-m", "nonsep.cli", *args],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            env=env)
+                            env=child_env())
     if close_stdout:
         proc.stdout.close()
         out = b""
@@ -521,6 +539,27 @@ def test_demo_outputs_regenerate_byte_identical(tmp_path):
             fresh = (tmp_path / (path.stem + suffix)).read_bytes()
             committed = (DEMOS / "out" / (path.stem + suffix)).read_bytes()
             assert fresh == committed, path.stem + suffix
+
+
+NO_SCIPY_CHILD = """
+import sys
+from nonsep.cli import main
+code = main(sys.argv[1:])
+print("scipy loaded" if "scipy" in sys.modules else "no scipy", file=sys.stderr)
+raise SystemExit(code)
+"""
+
+
+def test_cube_verbs_load_no_scipy(tmp_path):
+    # the planar cube search and its demo scenario are integer geometry
+    for args in (["cubes", "search", "--n", "6"],
+                 ["run", str(DEMOS / "cubes_max_area.json"),
+                  "--out", str(tmp_path / "cubes_max_area")]):
+        proc = subprocess.run([sys.executable, "-c", NO_SCIPY_CHILD, *args],
+                              capture_output=True, text=True, env=child_env(),
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "no scipy\n", args
 
 
 UNIT_ARRANGEMENT = {"body": cube(2).to_dict(), "basis": [[1.0, 0.0], [0.0, 1.0]]}
