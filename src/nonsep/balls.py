@@ -167,7 +167,8 @@ def _certified(c, rad, p, r) -> bool:
     if lp.witnessed(np.vstack([a_eq, -a_eq, -np.eye(w.size)]),
                     np.concatenate([b_eq, -b_eq, np.zeros(w.size)]), w):
         return True
-    return lp.solve(np.zeros(active.size), a_eq=a_eq, b_eq=b_eq,
+    # Gordan: max t over u_i @ x + t <= 0 is bounded iff such weights exist
+    return lp.solve(b_eq, a_eq.T, np.zeros(active.size),
                     tol=tolerances.SUBGRADIENT).optimal
 
 

@@ -118,11 +118,10 @@ def family_from_dict(obj: dict) -> HomotheticFamily:
         raise InputError("family JSON needs 'base' and 'members'")
     base = polytope_from_dict(obj["base"])
     try:
-        xs = np.array([m["x"] for m in obj["members"]], dtype=float)
-        taus = np.array([m["tau"] for m in obj["members"]], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(
-            "each member needs a numeric translation 'x' and ratio 'tau'") from exc
+        xs = [m["x"] for m in obj["members"]]
+        taus = [m["tau"] for m in obj["members"]]
+    except (KeyError, TypeError) as exc:
+        raise InputError("each member needs a translation 'x' and ratio 'tau'") from exc
     return HomotheticFamily(base, xs, taus)
 
 
@@ -244,11 +243,13 @@ def _critical_angles(family: HomotheticFamily):
 
 
 def _hulls_disjoint(va, vb) -> bool:
-    """No lambda, mu >= 0, each summing to 1, with va^T lambda = vb^T mu."""
-    a_eq = np.vstack([np.hstack([va.T, -vb.T]),
-                      np.repeat(np.eye(2), [len(va), len(vb)], axis=1)])
-    b_eq = np.r_[np.zeros(va.shape[1]), 1.0, 1.0]
-    return not lp.solve(np.zeros(a_eq.shape[1]), a_eq=a_eq, b_eq=b_eq).optimal
+    """Is max alpha + beta over va @ u + alpha <= 0, -vb @ u + beta <= 0
+    unbounded?  Its dual asks for lambda, mu >= 0, each summing to 1, with
+    va^T lambda = vb^T mu, so it is bounded, at 0, when the hulls meet."""
+    a_ub = np.hstack([np.vstack([va, -vb]),
+                      np.repeat(np.eye(2), [len(va), len(vb)], axis=0)])
+    c = np.r_[np.zeros(va.shape[1]), 1.0, 1.0]
+    return lp.solve(c, a_ub, np.zeros(len(a_ub))).status == "unbounded"
 
 
 def is_kwip_sampled(family: HomotheticFamily, k: int, samples: int = 10000,

@@ -121,7 +121,7 @@ def density(arr: LatticeArrangement) -> float:
     """Body volume per fundamental cell."""
     if arr.body.dim > 3:
         raise InputError("density needs d <= 3")
-    return measure(arr.body, "volume") / arr.lattice.det
+    return measure(arr.body) / arr.lattice.det
 
 
 def _euclid_radius(k: Polytope) -> float:

@@ -6,43 +6,42 @@ linear program with at most a few hundred rows and a few dozen variables.
 At that scale a self-contained dense tableau is reproducible, has exactly
 the three statuses we need, and its feasible points double as witnesses.
 
-`solve` is the only entry point, and it takes one of the two shapes the
-package poses: rows ``a_ub @ x <= b_ub`` over free x, or rows
-``a_eq @ x == b_eq`` over x >= 0; both blocks, neither or no rows at all
-are an `InputError`.  It maximizes ``c @ x`` (a minimization passes
-``-c``), and a feasibility question passes a zero objective and reads
+`solve` is the only entry point, and it takes one shape: rows ``a_ub @
+x <= b_ub`` over free x (no rows is an `InputError`).  It maximizes
+``c @ x`` (a minimization passes ``-c``, x >= 0 is the rows ``-x <=
+0``), and a feasibility question passes a zero objective and reads
 ``.optimal`` or ``.x``.  Statuses are ``"optimal"``, ``"infeasible"``,
 ``"unbounded"``.  `tol` is the phase-1 and pricing threshold,
 `tolerances.LP` by default.
 
-One tableau form runs, on the negated objective: standard form,
-``min c@y``, ``A y == b``, ``y >= 0``, rows over their largest entry.
-An ``a_eq`` block is solved in it as it stands.  An ``a_ub`` block,
-``min c@x``, ``A x <= b``, x free, is solved through its dual
-``min b@y``, ``A.T y == -c``, ``y >= 0``: n rows over m columns.
+One tableau form runs: standard form, ``min c@y``, ``A y == b``, ``y >=
+0``, rows over their largest entry.  The rows, ``min c@x``, ``A x <=
+b``, x free, are solved through their dual ``min b@y``, ``A.T y ==
+-c``, ``y >= 0``: n rows over m columns.  A caller with a standard-form
+question poses the free LP whose dual it is.
 x solves the rows the optimal dual basis makes tight, over their largest
 entry as the tableau scales them: the row (0.7071..., 0.7071...) is
 solved as (1, 1), which keeps the demo triangle's asymmetry at exactly
-2.0.  The dual is priced on b as given, so its stopping test is
-absolute, like phase 1's; `sigma_lp`, `lambda_min` and
+2.0.  With b == 0, x = 0 is feasible and meets ``b@y == 0``, so it is
+returned with no solve.  The dual is priced on b as given, so its
+stopping test is absolute, like phase 1's; `sigma_lp`, `lambda_min` and
 `_chebyshev_centre` (below 1) take power-of-two units (`pow2_unit`).
 Priced on ``b / max|b|``, rows whose right-hand sides cancel to +-1e-16
 (P holds a translate of P) would read as a contradiction.  x is
 certified (``A x <= b``, ``c@x == -b@y`` up to `tolerances.feas`; else
 `GeometryError`).  An unbounded dual means an infeasible primal (a zero
 objective makes y = 0 dual-feasible, so a feasibility question costs one
-LP); an infeasible dual means an unbounded primal unless the Farkas LP
-``min b@y``, ``A.T y == 0``, ``sum(y) == 1``, ``y >= 0`` on unit rows
-has a negative optimum.
+LP).  An infeasible dual means an unbounded primal once the primal is
+feasible: when b >= 0, x = 0 is; else the dual of the zero objective
+decides, as for a feasibility question.
 
-"infeasible" from the ``a_ub`` route carries that proof as ``.farkas``,
-one weight per ``a_ub`` row: the dual's ray (y_j = 1 at the column with
-no pivot, the basis solved for the rest, clipped at 0), or the Farkas
-LP's y over the row scales.  It is given only when it passes the check a
-caller could make in a few flops: y >= 0, ``|A.T y| <= ROUNDING *
-(|A|.T y)`` column by column, and ``b@y < 0`` (`_farkas`), so it is
-certified to rounding as x is.  Every other result has ``farkas=None``,
-as does "infeasible" from the ``a_eq`` route.
+"infeasible" carries that proof as ``.farkas``, one weight per row: the
+ray of the unbounded dual (y_j = 1 at the column with no pivot, the
+basis solved for the rest, clipped at 0).  It is given only when it
+passes the check a caller could make in a few flops: y >= 0, ``|A.T y|
+<= ROUNDING * (|A|.T y)`` column by column, and ``b@y < 0``
+(`_farkas`), so it is certified to rounding as x is.  Every other result
+has ``farkas=None``.
 
 `witnessed` solves nothing: it checks points a caller writes down against
 the rows it would otherwise pass to `solve`, so a feasibility question
@@ -77,26 +76,15 @@ class LpResult:
         return self.status == "optimal"
 
 
-def solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *,
-          tol: float = tolerances.LP) -> LpResult:
-    """Maximize ``c @ x`` over exactly one block of rows, ``a_ub @ x <=
-    b_ub`` over free x or ``a_eq @ x == b_eq`` over x >= 0."""
+def solve(c, a_ub, b_ub, *, tol: float = tolerances.LP) -> LpResult:
+    """Maximize ``c @ x`` subject to ``a_ub @ x <= b_ub``, x free."""
     c = np.atleast_1d(np.asarray(c, dtype=float))
-    free = a_ub is not None or b_ub is not None
-    a, b = (a_ub, b_ub) if free else (a_eq, b_eq)
-    if free == (a_eq is not None or b_eq is not None) or a is None or b is None:
-        raise InputError("an LP takes one block of rows: a_ub, b_ub or a_eq, b_eq")
     # a C-ordered copy: products round the same whatever the caller's layout
-    a = np.array(a, dtype=float, ndmin=2, order="C")
-    b = np.atleast_1d(np.asarray(b, dtype=float))
+    a = np.array(a_ub, dtype=float, ndmin=2, order="C")
+    b = np.atleast_1d(np.asarray(b_ub, dtype=float))
     if not b.size or a.shape != (b.size, c.size):
         raise InputError("constraint block shapes are inconsistent or empty")
-
-    farkas = None
-    if free:
-        status, x, farkas = _solve_dual(-c, a, b, tol)
-    else:
-        status, x = _standard(-c, a, b, tol)[:2]
+    status, x, farkas = _solve_dual(-c, a, b, tol)
     if status != "optimal":
         return LpResult(status, None, None, farkas)
     return LpResult("optimal", float(c @ x), x)
@@ -119,17 +107,16 @@ def pow2_unit(values) -> float:
 
 def _unit_rows(a, b):
     """Rows and right-hand sides over each row's largest entry (a zero row
-    stays), and those entries: row equilibration keeps the ratio tests
-    honest across scales."""
+    stays): row equilibration keeps the ratio tests honest across scales."""
     scale = np.abs(a).max(axis=1)
     scale[scale < 1e-30] = 1.0
-    return a / scale[:, None], b / scale, scale
+    return a / scale[:, None], b / scale
 
 
 def _standard(c, a, b, tol):
     """min c@y, a@y == b, y >= 0; also the optimal basis and the rows it
     kept.  "unbounded" comes with its ray in place of y."""
-    rows, rhs, _ = _unit_rows(a, b)
+    rows, rhs = _unit_rows(a, b)
     rows[rhs < 0] *= -1.0
     return _two_phase(rows, np.abs(rhs), c, tol)
 
@@ -149,20 +136,22 @@ def _solve_dual(c, a, b, tol):
 
     Returns (status, x, farkas): x when "optimal"; when "infeasible", the
     checked Farkas vector (`_farkas`) or None."""
-    m, n = a.shape
-    unit, rhs, scale = _unit_rows(a, b)
+    n = a.shape[1]
     status, y, basis, keep = _standard(b, a.T, -c, tol)
+    if status == "infeasible":
+        # the primal is unbounded once feasible: x = 0 is when b >= 0, else
+        # the dual of the zero objective decides, as for a feasibility LP
+        if (b >= 0).all():
+            return "unbounded", None, None
+        status, y = _standard(b, a.T, np.zeros(n), tol)[:2]
+        if status != "unbounded":
+            return "unbounded", None, None
     if status == "unbounded":
         # y is the dual's ray: y >= 0, y@a == 0, y@b < 0
         return "infeasible", None, _farkas(a, b, y)
-    if status == "infeasible":
-        # Farkas: y >= 0 with y@a == 0 and y@b < 0 exists iff a@x <= b has
-        # no solution; the rows are unit-scaled so sum(y) == 1 is fair.
-        a_eq = np.vstack([unit.T, np.ones((1, m))])
-        w = _standard(rhs, a_eq, np.r_[np.zeros(n), 1.0], tol)[1]
-        if w is not None and rhs @ w < -tol * max(1.0, float(np.abs(rhs).max())):
-            return "infeasible", None, _farkas(a, b, np.maximum(w, 0.0) / scale)
-        return "unbounded", None, None
+    if not b.any():
+        return "optimal", np.zeros(n), None  # feasible, and b@y == 0
+    unit, rhs = _unit_rows(a, b)
     rows = np.sort(basis)
     x = np.zeros(n)
     try:

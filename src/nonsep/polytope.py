@@ -10,7 +10,7 @@ cross-validated. Instances are immutable; the arrays are read-only.
 
 Also here: support functions, polarity, containment of a translate (an LP
 feasibility problem over the translation), genericity testing and repair,
-circumscribed simplices, and low-dimensional measures.
+circumscribed simplices, and the volume of a body in d <= 3 (`measure`).
 """
 
 from __future__ import annotations
@@ -212,19 +212,16 @@ def polytope_from_dict(obj: dict) -> Polytope:
     verts = obj.get("vertices")
     if facets:
         try:
-            a = np.array([f["a"] for f in facets], dtype=float)
-            b = np.array([f["b"] for f in facets], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(
-                "each facet needs a numeric normal 'a' and offset 'b'") from exc
+            a = [f["a"] for f in facets]
+            b = [f["b"] for f in facets]
+        except (KeyError, TypeError) as exc:
+            raise InputError("each facet needs a normal 'a' and offset 'b'") from exc
+        a = _finite(a, "facet normals")
         if a.ndim != 2 or a.shape[1] != d:
             raise InputError("facet dimension does not match 'dim'")
         p = Polytope.from_facets(a, b)
     elif verts:
-        try:
-            v = np.array(verts, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise InputError("vertices must be equal-length lists of numbers") from exc
+        v = _finite(verts, "vertices")
         if v.ndim != 2 or v.shape[1] != d:
             raise InputError("vertex dimension does not match 'dim'")
         p = Polytope.from_vertices(v)
@@ -455,21 +452,13 @@ def edges(p: Polytope) -> list[tuple[int, int]]:
     return out
 
 
-def measure(p: Polytope, kind: str) -> float:
-    """'volume' for d <= 3, 'area' and 'perimeter' for d == 2."""
-    if kind in ("perimeter", "area"):
-        if p.dim != 2:
-            raise InputError(f"{kind} needs d == 2")
-        # a planar qhull hull's `area` is its perimeter, `volume` its area
-        hull = ConvexHull(p.vertices)
-        return float(hull.area if kind == "perimeter" else hull.volume)
-    if kind == "volume":
-        if p.dim == 1:
-            return float(p.vertices.max() - p.vertices.min())
-        if p.dim > 3:
-            raise InputError("volume implemented for d <= 3")
-        return float(ConvexHull(p.vertices).volume)
-    raise InputError(f"unknown measure kind {kind!r}")
+def measure(p: Polytope) -> float:
+    """The d-dimensional volume, for d <= 3."""
+    if p.dim == 1:
+        return float(p.vertices.max() - p.vertices.min())
+    if p.dim > 3:
+        raise InputError("volume implemented for d <= 3")
+    return float(ConvexHull(p.vertices).volume)
 
 
 def _plane_basis(normal):

@@ -160,12 +160,23 @@ def _finite_float(text):
     return value
 
 
+def _float_sized_int(text):
+    # float(text) is infinite from 310 digits on, long before int(text)
+    # refuses a string of more than 4,300
+    if not math.isfinite(float(text)):
+        raise InputError(f"JSON integer of {len(text.lstrip('-'))} digits "
+                         "is too large for a float")
+    return int(text)
+
+
 def read_json(path, what):
-    """Parse a JSON file; NaN, Infinity and overflowing numbers are bad input."""
+    """Parse a JSON file; NaN, Infinity and numbers too large for a float,
+    integers too, are bad input."""
     try:
         with open(path) as fh:
             return json.load(fh, parse_constant=_non_finite,
-                             parse_float=_finite_float)
+                             parse_float=_finite_float,
+                             parse_int=_float_sized_int)
     except OSError as exc:
         raise InputError(f"cannot read {what}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:

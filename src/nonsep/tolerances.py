@@ -18,12 +18,14 @@ Fixed thresholds:
   small is degenerate; a d x d determinant this small times its row norms'
   product (Hadamard's bound) is zero (`polytope._singular`: parallelotope
   edges, `Lattice.from_basis`, `is_generic`).
-* ``LP`` (1e-8), the default phase-1 threshold of `lp.solve`: for
-  `contains_translate`, the hull-disjointness test of `is_ns` for d >= 3,
-  the flat probe of `is_kwip_sampled` for k >= 2, the face test of
-  `is_summand` (run only when no witness holds, see ``ROUNDING``) and the
-  reflection LP of `sigma_bisection`.  An "infeasible" from the dual route
-  carries its Farkas vector only when it passes the ``ROUNDING`` check.
+* ``LP`` (1e-8), the default phase-1 threshold of `lp.solve`, whose
+  phase 1 is a free LP's dual: for `contains_translate`, the
+  hull-disjointness test of `is_ns` for d >= 3 (phase 1 on lambda, mu >=
+  0, each summing to 1, with va^T lambda = vb^T mu), the flat probe of
+  `is_kwip_sampled` for k >= 2, the face test of `is_summand` (run only
+  when no witness holds, see ``ROUNDING``) and the reflection LP of
+  `sigma_bisection`.  An "infeasible" carries its Farkas vector only when
+  it passes the ``ROUNDING`` check.
 * ``ROUNDING`` (16 machine epsilons), the slack a written-down witness
   gets in `lp.witnessed`: row i holds at x when
   a_i @ x - b_i <= ROUNDING * (|a_i| @ |x| + |b_i|), which forgives the
@@ -45,7 +47,9 @@ Fixed thresholds:
   and places the next trial as a root does.
 * ``SUBGRADIENT`` (1e-9), the phase-1 threshold of the `ball_circumradius`
   optimality certificate (0 in the hull of the active unit gradients),
-  whose LP runs only when no witness holds (see ``ROUNDING``).
+  whose LP runs only when no witness holds (see ``ROUNDING``): max t over
+  u_i @ x + t <= 0, whose dual's phase 1 is on weights y >= 0 summing to
+  1 with u.T y = 0.
 * ``LAMBDA_ONE`` (1e-7), `wip_summand_check` accepts lambda_min up to
   1 + LAMBDA_ONE as "at most 1", and the covering scenario's
   `expect_lambda_le` check allows the same slack above its bound.

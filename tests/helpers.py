@@ -585,7 +585,7 @@ def shadow_normalize_oracle(f, objective="area"):
     def score(fam):
         if objective == "volume":
             hull = Polytope.from_vertices(fam.corners().astype(float))
-            return measure(hull, "volume")
+            return measure(hull)
         return ORACLE_OBJECTIVES[objective](hull_2d_oracle(map(tuple, fam.corners().tolist())))
 
     assert f.dim == (3 if objective == "volume" else 2) and cube_is_wns(f)
@@ -749,8 +749,9 @@ def summand_lp_oracle(q, k):
 
 
 def ball_certified_lp_oracle(c, rad, p, r) -> bool:
-    """`balls._certified` deciding by its LP alone, with no least-squares
-    witness tried first."""
+    """`balls._certified` deciding by an LP alone, with no least-squares
+    witness tried first: the standard-form system y >= 0, sum(y) == 1,
+    u.T y == 0 on the tableau kernel, whose free dual `_certified` poses."""
     from nonsep import lp, tolerances
 
     g = np.linalg.norm(p - c, axis=1) + r
@@ -762,8 +763,8 @@ def ball_certified_lp_oracle(c, rad, p, r) -> bool:
     u = diff / dist[:, None]
     a_eq = np.vstack([u.T, np.ones((1, active.size))])
     b_eq = np.concatenate([np.zeros(c.size), [1.0]])
-    return lp.solve(np.zeros(active.size), a_eq=a_eq, b_eq=b_eq,
-                    tol=tolerances.SUBGRADIENT).optimal
+    return lp._standard(np.zeros(active.size), a_eq, b_eq,
+                        tolerances.SUBGRADIENT)[0] == "optimal"
 
 
 def min_gauge_dist_oracle(body, ys, zs):

@@ -253,7 +253,7 @@ def test_normalize_fills_the_box_in_three_dimensions():
 
     def volume(offsets):
         return measure(Polytope.from_vertices(
-            IntegerCubeFamily(offsets).corners().astype(float)), "volume")
+            IntegerCubeFamily(offsets).corners().astype(float)))
 
     for trial in range(40):
         n = 3 + trial % 4

@@ -10,6 +10,7 @@ from helpers import (
     bridging_family,
     contains_point,
     criterion_11_families,
+    hulls_meet,
     kwip_flats_lp_oracle,
     ns_oracle,
     project_member,
@@ -43,6 +44,7 @@ from nonsep.polytope import (
     cross_polytope,
     cube,
     edges,
+    polytope_from_dict,
     regular_polygon,
     unit_cube,
 )
@@ -193,6 +195,42 @@ def test_ns_decides_near_degenerate_families(monkeypatch):
     for keep in (np.arange(9), np.r_[0:4, 5:9]):
         fam = HomotheticFamily(plate, cells[keep], np.ones(len(keep)))
         assert assert_ns_matches_oracle(fam)
+
+
+def _hulls_disjoint_standard_form(va, vb) -> bool:
+    """No lambda, mu >= 0, each summing to 1, with va^T lambda = vb^T mu:
+    the standard-form system `_hulls_disjoint` poses the free dual of, on
+    the tableau kernel."""
+    a_eq = np.vstack([np.hstack([va.T, -vb.T]),
+                      np.repeat(np.eye(2), [len(va), len(vb)], axis=1)])
+    b_eq = np.r_[np.zeros(va.shape[1]), 1.0, 1.0]
+    return lp._standard(np.zeros(a_eq.shape[1]), a_eq, b_eq,
+                        tolerances.LP)[0] != "optimal"
+
+
+def test_hulls_disjoint_matches_its_standard_form_system():
+    # random pairs in d = 2..4 agree with the system and with HiGHS; unit
+    # cubes overlapping, touching and apart by 1e-12 .. 1e-6 agree with the
+    # system, and with HiGHS away from the phase-1 threshold
+    rng = np.random.default_rng(5)
+    verdicts = []
+    for k in range(300):
+        d = 2 + k % 3
+        va = rng.normal(size=(int(rng.integers(1, 8)), d))
+        vb = rng.normal(size=(int(rng.integers(1, 8)), d)) + rng.normal(size=d)
+        disjoint = family_module._hulls_disjoint(va, vb)
+        assert disjoint == _hulls_disjoint_standard_form(va, vb), k
+        assert disjoint != hulls_meet(va, vb), k
+        verdicts.append(disjoint)
+    assert 60 <= sum(verdicts) <= 240, sum(verdicts)
+    for d in (2, 3, 4):
+        va = unit_cube(d).vertices
+        for gap in (-1e-6, 0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-3):
+            vb = va + (1.0 + gap) * np.eye(d)[0]
+            disjoint = family_module._hulls_disjoint(va, vb)
+            assert disjoint == _hulls_disjoint_standard_form(va, vb), (d, gap)
+            if gap in (-1e-6, 0.0, 1e-3):
+                assert disjoint == (not hulls_meet(va, vb)) == (gap > 0), (d, gap)
 
 
 def test_ns_walk_within_its_lp_bound_on_a_worst_case(monkeypatch):
@@ -913,6 +951,30 @@ def test_family_json_roundtrip():
     with pytest.raises(InputError, match="'tau'"):
         family_from_dict({"base": fam.base.to_dict(),
                           "members": [members[0], {"x": [2.0, 1.0]}]})
+
+
+@pytest.mark.parametrize("where", ["vertex", "facet normal", "facet offset",
+                                   "translation", "ratio"])
+def test_dict_loaders_refuse_integers_too_large_for_a_float(where):
+    # 10**400 overflows a float: an InputError, as a NaN would be
+    doc = squares([(0, 0), (2, 1)]).to_dict()
+    base, members = doc["base"], doc["members"]
+    if where == "vertex":
+        del base["facets"]
+        base["vertices"][0][0] = 10 ** 400
+    elif where == "facet normal":
+        base["facets"][0]["a"][0] = 10 ** 400
+    elif where == "facet offset":
+        base["facets"][0]["b"] = 10 ** 400
+    elif where == "translation":
+        members[1]["x"][0] = 10 ** 400
+    else:
+        members[1]["tau"] = 10 ** 400
+    with pytest.raises(InputError):
+        family_from_dict(doc)
+    if where.startswith(("vertex", "facet")):
+        with pytest.raises(InputError):
+            polytope_from_dict(base)
 
 
 @settings(max_examples=40, deadline=None)

@@ -403,8 +403,7 @@ def test_density_bound_on_ns_instances():
     rng = np.random.default_rng(47)
     for _ in range(12):
         arr, _ = arrangement_with_lambda1(rng, (0.55, 0.95))
-        bound = (measure(arr.body, "volume")
-                 * measure(polar(arr.body), "volume") / 16.0)
+        bound = measure(arr.body) * measure(polar(arr.body)) / 16.0
         assert density(arr) >= bound - 1e-12
 
 

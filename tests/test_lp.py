@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from nonsep import lp
+from nonsep import lp, tolerances
 from nonsep.errors import GeometryError, InputError
 from nonsep.lp import solve
 
@@ -128,7 +128,8 @@ def test_against_scipy_oracle_with_equalities():
 
 
 def test_feasible_nonneg_matches_split_form_and_scipy():
-    """Standard form against the free-variable form with -I rows and HiGHS."""
+    """The standard-form kernel against the free-variable form with -I rows
+    and HiGHS."""
     rng = np.random.default_rng(31)
     verdicts = {True: 0, False: 0}
     for k in range(200):
@@ -143,7 +144,7 @@ def test_feasible_nonneg_matches_split_form_and_scipy():
             b -= (w @ b + rng.uniform(0.1, 1.0)) * w / (w @ w)
         else:  # either way
             b = rng.normal(size=m) * 3.0
-        y = solve(np.zeros(n), a_eq=a, b_eq=b).x
+        y = lp._standard(np.zeros(n), a, b, tolerances.LP)[1]
         split = solve(np.zeros(n), np.vstack([-np.eye(n), a, -a]),
                       np.concatenate([np.zeros(n), b, -b])).x
         ref = linprog(np.zeros(n), A_eq=a, b_eq=b, bounds=(0, None), method="highs")
@@ -154,7 +155,7 @@ def test_feasible_nonneg_matches_split_form_and_scipy():
             assert np.allclose(a @ y, b, atol=1e-7)
     assert min(verdicts.values()) >= 40, verdicts
     with pytest.raises(InputError, match="shapes"):
-        solve(np.zeros(3), a_eq=np.ones((2, 3)), b_eq=np.ones(3))
+        solve(np.zeros(3), np.ones((2, 3)), np.ones(3))
 
 
 def test_nonneg_solve_matches_scipy():
@@ -177,7 +178,9 @@ def test_nonneg_solve_matches_scipy():
     orthant = -np.eye(2), np.zeros(2)
     assert solve([-1.0, -2.0], *orthant).value == 0.0
     assert solve([-1.0, 2.0], *orthant).status == "unbounded"
-    assert solve(np.zeros(3), a_eq=np.ones((1, 3)), b_eq=[1.0]).optimal
+    # y >= 0 with sum(y) == 1 is feasible: max x over x <= 0, its free LP,
+    # is bounded
+    assert solve([1.0], np.ones((3, 1)), np.zeros(3)).optimal
 
 
 def _tall_instance(rng, kind, m, n):
@@ -230,8 +233,7 @@ def test_tall_lps_go_through_the_dual_and_match_highs(monkeypatch):
 
 
 def test_short_and_constrained_lps_go_through_the_dual(monkeypatch):
-    """Every a_ub block reaches the dual; an a_eq block never does, and no
-    other shape reaches either."""
+    """Every block of rows reaches the dual, and no rows reach nothing."""
     dual_calls = []
     inner = lp._solve_dual
     monkeypatch.setattr(lp, "_solve_dual",
@@ -245,19 +247,12 @@ def test_short_and_constrained_lps_go_through_the_dual(monkeypatch):
     assert solve([1.0, 1.0], np.vstack([tall, -np.eye(2)]),
                  np.r_[np.ones(12), 0.0, 0.0]).value == pytest.approx(2.0)
     assert dual_calls == [(4, 2), (14, 2), (14, 2)]
-    simplex = dict(a_eq=np.ones((1, 3)), b_eq=[1.0])
-    assert solve(np.zeros(3), **simplex).optimal
-    assert solve([-1.0, -2.0, -0.5], **simplex).value == pytest.approx(-0.5)
-    # no block, both blocks, half of each, and a block of zero rows
-    for kw in ({}, dict(a_ub=a, b_ub=np.ones(4), **simplex),
-               dict(a_ub=np.ones((1, 3)), b_eq=[1.0])):
-        with pytest.raises(InputError, match="one block"):
-            solve(np.zeros(3), **kw)
-    for kw in (dict(a_ub=np.zeros((0, 2)), b_ub=[]),
-               dict(a_eq=np.zeros((0, 2)), b_eq=[])):
-        with pytest.raises(InputError, match="empty"):
-            solve([1.0, 2.0], **kw)
-    assert dual_calls == [(4, 2), (14, 2), (14, 2)]
+    # min (1, 2, 0.5) @ y over y >= 0, sum(y) == 1, posed as the free LP
+    # whose dual it is: max x over x <= 1, x <= 2, x <= 0.5
+    assert solve([1.0], np.ones((3, 1)), [1.0, 2.0, 0.5]).value == 0.5
+    with pytest.raises(InputError, match="empty"):
+        solve([1.0, 2.0], np.zeros((0, 2)), [])
+    assert dual_calls == [(4, 2), (14, 2), (14, 2), (3, 1)]
 
 
 def test_chebyshev_centre_statuses_on_the_dual_route(monkeypatch):
@@ -288,8 +283,6 @@ def _exact_farkas(a, b, y):
     |y @ a| <= ROUNDING * (y @ |a|) column by column, and y @ b < 0."""
     from fractions import Fraction
 
-    from nonsep import tolerances
-
     ys = [Fraction(float(v)) for v in y]
     rows = [[Fraction(float(v)) for v in row] for row in a]
     bound = Fraction(tolerances.ROUNDING)
@@ -306,8 +299,8 @@ def _exact_farkas(a, b, y):
 def _infeasible_instance(rng, objective):
     """An infeasible ``a @ x <= b`` in d = 2..5 with a contradicting pair
     (u, -u).  With objective "zero" the dual is unbounded; with "cone" every
-    row leans on w and the cost is w, so the dual is infeasible and the
-    Farkas LP runs."""
+    row leans on w and the cost is w, so the dual is infeasible and the dual
+    of the zero objective runs."""
     d = int(rng.integers(2, 6))
     m = int(rng.integers(d + 2, 40))
     w = rng.normal(size=d)
@@ -338,7 +331,7 @@ def test_infeasible_lps_carry_checked_farkas_vectors(monkeypatch, objective):
         standard_calls.clear()
         res = solve(-c, a, b)
         assert res.status == "infeasible" and res.x is None
-        # one LP when the dual is unbounded, two when the Farkas LP runs
+        # one LP when the dual is unbounded, two when it is infeasible
         assert len(standard_calls) == (1 if objective == "zero" else 2)
         if res.farkas is None:
             continue
@@ -377,8 +370,37 @@ def test_feasible_and_unbounded_lps_carry_no_farkas_vector():
             res = solve(c, a, b)
             assert res.status in ("optimal", "unbounded")
             assert res.farkas is None
-    # standard form, infeasible and unbounded, and a ray
-    assert solve(np.zeros(3), a_eq=np.ones((1, 3)), b_eq=[-1.0]).farkas is None
-    res = solve([1.0, 0.0], a_eq=[[1.0, -1.0]], b_eq=[0.0])
+    # unbounded with an infeasible dual (the free LP of y >= 0,
+    # sum(y) == -1), and a ray
+    res = solve([-1.0], np.ones((3, 1)), np.zeros(3))
     assert res.status == "unbounded" and res.farkas is None
     assert solve([1.0], a_ub=[[-1.0]], b_ub=[0.0]).farkas is None
+
+
+def test_infeasible_dual_and_homogeneous_rows(monkeypatch):
+    """An infeasible dual costs a second LP, the dual of the zero objective,
+    only when some b < 0: with b >= 0, x = 0 is feasible.  With b == 0 an
+    optimal dual gives x = 0 and no basis is solved."""
+    standard_calls = []
+    inner = lp._standard
+    monkeypatch.setattr(lp, "_standard",
+                        lambda *a: standard_calls.append(1) or inner(*a))
+    # max x + y over x, y >= -1; max x over x >= 1; and x <= -1 with x >= 0
+    # under max y: the last one's rows alone contradict
+    assert solve([1.0, 1.0], -np.eye(2), np.ones(2)).status == "unbounded"
+    assert len(standard_calls) == 1
+    res = solve([1.0], [[-1.0]], [-1.0])
+    assert res.status == "unbounded" and res.farkas is None
+    assert len(standard_calls) == 3
+    res = solve([0.0, 1.0], [[1.0, 0.0], [-1.0, 0.0]], [-1.0, 0.0])
+    assert res.status == "infeasible" and len(standard_calls) == 5
+    assert res.farkas[0] > 0 and res.farkas[1] == pytest.approx(res.farkas[0])
+
+    def no_solve(*args):
+        raise AssertionError("x = 0 needs no basis solve")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    square = np.vstack([np.eye(2), -np.eye(2)])
+    res = solve([1.0, 2.0], square, np.zeros(4))
+    assert res.optimal and res.value == 0.0
+    assert res.x.tolist() == [0.0, 0.0] and not np.signbit(res.x).any()

@@ -568,6 +568,70 @@ SEPARABLE_ARRANGEMENT = {"body": cube(2, half=0.25).to_dict(),
                          "basis": [[1.0, 0.0], [0.0, 1.0]]}
 
 
+def huge_integer_cases():
+    """(argv with FILE for the input path, input document with "HUGE" where
+    an integer too large for a float goes) for each place a number is read."""
+    tri = copy.deepcopy(TRIANGLE)
+    tri["vertices"][1][0] = "HUGE"
+    box = cube(2).to_dict()
+    normal, offset = copy.deepcopy(box), copy.deepcopy(box)
+    normal["facets"][0]["a"][0] = "HUGE"
+    offset["facets"][0]["b"] = "HUGE"
+    chain = chain_family_dict()
+    moved, grown = copy.deepcopy(chain), copy.deepcopy(chain)
+    moved["members"][1]["x"][0] = "HUGE"
+    grown["members"][1]["tau"] = "HUGE"
+    stability = stability_scenario()
+    taus, deltas = copy.deepcopy(stability), copy.deepcopy(stability)
+    taus["parameters"]["taus"][0] = "HUGE"
+    deltas["parameters"]["deltas"][0] = "HUGE"
+    run = ["run", "FILE", "--out", "-"]
+
+    def lattice(**extra):
+        return {"kind": "lattice", "parameters": {
+            **UNIT_ARRANGEMENT, "mode": "tightness", **extra}}
+
+    cases = {
+        "sigma vertex": (["sigma", "FILE"], tri),
+        "sigma facet normal": (["sigma", "FILE"], normal),
+        "sigma facet offset": (["sigma", "FILE"], offset),
+        "run stability taus": (run, taus),
+        "run stability deltas": (run, deltas),
+        "run sigma polytope": (run, {"kind": "sigma", "parameters": {"polytope": tri}}),
+        "run covering expect_lambda_le": (run, {"kind": "covering", "parameters": {
+            "family": chain, "expect_lambda_le": "HUGE"}}),
+        "run lattice resolution": (run, lattice(resolution="HUGE")),
+        "run lattice width": (run, lattice(width="HUGE")),
+        "run lattice expect_contains": (run, lattice(expect_contains="HUGE")),
+        "run lattice basis": (run, {"kind": "lattice", "parameters": {
+            "body": box, "basis": [["HUGE", 0.0], [0.0, 1.0]]}}),
+        "run scenario seed": (run, {"kind": "cubes", "seed": "HUGE",
+                                    "parameters": {"n": 4}}),
+    }
+    for verb in ("wns", "ns", "lambda"):
+        cases[f"{verb} translation"] = ([verb, "FILE"], moved)
+        cases[f"{verb} ratio"] = ([verb, "FILE"], grown)
+    for key in ("expect_value", "expect_tol"):
+        cases[f"run cubes {key}"] = (run, {"kind": "cubes", "parameters": {
+            "n": 4, "expect_value": 12.0, key: "HUGE"}})
+    return cases
+
+
+@pytest.mark.parametrize("digits", [401, 5000])
+@pytest.mark.parametrize("case", list(huge_integer_cases()))
+def test_integers_too_large_for_a_float_are_input_errors(tmp_path, capsys, case, digits):
+    # 401 digits overflow a float; 5,000 exceed Python's limit on the
+    # digits of an int read from text.  Either is refused as the file is
+    # read: exit 2 and one line on stderr, which does not echo the digits
+    argv, doc = huge_integer_cases()[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc).replace('"HUGE"', "1" + "0" * (digits - 1)))
+    assert cli.main([str(path) if a == "FILE" else a for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "integer" in err and "0" * 40 not in err
+
+
 def shorthand_cases():
     """(argv with FILE for the input path, input document or None, the
     equivalent scenario) for each verb that runs a scenario kind."""
