@@ -191,7 +191,7 @@ def stability_construction(taus, delta: float) -> BallFamily:
     off the line through the first and last centers.  The family is
     non-separable because consecutive members share a boundary point.
     """
-    t = np.asarray(taus, dtype=float)
+    t, delta = _finite(taus, "radii"), float(_finite(delta, "deflection"))
     if t.ndim != 1 or t.size < 3:
         raise InputError("the chain needs at least three radii")
     if (t <= 0).any():

@@ -142,8 +142,7 @@ def _cmd_lattice_mu1w(args) -> int:
         t_grid = []
     if not t_grid:
         raise InputError("--t needs a comma-separated list of scales")
-    rows = weak_covering_minimum_1(arr.body, arr.lattice, t_grid,
-                                   seed=args.seed)
+    rows = weak_covering_minimum_1(arr.body, arr.lattice, t_grid)
     _emit(args, {"rows": [{"t": t, "hit_fraction": frac, "max_miss": miss}
                           for t, frac, miss in rows]})
     return 0
@@ -225,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("arrangement")
     p.add_argument("--t", required=True,
                    help="comma-separated homothety scales")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_lattice_mu1w)
 

@@ -29,7 +29,6 @@ column per direction, in `is_wns` and planar `is_ns`, and the edge pieces.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +41,7 @@ from .polytope import (
     Polytope,
     _finite,
     _freeze,
+    _index,
     _plane_basis,
     edges,
     facet_directions,
@@ -267,10 +267,8 @@ def is_kwip_sampled(family: HomotheticFamily, k: int, samples: int = 10000,
     k = d-1 delegates to `is_wns` and is exact; its witness is the
     (direction, gap) pair.
     """
-    try:
-        k, samples, seed = map(operator.index, (k, samples, seed))
-    except TypeError:
-        raise InputError("k, samples and seed must be integers") from None
+    k, samples, seed = (_index(v, what) for v, what in
+                        ((k, "k"), (samples, "samples"), (seed, "seed")))
     if not 0 <= k < family.dim:
         raise InputError("k must lie in [0, d-1]")
     if samples < 1:

@@ -4,7 +4,8 @@ Everything here reduces to two primitives: the gauge distance from a point
 to the nearest lattice translate, and integer enumeration in boxes, where
 one enumerator serves both gauge searches (`covering_radius`, `is_ns_lattice`).
 Covering radius and tightness come back as certified brackets (a sampled
-lower bound plus a Lipschitz cap), never as point estimates.
+lower bound plus a Lipschitz cap), never as point estimates; the hit curve is
+exact for its window, its missed planes the gaps between member projections.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .polytope import (
     Polytope,
     _finite,
     _freeze,
+    _index,
     _require_origin_interior,
     _singular,
     facet_directions,
@@ -31,7 +33,7 @@ from .polytope import (
 _OFFSET_MAX = 2e5  # lattice vectors one gauge search, hit curve or gap box may list
 _DUAL_MAX = 10_000_000  # dual vectors `is_ns_lattice` may enumerate
 _PAD = 1.0 + 1e-9  # relative radius pad of `_coefficient_box`
-_MAX_EVALS = 2_000_000  # gauge-distance samples `covering_radius` may refine to
+_MAX_EVALS = 2_000_000  # gauge-distance evaluations `covering_radius` may refine to
 
 
 def _grid(axes) -> np.ndarray:
@@ -44,11 +46,13 @@ def _int_box(d: int, r: int) -> np.ndarray:
     return _grid([np.arange(-r, r + 1)] * d)
 
 
-def _check_box(d: int, r: int, least: int, what: str) -> None:
-    """Refuse a box [-r, r]^d with r below `least` or over `_OFFSET_MAX` points."""
+def _check_box(d: int, r, least: int, what: str) -> int:
+    """`r` as an int, refused below `least` or past `_OFFSET_MAX` box points."""
+    r = _index(r, what)
     if r < least or (2 * r + 1) ** d > _OFFSET_MAX:
         raise InputError(f"{what} {r} must be at least {least} and list at most "
                          f"{_OFFSET_MAX:g} lattice points")
+    return r
 
 
 def _signs(d: int) -> list[tuple[float, ...]]:
@@ -86,10 +90,6 @@ class Lattice:
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
-
-    def points(self, coeff_box: int) -> np.ndarray:
-        """Every B m with integer coefficients m in [-coeff_box, coeff_box]^d."""
-        return _int_box(self.dim, int(coeff_box)) @ self.basis.T
 
 
 @dataclass(frozen=True)
@@ -175,6 +175,7 @@ def covering_radius(arr: LatticeArrangement, resolution: int = 48,
     d = arr.body.dim
     if d > 3:
         raise InputError("covering_radius needs d <= 3")
+    resolution = _index(resolution, "resolution")
     if resolution < 2:
         raise InputError("resolution must be at least 2")
     if width is not None and not 0.0 < width < np.inf:
@@ -184,7 +185,7 @@ def covering_radius(arr: LatticeArrangement, resolution: int = 48,
     # the gauge's Lipschitz constant: facet normals are unit rows, so
     # 1/min(b) is exact and dominates any estimate over sampled directions
     lip = 1.0 / float(arr.body.facet_offsets.min())
-    # half-diagonal reach of one sub-cell; samples sit at sub-cell centres
+    # half-diagonal reach of one sub-cell; evaluation points sit at sub-cell centres
     corner = max(np.linalg.norm(b @ np.array(s)) for s in _signs(d))
     diam0 = 0.5 * corner / resolution
     fr = (np.arange(resolution) + 0.5) / resolution - 0.5
@@ -254,8 +255,8 @@ def is_ns_lattice(arr: LatticeArrangement) -> tuple[bool, float]:
     """
     kp = polar(arr.body)
     b = dual_lattice(arr.lattice).basis
-    seed = _int_box(arr.body.dim, 1)
-    lam_ub = float(kp.gauge(seed[seed.any(axis=1)] @ b.T).min())
+    near = _int_box(arr.body.dim, 1)
+    lam_ub = float(kp.gauge(near[near.any(axis=1)] @ b.T).min())
     # any z beating lam_ub satisfies |z| <= lam_ub * R(polar)
     m = _coefficient_box(b, lam_ub * _euclid_radius(kp), _DUAL_MAX,
                          "enumeration bound overflow: more than "
@@ -275,8 +276,7 @@ def kronecker_gap(u, box_radius: int) -> float:
     u = _finite(u, "direction")
     if abs(np.linalg.norm(u) - 1.0) > 1e-9:
         raise InputError("direction must be a unit vector")
-    _check_box(u.size, int(box_radius), 0, "box_radius")
-    z = _int_box(u.size, int(box_radius))
+    z = _int_box(u.size, _check_box(u.size, box_radius, 0, "box_radius"))
     vals = np.sort((z @ u) % 1.0)
     gaps = np.diff(vals)
     wrap = float(vals[0] + 1.0 - vals[-1])
@@ -284,14 +284,13 @@ def kronecker_gap(u, box_radius: int) -> float:
 
 
 def weak_covering_minimum_1(p: Polytope, lat: Lattice, t_grid,
-                            window: int | None = None, samples: int = 400,
-                            seed: int = 0) -> list[tuple[float, float, float]]:
-    """Sampled hit curve for facet-parallel hyperplanes against L + tP.
+                            window: int | None = None) -> list[tuple[float, float, float]]:
+    """Exact hit curve for facet-parallel hyperplanes against L + tP.
 
-    Each row is (t, fraction of sampled hyperplanes hit, largest miss
-    margin).  Sampling the same hyperplanes for every t keeps the curve
-    monotone.  One-sided evidence only: a finite window can only
-    understate the coverage of the infinite arrangement.  The coefficient
+    Each row is (t, fraction of the planes <u, x> = c hit, largest miss
+    margin), u over the facet directions and c over the central half of the
+    window's projections on u.  One-sided evidence only: a finite window can
+    only understate the coverage of the infinite arrangement.  The coefficient
     window (default: the widest up to 200) lists at most `_OFFSET_MAX` points.
     """
     d = p.dim
@@ -300,37 +299,29 @@ def weak_covering_minimum_1(p: Polytope, lat: Lattice, t_grid,
     t_grid = np.atleast_1d(_finite(t_grid, "scales t"))
     if (t_grid < 0).any():
         raise InputError("scales t must be non-negative")
-    if samples < 1:
-        raise InputError("samples must be at least 1")
-    if seed < 0:
-        raise InputError("seed must be non-negative")
     if window is None:
         window = min(200, int((_OFFSET_MAX ** (1.0 / d) - 1.0) / 2.0))
-    _check_box(d, window, 1, "window")
-    rng = np.random.default_rng(seed)
-    z = lat.points(window)
-    t = t_grid[:, None]
-    hit = np.zeros(t_grid.size, dtype=np.int64)
-    worst = np.zeros(t_grid.size)
+    z = _int_box(d, _check_box(d, window, 1, "window")) @ lat.basis.T
+    missed, worst = np.zeros(t_grid.size), np.zeros(t_grid.size)
     dirs = facet_directions(p)
     for u in dirs:
         proj = np.sort(z @ u)
         span = proj[-1] - proj[0]
         # central half of the window only, away from truncation artifacts
-        c = rng.uniform(proj[0] + 0.25 * span, proj[-1] - 0.25 * span,
-                        size=samples)
+        lo, hi = proj[0] + 0.25 * span, proj[-1] - 0.25 * span
         hplus, hminus = p.support(u), p.support(-u)
         # the plane <u,x> = c meets z + tP iff c - proj(z) lies in
-        # [-t*hminus, t*hplus]; the nearest z on either side decides
-        idx = np.searchsorted(proj, c)
-        last = len(proj) - 1
-        miss = np.inf
-        for pz in (proj[np.clip(idx - 1, 0, last)], proj[np.clip(idx, 0, last)]):
-            below = pz - t * hminus - c
-            above = c - pz - t * hplus
-            miss = np.minimum(miss, np.maximum(np.maximum(below, above), 0.0))
-        ok = miss <= 1e-12
-        hit += ok.sum(axis=1)
-        worst = np.maximum(worst, np.where(ok, 0.0, miss).max(axis=1))
-    total = len(dirs) * samples
-    return [(float(s), int(h) / total, float(w)) for s, h, w in zip(t_grid, hit, worst)]
+        # [-t*hminus, t*hplus]: the planes missing every member fill the
+        # gaps (p_i + t*hplus, p_{i+1} - t*hminus) of neighbours p_i < p_{i+1}
+        near = ((proj[:-1] + (t_grid * hplus).min(initial=np.inf) < hi)
+                & (proj[1:] - (t_grid * hminus).min(initial=np.inf) > lo))
+        left, right = proj[:-1][near], proj[1:][near]
+        for k, t in enumerate(t_grid):
+            # gaps still open once shrunk by 1e-12 a side: a miss that small is a hit
+            keep = right - left > t * (hplus + hminus) + 2e-12
+            a, b = left[keep] + t * hplus + 1e-12, right[keep] - t * hminus - 1e-12
+            missed[k] += (np.clip(b, lo, hi) - np.clip(a, lo, hi)).sum() / (hi - lo)
+            c = np.clip(0.5 * (a + b), lo, hi)  # each gap's deepest plane in the window
+            m = np.minimum(c - a, b - c).max(initial=0.0)
+            worst[k] = max(worst[k], m + 1e-12 if m > 0 else 0.0)
+    return list(zip(t_grid.tolist(), (1.0 - missed / len(dirs)).tolist(), worst.tolist()))

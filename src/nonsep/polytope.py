@@ -43,8 +43,14 @@ def _freeze(a) -> np.ndarray:
     return out
 
 
+def _has_bool(x) -> bool:
+    return isinstance(x, bool) or isinstance(x, list) and any(map(_has_bool, x))
+
+
 def _finite(x, what: str) -> np.ndarray:
-    """`x` as a float array, rejecting NaN, infinite and non-numeric entries."""
+    """`x` as a float array, rejecting NaN, infinite, boolean and non-numeric entries."""
+    if _has_bool(x):
+        raise InputError(f"{what} must be numbers, not booleans")
     try:
         a = np.asarray(x, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -52,6 +58,13 @@ def _finite(x, what: str) -> np.ndarray:
     if not np.isfinite(a).all():
         raise InputError(f"{what} must be finite")
     return a
+
+
+def _index(n, what: str) -> int:
+    """`n` as an int; floats, even 2.0, and booleans are refused."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise InputError(f"{what} must be an integer")
+    return int(n)
 
 
 @dataclass(frozen=True)

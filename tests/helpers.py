@@ -174,6 +174,61 @@ def weak_impassability_probe(arr, k, samples=400, window=4, seed=0):
     raise InputError("probe supports k = 0, or k = 1 in dimension 3")
 
 
+def sampled_hit_curve(p, lat, t_grid, window=None, samples=400, seed=0):
+    """Sampled hit curve for facet-parallel hyperplanes against L + tP.
+
+    The oracle of `lattice.weak_covering_minimum_1`: the same rows from
+    `samples` uniform planes per facet direction over the same window.
+    Each row is (t, fraction of sampled hyperplanes hit, largest miss
+    margin).  Sampling the same hyperplanes for every t keeps the curve
+    monotone.
+    """
+    from nonsep.errors import InputError
+    from nonsep.lattice import _OFFSET_MAX, _check_box
+    from nonsep.polytope import _finite, facet_directions
+
+    d = p.dim
+    if d != lat.dim:
+        raise InputError("body and lattice dimensions differ")
+    t_grid = np.atleast_1d(_finite(t_grid, "scales t"))
+    if (t_grid < 0).any():
+        raise InputError("scales t must be non-negative")
+    if samples < 1:
+        raise InputError("samples must be at least 1")
+    if seed < 0:
+        raise InputError("seed must be non-negative")
+    if window is None:
+        window = min(200, int((_OFFSET_MAX ** (1.0 / d) - 1.0) / 2.0))
+    _check_box(d, window, 1, "window")
+    rng = np.random.default_rng(seed)
+    z = lattice_patch(lat.basis, window)
+    t = t_grid[:, None]
+    hit = np.zeros(t_grid.size, dtype=np.int64)
+    worst = np.zeros(t_grid.size)
+    dirs = facet_directions(p)
+    for u in dirs:
+        proj = np.sort(z @ u)
+        span = proj[-1] - proj[0]
+        # central half of the window only, away from truncation artifacts
+        c = rng.uniform(proj[0] + 0.25 * span, proj[-1] - 0.25 * span,
+                        size=samples)
+        hplus, hminus = p.support(u), p.support(-u)
+        # the plane <u,x> = c meets z + tP iff c - proj(z) lies in
+        # [-t*hminus, t*hplus]; the nearest z on either side decides
+        idx = np.searchsorted(proj, c)
+        last = len(proj) - 1
+        miss = np.inf
+        for pz in (proj[np.clip(idx - 1, 0, last)], proj[np.clip(idx, 0, last)]):
+            below = pz - t * hminus - c
+            above = c - pz - t * hplus
+            miss = np.minimum(miss, np.maximum(np.maximum(below, above), 0.0))
+        ok = miss <= 1e-12
+        hit += ok.sum(axis=1)
+        worst = np.maximum(worst, np.where(ok, 0.0, miss).max(axis=1))
+    total = len(dirs) * samples
+    return [(float(s), int(h) / total, float(w)) for s, h, w in zip(t_grid, hit, worst)]
+
+
 def overlap_chain(base, n, rng, direction=None):
     """Members strung along a line with consecutive overlap, hence WNS.
 

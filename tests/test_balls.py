@@ -185,6 +185,15 @@ def test_construction_rejections():
         stability_construction([10.0, 10.0, 0.1], 9.5)  # unreachable bend
 
 
+@pytest.mark.parametrize("taus, delta", [
+    ([1.0, 1.0, 1.0], np.nan), ([1.0, 1.0, 1.0], np.inf),
+    ([1.0, np.nan, 1.0], 0.1), ([1.0, 1.0, np.inf], 0.1)])
+def test_construction_refuses_non_finite_input(taus, delta):
+    # refused before the bend search or the length check sees a NaN
+    with pytest.raises(InputError, match="finite"):
+        stability_construction(taus, delta)
+
+
 def test_trace_rows_and_degenerate_drop():
     rows = stability_trace([1.0, 1.0, 1.0, 1.0], [0.0, 0.05])
     assert rows[0][0] == 0.0 and rows[0][1] <= 1e-9

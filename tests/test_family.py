@@ -838,7 +838,8 @@ def test_kwip_rejects_bad_k():
             is_kwip_sampled(fam, 0, samples=bad)
 
 
-@pytest.mark.parametrize("kwargs", [{"seed": -1}, {"seed": 1.5}, {"samples": 2.5}])
+@pytest.mark.parametrize("kwargs", [{"seed": -1}, {"seed": 1.5}, {"samples": 2.5},
+                                    {"seed": True}])
 def test_kwip_rejects_bad_seed_and_samples(kwargs):
     # refused before numpy sees them: it raised ValueError or TypeError
     fam = squares([(0, 0), (1, 0), (0, 1)])

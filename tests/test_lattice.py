@@ -11,6 +11,7 @@ from helpers import (
     lattice_patch,
     min_gauge_dist_oracle,
     ns_patch_probe,
+    sampled_hit_curve,
     weak_impassability_probe,
 )
 from nonsep import lattice
@@ -31,6 +32,7 @@ from nonsep.polytope import (
     Polytope,
     cross_polytope,
     cube,
+    facet_directions,
     measure,
     parallelotope,
     polar,
@@ -492,15 +494,60 @@ def test_weak_minimum_irrational_parallelotope():
 def test_weak_minimum_axis_square_slabs():
     square = cube(2, half=1.0)
     rows = weak_covering_minimum_1(square, Lattice.from_basis(np.eye(2)),
-                                   [0.1, 0.25, 0.4, 0.5], window=60,
-                                   samples=600, seed=3)
-    fracs = [r[1] for r in rows]
-    assert fracs == sorted(fracs)
-    t, frac, margin = rows[2]
-    assert frac < 1.0 and 0.02 < margin <= 0.1 + 1e-9
-    t, frac, margin = rows[3]
-    # slabs meet exactly at t = 1/2
-    assert frac == 1.0 and margin == 0.0
+                                   [0.1, 0.25, 0.4, 0.5], window=60)
+    # slabs of width 2t on Z, so 2t of the planes are hit; they meet at t = 1/2
+    assert [r[1] for r in rows] == pytest.approx([0.2, 0.5, 0.8, 1.0], abs=1e-11)
+    assert [r[2] for r in rows] == pytest.approx([0.4, 0.25, 0.1, 0.0], abs=1e-12)
+    assert rows[3][1:] == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("half", [0.5, 1.0])
+def test_weak_minimum_closed_forms(half):
+    """Slabs of width w = 2 * half on Z^2: a share min(1, w t) of the planes
+    is hit, plus 2e-12 per unit gap while one stays open (a miss of at most
+    1e-12 counts as a hit), and the deepest miss is the half-gap
+    (1 - w t) / 2."""
+    ts = [0.0, 0.4, 0.6, 1.0, 1.2]
+    rows = weak_covering_minimum_1(cube(2, half=half),
+                                   Lattice.from_basis(np.eye(2)), ts)
+    w = 2.0 * half
+    for (t, frac, margin), want in zip(rows, ts):
+        assert t == want
+        assert frac == pytest.approx(min(1.0, w * t + 2e-12), abs=1e-12)
+        assert margin == pytest.approx(max(0.0, (1.0 - w * t) / 2.0), abs=1e-12)
+
+
+def test_weak_minimum_matches_sampled_oracle():
+    """40 seeded arrangements (d = 2, 3; symmetric random bodies, and
+    asymmetric ones about their vertex mean; identity and random bases) at
+    5 scales: the exact fraction lies within 4 binomial sigma of 20,000
+    sampled planes per direction, and no sampled plane misses by more than
+    the exact margin.  Fractions never fall as t grows, and margins never
+    rise."""
+    rng = np.random.default_rng(33)
+    for i in range(40):
+        d = 2 + i % 2
+        body = random_polytope(d, 6 + i % 5, rng, symmetric=i % 8 < 4)
+        body = body.translate(-body.vertices.mean(axis=0))
+        basis = rng.uniform(-1.5, 1.5, size=(d, d)) if i % 4 >= 2 else np.eye(d)
+        while abs(np.linalg.det(basis)) < 0.3:
+            basis = rng.uniform(-1.5, 1.5, size=(d, d))
+        lat = Lattice.from_basis(basis)
+        ts = np.sort(rng.uniform(0.0, 0.6, size=5))
+        rows = weak_covering_minimum_1(body, lat, ts)
+        sampled = sampled_hit_curve(body, lat, ts, samples=20_000, seed=i)
+        planes = len(facet_directions(body)) * 20_000
+        for (t, frac, margin), (_, share, miss) in zip(rows, sampled):
+            sigma = np.sqrt(frac * (1.0 - frac) / planes)
+            assert abs(frac - share) <= 4.0 * sigma + 1e-12, (i, t)
+            assert margin >= miss - 1e-12, (i, t)
+        fracs, margins = [r[1] for r in rows], [r[2] for r in rows]
+        assert fracs == sorted(fracs) and margins == sorted(margins, reverse=True)
+
+
+def test_weak_minimum_empty_grid():
+    assert weak_covering_minimum_1(cube(2), Lattice.from_basis(np.eye(2)), [],
+                                   window=5) == []
 
 
 def test_weak_minimum_window_budget():
@@ -512,18 +559,39 @@ def test_weak_minimum_window_budget():
         with pytest.raises(InputError, match=f"window {window} "):
             weak_covering_minimum_1(cube(3), lat, [0.1], window=window)
     assert (2 * 28 + 1) ** 3 <= lattice._OFFSET_MAX < (2 * 29 + 1) ** 3
-    assert weak_covering_minimum_1(cube(3), lat, [0.4], samples=50) \
-        == weak_covering_minimum_1(cube(3), lat, [0.4], window=28, samples=50)
+    assert weak_covering_minimum_1(cube(3), lat, [0.4]) \
+        == weak_covering_minimum_1(cube(3), lat, [0.4], window=28)
 
 
-@pytest.mark.parametrize("t_grid, samples, seed, message", [
-    ([np.nan], 400, 0, "finite"), ([0.1, np.inf], 400, 0, "finite"),
-    ([-0.1], 400, 0, "non-negative"), ([0.1], 0, 0, "samples"),
-    ([0.1], -1, 0, "samples"), ([0.1], 400, -1, "seed")])
-def test_weak_minimum_refuses_bad_numbers(t_grid, samples, seed, message):
+@pytest.mark.parametrize("t_grid, message", [
+    ([np.nan], "finite"), ([0.1, np.inf], "finite"),
+    ([-0.1], "non-negative")])
+def test_weak_minimum_refuses_bad_numbers(t_grid, message):
     with pytest.raises(InputError, match=message):
         weak_covering_minimum_1(cube(2), Lattice.from_basis(np.eye(2)), t_grid,
-                                window=10, samples=samples, seed=seed)
+                                window=10)
+
+
+SQUARE = LatticeArrangement(cube(2), Lattice.from_basis(np.eye(2)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: kronecker_gap([0.6, 0.8], 2.7),
+    lambda: kronecker_gap([0.6, 0.8], True),
+    lambda: weak_covering_minimum_1(SQUARE.body, SQUARE.lattice, [0.1], window=2.5),
+    lambda: covering_radius(SQUARE, resolution=4.5),
+    lambda: tightness(SQUARE, resolution=4.5),
+    lambda: covering_radius(SQUARE, resolution=np.True_)])
+def test_integer_arguments_refuse_fractions_and_booleans(call):
+    # a radius, window or resolution of 2.7, 2.5 or 4.5 is not truncated
+    with pytest.raises(InputError, match="must be an integer"):
+        call()
+
+
+def test_integer_arguments_take_numpy_integers():
+    u = [0.6, 0.8]
+    assert kronecker_gap(u, np.int64(2)) == kronecker_gap(u, 2)
+    assert covering_radius(SQUARE, resolution=np.int32(4)) == covering_radius(SQUARE, 4)
 
 
 def test_weak_minimum_dimension_mismatch():

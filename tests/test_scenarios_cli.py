@@ -363,8 +363,7 @@ class TestCli:
 
     @pytest.mark.parametrize("args, message", [
         (["mu1w", "--t", "a,b"], "--t"), (["mu1w", "--t", "nan"], "finite"),
-        (["mu1w", "--t", "inf"], "finite"),
-        (["mu1w", "--t", "0.4", "--seed", "-5"], "seed"),
+        (["mu1w", "--t", "inf"], "finite"), (["mu1w", "--t", "-0.1"], "non-negative"),
         (["tightness", "--width", "nan"], "width"),
         (["tightness", "--width", "-1"], "width")])
     def test_lattice_refuses_bad_numbers(self, tmp_path, capsys, args, message):
@@ -630,6 +629,43 @@ def test_integers_too_large_for_a_float_are_input_errors(tmp_path, capsys, case,
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     assert "integer" in err and "0" * 40 not in err
+
+
+def boolean_cases():
+    """(argv with FILE for the input path, input document) with JSON
+    booleans where the loaders read numbers."""
+    tri = copy.deepcopy(TRIANGLE)
+    tri["vertices"][1][0] = True
+    box = cube(2).to_dict()
+    normal, offset = copy.deepcopy(box), copy.deepcopy(box)
+    normal["facets"][0]["a"][0] = True
+    offset["facets"][0]["b"] = True
+    chain = chain_family_dict()
+    chain["members"][0] = {"x": [True, False], "tau": True}
+    cases = {
+        "sigma vertex": (["sigma", "FILE"], tri),
+        "sigma facet normal": (["sigma", "FILE"], normal),
+        "sigma facet offset": (["sigma", "FILE"], offset),
+        "lattice ns basis": (["lattice", "ns", "FILE"],
+                             {**UNIT_ARRANGEMENT, "basis": [[True, 0.0], [0.0, 1.0]]}),
+        "run covering family": (["run", "FILE", "--out", "-"], {
+            "kind": "covering", "parameters": {"family": chain}}),
+    }
+    for verb in ("wns", "ns", "lambda"):
+        cases[f"{verb} member"] = ([verb, "FILE"], chain)
+    return cases
+
+
+@pytest.mark.parametrize("case", list(boolean_cases()))
+def test_json_booleans_are_input_errors(tmp_path, capsys, case):
+    # numpy reads true and false as 1 and 0; the loaders refuse them as the
+    # scenario validators do: exit 2 and one line on stderr
+    argv, doc = boolean_cases()[case]
+    path = write_json(tmp_path / "input.json", doc)
+    assert cli.main([path if a == "FILE" else a for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "booleans" in err
 
 
 def shorthand_cases():
