@@ -72,17 +72,17 @@ def cube_family_from_dict(obj: dict) -> IntegerCubeFamily:
     return fam
 
 
+def _contiguous(slabs) -> bool:  # a set, or a Counter of positive counts
+    return max(slabs) - min(slabs) + 1 == len(slabs)
+
+
 def cube_is_wns(f: IntegerCubeFamily) -> bool:
     """No axis-parallel hyperplane strictly splits the family.
 
     Exact integer test: per axis, the occupied unit slabs must form one
     contiguous run.  Slabs that merely touch do not split.
     """
-    for j in range(f.dim):
-        vals = np.unique(f.offsets[:, j])
-        if vals[-1] - vals[0] + 1 != vals.size:
-            return False
-    return True
+    return all(_contiguous(set(col)) for col in f.offsets.T.tolist())
 
 
 def bounding_box(f: IntegerCubeFamily) -> tuple[np.ndarray, np.ndarray]:
@@ -203,25 +203,24 @@ def shadow_normalize(f: IntegerCubeFamily,
     Hull measures are convex along the cube's track, so the better end
     never scores below the current family.  A move scoring more than
     `tolerances.CUBE_SCORE` below it, a move that would split the axis and
-    a failed `cube_is_wns` re-check raise `GeometryError`.  Each move widens
-    one extent by one, so the objective is scored 1 + 2 * sum_j (n - extent_j)
-    times, and the result, translated to offset 0, fills the n-box.
+    a failed re-check of all axes on slab counts kept across rounds raise
+    `GeometryError`.  Each move widens one extent, so the objective is scored
+    1 + 2 * sum_j (n - extent_j) times; the result, at offset 0, fills the n-box.
     """
     if not cube_is_wns(f):
         raise InputError("family is separable along an axis")
     cur = [tuple(c) for c in f.offsets.tolist()]
     val = _objective_value(cur, f.dim, objective)  # rejects unsupported ones
+    slabs = [Counter(col) for col in zip(*cur)]
     while True:
-        slabs = [Counter(col) for col in zip(*cur)]
         j = next((j for j, s in enumerate(slabs) if max(s) - min(s) + 1 < f.n), None)
         if j is None:
             break
         s = slabs[j]
         lo, hi = min(s), max(s)
         i = next(i for i, cell in enumerate(cur) if s[cell[j]] >= 2)
-        # the old slab keeps a cube and both ends lie outside every cell, so
-        # the moved family stays valid if axis j is one run of slabs
-        if hi - lo + 1 != len(s):
+        # the old slab keeps a cube, both ends are outside every cell: valid if one run
+        if not _contiguous(s):
             raise GeometryError(f"invalid move of {cur[i]} along axis {j}")
         ends = [cur[:i] + [cur[i][:j] + (t,) + cur[i][j + 1:]] + cur[i + 1:]
                 for t in (lo - 1, hi + 1)]
@@ -229,8 +228,10 @@ def shadow_normalize(f: IntegerCubeFamily,
         k = int(scores[1] > scores[0] + tolerances.CUBE_CANDIDATE)
         if scores[k] < val - tolerances.CUBE_SCORE:
             raise GeometryError(f"both ends of the track score below {val}")
+        s[cur[i][j]] -= 1  # stays positive: cell i shares its slab
         val, cur = scores[k], ends[k]
-        if not cube_is_wns(IntegerCubeFamily(np.array(cur))):
+        s[cur[i][j]] += 1
+        if not all(_contiguous(t) for t in slabs):
             raise GeometryError("normalized family is separable along an axis")
     offsets = np.array(cur, dtype=np.int64)
     return IntegerCubeFamily(offsets - offsets.min(axis=0))
@@ -245,12 +246,16 @@ def exhaustive_max(n: int, objective: str) -> tuple[IntegerCubeFamily, float]:
     the family axis-contiguous and, the hull measure being convex along
     the cube's track, never lowers it.  Each move widens an extent by
     one, so some maximizer has n cubes on n slabs along both axes, one per
-    slab: a permutation matrix.  The n! permutations are scored in
-    lexicographic order, which is row-major cell order, and the first
-    one beating the best so far by more than `tolerances.CUBE_SCORE` wins.
-    The walk is depth first, on chain stacks (the upper one as (x, -top)).
-    n = 8 takes about 0.4 s on one core of a 2-core Xeon host; n = 9 would
-    take about nine times as long and is refused.
+    slab: a permutation matrix.  They are scored in lexicographic (row-major
+    cell) order; the first beating the best so far by `tolerances.CUBE_SCORE`
+    wins.  The square's 8 symmetries permute them, keeping area exactly and
+    perimeter up to rounding; p's images start with the offsets from either
+    corner of its cells on the box's 4 sides.  A p with p[0] above one of
+    these is skipped: the orbit member with the least first entry came
+    earlier at its value, so the winner is unchanged.  The depth-first walk
+    on chain stacks (the upper one as (x, -top)) prunes at side cells nearer
+    than p[0] to a corner, scoring 8, 36, 196, 1,272, 9,552 leaves for
+    n = 4..8 (n = 8: 0.15 s on a 2-core Xeon host); n = 9 is refused.
     """
     n = _count(n)
     if not 4 <= n <= 8:
@@ -263,6 +268,9 @@ def exhaustive_max(n: int, objective: str) -> tuple[IntegerCubeFamily, float]:
     def grow(perm, free, low, top):
         x = len(perm)
         for j, y in enumerate(free or perm[-1:]):  # a leaf closes column n
+            u, w = min(x, n - 1 - x), min(y, n - 1 - y)  # offsets from the sides
+            if free and min(u, w) == 0 and max(u, w) < (perm[0] if perm else y):
+                continue
             p = perm[-1] if perm else y
             lo, up = _chain(((x, min(p, y)),), low), _chain(((x, -1 - max(p, y)),), top)
             if free:

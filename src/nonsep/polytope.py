@@ -220,7 +220,9 @@ def polytope_from_dict(obj: dict) -> Polytope:
     """Load from the JSON form; either facet or vertex list may be absent."""
     if not isinstance(obj, dict) or "dim" not in obj:
         raise InputError("polytope JSON must be an object with a 'dim' key")
-    d = obj["dim"]
+    d = _index(obj["dim"], "dim")
+    if d < 1:
+        raise InputError("dim must be at least 1")
     facets = obj.get("facets")
     verts = obj.get("vertices")
     if facets:

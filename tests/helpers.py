@@ -561,26 +561,27 @@ def brute_max_hull(n, objective):
     return best, best_offsets
 
 
+def _monotone_chain(seq, start=()):
+    # one chain of Andrew's algorithm after `start`; drops collinear points
+    out = list(start)
+    for p in seq:
+        while len(out) >= 2:
+            ax, ay = out[-2]
+            bx, by = out[-1]
+            if (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) > 0:
+                break
+            out.pop()
+        out.append(p)
+    return out
+
+
 def hull_2d_oracle(points):
     """Convex hull of integer points by Andrew's monotone chain over all of
     them, sorted: counter-clockwise from the lexicographically smallest,
     collinear points dropped."""
     pts = sorted(set(map(tuple, points)))
-
-    def chain(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2:
-                ax, ay = out[-2]
-                bx, by = out[-1]
-                if (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) > 0:
-                    break
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = chain(pts)
-    upper = chain(reversed(pts))
+    lower = _monotone_chain(pts)
+    upper = _monotone_chain(reversed(pts))
     return lower[:-1] + upper[:-1]
 
 
@@ -620,6 +621,53 @@ def permutation_max_oracle(n, objective):
         if v > best + 1e-9:
             best, best_perm = v, perm
     return best, [[i, y] for i, y in enumerate(best_perm)]
+
+
+def permutation_walk_max(n, objective):
+    """The answer of `permutation_max_oracle`, from the walk
+    `nonsep.cubes.exhaustive_max` makes but without its symmetry pruning:
+    about 0.35 s at n = 8, where the corner-hull oracle takes about 2.5 s.
+
+    The walk visits all n! permutations in lexicographic order, depth
+    first: placing p(x) closes corner column x, whose lowest corner is
+    min(p(x-1), p(x)) and highest max(p(x-1), p(x)) + 1, and pushes those
+    onto copies of the lower and upper chain stacks (the upper one as
+    (x, -top), so both chains turn the same way).  A leaf closes column n
+    and scores the lower chain followed by the reversed upper one.
+    """
+    value = ORACLE_OBJECTIVES[objective]
+    best = [-1.0, None]
+
+    def grow(perm, free, low, top):
+        x = len(perm)
+        for j, y in enumerate(free or perm[-1:]):
+            p = perm[-1] if perm else y
+            lo = _monotone_chain(((x, min(p, y)),), low)
+            up = _monotone_chain(((x, -1 - max(p, y)),), top)
+            if free:
+                grow(perm + (y,), free[:j] + free[j + 1:], lo, up)
+                continue
+            v = value(lo + [(c, -t) for c, t in reversed(up)])
+            if v > best[0] + 1e-9:
+                best[:] = v, perm
+
+    grow((), tuple(range(n)), [], [])
+    return best[0], [[i, y] for i, y in enumerate(best[1])]
+
+
+def dihedral_first_entries(perm):
+    """First entries of the 8 images of the placement {(i, perm[i])} under
+    the symmetries of its n-box, from the cells themselves."""
+    n = len(perm)
+    firsts = []
+    for flip_x, flip_y, swap in itertools.product((False, True), repeat=3):
+        image = {}
+        for x, y in enumerate(perm):
+            x, y = (n - 1 - x if flip_x else x), (n - 1 - y if flip_y else y)
+            x, y = (y, x) if swap else (x, y)
+            image[x] = y
+        firsts.append(image[0])
+    return firsts
 
 
 def shadow_normalize_oracle(f, objective="area"):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +13,12 @@ from helpers import (
     ORACLE_OBJECTIVES,
     brute_max_hull,
     cell_corners,
+    dihedral_first_entries,
     hull_2d_oracle,
     perimeter_record,
     perimeter_witness,
     permutation_max_oracle,
+    permutation_walk_max,
     shadow_normalize_oracle,
 )
 from nonsep import cubes
@@ -338,10 +341,14 @@ def test_search_perimeter_record_at_8():
 
 
 @pytest.mark.parametrize("objective", ["area", "perimeter"])
-@pytest.mark.parametrize("n", [4, 5, 6, 7])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_search_matches_corner_hull_oracle(n, objective):
+    # the corner-hull oracle takes about 2.5 s per objective at n = 8, so
+    # there the unpruned walk, checked against it for n <= 7, stands in
     f, val = exhaustive_max(n, objective)
-    value, offsets = permutation_max_oracle(n, objective)
+    value, offsets = permutation_walk_max(n, objective)
+    if n <= 7:
+        assert (value, offsets) == permutation_max_oracle(n, objective)
     assert val == value
     assert f.offsets.tolist() == offsets
 
@@ -414,13 +421,15 @@ def test_cells_hull_matches_oracle_on_shifted_contiguous_families():
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_search_leaf_hulls_match_cells_hull(n, monkeypatch):
-    """The depth-first search scores the permutations in lexicographic
-    order, each on exactly the hull `_cells_hull` gives its cells."""
+    """The depth-first search scores, in lexicographic order, exactly the
+    permutations whose first entry is at most the first entry of each of
+    their 8 dihedral images, each on the hull `_cells_hull` gives its cells."""
     hulls = []
     monkeypatch.setitem(cubes._PLANAR_OBJECTIVES, "area",
                         lambda h: hulls.append(h) or float(len(hulls)))
     exhaustive_max(n, "area")
-    perms = list(itertools.permutations(range(n)))
+    perms = [p for p in itertools.permutations(range(n))
+             if p[0] == min(dihedral_first_entries(p))]
     assert len(hulls) == len(perms)
     for perm, hull in zip(perms, hulls):
         assert hull == _cells_hull(enumerate(perm)), perm
@@ -429,7 +438,9 @@ def test_search_leaf_hulls_match_cells_hull(n, monkeypatch):
 def test_planar_hull_cost_contract(monkeypatch):
     """A planar `shadow_normalize` call builds one whole hull for its
     starting value and two per move, one for each end of the track; every
-    permutation of `exhaustive_max` is scored without one."""
+    permutation `exhaustive_max` scores is scored without one, and the
+    symmetry pruning leaves 8, 36, 196, 1,272 and 9,552 of the n! for
+    n = 4..8."""
     calls = []
     inner = cubes._cells_hull
     monkeypatch.setattr(cubes, "_cells_hull", lambda cells: calls.append(1) or inner(cells))
@@ -442,9 +453,15 @@ def test_planar_hull_cost_contract(monkeypatch):
             shadow_normalize(f, objective)
             assert len(calls) == 1 + 2 * moves
     calls.clear()
-    for n in (4, 5, 6):
+    scored = Counter()
+    for objective, score in list(cubes._PLANAR_OBJECTIVES.items()):
+        monkeypatch.setitem(cubes._PLANAR_OBJECTIVES, objective,
+                            lambda h, o=objective, score=score: scored.update((o,)) or score(h))
+    for n, leaves in zip(range(4, 9), (8, 36, 196, 1272, 9552)):
         for objective in ("area", "perimeter"):
+            scored.clear()
             exhaustive_max(n, objective)
+            assert scored == {objective: leaves}, (n, objective)
     assert calls == []
 
 
@@ -457,20 +474,32 @@ def test_normalize_raises_when_neither_end_keeps_the_score(monkeypatch):
         shadow_normalize(fam([(0, 0), (0, 1)]))
 
 
+def failing_after(calls, passes, contiguous=cubes._contiguous):
+    """A contiguity predicate whose first `passes` calls (the input check
+    asks once per axis) say True and whose later ones say `contiguous`."""
+    return lambda slabs: calls.append(1) or len(calls) <= passes or contiguous(slabs)
+
+
 def test_normalize_raises_when_the_round_recheck_fails(monkeypatch):
-    # the input check passes; the per-round re-check fails
+    # the input check (2 axes), the move check along x and the first
+    # round's re-check of x pass; its re-check of y, an axis the move left
+    # alone, fails: every axis is re-checked
     calls = []
-    monkeypatch.setattr(cubes, "cube_is_wns", lambda f: calls.append(1) or len(calls) == 1)
-    with pytest.raises(GeometryError, match="separable"):
+    monkeypatch.setattr(cubes, "_contiguous", failing_after(calls, 4, lambda s: False))
+    with pytest.raises(GeometryError, match="normalized family is separable"):
         shadow_normalize(fam([(0, k) for k in range(4)]))
+    assert len(calls) == 5
 
 
 def test_normalize_raises_on_an_invalid_move(monkeypatch):
-    # x slabs 0 and 2 leave a gap: moving a cell to x = 3 would leave axis 0
-    # in two runs, which the move check refuses
-    monkeypatch.setattr(cubes, "cube_is_wns", lambda f: True)
+    # x slabs 0 and 2 leave a gap the faked input check lets through:
+    # moving a cell to x = 3 would leave axis 0 in two runs, which the move
+    # check refuses
+    calls = []
+    monkeypatch.setattr(cubes, "_contiguous", failing_after(calls, 2))
     with pytest.raises(GeometryError, match="invalid move"):
         shadow_normalize(fam([(0, 0), (0, 1), (2, 0), (2, 1)]))
+    assert len(calls) == 3
 
 
 OPTIMIZED_CHILD = """
@@ -478,12 +507,15 @@ from nonsep import cubes
 from nonsep.errors import GeometryError
 if __debug__:
     raise SystemExit("asserts are on: the child must run under python -O")
-calls = []
-cubes.cube_is_wns = lambda f: calls.append(1) or len(calls) == 1
-try:
-    cubes.shadow_normalize(cubes.IntegerCubeFamily([[0, k] for k in range(4)]))
-except GeometryError as exc:
-    print("GeometryError:", exc)
+real = cubes._contiguous
+for passes, contiguous, offsets in ((4, lambda s: False, [[0, k] for k in range(4)]),
+                                    (2, real, [[0, 0], [0, 1], [2, 0], [2, 1]])):
+    calls = []
+    cubes._contiguous = lambda s: calls.append(1) or len(calls) <= passes or contiguous(s)
+    try:
+        cubes.shadow_normalize(cubes.IntegerCubeFamily(offsets))
+    except GeometryError as exc:
+        print("GeometryError:", exc)
 """
 
 
@@ -494,4 +526,7 @@ def test_normalize_checks_survive_python_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHILD],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, (proc.returncode, proc.stderr)
-    assert proc.stdout.startswith("GeometryError: normalized family"), proc.stdout
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2, proc.stdout
+    assert lines[0].startswith("GeometryError: normalized family is separable"), proc.stdout
+    assert lines[1].startswith("GeometryError: invalid move"), proc.stdout

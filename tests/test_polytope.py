@@ -618,6 +618,26 @@ def test_json_roundtrip_and_completion():
         polytope_from_dict({"dim": 2, "vertices": [[0, 0], [1, 0], [0]]})
 
 
+@pytest.mark.parametrize("dim, message", [
+    (True, "integer"), (2.0, "integer"), ("2", "integer"), (None, "integer"),
+    (0, "at least 1"), (-1, "at least 1")])
+@pytest.mark.parametrize("form", ["vertices", "facets"])
+def test_dict_loader_refuses_a_bad_dim(dim, message, form):
+    # a boolean dim used to load [[0], [1]] as a segment, and 2.0 a square
+    segment, square = cube(1).to_dict(), cube(2).to_dict()
+    for doc in (segment, square):
+        with pytest.raises(InputError, match=message):
+            polytope_from_dict({"dim": dim, form: doc[form]})
+    assert polytope_from_dict({"dim": np.int64(2), form: square[form]}).dim == 2
+
+
+def test_dict_loader_refuses_zero_dim_rows():
+    # these used to fail inside numpy with a ValueError
+    for doc in ({"dim": 0, "vertices": [[]]}, {"dim": 0, "vertices": [[], []]}):
+        with pytest.raises(InputError, match="at least 1"):
+            polytope_from_dict(doc)
+
+
 def test_random_simplex_is_simplex():
     rng = np.random.default_rng(2)
     for d in (2, 3, 4):

@@ -345,6 +345,19 @@ class TestCli:
         assert cli.main(["lattice", "ns", shifted]) == 2
         assert "origin must be interior" in capsys.readouterr().err
 
+    def test_lattice_body_off_the_origin(self, tmp_path, capsys):
+        # a translation only shifts the hit curve, so mu1w accepts a body
+        # without the origin in its interior; the dual-lattice test refuses it
+        arr = write_json(tmp_path / "arr.json",
+                         {"body": cube(2).translate([3.0, 0.2]).to_dict(),
+                          "basis": [[1.0, 0.0], [0.0, 1.0]]})
+        assert cli.main(["lattice", "mu1w", arr, "--t", "0.4,0.6"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [r["t"] for r in rows] == [0.4, 0.6]
+        assert cli.main(["lattice", "ns", arr]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "origin must be interior" in err
+
     def test_lattice_mu1w_in_three_dimensions(self, tmp_path, capsys):
         # the default window shrinks to fit the point budget in d = 3
         arr = write_json(tmp_path / "arr.json",
