@@ -7,18 +7,21 @@ At that scale a self-contained dense tableau is reproducible, has exactly
 the three statuses we need, and its feasible points double as witnesses.
 
 `solve` is the only entry point, and it takes one shape: rows ``a_ub @
-x <= b_ub`` over free x (no rows is an `InputError`).  It maximizes
-``c @ x`` (a minimization passes ``-c``, x >= 0 is the rows ``-x <=
-0``), and a feasibility question passes a zero objective and reads
+x <= b_ub`` over free x (no rows, or data not finite, is an `InputError`).
+It maximizes ``c @ x`` (a minimization passes ``-c``, x >= 0 is the rows
+``-x <= 0``), and a feasibility question passes a zero objective and reads
 ``.optimal`` or ``.x``.  Statuses are ``"optimal"``, ``"infeasible"``,
 ``"unbounded"``.  `tol` is the phase-1 and pricing threshold,
 `tolerances.LP` by default.
 
 One tableau form runs: standard form, ``min c@y``, ``A y == b``, ``y >=
-0``, rows over their largest entry.  The rows, ``min c@x``, ``A x <=
-b``, x free, are solved through their dual ``min b@y``, ``A.T y ==
--c``, ``y >= 0``: n rows over m columns.  A caller with a standard-form
-question poses the free LP whose dual it is.
+0``, rows over their largest entry, the cost row last.  Pivots run in
+place, and phase 2 reuses the phase-1 tableau and prices its first n
+columns only, so no tableau is copied; the pivots, and every result to the
+bit, are those of the copying kernel kept in `tests/helpers.py`.  The rows,
+``min c@x``, ``A x <= b``, x free, are solved through their dual ``min
+b@y``, ``A.T y == -c``, ``y >= 0``: n rows over m columns.  A caller with a
+standard-form question poses the free LP whose dual it is.
 x solves the rows the optimal dual basis makes tight, over their largest
 entry as the tableau scales them: the row (0.7071..., 0.7071...) is
 solved as (1, 1), which keeps the demo triangle's asymmetry at exactly
@@ -60,6 +63,10 @@ from .errors import GeometryError, InputError
 # Pivot elements below this are treated as zero regardless of the caller's
 # feasibility tolerance; ratio tests on smaller entries are unstable.
 _PIVOT_EPS = 1e-11
+# Ratios this close to the least tie; the lowest basis index leaves (Bland).
+_TIE_BAND = 1e-12
+# A row whose largest entry is below this is a zero row and is not scaled.
+_ZERO_ROW = 1e-30
 _MAX_ITER = 20000
 _BLAND_AFTER = 2000
 
@@ -78,12 +85,14 @@ class LpResult:
 
 def solve(c, a_ub, b_ub, *, tol: float = tolerances.LP) -> LpResult:
     """Maximize ``c @ x`` subject to ``a_ub @ x <= b_ub``, x free."""
-    c = np.atleast_1d(np.asarray(c, dtype=float))
+    c = np.array(c, dtype=float, ndmin=1)
     # a C-ordered copy: products round the same whatever the caller's layout
     a = np.array(a_ub, dtype=float, ndmin=2, order="C")
-    b = np.atleast_1d(np.asarray(b_ub, dtype=float))
+    b = np.array(b_ub, dtype=float, ndmin=1)
     if not b.size or a.shape != (b.size, c.size):
         raise InputError("constraint block shapes are inconsistent or empty")
+    if not all(np.isfinite(v).all() for v in (c, a, b)):
+        raise InputError("LP data must be finite")
     status, x, farkas = _solve_dual(-c, a, b, tol)
     if status != "optimal":
         return LpResult(status, None, None, farkas)
@@ -109,7 +118,7 @@ def _unit_rows(a, b):
     """Rows and right-hand sides over each row's largest entry (a zero row
     stays): row equilibration keeps the ratio tests honest across scales."""
     scale = np.abs(a).max(axis=1)
-    scale[scale < 1e-30] = 1.0
+    scale[scale < _ZERO_ROW] = 1.0
     return a / scale[:, None], b / scale
 
 
@@ -151,11 +160,11 @@ def _solve_dual(c, a, b, tol):
         return "infeasible", None, _farkas(a, b, y)
     if not b.any():
         return "optimal", np.zeros(n), None  # feasible, and b@y == 0
-    unit, rhs = _unit_rows(a, b)
     rows = np.sort(basis)
+    unit, rhs = _unit_rows(a[rows], b[rows])
     x = np.zeros(n)
     try:
-        x[keep] = np.linalg.solve(unit[np.ix_(rows, keep)], rhs[rows])
+        x[keep] = np.linalg.solve(unit[:, keep], rhs)
     except np.linalg.LinAlgError as exc:
         raise GeometryError("dual LP basis is singular") from exc
     scale = max(float(np.abs(b).max()), float((np.abs(a) @ np.abs(x)).max()))
@@ -168,18 +177,18 @@ def _solve_dual(c, a, b, tol):
 
 def _two_phase(A, b, c, tol):
     m, n = A.shape
-    T = np.empty((m, n + m + 1))
-    T[:, :n] = A
-    T[:, n:n + m] = np.eye(m)
-    T[:, -1] = b
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = A
+    T[:m, n:n + m] = np.eye(m)
+    T[:m, -1] = b
     basis = list(range(n, n + m))
 
-    # Phase 1: reduced costs for min(sum of artificials).
-    z = np.zeros(n + m + 1)
+    # Phase 1: reduced costs for min(sum of artificials), in the last row.
+    z = T[m]
     z[n:n + m] = 1.0
     for r in range(m):
         z -= T[r]
-    _iterate(T, z, basis, n + m, tol)
+    _iterate(T, basis, n + m, tol)
     if -z[-1] > tol * max(1.0, float(np.abs(b).max(initial=0.0))):
         return "infeasible", None, None, None
 
@@ -190,21 +199,23 @@ def _two_phase(A, b, c, tol):
             j = int(np.argmax(np.abs(T[r, :n])))
             if abs(T[r, j]) <= _PIVOT_EPS:
                 continue
-            _pivot(T, z, basis, r, j)
+            _pivot(T, basis, r, j)
         keep.append(r)
-    T = np.hstack([T[keep, :n], T[keep, -1:]])
-    basis = [basis[r] for r in keep]
+    if len(keep) < m:
+        T = T[keep + [m]]
+        basis = [basis[r] for r in keep]
 
-    # Phase 2 with the true costs.
-    z2 = np.concatenate([c, [0.0]])
+    # Phase 2 with the true costs, priced on the first n columns only.
+    z = T[-1]
+    z[:n], z[-1] = c, 0.0
     for r, j in enumerate(basis):
-        if z2[j] != 0.0:
-            z2 -= z2[j] * T[r]
-    j = _iterate(T, z2, basis, n, tol)
+        if z[j] != 0.0:
+            z -= z[j] * T[r]
+    j = _iterate(T, basis, n, tol)
     if j is not None:
-        return "unbounded", _ray(A, keep, basis, j, T[:, j]), None, None
+        return "unbounded", _ray(A, keep, basis, j, T[:-1, j]), None, None
     x = np.zeros(n)
-    x[basis] = T[:, -1]
+    x[basis] = T[:-1, -1]
     return "optimal", x, basis, keep
 
 
@@ -223,38 +234,37 @@ def _ray(A, rows, basis, j, column):
     return np.maximum(y, 0.0)
 
 
-def _iterate(T, z, basis, ncols, tol):
-    """Pivot to optimality (None) or to a column with no pivot (returned)."""
+def _iterate(T, basis, ncols, tol):
+    """Pivot to optimality (None) or to a column with no pivot (returned),
+    pricing the first `ncols` reduced costs, T's last row."""
+    z, rhs, infs = T[-1, :ncols], T[:-1, -1], np.full(len(T) - 1, np.inf)
     for it in range(_MAX_ITER):
         if it < _BLAND_AFTER:
-            j = int(np.argmin(z[:ncols]))
+            j = int(z.argmin())
             if z[j] >= -tol:
                 return None
         else:
             # Bland's rule: slower, cycle-free.
-            negs = np.nonzero(z[:ncols] < -tol)[0]
+            negs = (z < -tol).nonzero()[0]
             if negs.size == 0:
                 return None
             j = int(negs[0])
-        col = T[:, j]
+        col = T[:-1, j]
         pivotable = col > _PIVOT_EPS
-        if not pivotable.any():
+        ratios = np.divide(rhs, col, out=infs.copy(), where=pivotable)
+        r = int(ratios.argmin())
+        if ratios[r] == np.inf and not pivotable.any():
             return j
-        ratios = np.full(col.size, np.inf)
-        ratios[pivotable] = T[pivotable, -1] / col[pivotable]
-        r = int(np.argmin(ratios))
-        best = ratios[r]
-        ties = np.nonzero(ratios <= best + 1e-12)[0]
-        if ties.size > 1:
-            r = int(min(ties, key=lambda i: basis[i]))
-        _pivot(T, z, basis, r, j)
+        ties = ratios <= ratios[r] + _TIE_BAND
+        if np.count_nonzero(ties) > 1:
+            r = int(min(ties.nonzero()[0], key=basis.__getitem__))
+        _pivot(T, basis, r, j)
     raise GeometryError("simplex iteration limit reached")
 
 
-def _pivot(T, z, basis, r, j):
+def _pivot(T, basis, r, j):
     T[r] /= T[r, j]
     col = T[:, j].copy()
     col[r] = 0.0
-    T -= np.outer(col, T[r])
-    z -= z[j] * T[r]
+    T -= col[:, None] * T[r]
     basis[r] = j

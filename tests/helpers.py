@@ -896,3 +896,137 @@ def kwip_flats_lp_oracle(family, points, frames):
         if not any(lp.solve(np.zeros(w.shape[1]), aw, row).optimal for row in slack):
             return i
     return None
+
+
+# -- the dense simplex kernel of `nonsep.lp` as it stood before its pivots ran
+# in place, verbatim: a row-by-row cost vector, an `np.outer` update, a
+# masked ratio test, and a phase 2 on a copied tableau.  Patched in for
+# `lp._solve_dual`, it is the oracle the in-place kernel must match bit for
+# bit, pivot for pivot.  The helpers it shares with `lp` did not change.
+
+from nonsep import tolerances  # noqa: E402
+from nonsep.errors import GeometryError  # noqa: E402
+from nonsep.lp import (_BLAND_AFTER, _MAX_ITER, _PIVOT_EPS,  # noqa: E402
+                       _farkas, _ray, _unit_rows)
+
+
+def _solve_dual(c, a, b, tol):
+    """min c@x subject to a@x <= b, x free, through the standard-form dual.
+
+    Returns (status, x, farkas): x when "optimal"; when "infeasible", the
+    checked Farkas vector (`_farkas`) or None."""
+    n = a.shape[1]
+    status, y, basis, keep = _standard(b, a.T, -c, tol)
+    if status == "infeasible":
+        # the primal is unbounded once feasible: x = 0 is when b >= 0, else
+        # the dual of the zero objective decides, as for a feasibility LP
+        if (b >= 0).all():
+            return "unbounded", None, None
+        status, y = _standard(b, a.T, np.zeros(n), tol)[:2]
+        if status != "unbounded":
+            return "unbounded", None, None
+    if status == "unbounded":
+        # y is the dual's ray: y >= 0, y@a == 0, y@b < 0
+        return "infeasible", None, _farkas(a, b, y)
+    if not b.any():
+        return "optimal", np.zeros(n), None  # feasible, and b@y == 0
+    unit, rhs = _unit_rows(a, b)
+    rows = np.sort(basis)
+    x = np.zeros(n)
+    try:
+        x[keep] = np.linalg.solve(unit[np.ix_(rows, keep)], rhs[rows])
+    except np.linalg.LinAlgError as exc:
+        raise GeometryError("dual LP basis is singular") from exc
+    scale = max(float(np.abs(b).max()), float((np.abs(a) @ np.abs(x)).max()))
+    gap = abs(float(c @ x + b @ y))
+    if (a @ x - b).max() > tolerances.feas(scale) or gap > tolerances.feas(
+            max(scale, float(np.abs(b) @ y))):
+        raise GeometryError("dual LP solution failed its certificate")
+    return "optimal", x, None
+
+
+def _standard(c, a, b, tol):
+    """min c@y, a@y == b, y >= 0; also the optimal basis and the rows it
+    kept.  "unbounded" comes with its ray in place of y."""
+    rows, rhs = _unit_rows(a, b)
+    rows[rhs < 0] *= -1.0
+    return _two_phase(rows, np.abs(rhs), c, tol)
+
+
+def _two_phase(A, b, c, tol):
+    m, n = A.shape
+    T = np.empty((m, n + m + 1))
+    T[:, :n] = A
+    T[:, n:n + m] = np.eye(m)
+    T[:, -1] = b
+    basis = list(range(n, n + m))
+
+    # Phase 1: reduced costs for min(sum of artificials).
+    z = np.zeros(n + m + 1)
+    z[n:n + m] = 1.0
+    for r in range(m):
+        z -= T[r]
+    _iterate(T, z, basis, n + m, tol)
+    if -z[-1] > tol * max(1.0, float(np.abs(b).max(initial=0.0))):
+        return "infeasible", None, None, None
+
+    # Drive leftover artificials out of the basis; drop redundant rows.
+    keep = []
+    for r in range(m):
+        if basis[r] >= n:
+            j = int(np.argmax(np.abs(T[r, :n])))
+            if abs(T[r, j]) <= _PIVOT_EPS:
+                continue
+            _pivot(T, z, basis, r, j)
+        keep.append(r)
+    T = np.hstack([T[keep, :n], T[keep, -1:]])
+    basis = [basis[r] for r in keep]
+
+    # Phase 2 with the true costs.
+    z2 = np.concatenate([c, [0.0]])
+    for r, j in enumerate(basis):
+        if z2[j] != 0.0:
+            z2 -= z2[j] * T[r]
+    j = _iterate(T, z2, basis, n, tol)
+    if j is not None:
+        return "unbounded", _ray(A, keep, basis, j, T[:, j]), None, None
+    x = np.zeros(n)
+    x[basis] = T[:, -1]
+    return "optimal", x, basis, keep
+
+
+def _iterate(T, z, basis, ncols, tol):
+    """Pivot to optimality (None) or to a column with no pivot (returned)."""
+    for it in range(_MAX_ITER):
+        if it < _BLAND_AFTER:
+            j = int(np.argmin(z[:ncols]))
+            if z[j] >= -tol:
+                return None
+        else:
+            # Bland's rule: slower, cycle-free.
+            negs = np.nonzero(z[:ncols] < -tol)[0]
+            if negs.size == 0:
+                return None
+            j = int(negs[0])
+        col = T[:, j]
+        pivotable = col > _PIVOT_EPS
+        if not pivotable.any():
+            return j
+        ratios = np.full(col.size, np.inf)
+        ratios[pivotable] = T[pivotable, -1] / col[pivotable]
+        r = int(np.argmin(ratios))
+        best = ratios[r]
+        ties = np.nonzero(ratios <= best + 1e-12)[0]
+        if ties.size > 1:
+            r = int(min(ties, key=lambda i: basis[i]))
+        _pivot(T, z, basis, r, j)
+    raise GeometryError("simplex iteration limit reached")
+
+
+def _pivot(T, z, basis, r, j):
+    T[r] /= T[r, j]
+    col = T[:, j].copy()
+    col[r] = 0.0
+    T -= np.outer(col, T[r])
+    z -= z[j] * T[r]
+    basis[r] = j

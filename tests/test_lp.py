@@ -404,3 +404,138 @@ def test_infeasible_dual_and_homogeneous_rows(monkeypatch):
     res = solve([1.0, 2.0], square, np.zeros(4))
     assert res.optimal and res.value == 0.0
     assert res.x.tolist() == [0.0, 0.0] and not np.signbit(res.x).any()
+
+
+def test_non_finite_data_is_refused():
+    """A NaN or an infinity in c, a_ub or b_ub is an InputError: NaN
+    comparisons are False, so such an LP would otherwise read as solved."""
+    for c, a, b in (([np.nan], [[1.0]], [1.0]), ([1.0], [[1.0]], [np.nan]),
+                    ([1.0], [[np.inf]], [1.0]), ([np.inf], [[1.0]], [1.0]),
+                    ([1.0], [[1.0]], [-np.inf])):
+        with pytest.raises(InputError, match="finite"):
+            solve(c, a, b)
+
+
+def _battery(rng):
+    """(kind, c, a_ub, b_ub) for the kernel battery: free LPs of 3-256 rows
+    over 2-6 variables, degenerate ones with tied ratios, infeasible ones
+    with some b < 0, unbounded ones, and ones whose dual phase 1 drops a
+    redundant row."""
+    for k in range(240):
+        kind = ("free", "degenerate", "infeasible", "unbounded", "redundant")[k % 5]
+        n = int(rng.integers(2, 7))
+        m = int(rng.choice([3, 5, 8, 13, 30, 64, 128, 256]))
+        m = max(m, n + 1)
+        c = rng.normal(size=n)
+        if kind == "free":
+            a, b = _tall_instance(rng, ("around", "cone")[k % 2], m, n)
+        elif kind == "degenerate":
+            # small integer rows, all tight at one integer point, and an
+            # integer objective: ratios and reduced costs tie exactly
+            a = rng.integers(-2, 3, size=(m, n)).astype(float)
+            a = np.vstack([a, np.eye(n), -np.eye(n)])
+            x0 = rng.integers(-1, 2, size=n).astype(float)
+            b = a @ x0 + (rng.uniform(size=len(a)) < 0.3)
+            c = rng.integers(-2, 3, size=n).astype(float)
+        elif kind == "infeasible":
+            a, b, c = _infeasible_instance(rng, ("zero", "cone")[k % 2])
+        elif kind == "unbounded":
+            # the rows face into one half-space, a @ w >= 0, and c @ -w > 0
+            a, b = _tall_instance(rng, "cone", m, n)
+            c = -a.sum(axis=0)
+        else:
+            # the last variable is the sum of the first two, in the rows and
+            # in the cost: the dual's equality rows are dependent
+            a, b = _tall_instance(rng, "around", m, n)
+            a[:, -1] = a[:, 0] + a[:, 1]
+            c[-1] = c[0] + c[1]
+        yield kind, c, a, b
+
+
+def _counted(monkeypatch, module, name, counter):
+    inner = getattr(module, name)
+
+    def wrapper(*args):
+        counter[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_in_place_kernel_matches_the_parent_kernel_bit_for_bit(monkeypatch):
+    """Per LP: the same status and value, the same bytes of x and of the
+    Farkas vector, and the same number of pivots as the kernel it replaced
+    (`helpers._solve_dual`, which routes into the old `_two_phase`)."""
+    import helpers
+
+    rng = np.random.default_rng(2024)
+    mine, ref = [0], [0]
+    _counted(monkeypatch, lp, "_pivot", mine)
+    _counted(monkeypatch, helpers, "_pivot", ref)
+    kept = []
+    two_phase = lp._two_phase
+
+    def recording(A, *args):
+        out = two_phase(A, *args)
+        if out[0] == "optimal":
+            kept.append(len(out[3]) < A.shape[0])
+        return out
+
+    monkeypatch.setattr(lp, "_two_phase", recording)
+    statuses, dropped, pivots = {}, 0, 0
+    for k, (kind, c, a, b) in enumerate(_battery(rng)):
+        mine[0] = ref[0] = 0
+        kept.clear()
+        res = solve(c, a, b)
+        dropped += kind == "redundant" and any(kept)
+        with monkeypatch.context() as mp:
+            mp.setattr(lp, "_solve_dual", helpers._solve_dual)
+            want = solve(c, a, b)
+        assert res.status == want.status, (k, kind)
+        assert repr(res.value) == repr(want.value), (k, kind)
+        for got, exp in ((res.x, want.x), (res.farkas, want.farkas)):
+            assert (got is None) == (exp is None), (k, kind)
+            assert got is None or got.tobytes() == exp.tobytes(), (k, kind)
+        assert mine[0] == ref[0], (k, kind, mine[0], ref[0])
+        pivots += mine[0]
+        statuses.setdefault(kind, set()).add(res.status)
+    assert statuses["infeasible"] == {"infeasible"}
+    assert statuses["unbounded"] == {"unbounded"}
+    assert {"optimal", "unbounded"} <= statuses["free"] | statuses["degenerate"]
+    assert dropped >= 10 and pivots >= 1000, (dropped, pivots)
+
+
+def _highs_status(c, a, b):
+    ref = linprog(-c, A_ub=a, b_ub=b, bounds=(None, None), method="highs")
+    return {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status], ref
+
+
+def test_blands_rule_branch_matches_highs(monkeypatch):
+    """With `_BLAND_AFTER = 0` every pivot takes the smallest-index entering
+    column (R. G. Bland, Math. Oper. Res. 2, 1977): the battery's statuses
+    and values still match HiGHS, and Beale's cycling example (E. M. L.
+    Beale, 1955) reaches its optimum -1/20."""
+    monkeypatch.setattr(lp, "_BLAND_AFTER", 0)
+    rng = np.random.default_rng(2024)
+    for k, (kind, c, a, b) in enumerate(_battery(rng)):
+        if k % 2:
+            continue
+        res = solve(c, a, b)
+        status, ref = _highs_status(c, a, b)
+        assert res.status == status, (k, kind)
+        if status == "optimal":
+            assert abs(res.value + ref.fun) <= 1e-6 * (1.0 + abs(ref.fun)), (k, kind)
+    # Beale: min c@y, A y == b, y >= 0, which cycles from the slack basis
+    # under the largest-coefficient rule with ratio ties to the lowest row
+    cost = np.array([0.0, 0.0, 0.0, -0.75, 150.0, -0.02, 6.0])
+    A = np.array([[1.0, 0.0, 0.0, 0.25, -60.0, -0.04, 9.0],
+                  [0.0, 1.0, 0.0, 0.5, -90.0, -0.02, 3.0],
+                  [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0]])
+    rhs = np.array([0.0, 0.0, 1.0])
+    status, y = lp._standard(cost, A, rhs, tolerances.LP)[:2]
+    assert status == "optimal"
+    assert (y >= 0).all() and np.allclose(A @ y, rhs, atol=1e-12)
+    assert cost @ y == pytest.approx(-0.05, abs=1e-12)
+    # the same LP as the free one whose dual it is
+    res = solve(rhs, A.T, cost)
+    assert res.optimal and res.value == pytest.approx(-0.05, abs=1e-12)
