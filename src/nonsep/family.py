@@ -6,9 +6,9 @@ classify how separable the family is:
 
 * `is_wns`: no hyperplane parallel to a facet of P strictly splits the
   members (touching does not count as splitting),
-* `is_ns`: no hyperplane at all does; for any n, in the plane with no
-  LP, else by a depth-first walk over bipartitions that drops a partial
-  split as soon as its two sides' hulls meet,
+* `is_ns`: no hyperplane at all does; for any n, by components of meeting
+  members (one: NS at once), in the plane with no LP, else by a
+  depth-first walk that drops a partial split once its sides' hulls meet,
 * `is_kwip_sampled`: Monte-Carlo falsification for k-flat impassability:
   flats through exact uniform hull points, their directions Haar inside
   a random facet hyperplane,
@@ -32,17 +32,17 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError
+from scipy.spatial import Delaunay
 
 from . import lp, tolerances
 from .errors import GeometryError, InputError
 from .polytope import (
-    _QHULL_MAX,
     Polytope,
     _finite,
     _freeze,
     _index,
     _plane_basis,
+    _qhull,
     edges,
     facet_directions,
     polytope_from_dict,
@@ -130,19 +130,18 @@ def family_from_dict(obj: dict) -> HomotheticFamily:
 
 def _projections(family: HomotheticFamily, dirs):
     """Member projections [lo, hi] on the rows of `dirs`, (members, dirs)."""
-    x = family.translations @ dirs.T
+    x, t = family.translations @ dirs.T, family.ratios[:, None]
     h = family.base.vertices @ dirs.T
-    return (x + np.outer(family.ratios, h.min(axis=0)),
-            x + np.outer(family.ratios, h.max(axis=0)))
+    return x + t * h.min(axis=0), x + t * h.max(axis=0)
 
 
 def _first_gap(lo, hi):
     """First column of intervals [lo, hi] (on axis 0) leaving a stretch
     wider than GAP open, as (column, the intervals left of it, (their
     reach, the next left end)); None if there is none."""
-    order = np.argsort(lo, axis=0, kind="stable")
-    lo = np.take_along_axis(lo, order, axis=0)
-    reach = np.maximum.accumulate(np.take_along_axis(hi, order, axis=0), axis=0)[:-1]
+    order, cols = np.argsort(lo, axis=0, kind="stable"), np.arange(lo.shape[1])
+    lo = lo[order, cols]
+    reach = np.maximum.accumulate(hi[order, cols], axis=0)[:-1]
     opens = lo[1:] > reach + tolerances.GAP
     cols = np.flatnonzero(opens.any(axis=0))
     if cols.size == 0:
@@ -170,76 +169,114 @@ def is_ns(family: HomotheticFamily):
     """Non-separability against arbitrary hyperplanes.
 
     Normal u splits the members iff their projections on u leave a gap
-    wider than GAP (touching does not split).  In the plane, for any n,
-    u runs over the middle of each arc between neighbouring angles of
-    `_critical_angles`; a split whose widest gap is W shows at least
-    W / 2 there, so a split wider than 2 GAP is always found.  Else members
-    n - 1, ..., 0 are placed one at a time, side a before side b, and a
-    partial split whose sides' hulls meet (one disjoint-hulls LP once side
-    b holds a member) is dropped with all its completions, whose hulls hold
-    those: the first complete split reached is the first separable
-    bipartition in mask order.  A surviving partial split of k members
-    separates interior points of them, which can be in general position: at
-    most sum_{i<=d} C(k - 1, i) such splits (T. M. Cover, 1965), two LPs
-    each, so a call makes at most 2 sum_{i<=d} C(n - 1, i + 1) LPs.
+    wider than GAP (touching does not split).  Members that meet stay on
+    one side of every split, so only components of `_components` are split
+    and one component is NS at once.  In the plane, for any n, u runs over
+    the middle of each arc between neighbouring angles of
+    `_critical_angles`; a split whose widest gap is W shows at least W / 2
+    there, so a split wider than 2 GAP is always found.  Else components
+    are placed one at a time, by highest member descending, side a before
+    side b, and a partial split whose sides' hulls meet (one disjoint-hulls
+    LP once side b holds a member) is dropped with all its completions,
+    whose hulls hold those: the first complete split reached is the first
+    separable bipartition in mask order.  A surviving partial split of k
+    components separates a point of each, which can be in general position:
+    at most sum_{i<=d} C(k - 1, i) such splits (T. M. Cover, 1965), two LPs
+    each, so c components take at most 2 sum_{i<=d} C(c - 1, i + 1) LPs.
     Returns (True, None) or (False, (a_idx, b_idx)), member n - 1 in a_idx.
     """
-    n = family.n
+    labels, n = _components(family)[0], family.n
+    if not labels.any():
+        return True, None
     if family.dim == 2:
-        theta = _critical_angles(family)
+        theta = _critical_angles(family, labels)
         mids = 0.5 * (theta + np.append(theta[1:], theta[0] + np.pi))
-        dirs = np.stack([np.cos(mids), np.sin(mids)], axis=1)
+        dirs = np.array([np.cos(mids), np.sin(mids)]).T
+        order = np.argsort(labels, kind="stable")
+        roots = np.flatnonzero(labels == np.arange(n))
+        starts = np.searchsorted(labels[order], roots)
         for s in range(0, mids.size, _BLOCK):
-            hit = _first_gap(*_projections(family, dirs[s:s + _BLOCK]))
+            lo, hi = _projections(family, dirs[s:s + _BLOCK])
+            hit = _first_gap(np.minimum.reduceat(lo[order], starts),
+                             np.maximum.reduceat(hi[order], starts))
             if hit is not None:
-                side = np.isin(np.arange(n), hit[1])
+                side = (labels[:, None] == roots[hit[1]]).any(axis=1)
                 side ^= side[-1]  # member n - 1 on the a side
                 return False, (np.flatnonzero(~side).tolist(),
                                np.flatnonzero(side).tolist())
         return True, None
     verts, k = family.all_vertices(), family.base.vertices.shape[0]
-    side = np.zeros(n, bool)  # True: side b; a node places members m..n-1
-    stack = [(n - 2, True), (n - 2, False)]  # side a pops first
+    comps = np.array(list(dict.fromkeys(labels[::-1].tolist())))
+    placed = np.cumsum(labels == comps[:, None], axis=0) > 0  # row m: comps[:m + 1]
+    side = np.zeros(n, bool)  # True: side b
+    stack = [(1, True), (1, False)]  # side a pops first
     while stack:
         m, b = stack.pop()
-        side[m] = b
-        placed, on_b = verts[m * k:], np.repeat(side[m:], k)
-        if on_b.any() and not _hulls_disjoint(placed[~on_b], placed[on_b]):
+        side[labels == comps[m]] = b
+        on_a, on_b = placed[m] & ~side, placed[m] & side
+        if on_b.any() and not _hulls_disjoint(verts[on_a.repeat(k)], verts[on_b.repeat(k)]):
             continue
-        if m > 0:
-            stack += [(m - 1, True), (m - 1, False)]
-        elif side.any():
-            return False, (np.flatnonzero(~side).tolist(),
-                           np.flatnonzero(side).tolist())
+        if m + 1 < comps.size:
+            stack += [(m + 1, True), (m + 1, False)]
+        elif on_b.any():
+            return False, (np.flatnonzero(on_a).tolist(), np.flatnonzero(on_b).tolist())
     return True, None
 
 
-def _critical_angles(family: HomotheticFamily):
+def _components(family: HomotheticFamily):
+    """Components of the graph of meeting members: (labels, forest), labels[i]
+    the lowest member of i's component, the forest meeting pairs (i, j),
+    i < j, spanning each.  x_i + t_i P meets x_j + t_j P iff x_j - x_i is
+    in t_i P - t_j P, whose facet normals u are those of P - P (C. A. Rogers
+    and G. C. Shephard, 1957): iff (x_j - x_i) . u <= t_i h_P(u) +
+    t_j h_P(-u) for each, up to ROUNDING times the sum of both sides' sizes."""
+    x, t, n = family.translations, family.ratios, family.n
+    u, up, down = family.base._difference_body
+    parent, forest = list(range(n)), []  # union-find; a root is its lowest member
+    step = max(1, 64 * _BLOCK // (n * len(u)))  # rows: at most 64 _BLOCK tests
+    for s in range(0, n - 1, step):
+        lhs = (x[s:] - x[s:s + step, None]) @ u.T  # (x_j - x_i) . u at [i - s, j - s]
+        rhs = t[s:s + step, None, None] * up + t[s:, None] * down
+        meet = (lhs <= rhs + tolerances.ROUNDING * (np.abs(lhs) + np.abs(rhs))).all(axis=2)
+        for i, j in (np.argwhere(meet) + s).tolist():  # row i's pairs j < i came first
+            if parent[i] != parent[j]:
+                a, b = sorted((_root(parent, i), _root(parent, j)))
+                if a != b:
+                    parent[b] = a
+                    forest.append((i, j))
+    return np.array([_root(parent, i) for i in range(n)]), forest
+
+
+def _root(parent, i):
+    while parent[i] != i:  # halving the path
+        parent[i] = i = parent[parent[i]]
+    return i
+
+
+def _critical_angles(family: HomotheticFamily, labels):
     """Sorted distinct angles (mod pi) of the directions at which two
-    members' projections start or stop overlapping.  Members i and j lie
-    apart along the u with <u, z> > 0 for every difference z of their
-    vertices: an arc (empty if they meet; its two angles then only cut
-    the sweep finer) whose ends are normal to the two z of extreme angle
-    from the mean z.  Between neighbouring angles the pairs lying apart
-    stay the same, and on a split's arc its gap is concave (a minimum of
-    sinusoids, each positive there), so at the middle of the piece that
-    holds its widest gap it is at least half of that."""
-    v, x, t = family.base.vertices, family.translations, family.ratios
-    k = v.shape[0]
-    i, j = np.triu_indices(family.n, 1)
-    step = max(1, _BLOCK // k)  # pairs per block: _BLOCK * k differences
-    crit = []
+    components' projections start or stop overlapping.  Components A and B
+    lie apart along the u with <u, z> > 0 for every difference z of their
+    members' vertices: an arc (empty if their hulls meet; its two angles
+    then only cut the sweep finer) whose ends are normal to the two z of
+    extreme angle from g, the difference of their lowest members' centres.
+    Between neighbouring angles the pairs lying apart stay the same, and on
+    a split's arc its gap is concave (a minimum of sinusoids, each positive
+    there), so at the middle of the piece that holds its widest gap it is
+    at least half of that."""
+    p = family.all_vertices().view(complex).reshape(family.n, -1)  # x + i y
+    i, j = np.nonzero(labels[:, None] < labels)
+    keys, pair = np.unique(labels[i] * family.n + labels[j], return_inverse=True)
+    centre = p.mean(axis=1)
+    g = centre[keys // family.n] - centre[keys % family.n]
+    lo, hi = np.full(keys.size, np.inf), np.full(keys.size, -np.inf)
+    step = max(1, _BLOCK // p.shape[1])  # pairs per block: _BLOCK * k differences
     for s in range(0, i.size, step):
-        a, b = i[s:s + step], j[s:s + step]
-        z = ((x[a] - x[b])[:, None, None]
-             + t[a, None, None, None] * v[:, None]
-             - t[b, None, None, None] * v[None, :]).reshape(a.size, k * k, 2)
-        g = z.mean(axis=1)[:, None]
-        rel = np.arctan2(g[..., 0] * z[..., 1] - g[..., 1] * z[..., 0],
-                         (g * z).sum(axis=2))
-        crit.append(np.arctan2(g[:, 0, 1], g[:, 0, 0])[:, None]
-                    + np.stack([rel.min(axis=1), rel.max(axis=1)], axis=1))
-    return np.unique(np.mod(np.concatenate(crit) + 0.5 * np.pi, np.pi))
+        a, b, q = i[s:s + step], j[s:s + step], pair[s:s + step]
+        rel = np.angle((p[a, :, None] - p[b, None, :]) * g[q, None, None].conj())
+        np.minimum.at(lo, q, rel.min(axis=(1, 2)))
+        np.maximum.at(hi, q, rel.max(axis=(1, 2)))
+    return np.unique(np.mod(np.angle(g) + np.array([lo, hi]) + 0.5 * np.pi, np.pi))
 
 
 def _hulls_disjoint(va, vb) -> bool:
@@ -280,7 +317,7 @@ def is_kwip_sampled(family: HomotheticFamily, k: int, samples: int = 10000,
         return ("not-falsified", None) if ok else ("falsified", witness)
 
     verts = family.all_vertices()
-    tri = _delaunay(verts)
+    tri = _qhull(Delaunay, verts, "Delaunay triangulation")
     if _covers_hull(family, verts, tri):
         return "not-falsified", None
     dirs = facet_directions(family.base) if k else None
@@ -291,17 +328,6 @@ def is_kwip_sampled(family: HomotheticFamily, k: int, samples: int = 10000,
         eps = tolerances.feas(1.0) * min(1.0, float(np.ptp(verts, axis=0).max()))
         flat = _first_miss(family, blocks, eps)
     return ("not-falsified", None) if flat is None else ("falsified", flat)
-
-
-def _delaunay(points):
-    # qhull's lift by squared norms refuses points from about 1e77 in the
-    # plane and 1e52 in 3-D, and can crash from 1e104 (d = 3): never hand it those
-    if np.abs(points).max() > _QHULL_MAX:
-        raise GeometryError("Delaunay triangulation failed: coordinates too large")
-    try:
-        return Delaunay(points)
-    except QhullError as exc:
-        raise GeometryError("Delaunay triangulation failed") from exc
 
 
 def _covers_hull(family, verts, tri) -> bool:

@@ -15,6 +15,7 @@ circumscribed simplices, and the volume of a body in d <= 3 (`measure`).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -32,8 +33,19 @@ _GENERICIZE_TRIES = 1000  # draws `genericize` makes before it gives up
 # 1e104 in 4-D); it already refuses such point sets from about 1e77 (3-D)
 # and 1e52 (4-D).  Its planar hulls, and the Gaussian elimination it uses
 # for d >= 5, answer at far larger scales, so `from_vertices` checks only
-# d = 3, 4; `family._delaunay` checks every d against the same limit.
+# d = 3, 4; `_qhull` checks every d against the same limit.
 _QHULL_MAX = 1e80
+
+
+def _qhull(build, points, what):
+    # qhull refuses points from about 1e77 in the plane (Delaunay) and 1e52
+    # in 3-D, and can crash from 1e104 (d = 3): never hand it those
+    if np.abs(points).max() > _QHULL_MAX:
+        raise GeometryError(f"{what} failed: coordinates too large")
+    try:
+        return build(points)
+    except QhullError as exc:
+        raise GeometryError(f"{what} failed") from exc
 
 
 def _freeze(a) -> np.ndarray:
@@ -144,6 +156,17 @@ class Polytope:
         return _build(d, a, b, verts)
 
     # -- basic queries -----------------------------------------------------
+
+    @functools.cached_property
+    def _difference_body(self):
+        """(u, h_P(u), h_P(-u)), computed once, u holding the facet normals of
+        P - P: +-facet_normals for d <= 2, else qhull's on V - V."""
+        u = np.vstack([self.facet_normals, -self.facet_normals])
+        if self.dim >= 3:
+            z = (self.vertices[:, None] - self.vertices).reshape(-1, self.dim)
+            u = _qhull(ConvexHull, z, "difference body hull").equations[:, :-1]
+        h = self.vertices @ u.T
+        return _freeze(u), _freeze(h.max(axis=0)), _freeze(-h.min(axis=0))
 
     @property
     def n_facets(self) -> int:

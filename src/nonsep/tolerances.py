@@ -31,11 +31,12 @@ Fixed thresholds:
   a_i @ x - b_i <= ROUNDING * (|a_i| @ |x| + |b_i|), which forgives the
   rounding of the product and nothing more.  `lp.solve`'s Farkas vector y
   gets the same slack: it is returned only when |A.T y| <= ROUNDING *
-  (|A|.T y) column by column, y >= 0 and b @ y < 0.  A witness settles
-  the face test of `is_summand` (a vertex v of the exposed face, or
-  v - e, for the edge e) and the `ball_circumradius` optimality
-  certificate (the least-squares weights of the active unit gradients)
-  without their LP.
+  (|A|.T y) column by column, y >= 0 and b @ y < 0; `family._components`
+  has members meet when (x_j - x_i) . u exceeds t_i h(u) + t_j h(-u) by
+  at most ROUNDING times the sum of both sides' sizes.  A witness settles
+  the face test of `is_summand` (a vertex v of the exposed face, or v - e,
+  for the edge e) and the `ball_circumradius` optimality certificate (the
+  least-squares weights of the active unit gradients) without their LP.
   `feas` would be too loose here: it lets an edge that overhangs its face
   by 3e-8 at unit scale pass as a translate inside it, where the LP says no.
 * ``REFLECT_FIT`` (1e-12), a `sigma_bisection` centre counts as feasible
@@ -55,10 +56,10 @@ Fixed thresholds:
   `expect_lambda_le` check allows the same slack above its bound.
 * ``GAP`` (1e-9), a gap at or below this is touching, and touching is
   not separation: the interval sweep `family._first_gap`, over member
-  projections in `is_wns` and planar `is_ns` and over edge pieces in
-  `edges_covered` (where a piece may also end up to GAP before it
-  starts).  Planar `is_ns` sees at least half of each split's widest
-  gap, so a split wider than 2 GAP is always found.
+  projections in `is_wns`, component intervals in planar `is_ns` and edge
+  pieces in `edges_covered` (where a piece may also end up to GAP before
+  it starts).  Planar `is_ns` sees at least half of each component split's
+  widest gap, so a split wider than 2 GAP is always found.
 * ``PARALLEL`` (1e-12), `family._spans` treats a facet row whose
   product with the line direction is at most this as parallel to it.
 * ``FACET_MERGE`` (100 GEOM), two unit facet rows this close, with

@@ -439,6 +439,54 @@ def ns_oracle(member_verts):
     return True, None
 
 
+def member_sweep_ns(family):
+    """Planar `is_ns` as it stood before the overlap graph was contracted:
+    the sweep over the middles of the arcs between the critical angles of
+    every member pair, returning is_ns's (True, None) or (False, (a_idx,
+    b_idx)) with member n - 1 in a_idx."""
+    from nonsep.family import _BLOCK, _first_gap, _projections
+
+    v, x, t = family.base.vertices, family.translations, family.ratios
+    k = v.shape[0]
+    i, j = np.triu_indices(family.n, 1)
+    step = max(1, _BLOCK // k)
+    crit = []
+    for s in range(0, i.size, step):
+        a, b = i[s:s + step], j[s:s + step]
+        z = ((x[a] - x[b])[:, None, None]
+             + t[a, None, None, None] * v[:, None]
+             - t[b, None, None, None] * v[None, :]).reshape(a.size, k * k, 2)
+        g = z.mean(axis=1)[:, None]
+        rel = np.arctan2(g[..., 0] * z[..., 1] - g[..., 1] * z[..., 0],
+                         (g * z).sum(axis=2))
+        crit.append(np.arctan2(g[:, 0, 1], g[:, 0, 0])[:, None]
+                    + np.stack([rel.min(axis=1), rel.max(axis=1)], axis=1))
+    theta = np.unique(np.mod(np.concatenate(crit) + 0.5 * np.pi, np.pi))
+    mids = 0.5 * (theta + np.append(theta[1:], theta[0] + np.pi))
+    dirs = np.stack([np.cos(mids), np.sin(mids)], axis=1)
+    for s in range(0, mids.size, _BLOCK):
+        hit = _first_gap(*_projections(family, dirs[s:s + _BLOCK]))
+        if hit is not None:
+            side = np.isin(np.arange(family.n), hit[1])
+            side ^= side[-1]
+            return False, (np.flatnonzero(~side).tolist(), np.flatnonzero(side).tolist())
+    return True, None
+
+
+def walk_chain(d, n, seed=0):
+    """A random walk of n members of a random base (8 points in the plane,
+    14 in d >= 3), steps of length 0.3 and ratios 0.8 .. 1.2: each member
+    meets the next, so the family is connected."""
+    from nonsep.family import HomotheticFamily
+    from nonsep.polytope import Polytope
+
+    rng = np.random.default_rng(seed)
+    base = Polytope.from_vertices(rng.standard_normal((8 if d == 2 else 14, d)))
+    steps = rng.standard_normal((n, d))
+    steps *= 0.3 / np.linalg.norm(steps, axis=1, keepdims=True)
+    return HomotheticFamily(base, np.cumsum(steps, axis=0), rng.uniform(0.8, 1.2, n))
+
+
 def strict_separator(pa, pb):
     """(w, c) with <w, p> < c < <w, q> for every p in pa and q in pb, or
     None: HiGHS on <w, p> - c <= -1 and c - <w, q> <= -1 over free (w, c),

@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +14,11 @@ from helpers import (
     criterion_11_families,
     hulls_meet,
     kwip_flats_lp_oracle,
+    member_sweep_ns,
     ns_oracle,
     project_member,
     strict_separator,
+    walk_chain,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +26,7 @@ from scipy.optimize import linprog
 from scipy.spatial import Delaunay
 
 from nonsep import family as family_module
+from nonsep import polytope as polytope_module
 from nonsep.covering import lambda_min
 from nonsep import lp, tolerances
 from nonsep.errors import GeometryError, InputError
@@ -162,14 +167,14 @@ def lp_calls(monkeypatch):
 
 
 def test_ns_cube_chain_drops_each_touching_split_at_once(monkeypatch):
-    # 14 unit cubes in a row: with member k alone on side b its hull
-    # touches member k + 1's, so that split goes after one LP, 13 in all;
-    # all 8,191 bipartitions would take one LP each
+    # 14 unit cubes in a row, each touching the next: one component of the
+    # overlap graph, so NS with no LP (the member walk took 13, one per
+    # touching split; all 8,191 bipartitions would take one LP each)
     calls = lp_calls(monkeypatch)
     fam = HomotheticFamily(unit_cube(3), np.c_[np.arange(14.0), np.zeros((14, 2))],
                            np.ones(14))
     assert is_ns(fam) == (True, None)
-    assert len(calls) == 13
+    assert len(calls) == 0
 
 
 def test_ns_decides_near_degenerate_families(monkeypatch):
@@ -177,7 +182,7 @@ def test_ns_decides_near_degenerate_families(monkeypatch):
     # others: unit cubes in a row 1e4 apart (30 of them, split off at the
     # first LP, and 4 in two orders), tiny cubes on the corners of a unit
     # square, and plates 2e-9 thick tiling a 3 x 3 square with or without
-    # its centre (the whole tiling in 8 LPs)
+    # its centre (the whole tiling is one component: no LP; it took 8)
     calls = lp_calls(monkeypatch)
     row = np.c_[np.arange(30.0) * 1e4, np.zeros((30, 2))]
     fam = HomotheticFamily(unit_cube(3), row, np.ones(30))
@@ -191,7 +196,7 @@ def test_ns_decides_near_degenerate_families(monkeypatch):
     cells = np.array([[i, j, 0.0] for i in range(3) for j in range(3)])
     calls.clear()
     assert is_ns(HomotheticFamily(plate, cells, np.ones(9))) == (True, None)
-    assert len(calls) == 8
+    assert len(calls) == 0
     for keep in (np.arange(9), np.r_[0:4, 5:9]):
         fam = HomotheticFamily(plate, cells[keep], np.ones(len(keep)))
         assert assert_ns_matches_oracle(fam)
@@ -237,14 +242,25 @@ def test_ns_walk_within_its_lp_bound_on_a_worst_case(monkeypatch):
     # 19 small cubes near a sphere of radius 2 split in most ways a plane can
     # split them, and only the big cube around them, member 0 and placed
     # last, meets every split: the walk makes about 6,000 LPs, near its
-    # bound 2 sum_{i<=3} C(19, i + 1)
+    # bound 2 sum_{i<=3} C(19, i + 1).  Every small cube meets the big
+    # one, so the family is one component and takes no LP.  With small cube
+    # 19 pushed out to radius 4 it is two, and the one split between them
+    # takes one LP
     p = np.random.default_rng(0).standard_normal((19, 3))
     p /= np.linalg.norm(p, axis=1, keepdims=True)
-    fam = HomotheticFamily(unit_cube(3), np.r_[[[-2.0] * 3], 2 * p - 0.05],
-                           np.r_[4.0, np.full(19, 0.1)])
+    xs = np.r_[[[-2.0] * 3], 2 * p - 0.05]
+    fam = HomotheticFamily(unit_cube(3), xs, np.r_[4.0, np.full(19, 0.1)])
     calls = lp_calls(monkeypatch)
     assert is_ns(fam) == (True, None)
+    assert len(calls) == 0
     assert len(calls) <= 2 * (19 + 171 + 969 + 3876)
+    xs[19] = 4 * p[18] - 0.05
+    fam = HomotheticFamily(unit_cube(3), xs, fam.ratios)
+    ok, (a_idx, b_idx) = is_ns(fam)
+    assert not ok and a_idx == [19] and b_idx == list(range(19))
+    assert len(calls) <= 1
+    assert strict_separator(fam.member(19).vertices,
+                            np.vstack([fam.member(i).vertices for i in range(19)]))
 
 
 def test_ns_bridging_multi_scale_family_within_the_bound(monkeypatch):
@@ -256,9 +272,10 @@ def test_ns_bridging_multi_scale_family_within_the_bound(monkeypatch):
 
 
 def test_ns_planar_chain_of_100_sweeps_two_directions_per_pair(monkeypatch):
-    # unit squares stepping by 0.9 overlap their neighbours only; the sweep
-    # takes at most one direction per angle where two members start or stop
-    # overlapping, n (n - 1) in all
+    # unit squares stepping by 0.9 overlap their neighbours only: one
+    # component, NS with no sweep.  Cut in two, 60 + 40, the two
+    # components start and stop overlapping at two angles, so the sweep
+    # takes at most two directions (one per arc)
     swept = []
     projections = family_module._projections
 
@@ -270,11 +287,12 @@ def test_ns_planar_chain_of_100_sweeps_two_directions_per_pair(monkeypatch):
     rng = np.random.default_rng(3)
     steps = np.c_[np.full(100, 0.9), rng.uniform(-0.5, 0.5, size=100)]
     assert is_ns(squares(np.cumsum(steps, axis=0))) == (True, None)
-    assert 0 < sum(swept) <= 100 * 99
+    assert swept == []
     apart = squares(np.cumsum(steps, axis=0) + np.r_[np.zeros((60, 2)),
                                                      np.full((40, 2), 3.0)])
     ok, (a_idx, b_idx) = is_ns(apart)
     assert not ok and a_idx == list(range(60, 100)) and b_idx == list(range(60))
+    assert 0 < sum(swept) <= 2
 
 
 def assert_ns_matches_oracle(fam):
@@ -335,6 +353,108 @@ def test_ns_matches_bipartition_oracle(d, max_n, per_base, least):
         for fam in ns_battery(rng, base, max_n, per_base):
             seen[assert_ns_matches_oracle(fam)] += 1
     assert min(seen.values()) >= least, seen
+
+
+def planar_battery():
+    """The planar families of `ns_battery` (on the bases of
+    `test_ns_matches_bipartition_oracle`) and of `reference_battery`."""
+    rng = np.random.default_rng(810)
+    for base in (unit_cube(2), Polytope.from_vertices(rng.standard_normal((3, 2))),
+                 regular_polygon(6, radius=float(rng.uniform(0.5, 1.5)))):
+        yield from ns_battery(rng, base, 10, 12)
+    yield from (fam for fam in reference_battery() if fam.dim == 2)
+
+
+def test_ns_components_match_the_member_sweep():
+    # the member-level sweep of every pair's critical angles is the oracle
+    # of the component route: the same verdicts, and every split strictly
+    # separable
+    seen = {True: 0, False: 0}
+    for idx, fam in enumerate(planar_battery()):
+        ok, split = is_ns(fam)
+        assert ok == member_sweep_ns(fam)[0], idx
+        seen[ok] += 1
+        if not ok:
+            a_idx, b_idx = split
+            assert fam.n - 1 in a_idx and sorted(a_idx + b_idx) == list(range(fam.n))
+            verts = [fam.member(i).vertices for i in range(fam.n)]
+            assert strict_separator(np.vstack([verts[i] for i in a_idx]),
+                                    np.vstack([verts[i] for i in b_idx])), idx
+    assert min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_components_match_the_overlap_graph(d):
+    # seeded chains, cut chains and scatters: each forest edge joins members
+    # that HiGHS says meet, the forest spans each component, the labels are
+    # the components of the graph of pairs HiGHS says meet, and a family of
+    # one component is NS
+    rng = np.random.default_rng(70 + d)
+    bases = (unit_cube(d), cross_polytope(d),
+             Polytope.from_vertices(rng.standard_normal((d + 3, d))))
+    connected = split = 0
+    for base in bases:
+        for fam in ns_battery(rng, base, 7 if d == 4 else 9, 6):
+            verts = [fam.member(i).vertices for i in range(fam.n)]
+            labels, forest = family_module._components(fam)
+            meets = {(i, j) for i in range(fam.n) for j in range(i + 1, fam.n)
+                     if hulls_meet(verts[i], verts[j])}
+            assert set(forest) <= meets
+            for edges in (forest, meets):
+                want = list(range(fam.n))
+                for i, j in sorted(edges):
+                    low, high = sorted((want[i], want[j]))
+                    want = [low if w == high else w for w in want]
+                assert list(labels) == want
+            if not labels.any():
+                connected += 1
+                assert ns_oracle(verts) == (True, None)
+            split += bool(labels.any())
+    assert connected >= 3 and split >= 3, (connected, split)
+
+
+def test_ns_planar_chain_of_1000_at_scale():
+    # a random walk of 1,000 members is one component: NS in well under a
+    # second (the member sweep took 81 s), its pair blocks small
+    fam = walk_chain(2, 1000)
+    start = time.perf_counter()
+    assert is_ns(fam) == (True, None)
+    took = time.perf_counter() - start
+    assert took <= 0.5, took
+    tracemalloc.start()  # it slows every allocation: a second, untimed call
+    try:
+        is_ns(fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 2 ** 20, peak
+
+
+def test_ns_refuses_a_base_qhull_cannot_take():
+    # d >= 3 takes the difference body's normals from qhull, which never
+    # sees coordinates past `polytope._QHULL_MAX`
+    fam = HomotheticFamily(cube(3).homothet(np.zeros(3), 1e100),
+                           np.array([[0.0, 0.0, 0.0], [3e100, 0.0, 0.0]]), np.ones(2))
+    with pytest.raises(GeometryError, match="difference body hull failed"):
+        is_ns(fam)
+
+
+def test_ns_takes_the_difference_body_of_a_base_once(monkeypatch):
+    # the normals of P - P and their supports are kept with the base: one
+    # qhull call for every family of homothets of one d >= 3 base
+    hulls = []
+    qhull = polytope_module._qhull
+
+    def counted(build, points, what):
+        hulls.append(what)
+        return qhull(build, points, what)
+
+    monkeypatch.setattr(polytope_module, "_qhull", counted)
+    base = cross_polytope(3)
+    for shift in (0.5, 3.0):
+        fam = HomotheticFamily(base, np.array([[0.0] * 3, [shift, 0.0, 0.0]]), np.ones(2))
+        assert is_ns(fam)[0] == (shift < 2)
+    assert hulls == ["difference body hull"]
 
 
 def test_ns_lattice_squares_match_oracle():
