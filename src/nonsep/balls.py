@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import lp, tolerances
-from .errors import GeometryError, InputError
+from .errors import GeometryError, InputError, _index
 from .polytope import _finite, _freeze
 
 _EXTENT_MAX = 1e150  # coordinates and radii whose squares stay finite
@@ -263,6 +263,7 @@ def cube_stability_counterexample(n: int = 3) -> dict:
     edge length exactly n, yet the centers never align.  The ball-chain
     collapse therefore genuinely needs a smooth body.
     """
+    n = _index(n, "n")
     if n < 3:
         raise InputError("need at least three cubes")
     ys = np.zeros(n, dtype=np.int64)

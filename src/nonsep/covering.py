@@ -27,12 +27,11 @@ import numpy as np
 from . import lp, tolerances
 from .asymmetry import sigma_lp
 from .errors import GeometryError, InputError
-from .family import HomotheticFamily, _edges_covered, is_wns
+from .family import HomotheticFamily, edges_covered, is_wns
 from .polytope import (
     Polytope,
     _simplex_rows,
     contains_translate,
-    edges,
     is_generic,
 )
 
@@ -175,26 +174,18 @@ def is_summand(q: Polytope, k: Polytope):
     E.  Each containment asks for a point x with both x and x + E inside
     the near-tight face of k.  A vertex v of that face, or v - E, usually
     is one (`lp.witnessed`); only when none is does a feasibility LP
-    decide.  Returns (bool, failing edge direction or None).
+    decide.  E's normal cone is read from the facets that q's edge search
+    (`Polytope._edges`, once per body) found tight at both its ends.
+    Returns (bool, failing edge direction or None).
     """
     if q.dim != k.dim:
         raise InputError("dimension mismatch")
     if q.dim < 2:
         raise InputError("need dim >= 2")
-    return _is_summand(q, k, edges(q))
-
-
-def _is_summand(q, k, pairs):
-    """`is_summand` over q's edges `pairs`, enumerated once by the caller."""
     ak, bk = k.facet_normals, k.facet_offsets
-    tight = tolerances.tight(float(np.abs(q.facet_offsets).max()))
-    for (i, j) in pairs:
-        vi, vj = q.vertices[i], q.vertices[j]
-        evec = vj - vi
-        slack_i = q.facet_offsets - q.facet_normals @ vi
-        slack_j = q.facet_offsets - q.facet_normals @ vj
-        incident = (slack_i <= tight) & (slack_j <= tight)
-        u = q.facet_normals[incident].mean(axis=0)
+    for (i, j), on in q._edges:
+        evec = q.vertices[j] - q.vertices[i]
+        u = q.facet_normals[on].mean(axis=0)
         u /= np.linalg.norm(u)
         h = k.support(u)
         ftol = tolerances.tight(abs(h))
@@ -213,8 +204,9 @@ def wip_summand_check(family: HomotheticFamily):
     """Structural half of the impassability-to-summand pipeline.
 
     Assumes the caller has already screened the family with
-    `is_kwip_sampled(family, dim - 2)` and `edges_covered`.  Computes
-    the hull of the union, asks whether it slides freely in the
+    `is_kwip_sampled(family, dim - 2)` and `edges_covered`.  Takes the
+    hull of the union (built once per family, its edges found once), runs
+    `edges_covered`, asks whether the hull slides freely in the
     total-ratio homothet of the base, and attaches the optimal lambda.
     Returns (ok, report): ok means summand holds and lambda_min stays
     at most 1.
@@ -222,11 +214,9 @@ def wip_summand_check(family: HomotheticFamily):
     d = family.dim
     if d < 2:
         raise InputError("pipeline needs dim >= 2")
-    hull = family.hull()
-    pairs = edges(hull)
-    edges_ok, _ = _edges_covered(family, hull, pairs)
+    edges_ok, _ = edges_covered(family)
     scaled = family.base.homothet(np.zeros(d), family.total_ratio)
-    summand_ok, direction = _is_summand(hull, scaled, pairs)
+    summand_ok, direction = is_summand(family.hull(), scaled)
     lam = lambda_min(family)
     ok = summand_ok and lam.certified and lam.lam <= 1.0 + tolerances.LAMBDA_ONE
     report = {

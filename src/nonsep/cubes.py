@@ -14,7 +14,6 @@ and the corner-glued configuration attaining the closed-form area record.
 from __future__ import annotations
 
 import itertools
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from math import hypot
@@ -22,7 +21,7 @@ from math import hypot
 import numpy as np
 
 from . import tolerances
-from .errors import GeometryError, InputError
+from .errors import GeometryError, InputError, _index
 
 @dataclass(frozen=True)
 class IntegerCubeFamily:
@@ -155,13 +154,6 @@ def hull_metrics(f: IntegerCubeFamily) -> tuple[float, float]:
 _PLANAR_OBJECTIVES = {"area": _hull_area, "perimeter": _hull_perimeter}
 
 
-def _count(n) -> int:
-    try:  # ints and numpy integers pass; floats, even 5.0, do not
-        return operator.index(n)
-    except TypeError:
-        raise InputError("n must be an integer") from None
-
-
 def construct_extremal(n: int) -> IntegerCubeFamily:
     """Corner-glued configuration: four boundary cubes plus a diagonal.
 
@@ -173,7 +165,7 @@ def construct_extremal(n: int) -> IntegerCubeFamily:
     diagonal runs unevenly and reaches 4 + 2*sqrt((n-3)^2 + 1)
     + 2*sqrt((n-1)^2 + 1), the maximum `exhaustive_max` finds for n <= 8.
     """
-    n = _count(n)
+    n = _index(n, "n")
     if n < 4:
         raise InputError("the construction needs n >= 4")
     offs = [(1, 0), (n - 1, 1), (n - 2, n - 1), (0, n - 2)]
@@ -257,7 +249,7 @@ def exhaustive_max(n: int, objective: str) -> tuple[IntegerCubeFamily, float]:
     than p[0] to a corner, scoring 8, 36, 196, 1,272, 9,552 leaves for
     n = 4..8 (n = 8: 0.15 s on a 2-core Xeon host); n = 9 is refused.
     """
-    n = _count(n)
+    n = _index(n, "n")
     if not 4 <= n <= 8:
         raise InputError("search supports 4 <= n <= 8")
     if objective not in _PLANAR_OBJECTIVES:

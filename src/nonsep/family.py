@@ -35,12 +35,11 @@ import numpy as np
 from scipy.spatial import Delaunay
 
 from . import lp, tolerances
-from .errors import GeometryError, InputError
+from .errors import GeometryError, InputError, _index
 from .polytope import (
     Polytope,
     _finite,
     _freeze,
-    _index,
     _plane_basis,
     _qhull,
     edges,
@@ -103,6 +102,10 @@ class HomotheticFamily:
         return self.translations @ a.T + np.outer(self.ratios, b)
 
     def hull(self) -> Polytope:
+        return self._hull
+
+    @functools.cached_property
+    def _hull(self) -> Polytope:  # built once per family
         return Polytope.from_vertices(self.all_vertices())
 
     def to_dict(self) -> dict:
@@ -475,13 +478,7 @@ def edges_covered(family: HomotheticFamily):
     uncovered edge stretch.
     """
     hull = family.hull()
-    return _edges_covered(family, hull, edges(hull))
-
-
-def _edges_covered(family, hull, pairs):
-    """`edges_covered` on the family's hull and its edges `pairs`, both
-    built once by the caller."""
-    ends = np.array(pairs)
+    ends = np.array(edges(hull))
     x = hull.vertices[ends[:, 0]]
     dirv = hull.vertices[ends[:, 1]] - x
     a = family.base.facet_normals

@@ -16,12 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances
-from .errors import InputError
+from .errors import InputError, _index
 from .polytope import (
     Polytope,
     _finite,
     _freeze,
-    _index,
     _require_origin_interior,
     _singular,
     facet_directions,

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from . import lp, tolerances
-from .errors import GeometryError, InputError
+from .errors import GeometryError, InputError, _index
 
 _GENERICIZE_TRIES = 1000  # draws `genericize` makes before it gives up
 # Largest |coordinate| handed to qhull where it can crash.  In 3-D and 4-D
@@ -35,6 +35,7 @@ _GENERICIZE_TRIES = 1000  # draws `genericize` makes before it gives up
 # for d >= 5, answer at far larger scales, so `from_vertices` checks only
 # d = 3, 4; `_qhull` checks every d against the same limit.
 _QHULL_MAX = 1e80
+_EDGE_RANK = 1e-7  # singular values above it count in the rank test of `edges`
 
 
 def _qhull(build, points, what):
@@ -70,13 +71,6 @@ def _finite(x, what: str) -> np.ndarray:
     if not np.isfinite(a).all():
         raise InputError(f"{what} must be finite")
     return a
-
-
-def _index(n, what: str) -> int:
-    """`n` as an int; floats, even 2.0, and booleans are refused."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise InputError(f"{what} must be an integer")
-    return int(n)
 
 
 @dataclass(frozen=True)
@@ -164,9 +158,28 @@ class Polytope:
         u = np.vstack([self.facet_normals, -self.facet_normals])
         if self.dim >= 3:
             z = (self.vertices[:, None] - self.vertices).reshape(-1, self.dim)
-            u = _qhull(ConvexHull, z, "difference body hull").equations[:, :-1]
+            eq = _qhull(ConvexHull, z, "difference body hull").equations
+            u, _ = _dedupe_facets(eq[:, :-1], -eq[:, -1])  # one row per facet
         h = self.vertices @ u.T
         return _freeze(u), _freeze(h.max(axis=0)), _freeze(-h.min(axis=0))
+
+    @functools.cached_property
+    def _edges(self):
+        """((i, j), facets tight at v_i and v_j) for each edge, found once: a
+        vertex pair is an edge iff those facets' normals have rank d - 1."""
+        tight = np.abs(self.facet_normals @ self.vertices.T
+                       - self.facet_offsets[:, None]) <= tolerances.tight(self._scale())
+        # facets tight at both ends of every pair; only pairs sharing d - 1 of
+        # them get the rank test, in the order of the double loop over pairs
+        shared = tight.T.astype(int) @ tight
+        out = []
+        for i, j in zip(*np.nonzero(np.triu(shared >= self.dim - 1, 1))):
+            on = tight[:, i] & tight[:, j]
+            s = np.linalg.svd(self.facet_normals[on], compute_uv=False)
+            if (s > _EDGE_RANK).sum() >= self.dim - 1:
+                on.setflags(write=False)
+                out.append(((int(i), int(j)), on))
+        return tuple(out)
 
     @property
     def n_facets(self) -> int:
@@ -468,26 +481,12 @@ def _simplex_rows(a):
 
 
 def edges(p: Polytope) -> list[tuple[int, int]]:
-    """Vertex index pairs forming 1-faces.
-
-    A pair is an edge iff the facets tight at both endpoints have normals
-    of rank d-1. Works uniformly for d >= 2 (in the plane this reduces to
-    the two endpoints of each facet).
-    """
+    """Vertex index pairs forming 1-faces, d >= 2, as a new list each call;
+    `Polytope._edges` finds them once per body (in the plane, the two
+    endpoints of each facet)."""
     if p.dim < 2:
         raise InputError("edges need d >= 2")
-    scale = p._scale()
-    tight = np.abs(p.facet_normals @ p.vertices.T
-                   - p.facet_offsets[:, None]) <= tolerances.tight(scale)
-    # facets tight at both ends of every pair; only pairs sharing d - 1 of
-    # them get the rank test, in the order of the double loop over pairs
-    shared = tight.T.astype(int) @ tight
-    out = []
-    for i, j in zip(*np.nonzero(np.triu(shared >= p.dim - 1, 1))):
-        s = np.linalg.svd(p.facet_normals[tight[:, i] & tight[:, j]], compute_uv=False)
-        if (s > 1e-7).sum() >= p.dim - 1:
-            out.append((int(i), int(j)))
-    return out
+    return [pair for pair, _ in p._edges]
 
 
 def measure(p: Polytope) -> float:

@@ -111,8 +111,9 @@ largest coordinate or offset in play; below 1 it counts as 1):
 * `tight`: how close a vertex must sit to a facet plane to lie on it,
   or to another vertex to count as one.  Vertex/facet agreement and rows
   shaving off less than a merged vertex in `Polytope.from_facets`,
-  `edges`, the face test of `is_summand`, and the antipodal vertices of
-  `Polytope.is_origin_symmetric`.
+  `edges` (whose facets tight at both ends of an edge are also those of
+  the face test of `is_summand`, both at the body's own scale), and the
+  antipodal vertices of `Polytope.is_origin_symmetric`.
 * `active` (``ACTIVE`` 1e-9, or ``ACTIVE_REL`` 1e-7 times the radius
   when larger): how close to the radius a ball must reach to count as
   active in `ball_circumradius`, both for the balls its active set keeps

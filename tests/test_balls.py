@@ -241,6 +241,11 @@ def test_cube_chain_counterexample():
     assert out5["deviation"] > 0.5
     with pytest.raises(InputError):
         cube_stability_counterexample(2)
+    for bad in (3.5, "4", True, None):
+        with pytest.raises(InputError, match="n must be an integer"):
+            cube_stability_counterexample(bad)
+    same = cube_stability_counterexample(np.int64(3))
+    assert same.pop("offsets").tolist() == out.pop("offsets").tolist() and same == out
 
 
 def test_line_deviation_basics():

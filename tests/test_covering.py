@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ from helpers import (
     tower_family,
 )
 
-from nonsep import lp, polytope
+from nonsep import covering, lp, polytope
 from nonsep.covering import (
     cover_intervals,
     is_summand,
@@ -438,29 +439,61 @@ def test_pipeline_padded_identical_members():
 
 
 def test_pipeline_builds_one_hull(monkeypatch):
-    """The edge test and the summand test share one hull of the union; the
-    report is the one that the public pieces give."""
-    hull = HomotheticFamily.hull
+    """The edge test and the summand test share one hull of the union: a
+    check on a fresh family builds it once (one `Polytope.from_vertices`),
+    and after `edges_covered` the check builds no hull and runs no edge
+    search (no SVD); the report is the one that the public pieces give."""
+    build, svd = Polytope.from_vertices, np.linalg.svd
     calls = []
 
-    def counting_hull(family):
-        calls.append(1)
-        return hull(family)
+    def counted(name, fn):
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return spy
 
     for fam in criterion_11_families():
         want_edges = edges_covered(fam)[0]
         want_summand, direction = is_summand(
             fam.hull(), fam.base.homothet(np.zeros(fam.dim), fam.total_ratio))
         lam = lambda_min(fam)
+        fresh, screened = (HomotheticFamily(fam.base, fam.translations, fam.ratios)
+                           for _ in range(2))
         with monkeypatch.context() as m:
-            m.setattr(HomotheticFamily, "hull", counting_hull)
+            m.setattr(Polytope, "from_vertices", staticmethod(counted("hull", build)))
+            m.setattr(np.linalg, "svd", counted("svd", svd))
             calls.clear()
-            ok, rep = wip_summand_check(fam)
-        assert len(calls) == 1
+            ok, rep = wip_summand_check(fresh)
+            assert calls.count("hull") == 1
+            edges_covered(screened)
+            calls.clear()
+            assert wip_summand_check(screened) == (ok, rep)
+            assert calls == []
         assert rep == {"edges_covered": want_edges, "summand": want_summand,
                        "failing_direction": None if direction is None else direction.tolist(),
                        "lambda": lam.lam, "lambda_certified": lam.certified}
         assert ok
+
+
+def test_pipeline_calls_the_public_pieces(monkeypatch):
+    """`wip_summand_check` reaches `edges_covered` and `is_summand` through
+    the `covering` module's names, so a tracer that wraps them there sees
+    one call of each per check."""
+    calls = []
+
+    def counted(name, fn):
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return spy
+
+    for name in ("edges_covered", "is_summand"):
+        monkeypatch.setattr(covering, name, counted(name, getattr(covering, name)))
+    for fam in itertools.islice(criterion_11_families(), 6):
+        calls.clear()
+        ok, rep = wip_summand_check(fam)
+        assert sorted(calls) == ["edges_covered", "is_summand"]
+        assert ok and rep["edges_covered"] and rep["summand"]
 
 
 def test_pipeline_line_of_cubes_3d():

@@ -373,8 +373,8 @@ def test_search_rejections():
 
 
 def test_non_integer_n_is_an_input_error():
-    for bad in (5.0, 4.5, "5", None):
-        with pytest.raises(InputError):
+    for bad in (5.0, 4.5, "5", None, True):
+        with pytest.raises(InputError, match="n must be an integer"):
             exhaustive_max(bad, "area")
         with pytest.raises(InputError):
             construct_extremal(bad)

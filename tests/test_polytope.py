@@ -592,6 +592,38 @@ def test_edges_match_double_loop():
         assert edges(p) == edges_double_loop(p)
 
 
+def test_edges_are_searched_once_per_body(monkeypatch):
+    """`edges` hands out a new list each call, and a body runs its edge
+    search (one SVD per candidate pair) only on the first."""
+    svd = np.linalg.svd
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    for p in (regular_polygon(7), cube(3), standard_simplex(4), cross_polytope(4)):
+        calls.clear()
+        got = edges(p)
+        want = list(got)
+        assert calls and want == edges_double_loop(p)
+        got.clear()
+        calls.clear()
+        assert edges(p) == want and edges(p) is not edges(p)
+        assert calls == []
+
+
+def test_difference_body_keeps_one_row_per_facet():
+    # qhull triangulates the facets of P - P in d >= 3; the merged rows are
+    # the facets: a cube, a cuboctahedron (P a tetrahedron) and a 4-cube
+    for p, rows in ((cube(3), 6), (standard_simplex(3), 14), (cube(4), 8)):
+        u, up, down = p._difference_body
+        assert u.shape == (rows, p.dim) and up.shape == down.shape == (rows,)
+        assert np.allclose(np.linalg.norm(u, axis=1), 1.0)
+        assert polytope._near_pairs(u, tolerances.FACET_MERGE, np.inf).size == 0
+
+
 def test_homothet_and_gauge():
     p = cube(2)
     q = p.homothet([3.0, 1.0], 2.0)
