@@ -13,6 +13,7 @@ module.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,15 +57,30 @@ def _reach(c, centers, radii):
     return np.linalg.norm(centers - c, axis=1) + radii
 
 
-def _pair_candidate(p, r, i, j):
+def _fits(c, rad, p, r, pl, rl) -> bool:
+    # _reach(c, p, r).max() <= rad + enclose(rad) to the bit, summing each
+    # row of pl left to right as numpy does below 8 columns (pairwise above)
+    bound = rad + tolerances.enclose(rad)
+    if p.shape[1] >= 8:
+        return bool(_reach(np.asarray(c), p, r).max() <= bound)
+    for q, rq in zip(pl, rl):
+        s = 0.0
+        for x, y in zip(q, c):
+            s += (x - y) * (x - y)
+        if math.sqrt(s) + rq > bound:
+            return False
+    return True
+
+
+def _pair_candidate(p, pl, rl, i, j):
     gap = p[j] - p[i]
-    dist = float(np.linalg.norm(gap))
+    dist = math.sqrt(gap.dot(gap))  # np.linalg.norm's 1-D route: BLAS ddot
     if dist <= tolerances.PAIR_COINCIDE:
         return None
-    t = 0.5 * (dist + r[j] - r[i])
+    t = 0.5 * (dist + rl[j] - rl[i])
     if t < 0.0 or t > dist:
         return None  # one ball swallows the other; a singleton covers this
-    return p[i] + (t / dist) * gap, t + r[i]
+    return [x + t / dist * g for x, g in zip(pl[i], gap.tolist())], t + rl[i]
 
 
 def _subset_candidate(p, r, idx):
@@ -92,46 +108,47 @@ def _subset_candidate(p, r, idx):
 
 
 def _enclosing_candidate(p, r):
-    # exact for a few balls: the smallest candidate over all subsets of at
-    # most d+1 balls that encloses every ball given
+    # exact: the smallest fitting ball over subsets of at most d+1 balls
+    pl, rl = p.tolist(), r.tolist()
     best = None
     for k in range(1, min(r.size, p.shape[1] + 1) + 1):
+        if k == 3 and best is not None:  # a singleton or pair fits
+            break
         for idx in itertools.combinations(range(r.size), k):
             if k == 1:
-                cand = (p[idx[0]], float(r[idx[0]]))
+                cand = (pl[idx[0]], rl[idx[0]])
             elif k == 2:
-                cand = _pair_candidate(p, r, *idx)
+                cand = _pair_candidate(p, pl, rl, *idx)
             else:
                 cand = _subset_candidate(p, r, list(idx))
-            if cand is None:
-                continue
-            c, rad = cand
-            if _reach(c, p, r).max() > rad + tolerances.enclose(rad):
-                continue
-            if best is None or rad < best[1]:
-                best = (c, float(rad))
-    return best
+            if cand and (best is None or cand[1] < best[1]) and _fits(*cand, p, r, pl, rl):
+                best = (cand[0], float(cand[1]))
+    return None if best is None else (np.asarray(best[0], dtype=float), best[1])
 
 
 def _lower_bound(p, r):
-    # the widest pair of balls (a ball paired with itself gives its radius)
-    return float((np.linalg.norm(p[:, None] - p, axis=-1) + r[:, None] + r).max() / 2)
+    # the widest pair of balls (a ball with itself gives its radius), k rows at a time
+    k = max(1, 2 ** 16 // r.size)
+    return max(float((np.linalg.norm(p[i:i + k, None] - p, axis=-1)
+                      + r[i:i + k, None] + r).max()) for i in range(0, r.size, k)) / 2
 
 
 def ball_circumradius(f: BallFamily) -> tuple[np.ndarray, float]:
     """Center and radius of the smallest ball homothet enclosing the family.
 
     The working set starts from the largest ball and the ball reaching
-    farthest from its center.  Each round solves it over its subsets (closed
-    forms for one and two balls, the Apollonius quadratic for more), keeps
-    the balls active at its optimum and adds the ball reaching farthest past
-    it, so the radius rises until every ball is enclosed.  The answer is
-    certified optimal; failure to find or certify raises with a bound pair.
+    farthest from its center.  Each round solves it over its subsets.  A
+    fitting singleton or pair ends the search: every ball around the set
+    encloses those balls, so none is smaller.  Only when none fits does the
+    Apollonius quadratic run for more balls.  Each round keeps the balls
+    active at its optimum and adds the ball reaching farthest past it, so
+    the radius rises until every ball is enclosed.  The answer is certified
+    optimal; failure to find or certify raises with a bound pair.
     """
     p, r = f.centers, f.radii
     big = int(np.argmax(r))
-    work = np.union1d([big], [int(np.argmax(_reach(p[big], p, r)))])
-    c = p.mean(axis=0)
+    work = sorted({big, int(np.argmax(_reach(p[big], p, r)))})
+    c = None
     for _ in range(2 * f.n + 16):  # the radius rises each round; this stops a cycle
         best = _enclosing_candidate(p[work], r[work])
         if best is None:
@@ -143,8 +160,8 @@ def ball_circumradius(f: BallFamily) -> tuple[np.ndarray, float]:
             if _certified(c, rad, p, r):
                 return best
             break
-        work = np.union1d(work[g[work] >= rad - tolerances.active(rad)], [far])
-    upper = min(float(_reach(x, p, r).max()) for x in (c, p.mean(axis=0)))
+        work = sorted({far, *(i for i in work if g[i] >= rad - tolerances.active(rad))})
+    upper = min(float(_reach(x, p, r).max()) for x in (c, p.mean(axis=0)) if x is not None)
     raise GeometryError(
         f"circumradius solver lost the optimum; best bounds "
         f"[{_lower_bound(p, r)!r}, {upper!r}]")
@@ -158,17 +175,18 @@ def _certified(c, rad, p, r) -> bool:
     dist = np.linalg.norm(diff, axis=1)
     if dist.min() < tolerances.CENTRE_COINCIDE:
         return True  # center coincides with a ball center: full subgradient
-    u = diff / dist[:, None]
-    a_eq = np.vstack([u.T, np.ones((1, active.size))])
-    b_eq = np.concatenate([np.zeros(c.size), [1.0]])
-    # least-squares weights that are non-negative and exact to rounding
-    # certify without the LP
-    w = np.linalg.lstsq(a_eq, b_eq, rcond=None)[0]
-    if lp.witnessed(np.vstack([a_eq, -a_eq, -np.eye(w.size)]),
-                    np.concatenate([b_eq, -b_eq, np.zeros(w.size)]), w):
+    m, d = active.size, c.size
+    # u.T w = 0 and sum(w) = 1 as rows, their negation, and -w <= 0: the
+    # least-squares w certifies with no LP when it holds them to rounding
+    a, b = np.zeros((2 * d + 2 + m, m)), np.zeros(2 * d + 2 + m)
+    np.divide(diff.T, dist, out=a[:d])
+    a[d], b[d], b[2 * d + 1] = 1.0, 1.0, -1.0
+    np.negative(a[:d + 1], out=a[d + 1:2 * d + 2])
+    np.fill_diagonal(a[2 * d + 2:], -1.0)
+    if lp.witnessed(a, b, np.linalg.lstsq(a[:d + 1], b[:d + 1], rcond=None)[0]):
         return True
     # Gordan: max t over u_i @ x + t <= 0 is bounded iff such weights exist
-    return lp.solve(b_eq, a_eq.T, np.zeros(active.size),
+    return lp.solve(b[:d + 1], a[:d + 1].T, np.zeros(m),
                     tol=tolerances.SUBGRADIENT).optimal
 
 
@@ -218,7 +236,7 @@ def stability_construction(taus, delta: float) -> BallFamily:
             raise InputError(
                 f"deflection not reachable; the bend tops out at {top:.6g}")
         theta = brentq(lambda th: deflection(th) - delta, 0.0, np.pi / 2,
-                       xtol=1e-14)
+                       xtol=tolerances.BEND_XTOL)
     p1 = np.array([-arm * np.cos(theta), arm * np.sin(theta)])
     centers = np.vstack([p1, np.stack([xs, np.zeros_like(xs)], axis=1)])
     return BallFamily(centers, t)

@@ -80,6 +80,7 @@ Fixed thresholds:
 * ``CENTRE_COINCIDE`` (1e-12), a `ball_circumradius` center this close to
   an active ball's center certifies itself (the full unit ball of
   gradients is available there).
+* ``BEND_XTOL`` (1e-14), the `brentq` xtol of `stability_construction`'s bend.
 * ``NO_SIGNAL`` (1e-12), a circumradius deficit at or below this carries
   no signal: both slopes of the stability scenario, fitted to one
   `stability_trace` (the deviation slope by `stability_exponent`), drop
@@ -137,6 +138,7 @@ POLAR_SIGMA = 1e-6
 PAIR_COINCIDE = 1e-14
 AFFINE_RANK = 1e-10
 CENTRE_COINCIDE = 1e-12
+BEND_XTOL = 1e-14
 NO_SIGNAL = 1e-12
 CUBE_CANDIDATE = 1e-12
 CUBE_SCORE = 1e-9

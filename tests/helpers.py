@@ -1078,3 +1078,110 @@ def _pivot(T, z, basis, r, j):
     T -= np.outer(col, T[r])
     z -= z[j] * T[r]
     basis[r] = j
+
+
+# -- the `nonsep.balls` circumradius solver as it stood before its candidates
+# ran in Python floats, verbatim but for a failure message with no bound
+# pair: numpy `_reach` per candidate, every subset of at most d + 1 balls
+# solved, `np.union1d` working sets and a certificate stacked by `vstack`.
+# The current solver must match it bit for bit.
+
+from nonsep import lp  # noqa: E402
+
+
+def _ref_reach(c, centers, radii):
+    return np.linalg.norm(centers - c, axis=1) + radii
+
+
+def _ref_pair_candidate(p, r, i, j):
+    gap = p[j] - p[i]
+    dist = float(np.linalg.norm(gap))
+    if dist <= tolerances.PAIR_COINCIDE:
+        return None
+    t = 0.5 * (dist + r[j] - r[i])
+    if t < 0.0 or t > dist:
+        return None  # one ball swallows the other; a singleton covers this
+    return p[i] + (t / dist) * gap, t + r[i]
+
+
+def _ref_subset_candidate(p, r, idx):
+    # |c - p_i| = R - r_i on the subset, c = p_0 + q z inside its affine hull
+    sub, rs = p[idx], r[idx]
+    q, rr = np.linalg.qr((sub[1:] - sub[0]).T)
+    if np.abs(np.diag(rr)).min() < tolerances.AFFINE_RANK:
+        return None                                # affinely degenerate
+    # each equation minus the base one is linear: rr.T z = h0 + R h1
+    h0 = 0.5 * ((rr * rr).sum(axis=0) - rs[1:] ** 2 + rs[0] ** 2)
+    z0, z1 = np.linalg.solve(rr.T, np.stack([h0, rs[1:] - rs[0]], axis=1)).T
+    # |z0 + R z1|^2 = (R - r_0)^2, i.e. a R^2 + 2 b R + e = 0
+    a = float(z1 @ z1) - 1.0
+    b = float(z0 @ z1) + rs[0]
+    e = float(z0 @ z0) - rs[0] ** 2
+    disc = b * b - a * e
+    if disc < 0.0 or b == disc == 0.0:
+        return None                                # no root, or no equation
+    s = -(b + np.copysign(np.sqrt(disc), b))       # the roots are e / s, s / a
+    roots = [R for R in [e / s] + ([s / a] if a else []) if R >= rs.max()]
+    if not roots:
+        return None
+    rad = min(roots)
+    return sub[0] + q @ (z0 + rad * z1), rad
+
+
+def _ref_enclosing_candidate(p, r):
+    best = None
+    for k in range(1, min(r.size, p.shape[1] + 1) + 1):
+        for idx in itertools.combinations(range(r.size), k):
+            if k == 1:
+                cand = (p[idx[0]], float(r[idx[0]]))
+            elif k == 2:
+                cand = _ref_pair_candidate(p, r, *idx)
+            else:
+                cand = _ref_subset_candidate(p, r, list(idx))
+            if cand is None:
+                continue
+            c, rad = cand
+            if _ref_reach(c, p, r).max() > rad + tolerances.enclose(rad):
+                continue
+            if best is None or rad < best[1]:
+                best = (c, float(rad))
+    return best
+
+
+def _ref_certified(c, rad, p, r) -> bool:
+    g = _ref_reach(c, p, r)
+    active = np.flatnonzero(g >= rad - tolerances.active(rad))
+    diff = c - p[active]
+    dist = np.linalg.norm(diff, axis=1)
+    if dist.min() < tolerances.CENTRE_COINCIDE:
+        return True
+    u = diff / dist[:, None]
+    a_eq = np.vstack([u.T, np.ones((1, active.size))])
+    b_eq = np.concatenate([np.zeros(c.size), [1.0]])
+    w = np.linalg.lstsq(a_eq, b_eq, rcond=None)[0]
+    if lp.witnessed(np.vstack([a_eq, -a_eq, -np.eye(w.size)]),
+                    np.concatenate([b_eq, -b_eq, np.zeros(w.size)]), w):
+        return True
+    return lp.solve(b_eq, a_eq.T, np.zeros(active.size),
+                    tol=tolerances.SUBGRADIENT).optimal
+
+
+def ball_circumradius_reference(f):
+    """`balls.ball_circumradius` before its float candidates: the same
+    (center, radius), or GeometryError("... lost the optimum ...")."""
+    p, r = f.centers, f.radii
+    big = int(np.argmax(r))
+    work = np.union1d([big], [int(np.argmax(_ref_reach(p[big], p, r)))])
+    for _ in range(2 * f.n + 16):
+        best = _ref_enclosing_candidate(p[work], r[work])
+        if best is None:
+            break
+        c, rad = best
+        g = _ref_reach(c, p, r)
+        far = int(np.argmax(g))
+        if g[far] <= rad + tolerances.enclose(rad):
+            if _ref_certified(c, rad, p, r):
+                return best
+            break
+        work = np.union1d(work[g[work] >= rad - tolerances.active(rad)], [far])
+    raise GeometryError("circumradius solver lost the optimum")

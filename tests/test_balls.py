@@ -4,9 +4,13 @@ import time
 
 import numpy as np
 import pytest
-from helpers import ball_certified_lp_oracle, enclosing_ball_oracle
+from helpers import (
+    ball_certified_lp_oracle,
+    ball_circumradius_reference,
+    enclosing_ball_oracle,
+)
 
-from nonsep import balls
+from nonsep import balls, tolerances
 from nonsep.balls import (
     BallFamily,
     ball_circumradius,
@@ -435,3 +439,98 @@ def test_round_cap_reports_a_bracket(monkeypatch):
     assert len(rounds) == 2 * r.size + 16
     lo, hi = _bounds(str(err.value))
     assert lo <= want + 1e-12 and want <= hi + 1e-12
+
+
+def _bench_chains(count, seed=0):
+    """Bent chains shaped like the benchmark's: 4 or 5 radii in (0.7, 1.3)
+    and a bend of tau_2 * 10^U(-3, -1.3)."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        taus = rng.uniform(0.7, 1.3, size=4 + i % 2)
+        yield stability_construction(taus, float(taus[1] * 10 ** rng.uniform(-3, -1.3)))
+
+
+def _reference_families():
+    yield from _bench_chains(200)
+    rng = np.random.default_rng(11)  # the enumeration-oracle battery
+    for k in range(150):
+        n = int(rng.integers(2, 9))
+        yield BallFamily(rng.normal(scale=2.0, size=(n, (2, 3, 4)[k % 3])),
+                         rng.uniform(0.1, 2.0, n))
+    for p, r, _ in _degenerate_families().values():
+        yield BallFamily(p, r)
+    rng = np.random.default_rng(0)  # the large-scale families
+    for _ in range(20):
+        p, r = rng.normal(size=(6, 3)), rng.uniform(0.1, 1.0, 6)
+        for scale in (1.0, 1e3, 1e6, 1e9):
+            yield BallFamily(scale * p, scale * r)
+    rng = np.random.default_rng(200)
+    yield BallFamily(rng.normal(size=(200, 3)), rng.uniform(0.1, 1.0, 200))
+
+
+def test_matches_reference_solver_bit_for_bit():
+    # the float candidates, the early stop and the in-place certificate
+    # change no bit of the answer
+    count = 0
+    for f in _reference_families():
+        assert repr(ball_circumradius(f)) == repr(ball_circumradius_reference(f))
+        count += 1
+    assert count == 200 + 150 + len(_degenerate_families()) + 80 + 1
+    taus = [1.0, 0.7, 1.3, 0.9]
+    deltas = list(0.7 * np.logspace(-1.3, -3, 9))
+    want = [(float(d), float(np.sum(taus))
+             - ball_circumradius_reference(stability_construction(taus, d))[1])
+            for d in deltas]
+    assert repr([row[:2] for row in stability_trace(taus, deltas)]) == repr(want)
+
+
+def test_fitting_triple_does_not_end_the_search():
+    # draw 0 of the nonlinear-solver battery: a triple's Apollonius ball
+    # fits its working set of five, yet a larger subset gives a smaller one
+    rng = np.random.default_rng(7)
+    d, n = int(rng.integers(2, 4)), int(rng.integers(2, 8))
+    p, r = rng.normal(scale=2.0, size=(n, d)), rng.uniform(0.1, 2.0, n)
+    assert (d, n) == (3, 5)
+    c, rad = ball_circumradius(BallFamily(p, r))
+    oc, orad = enclosing_ball_oracle(p, r)
+    assert rad == 3.582002740006199
+    assert abs(rad - orad) <= 1e-9 and np.abs(c - oc).max() <= 1e-7
+
+
+def test_subsets_of_three_run_only_when_no_pair_fits(monkeypatch):
+    calls = []
+    solve = balls._subset_candidate
+
+    def counting(p, r, idx):
+        calls.append(len(idx))
+        return solve(p, r, idx)
+
+    monkeypatch.setattr(balls, "_subset_candidate", counting)
+    for f in _bench_chains(200):
+        ball_circumradius(f)
+    assert calls == []
+    ball_circumradius(unit_balls([(0, 0), (2, 0), (1, np.sqrt(3))]))
+    assert calls == [3]
+
+
+@pytest.mark.parametrize("d", [2, 3, 7, 8, 12])
+def test_fit_check_agrees_with_reach_to_the_bit(d):
+    # bounds a few ulps either side of the farthest reach: the float check
+    # gives numpy's verdict, whose sums of 8 or more squares run pairwise
+    rng = np.random.default_rng(d)
+    for _ in range(300):
+        p, r, c = rng.normal(size=(4, d)), rng.uniform(0.1, 1.0, 4), rng.normal(size=d)
+        far = balls._reach(c, p, r).max()
+        rad0 = far / (1 + tolerances.ENCLOSE) if far > 1 else far - tolerances.ENCLOSE
+        for rad in rad0 + np.spacing(rad0) * np.arange(-4, 5):
+            want = bool(far <= rad + tolerances.enclose(rad))
+            assert balls._fits(c.tolist(), rad, p, r, p.tolist(), r.tolist()) == want
+
+@pytest.mark.parametrize("d, n", [(1, 1), (2, 2), (2, 7), (3, 40), (3, 300), (4, 1000)])
+def test_lower_bound_matches_dense_formula(d, n):
+    # the widest pair, found a block of rows at a time (several blocks
+    # from n = 300 on), equals the one (n, n, d) array gives
+    rng = np.random.default_rng(n)
+    p, r = rng.normal(size=(n, d)), rng.uniform(0.1, 1.0, n)
+    dense = float((np.linalg.norm(p[:, None] - p, axis=-1) + r[:, None] + r).max() / 2)
+    assert balls._lower_bound(p, r) == dense
